@@ -25,16 +25,16 @@ import numpy as np
 
 from .channel import ChannelModel
 from .netopt import solve_p1
-from .phy import enumerate_feasible_patterns, rate_table_for_patterns, schedule_links
+from .phy import enumerate_feasible_patterns, rate_table_for_patterns
 from .rrm import (
     RrmConfig,
     RrmResult,
     RrmState,
     ScheduledPattern,
     SuperframeRecord,
-    _sample_member_indices,
     certificate,
     run_to_convergence,
+    simulate_subframes,
 )
 from .topology import Link, NodeKind, TopologyGraph
 
@@ -78,12 +78,7 @@ def run_fddsa(model: ChannelModel, config: RrmConfig) -> RrmResult:
         started = time.perf_counter()
         t0 = i * n_sub
         rate_block = model.rate_block(t0, n_sub)
-        pattern_idx = _sample_member_indices(shares, model.pattern_draws(t0, n_sub))
-        served = np.zeros(graph.num_links)
-        for t in range(n_sub):
-            rho = schedule_links(graph, patterns[pattern_idx[t]], weights, rate_block[t])
-            served += (rho * rate_block[t]).sum(axis=1)
-        served /= n_sub
+        served, _ = simulate_subframes(model, t0, patterns, shares, weights, rate_block, None)
 
         table = rate_table_for_patterns(graph, patterns, weights, rate_block)
         flow = solve_p1(graph, base + shares @ table.rates, config.utility, tol=config.flow_tol)

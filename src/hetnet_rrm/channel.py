@@ -59,11 +59,39 @@ class PathlossParams:
         return self.bs_bs
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+
+
 def keyed_generator(seed: int, stream: int, t: int = 0) -> Generator:
     """Philox generator whose output depends only on (seed, stream, t)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
     counter = np.array([0, 0, t, 0], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
+    return Generator(Philox(key=_philox_key(seed, stream), counter=counter))
+
+
+class _KeyedStream:
+    """One reusable generator for a (seed, stream) pair.
+
+    ``at(t)`` rewinds it to exactly the state ``keyed_generator(seed, stream,
+    t)`` starts in (counter ``[0, 0, t, 0]``, empty output buffer), which is
+    several times cheaper than building a new generator per subframe.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        self._key = _philox_key(seed, stream)
+        self._bits = Philox(key=self._key)
+        self._generator = Generator(self._bits)
+
+    def at(self, t: int) -> Generator:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, t, 0], dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._generator
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -147,6 +175,8 @@ class ChannelModel:
             self.tx_powers[l.index] = dbm_to_watts(dbm) / noise_watts
 
         self._wireless = np.array(graph.wireless_links, dtype=int)
+        self._fading = _KeyedStream(self.seed, STREAM_FADING)
+        self._pattern = _KeyedStream(self.seed, STREAM_PATTERN)
 
     @property
     def num_links(self) -> int:
@@ -157,20 +187,20 @@ class ChannelModel:
 
         Wired links carry zeros; they never enter the radio scheduler.
         """
-        out = np.zeros((self.num_links, self.num_subbands))
-        large_sq = self.large_gains[self._wireless] ** 2
-        if self.deterministic:
-            out[self._wireless, :] = large_sq[:, None]
-        else:
-            small = keyed_generator(self.seed, STREAM_FADING, t).standard_exponential(
-                (len(self._wireless), self.num_subbands)
-            )
-            out[self._wireless, :] = small * large_sq[:, None]
-        return out
+        return self.draw_block(t, 1)[0]
 
     def draw_block(self, t_start: int, n_subframes: int) -> np.ndarray:
         """Stacked draws for subframes ``t_start .. t_start + n - 1``: (S, L, M)."""
-        return np.stack([self.draw_subframe(t_start + s) for s in range(n_subframes)])
+        out = np.zeros((n_subframes, self.num_links, self.num_subbands))
+        large_sq = self.large_gains[self._wireless] ** 2
+        if self.deterministic:
+            out[:, self._wireless, :] = large_sq[None, :, None]
+            return out
+        small = np.empty((n_subframes, len(self._wireless), self.num_subbands))
+        for s in range(n_subframes):
+            self._fading.at(t_start + s).standard_exponential(out=small[s])
+        out[:, self._wireless, :] = small * large_sq[None, :, None]
+        return out
 
     def rate_block(self, t_start: int, n_subframes: int) -> np.ndarray:
         """Per-subband achievable rates (nats) for a run of subframes: (S, L, M)."""
@@ -184,6 +214,4 @@ class ChannelModel:
 
     def pattern_draws(self, t_start: int, n_subframes: int) -> np.ndarray:
         """Uniform(0,1) stream for per-subframe pattern sampling, one per subframe."""
-        return np.concatenate(
-            [keyed_generator(self.seed, STREAM_PATTERN, t_start + s).random(1) for s in range(n_subframes)]
-        )
+        return np.array([self._pattern.at(t_start + s).random() for s in range(n_subframes)])

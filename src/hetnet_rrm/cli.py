@@ -111,6 +111,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for mode in modes:
         if mode != "fbc" and mode not in _RUNNERS:
             raise ScenarioError([f"unknown mode '{mode}' in --modes"])
+    # Validate every value before the first run.
+    sweeps = [(value, with_param(scenario, args.param, value)) for value in values]
 
     lines = [
         "sweep-report v1",
@@ -119,8 +121,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "# value mode utility superframes converged",
     ]
     all_converged = True
-    for value in values:
-        swept = with_param(scenario, args.param, value)
+    for value, swept in sweeps:
         for mode in modes:
             result, _ = run_experiment(swept, mode, swept.seed)
             all_converged &= result.converged

@@ -4,7 +4,11 @@ Long timescale (once per superframe): grow a set of scheduled patterns,
 re-optimize their time shares jointly with flow control and routing, and
 refresh link weights from capacity prices.  Short timescale (every subframe):
 sample a pattern from the current shares and schedule links per subband by the
-max-weight rule.
+max-weight rule.  A superframe's subframes are scheduled together: one block
+kernel (``phy.block_winners``) finds every station's winners on all of them,
+each subframe keeps its sampled pattern's active stations, the feasibility
+assertions run on every subframe, and subframe 0 is cross-checked against the
+single-subframe reference ``phy.schedule_links``.
 
 The optimization state is a set of *scheduled patterns*: a DTX activity
 pattern bundled with the link weights under which it was discovered.  Each
@@ -27,8 +31,9 @@ from .channel import ChannelModel
 from .netopt import FlowSolution, NetOptError, UtilitySpec, optimize_time_sharing
 from .phy import (
     Pattern,
+    contribution_stats,
     enumerate_feasible_patterns,
-    schedule_links,
+    schedule_block,
     station_contributions,
 )
 from .topology import TopologyGraph
@@ -135,6 +140,25 @@ def _sample_member_indices(shares: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, draws, side="right"), len(shares) - 1)
 
 
+def simulate_subframes(
+    model: ChannelModel,
+    t_start: int,
+    patterns: list[Pattern],
+    shares: np.ndarray,
+    weights: np.ndarray,
+    rate_block: np.ndarray,
+    winner_rates: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Short timescale of one superframe: sample a pattern per subframe from
+    ``shares`` and schedule the block under ``weights``.
+
+    Returns ``phy.schedule_block``'s ``(served, per_station)``.
+    """
+    draws = model.pattern_draws(t_start, rate_block.shape[0])
+    active = np.array(patterns, dtype=bool)[_sample_member_indices(shares, draws)]
+    return schedule_block(model.graph, active, weights, rate_block, winner_rates)
+
+
 def _member_rows(
     graph: TopologyGraph,
     members: list[ScheduledPattern],
@@ -189,29 +213,27 @@ def run_superframe(
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
 
     # Short timescale: per-subframe pattern sampling and link scheduling under
-    # the current weights.  The feasibility assertions inside schedule_links
-    # stay on in every mode.
-    member_idx = _sample_member_indices(state.shares, model.pattern_draws(t0, n_sub))
-    served = np.zeros(graph.num_links)
-    score_block = (
-        np.broadcast_to(winner_rates, rate_block.shape)
-        if winner_rates is not None
-        else rate_block
+    # the current weights, for the whole block at once: the block kernel's
+    # winners, masked by each subframe's sampled pattern.  The feasibility
+    # assertions run on every subframe in every mode, and subframe 0 is
+    # re-scheduled by the reference schedule_links as a live cross-check.
+    served, per_station = simulate_subframes(
+        model,
+        t0,
+        [m.pattern for m in state.members],
+        state.shares,
+        state.weights,
+        rate_block,
+        winner_rates,
     )
-    for t in range(n_sub):
-        pattern = state.members[member_idx[t]].pattern
-        rho = schedule_links(graph, pattern, state.weights, score_block[t])
-        served += (rho * rate_block[t]).sum(axis=1)
-    served /= n_sub
 
     # Pattern discovery: the best admissible pattern under the current
-    # weights, scheduled under those same weights, joins the set unless an
-    # existing member already realizes the same pattern with the same row.
+    # weights, scheduled under those same weights (the kernel pass above),
+    # joins the set unless an existing member already realizes the same
+    # pattern with the same row.
     members = list(state.members)
     rows, row_stderr = _member_rows(graph, members, rate_block, winner_rates)
-    contributions, contrib_sem = station_contributions(
-        graph, state.weights, rate_block, winner_rates
-    )
+    contributions, contrib_sem = contribution_stats(graph, per_station)
     best_j, _ = _best_pattern(state.patterns, contributions, state.weights)
     best_pattern = state.patterns[best_j]
     pattern_mask = np.array(best_pattern, dtype=float)

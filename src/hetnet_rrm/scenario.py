@@ -67,6 +67,16 @@ _RUN_KEYS = (
     "utility_epsilon",
 )
 
+#: Lower bounds of the integer settings; the parser and the sweep share them.
+_INT_MINIMUM = {
+    "subbands": 1,
+    "seed": 0,
+    "subframes_per_superframe": 1,
+    "control_lead_subframes": 0,
+    "max_superframes": 1,
+    "max_members": 2,
+}
+
 #: Parameters the sweep command may vary without editing the file.
 SWEEPABLE_PARAMS = (
     "p_macro_dbm",
@@ -202,13 +212,17 @@ def _get_float(cur: _Cursor, settings, key: str, default: float) -> float:
         return default
     lineno, raw = settings[key]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         cur.error(lineno, f"'{key}' must be a number, got '{raw}'")
         return default
+    if not math.isfinite(value):
+        cur.error(lineno, f"'{key}' must be a finite number, got '{raw}'")
+        return default
+    return value
 
 
-def _get_int(cur: _Cursor, settings, key: str, default: int, minimum: int) -> int:
+def _get_int(cur: _Cursor, settings, key: str, default: int) -> int:
     if key not in settings:
         return default
     lineno, raw = settings[key]
@@ -217,8 +231,8 @@ def _get_int(cur: _Cursor, settings, key: str, default: int, minimum: int) -> in
     except ValueError:
         cur.error(lineno, f"'{key}' must be an integer, got '{raw}'")
         return default
-    if value < minimum:
-        cur.error(lineno, f"'{key}' must be >= {minimum}, got {value}")
+    if value < _INT_MINIMUM[key]:
+        cur.error(lineno, f"'{key}' must be >= {_INT_MINIMUM[key]}, got {value}")
         return default
     return value
 
@@ -371,7 +385,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     flows = _parse_flows(cur, sections["flows"])
 
     radio = _parse_settings(cur, sections["radio"], "radio", _RADIO_KEYS)
-    subbands = _get_int(cur, radio, "subbands", 10, minimum=1)
+    subbands = _get_int(cur, radio, "subbands", 10)
     p_macro = _get_float(cur, radio, "p_macro_dbm", 40.0)
     p_pico = _get_float(cur, radio, "p_pico_dbm", 33.0)
     noise = _get_float(cur, radio, "noise_dbm", -100.0)
@@ -382,17 +396,17 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     pathloss = _parse_pathloss(cur, sections.get("pathloss", []))
 
     run = _parse_settings(cur, sections["run"], "run", _RUN_KEYS)
-    seed = _get_int(cur, run, "seed", 0, minimum=0)
-    t_s = _get_int(cur, run, "subframes_per_superframe", 200, minimum=1)
-    t_d = _get_int(cur, run, "control_lead_subframes", 2, minimum=0)
+    seed = _get_int(cur, run, "seed", 0)
+    t_s = _get_int(cur, run, "subframes_per_superframe", 200)
+    t_d = _get_int(cur, run, "control_lead_subframes", 2)
     if t_d >= t_s:
         lineno = run["control_lead_subframes"][0] if "control_lead_subframes" in run else 0
         cur.error(lineno, f"control_lead_subframes ({t_d}) must be smaller than subframes_per_superframe ({t_s})")
-    max_superframes = _get_int(cur, run, "max_superframes", 60, minimum=1)
+    max_superframes = _get_int(cur, run, "max_superframes", 60)
     epsilon = _get_float(cur, run, "epsilon_converge", 1e-6)
     gap_rel = _get_float(cur, run, "gap_converge_rel", 1e-6)
     q_prune = _get_float(cur, run, "q_prune", 1e-12)
-    max_members = _get_int(cur, run, "max_members", 64, minimum=2)
+    max_members = _get_int(cur, run, "max_members", 64)
     flow_tol = _get_float(cur, run, "flow_tol", 1e-6)
     share_gap_tol = _get_float(cur, run, "share_gap_tol", 1e-5)
     alpha = _get_float(cur, run, "alpha", 1.0)
@@ -533,14 +547,30 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
     """Return a copy with one swept parameter replaced.
 
     Only :data:`SWEEPABLE_PARAMS` are accepted; anything else needs a real
-    edit to the scenario file so sweeps stay reviewable.
+    edit to the scenario file so sweeps stay reviewable.  Values obey the
+    scenario parser's rules: integer settings must be integers no smaller than
+    their minimum, and float settings must be finite.
     """
     if name not in SWEEPABLE_PARAMS:
         raise ScenarioError(
             [f"parameter '{name}' is not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})"]
         )
+    if name not in _INT_MINIMUM:
+        if not math.isfinite(value):
+            raise ScenarioError([f"'{name}' must be a finite number, got {value!r}"])
+        return replace(scenario, **{name: float(value)})
+    if not (math.isfinite(value) and value == int(value)):
+        raise ScenarioError([f"'{name}' must be an integer, got {value!r}"])
+    value = int(value)
+    if value < _INT_MINIMUM[name]:
+        raise ScenarioError([f"'{name}' must be >= {_INT_MINIMUM[name]}, got {value}"])
     if name in ("seed", "subbands"):
-        return replace(scenario, **{name: int(value)})
-    if name in ("subframes_per_superframe", "max_superframes"):
-        return replace(scenario, rrm=replace(scenario.rrm, **{name: int(value)}))
-    return replace(scenario, **{name: float(value)})
+        return replace(scenario, **{name: value})
+    if name == "subframes_per_superframe" and scenario.control_lead_subframes >= value:
+        raise ScenarioError(
+            [
+                f"control_lead_subframes ({scenario.control_lead_subframes}) must be smaller "
+                f"than subframes_per_superframe ({value})"
+            ]
+        )
+    return replace(scenario, rrm=replace(scenario.rrm, **{name: value}))

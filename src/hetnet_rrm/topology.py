@@ -125,6 +125,17 @@ class TopologyGraph:
     def outgoing_wireless(self, node: int) -> tuple[int, ...]:
         return tuple(l for l in self.outgoing_links(node) if not self.links[l].is_wired)
 
+    @cached_property
+    def station_links(self) -> tuple[np.ndarray, ...]:
+        """Outgoing wireless link indices of each base station, in ``bs_nodes``
+        order (read-only arrays; the schedulers index with them)."""
+        out = []
+        for node in self.bs_nodes:
+            links = np.array(self.outgoing_wireless(node), dtype=int)
+            links.setflags(write=False)
+            out.append(links)
+        return tuple(out)
+
     def wired_base_capacity(self) -> np.ndarray:
         """Length-L vector: wired capacity where wired, 0 on wireless links."""
         base = np.zeros(self.num_links)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,21 @@ def test_sweep_argument_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not sweepable" in err
     assert "unknown mode 'psychic'" in err
+
+
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("subbands", "0", "'subbands' must be >= 1, got 0"),
+        ("max_superframes", "0", "'max_superframes' must be >= 1, got 0"),
+        ("p_pico_dbm", "nan", "'p_pico_dbm' must be a finite number, got nan"),
+        ("seed", "-1", "'seed' must be >= 0, got -1"),
+    ],
+)
+def test_sweep_rejects_values_the_parser_would(param, value, message, capsys):
+    fig7 = str(resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario"))
+    code = main(["sweep", "--scenario", fig7, "--param", param, "--values", value])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

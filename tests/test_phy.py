@@ -7,18 +7,22 @@ from scipy import integrate
 from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.phy import (
     PatternEnumerationError,
+    assert_block_feasible,
     assert_schedule_feasible,
+    block_winners,
     conditional_rate,
     enumerate_feasible_patterns,
     is_feasible_pattern,
     policy_rate,
     rate_table_for_patterns,
+    schedule_block,
     schedule_links,
     station_contributions,
 )
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, multicell_graph, random_instance
+from hetnet_rrm import phy
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
 
@@ -128,6 +132,100 @@ def test_assert_schedule_feasible_rejects_violations():
     bad[2, 0] = True                    # station 1 is silent in the pattern
     with pytest.raises(AssertionError):
         assert_schedule_feasible(g, (1, 0), bad)
+
+
+def _loop_reference(graph, active, weights, block, winner_rates):
+    """Per-subframe schedules and mean served rates from schedule_links."""
+    schedules, served = [], np.zeros(graph.num_links)
+    for t in range(block.shape[0]):
+        scores = block[t] if winner_rates is None else winner_rates
+        rho = schedule_links(graph, tuple(int(on) for on in active[t]), weights, scores)
+        schedules.append(rho)
+        served += (rho * block[t]).sum(axis=1)
+    return np.array(schedules), served / block.shape[0]
+
+
+def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = 0
+    for seed in range(8):
+        g = random_instance(seed)
+        patterns = enumerate_feasible_patterns(g.interference)
+        owner = [g.bs_slot[link.head] for link in g.links]
+        model = ChannelModel(g, 3, 40.0, 33.0, seed=seed)
+        n_sub = 24
+        fading = model.rate_block(5, n_sub)
+        ties = np.full(fading.shape, 0.75)  # every link equal: lowest index must win
+        for block, weights, winner_rates in [
+            (fading, rng.uniform(0.2, 2.0, g.num_links), None),
+            (fading, rng.uniform(0.2, 2.0, g.num_links), model.statistical_rates()),
+            (ties, np.ones(g.num_links), None),
+        ]:
+            active = np.array(patterns, dtype=bool)[rng.integers(len(patterns), size=n_sub)]
+            active[rng.random(n_sub) < 0.2] = False  # some all-silent subframes
+            winners, per_station = block_winners(g, weights, block, winner_rates)
+            served, kernel_per_station = schedule_block(g, active, weights, block, winner_rates)
+            schedules, ref_served = _loop_reference(g, active, weights, block, winner_rates)
+            assert np.array_equal(winners & active[:, owner, None], schedules)
+            assert np.array_equal(served, ref_served)
+            assert np.array_equal(kernel_per_station, per_station)
+            all_on, _ = _loop_reference(g, np.ones_like(active), weights, block, winner_rates)
+            assert np.array_equal(winners, all_on)
+            assert np.array_equal(per_station.sum(axis=1), (all_on * block).sum(axis=2))
+            cases += 1
+    assert cases == 24
+
+
+def _wired_graph():
+    """Two stations as in _two_station_graph plus a wired link into the pico."""
+    nodes = [
+        Node(0, MACRO, (0.0, 0.0)),
+        Node(1, PICO, (600.0, 0.0)),
+        Node(2, USER, (60.0, 10.0)),
+        Node(3, USER, (50.0, -40.0)),
+        Node(4, USER, (660.0, 20.0)),
+    ]
+    links = [Link(0, 0, 2), Link(1, 0, 3), Link(2, 1, 4), Link(3, 0, 1, wired_capacity=5.0)]
+    flows = [Flow(0, 0, 2), Flow(1, 0, 3), Flow(2, 0, 4)]
+    return build_graph(nodes, links, flows, {0})
+
+
+def test_assert_block_feasible_rejects_violations():
+    g = _wired_graph()
+    active = np.array([[1, 1], [1, 0], [1, 1]], dtype=bool)
+    ok = np.zeros((3, 4, 2), dtype=bool)
+    ok[:, 0, :] = True
+    ok[[0, 2], 2, :] = True
+    assert_block_feasible(g, active, ok)
+    bad = ok.copy()
+    bad[2, 1, 0] = True                 # station 0 serves two links on subband 0
+    with pytest.raises(AssertionError, match="subframe 2: station 0 scheduled 2 links"):
+        assert_block_feasible(g, active, bad)
+    bad = ok.copy()
+    bad[1, 2, 1] = True                 # station 1 is silent in subframe 1
+    with pytest.raises(AssertionError, match=r"subframe 1: station 1 .* \(limit 0\)"):
+        assert_block_feasible(g, active, bad)
+    bad = ok.copy()
+    bad[0, 3, 0] = True                 # the wired link is never radio-scheduled
+    with pytest.raises(AssertionError, match="wired link 3"):
+        assert_block_feasible(g, active, bad)
+
+
+def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
+    g = _two_station_graph()
+    block = np.random.default_rng(4).random((5, 3, 2))
+    active = np.ones((5, 2), dtype=bool)
+    kernel = phy.block_winners
+
+    def swapped(graph, weights, rate_block, winner_rates=None):
+        winners, per_station = kernel(graph, weights, rate_block, winner_rates)
+        winners = winners.copy()
+        winners[0, [0, 1]] = winners[0, [1, 0]]  # still feasible, but not max-weight
+        return winners, per_station
+
+    monkeypatch.setattr(phy, "block_winners", swapped)
+    with pytest.raises(AssertionError, match="disagrees with schedule_links"):
+        schedule_block(g, active, np.ones(3), block)
 
 
 def test_station_contributions_hand_case():

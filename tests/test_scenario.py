@@ -227,6 +227,29 @@ def test_with_param_sweeps_and_casts():
         with_param(s, "alpha", 2.0)
 
 
+def test_non_finite_numbers_are_rejected():
+    text = BASE.replace("deterministic = true", "deterministic = true\np_pico_dbm = nan\nnoise_dbm = -inf")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, path="nan.scenario")
+    messages = err.value.errors
+    assert any(m.startswith("nan.scenario:") and "'p_pico_dbm' must be a finite number" in m for m in messages)
+    assert any("'noise_dbm' must be a finite number, got '-inf'" in m for m in messages)
+
+
+def test_with_param_applies_the_parser_rules():
+    s = parse_scenario(BASE)
+    for name, value, message in [
+        ("subbands", 2.5, "'subbands' must be an integer, got 2.5"),
+        ("seed", math.inf, "'seed' must be an integer, got inf"),
+        ("max_superframes", 0.0, "'max_superframes' must be >= 1, got 0"),
+        ("noise_dbm", math.nan, "'noise_dbm' must be a finite number, got nan"),
+        ("subframes_per_superframe", 2.0, "control_lead_subframes (2) must be smaller"),
+    ]:
+        with pytest.raises(ScenarioError) as err:
+            with_param(s, name, value)
+        assert message in err.value.errors[0]
+
+
 def test_bundled_scenarios_parse_and_describe_themselves():
     root = resources.files("hetnet_rrm").joinpath("scenarios")
     demo = parse_scenario(root.joinpath("two_hop_demo.scenario").read_text())
