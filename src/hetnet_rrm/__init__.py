@@ -9,7 +9,7 @@ from .netopt import (
     optimize_time_sharing,
     solve_p1,
 )
-from .oracle import OracleScaleError, OracleSolution, grid_search_time_sharing, oracle_solve
+from .oracle import OracleScaleError, OracleSolution, oracle_solve
 from .phy import (
     enumerate_feasible_patterns,
     is_feasible_pattern,
@@ -77,7 +77,6 @@ __all__ = [
     "dump_scenario",
     "enumerate_feasible_patterns",
     "format_trace",
-    "grid_search_time_sharing",
     "initial_state",
     "interference_from_positions",
     "is_feasible_pattern",

@@ -1,7 +1,10 @@
 """Command-line entry points: run, oracle, validate and sweep.
 
 Exit codes: 0 success (run converged), 2 run stopped at the superframe limit,
-3 configuration or scenario error, 4 oracle size caps exceeded.  Log verbosity
+3 configuration or scenario error (including a scenario with more than
+``phy.MAX_PATTERN_BS`` base stations), 4 oracle size caps exceeded, 5 the
+flow solver failed (``NetOptError``) or a flow has too many simple paths to
+enumerate (``PathExplosionError``).  Log verbosity
 comes from the ``HETNET_RRM_LOG`` environment variable (a standard logging
 level name); everything else is flags and files.
 """
@@ -16,6 +19,7 @@ from dataclasses import replace
 
 from .baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
 from .channel import ChannelModel
+from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
 from .rrm import RrmResult
 from .scenario import Scenario, ScenarioError, load_scenario, with_param
@@ -25,6 +29,7 @@ EXIT_OK = 0
 EXIT_MAX_ITERS = 2
 EXIT_CONFIG = 3
 EXIT_ORACLE_SCALE = 4
+EXIT_SOLVER = 5
 
 _RUNNERS = {
     "proposed": run_proposed,
@@ -184,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_SCALE
+    except (NetOptError, PathExplosionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

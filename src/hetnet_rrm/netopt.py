@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +28,9 @@ from .topology import TopologyGraph
 
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
+
+# LAPACK Cholesky factor and solve in double precision (see _interior_point).
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class NetOptError(RuntimeError):
@@ -81,6 +85,10 @@ class FlowSolution:
     ``rates[k]`` is flow k's delivered rate, ``link_flows[k, l]`` its share on
     link l, and ``prices[l]`` the capacity multiplier, i.e. the derivative of
     the achieved utility with respect to the capacity of link l.
+    ``newton_iters`` counts the interior point's Newton steps (0 when no path
+    survived to be solved), and ``banked`` says the solver returned its last
+    accurate iterate after a numerical breakdown or its iteration cap instead
+    of reaching its complementarity floor.
     """
 
     rates: np.ndarray
@@ -88,6 +96,8 @@ class FlowSolution:
     prices: np.ndarray = field(repr=False)
     utility: float
     kkt_residual: float
+    newton_iters: int = 0
+    banked: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +157,22 @@ def _path_problem(graph: TopologyGraph, max_paths: int = MAX_PATHS_PER_FLOW) -> 
     return _PathProblem(paths, np.array(flow_of_path), link_matrix, flow_matrix)
 
 
-def _step_length(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    alpha = 1.0
-    for val, step in pairs:
-        neg = step < 0
-        if np.any(neg):
-            alpha = min(alpha, 0.995 * float(np.min(-val[neg] / step[neg])))
-    return alpha
+def _step_length(val: np.ndarray, step: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps ``val + alpha * step`` positive,
+    backed off to 0.995 of the boundary."""
+    neg = step < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, 0.995 * float((-val[neg] / step[neg]).min()))
+
+
+class _InteriorPointResult(NamedTuple):
+    v: np.ndarray
+    multipliers: np.ndarray
+    complementarity: float
+    residual: float
+    newton_iters: int
+    banked: bool
 
 
 def _interior_point(
@@ -163,11 +182,14 @@ def _interior_point(
     utility: UtilitySpec,
     mu_floor: float,
     max_iters: int = 300,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> _InteriorPointResult:
     """Minimize ``-sum U(flow_matrix @ v)`` s.t. ``ineq_matrix @ v <= rhs, v >= 0``.
 
-    Infeasible-start primal-dual Newton iteration; returns ``(v, multipliers,
-    complementarity, residual)``.  Multipliers converge as independent
+    Infeasible-start primal-dual Newton iteration; returns the primal point,
+    the inequality multipliers, the complementarity and the scaled residual,
+    plus the number of Newton steps taken and whether the point is a banked
+    iterate (returned after a breakdown or after ``max_iters``) rather than
+    one that reached ``mu_floor``.  Multipliers converge as independent
     variables, so prices stay accurate even when slacks shrink to ~1e-12.
     The start is centered (``lam = mu0/s``, ``z = mu0/v``) so no
     complementarity pair begins orders of magnitude off the central path.
@@ -179,8 +201,16 @@ def _interior_point(
     is therefore banked, and numerical breakdown returns the banked iterate
     instead of failing; NetOptError is raised only when breakdown strikes
     before any accurate iterate exists.
+
+    The Newton system is factored and solved by LAPACK ``potrf``/``potrs``
+    called directly: they are the routines ``scipy.linalg.cho_factor`` and
+    ``cho_solve`` wrap, called with the same arguments, so the iterates are
+    the wrappers' bit for bit.  The wrappers' finiteness check is kept: a
+    non-finite matrix or right-hand side counts as a failed factorization.
     """
     n_rows, n_vars = ineq_matrix.shape
+    neg_flow_t = -flow_matrix.T
+    ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
     v = np.full(n_vars, 0.25 * scale)
     s = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
@@ -190,74 +220,67 @@ def _interior_point(
     feas_scale = 1.0 + float(np.max(np.abs(ineq_rhs)))
     banked: tuple[np.ndarray, np.ndarray, float, float] | None = None
 
-    for _ in range(max_iters):
+    def breakdown(reason: str, iters: int) -> _InteriorPointResult:
+        if banked is None:
+            raise NetOptError(reason)
+        return _InteriorPointResult(*banked, iters, True)
+
+    for it in range(max_iters):
         d = flow_matrix @ v
-        grad_obj = -flow_matrix.T @ utility.gradient(d)
-        f1 = grad_obj + ineq_matrix.T @ lam - z
+        grad_obj = neg_flow_t @ utility.gradient(d)
+        f1 = grad_obj + ineq_t @ lam - z
         f2 = ineq_matrix @ v + s - ineq_rhs
         mu_now = (lam @ s + z @ v) / (n_rows + n_vars)
-        stat_scale = 1.0 + float(np.max(np.abs(grad_obj)))
-        residual_ok = (
-            np.max(np.abs(f1)) <= 1e-9 * stat_scale
-            and np.max(np.abs(f2)) <= 1e-9 * feas_scale
-        )
-        if residual_ok:
-            banked = (
-                v.copy(),
-                lam.copy(),
-                mu_now,
-                max(np.max(np.abs(f1)) / stat_scale, np.max(np.abs(f2)) / feas_scale),
-            )
+        stat_scale = 1.0 + float(np.abs(grad_obj).max())
+        f1_max = np.abs(f1).max()
+        f2_max = np.abs(f2).max()
+        if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
+            banked = (v, lam, mu_now, max(f1_max / stat_scale, f2_max / feas_scale))
             if mu_now <= mu_floor:
-                return banked
+                return _InteriorPointResult(*banked, it, False)
 
-        if not (np.isfinite(mu_now) and np.all(np.isfinite(f1))):
-            if banked is not None:
-                return banked
-            raise NetOptError("interior point diverged to non-finite iterates")
+        if not (np.isfinite(mu_now) and np.isfinite(f1_max)):
+            return breakdown("interior point diverged to non-finite iterates", it)
         mu = 0.2 * mu_now
         with np.errstate(over="ignore", divide="ignore"):
             w_cap = lam / s
             diag_bar = z / v
-        if not (np.all(np.isfinite(w_cap)) and np.all(np.isfinite(diag_bar))):
-            if banked is not None:
-                return banked
-            raise NetOptError("interior point barrier weights overflowed")
+        if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
+            return breakdown("interior point barrier weights overflowed", it)
         hess = (
             (flow_matrix * utility.curvature(d)[:, None]).T @ flow_matrix
             + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
         )
-        hess[np.diag_indices_from(hess)] += diag_bar
-        rhs = -f1 - ineq_matrix.T @ (mu / s - lam + w_cap * f2) + (mu / v - z)
+        hess.ravel()[:: n_vars + 1] += diag_bar
+        mu_s = mu / s
+        mu_v = mu / v
+        rhs = -f1 - ineq_t @ (mu_s - lam + w_cap * f2) + (mu_v - z)
+        rhs_finite = np.isfinite(rhs).all()
         jitter = 0.0
         dv = None
         for _ in range(8):
-            try:
-                cho = scipy.linalg.cho_factor(
-                    hess if jitter == 0.0 else hess + jitter * np.eye(n_vars), lower=True
-                )
-                dv = scipy.linalg.cho_solve(cho, rhs)
-                break
-            except (scipy.linalg.LinAlgError, ValueError):
-                jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
+            matrix = hess if jitter == 0.0 else hess + jitter * np.eye(n_vars)
+            if rhs_finite and np.isfinite(matrix).all():
+                factor, info = _potrf(matrix, lower=1, clean=0)
+                if info == 0:
+                    dv = _potrs(factor, rhs, lower=1)[0]
+                    break
+            jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
         if dv is None:
-            if banked is not None:
-                return banked
-            raise NetOptError("interior-point Newton system not positive definite")
-        ds = -f2 - ineq_matrix @ dv
-        dlam = mu / s - lam + w_cap * (f2 + ineq_matrix @ dv)
-        dz = mu / v - z - (z / v) * dv
+            return breakdown("interior-point Newton system not positive definite", it)
+        ineq_dv = ineq_matrix @ dv
+        ds = -f2 - ineq_dv
+        dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
+        dz = mu_v - z - diag_bar * dv
 
-        alpha_p = _step_length([(v, dv), (s, ds)])
-        alpha_d = _step_length([(lam, dlam), (z, dz)])
+        alpha_p = _step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
+        alpha_d = _step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))
         v = v + alpha_p * dv
         s = s + alpha_p * ds
         lam = lam + alpha_d * dlam
         z = z + alpha_d * dz
 
-    if banked is not None:
-        return banked
-    raise NetOptError(f"interior point did not converge in {max_iters} iterations")
+    return breakdown(f"interior point did not converge in {max_iters} iterations", max_iters)
 
 
 def _alive_paths(problem: _PathProblem, dead_links: np.ndarray) -> np.ndarray:
@@ -317,18 +340,18 @@ def solve_p1(
         flow_matrix = problem.flow_matrix[:, alive]
         link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
         mu_floor = min(1e-12 * max(1.0, float(np.max(capped))), tol * 1e-4)
-        v, lam, comp, residual = _interior_point(
-            flow_matrix, link_matrix, capped[~dead], utility, mu_floor
-        )
-        rates = flow_matrix @ v
+        ip = _interior_point(flow_matrix, link_matrix, capped[~dead], utility, mu_floor)
+        rates = flow_matrix @ ip.v
         link_flows = np.zeros((graph.num_flows, graph.num_links))
-        link_flows[:, ~dead] = (flow_matrix * v) @ link_matrix.T
-        prices[~dead] = lam
-        kkt = max(residual, comp / max(1.0, abs(utility.total(rates))))
+        link_flows[:, ~dead] = (flow_matrix * ip.v) @ link_matrix.T
+        prices[~dead] = ip.multipliers
+        kkt = max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates))))
+        newton_iters, banked = ip.newton_iters, ip.banked
     else:
         rates = np.zeros(graph.num_flows)
         link_flows = np.zeros((graph.num_flows, graph.num_links))
         kkt = 0.0
+        newton_iters, banked = 0, False
 
     if kkt > tol:
         raise NetOptError(f"flow solver residual {kkt:.2e} exceeds tolerance {tol:.2e}")
@@ -339,29 +362,9 @@ def solve_p1(
         prices=prices,
         utility=utility.total(rates),
         kkt_residual=kkt,
+        newton_iters=newton_iters,
+        banked=banked,
     )
-
-
-def finite_diff_gradient(
-    graph: TopologyGraph,
-    capacities: np.ndarray,
-    utility: UtilitySpec,
-    h: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference gradient of the optimal utility in the capacities.
-
-    Reference oracle for the solver's prices; needs capacities comfortably
-    above ``h`` so both perturbations stay interior.
-    """
-    capacities = np.asarray(capacities, dtype=float)
-    grad = np.zeros_like(capacities)
-    for l in range(len(capacities)):
-        bump = np.zeros_like(capacities)
-        bump[l] = h
-        up = solve_p1(graph, capacities + bump, utility).utility
-        down = solve_p1(graph, capacities - bump, utility).utility
-        grad[l] = (up - down) / (2.0 * h)
-    return grad
 
 
 def _time_sharing_presolve(
@@ -418,7 +421,8 @@ def _time_sharing_presolve(
     flow_matrix[:, :n_paths] = problem.flow_matrix[:, alive]
 
     mu_floor = 1e-12 * max(1.0, float(np.max(rhs)))
-    v, lam, comp, residual = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
+    ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
+    v = ip.v
 
     shares = np.empty(n_rows)
     shares[:-1] = v[n_paths:]
@@ -429,14 +433,16 @@ def _time_sharing_presolve(
     link_flows = np.zeros((graph.num_flows, graph.num_links))
     link_flows[:, ~dead] = (problem.flow_matrix[:, alive] * v[:n_paths]) @ link_matrix.T
     prices = np.zeros(graph.num_links)
-    prices[~dead] = lam[:n_caps]
+    prices[~dead] = ip.multipliers[:n_caps]
     _starved_link_prices(problem, dead, prices, utility.gradient(rates))
     solution = FlowSolution(
         rates=rates,
         link_flows=link_flows,
         prices=prices,
         utility=utility.total(rates),
-        kkt_residual=max(residual, comp / max(1.0, abs(utility.total(rates)))),
+        kkt_residual=max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates)))),
+        newton_iters=ip.newton_iters,
+        banked=ip.banked,
     )
     return shares, solution
 

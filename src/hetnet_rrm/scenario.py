@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .channel import ChannelModel, LinkClassParams, PathlossParams
 from .netopt import UtilitySpec
+from .phy import MAX_PATTERN_BS
 from .rrm import RrmConfig
 from .topology import (
     Flow,
@@ -253,6 +254,7 @@ def _parse_nodes(
     nodes: list[Node] = []
     overrides: dict[int, float] = {}
     kinds = {k.value: k for k in NodeKind}
+    num_bs = 0
     for lineno, body in records:
         parts = body.split()
         if len(parts) not in (4, 5):
@@ -281,6 +283,14 @@ def _parse_nodes(
                 cur.error(lineno, f"node {idx} power must be a number, got '{parts[4]}'")
                 continue
         nodes.append(Node(index=idx, kind=kind, position=(x, y)))
+        if kind.is_base_station:
+            num_bs += 1
+            if num_bs == MAX_PATTERN_BS + 1:
+                cur.error(
+                    lineno,
+                    f"node {idx} is base station number {num_bs}; at most "
+                    f"{MAX_PATTERN_BS} base stations are supported",
+                )
     return nodes, overrides
 
 

@@ -3,7 +3,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hetnet_rrm.cli import EXIT_CONFIG, EXIT_MAX_ITERS, EXIT_OK, EXIT_ORACLE_SCALE, main
+from hetnet_rrm import netopt
+from hetnet_rrm.cli import (
+    EXIT_CONFIG,
+    EXIT_MAX_ITERS,
+    EXIT_OK,
+    EXIT_ORACLE_SCALE,
+    EXIT_SOLVER,
+    main,
+)
 from hetnet_rrm.trace import parse_trace
 
 TWO_USER_DET = """\
@@ -146,6 +154,61 @@ def test_oracle_scale_cap_exit(tmp_path, capsys):
     src = scenario_file(tmp_path, text, "big.scenario")
     assert main(["oracle", "--scenario", src]) == EXIT_ORACLE_SCALE
     assert "exceed oracle cap" in capsys.readouterr().err
+
+
+def test_too_many_base_stations_is_a_config_error(tmp_path, capsys):
+    # 21 stations, one user each, all backhauled: one more than pattern
+    # enumeration supports, so the parser must refuse it before any run.
+    nodes = ["0 macro 0.0 0.0"]
+    nodes += [f"{b} pico {700.0 * b} 0.0" for b in range(1, 21)]
+    nodes += [f"{21 + b} user {700.0 * b + 40.0} 30.0" for b in range(21)]
+    pairs = [f"{b} {b} {21 + b}" for b in range(21)]
+    text = "\n".join(
+        ["hetnet-scenario v1", "[nodes]", *nodes, "[links]", *pairs,
+         "[backhaul]", " ".join(str(b) for b in range(21)), "[flows]", *pairs,
+         "[radio]", "deterministic = true", "[run]", "seed = 0", ""]
+    )
+    src = scenario_file(tmp_path, text, "crowded.scenario")
+    expected = f"error: {src}:23: node 20 is base station number 21; at most 20 base stations are supported\n"
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+
+
+def test_path_explosion_exits_solver(tmp_path, capsys):
+    # Eight fully meshed stations that all reach the user: 13,700 simple
+    # paths, beyond the flow solver's per-flow cap.
+    stations = 8
+    nodes = ["0 macro 0.0 0.0"]
+    nodes += [f"{b} pico {300.0 * b} {200.0 * (b % 2)}" for b in range(1, stations)]
+    nodes.append(f"{stations} user 1000.0 500.0")
+    ends = [(h, t) for h in range(stations) for t in range(stations) if h != t]
+    ends += [(h, stations) for h in range(stations)]
+    links = [f"{i} {h} {t}" for i, (h, t) in enumerate(ends)]
+    text = "\n".join(
+        ["hetnet-scenario v1", "[nodes]", *nodes, "[links]", *links,
+         "[backhaul]", "0", "[flows]", f"0 0 {stations}",
+         "[radio]", "deterministic = true", "[run]", "seed = 0", ""]
+    )
+    src = scenario_file(tmp_path, text, "mesh.scenario")
+    assert main(["run", "--scenario", src]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == f"error: flow 0->{stations} exceeds 4000 simple paths; refusing to enumerate\n"
+    assert captured.out == ""
+
+
+def test_flow_solver_failure_exits_solver(tmp_path, capsys, monkeypatch):
+    def never_positive_definite(matrix, **kwargs):
+        return matrix, 1
+
+    monkeypatch.setattr(netopt, "_potrf", never_positive_definite)
+    src = scenario_file(tmp_path)
+    assert main(["run", "--scenario", src]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "error: interior-point Newton system not positive definite\n"
+    assert captured.out == ""
 
 
 def test_sweep_report_covers_values_and_modes(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from hetnet_rrm import netopt
 from hetnet_rrm.netopt import (
     NetOptError,
     UtilitySpec,
-    finite_diff_gradient,
     optimize_time_sharing,
     solve_p1,
 )
@@ -19,6 +19,7 @@ from conftest import (
     relay_grid_graph,
     single_link_graph,
 )
+from reference import finite_diff_gradient
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -118,6 +119,13 @@ def test_complementary_slackness(multicell):
     sol = solve_p1(multicell, caps, LOG)
     slack = caps - sol.link_flows.sum(axis=0)
     assert np.all(np.minimum(sol.prices, slack) <= 1e-5)
+
+
+def test_solution_reports_newton_iterations(multicell):
+    rng = np.random.default_rng(41)
+    sol = solve_p1(multicell, rng.uniform(0.2, 1.2, multicell.num_links), LOG)
+    assert sol.newton_iters > 0
+    assert sol.banked is False
 
 
 def test_capacity_validation():
@@ -240,3 +248,74 @@ def test_time_sharing_warm_start_reaches_same_utility():
     start = np.array([0.2, 0.3, 0.5])
     q_init, sol_init = optimize_time_sharing(rows, g, LOG, init_shares=start)
     assert sol_init.utility == pytest.approx(sol_warm.utility, abs=1e-4)
+
+
+def _relay_grid_program():
+    """The relay-grid flow problem as ``_interior_point`` takes it."""
+    problem = netopt._path_problem(relay_grid_graph())
+    caps = np.array([1.0, 0.8, 0.45, 0.7])
+    return problem.flow_matrix, problem.link_matrix, caps
+
+
+def test_interior_point_raises_when_out_of_iterations():
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    with pytest.raises(NetOptError, match="did not converge"):
+        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, max_iters=1)
+
+
+def test_interior_point_returns_banked_iterate_below_reachable_floor():
+    # mu never reaches 0, so the run ends in breakdown or at max_iters; both
+    # must hand back the last iterate that passed the residual tests.
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 0.0, max_iters=120)
+    assert ip.banked
+    assert 0 < ip.newton_iters <= 120
+    assert ip.residual <= 1e-9
+    assert flow_matrix @ ip.v == pytest.approx([0.55, 0.45, 0.7], abs=1e-6)
+    assert ip.multipliers[0] == pytest.approx(1.0 / (0.55 + LOG.epsilon), abs=1e-5)
+
+
+def test_interior_point_retries_failed_factorization_with_jitter(monkeypatch):
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    reference = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
+    potrf = netopt._potrf
+    calls = []
+
+    def fail_once(matrix, **kwargs):
+        calls.append(matrix.copy())
+        factor, info = potrf(matrix, **kwargs)
+        return factor, (1 if len(calls) == 1 else info)
+
+    monkeypatch.setattr(netopt, "_potrf", fail_once)
+    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
+    # the retry factors the same matrix with a larger diagonal
+    off_diagonal = ~np.eye(len(calls[0]), dtype=bool)
+    assert np.array_equal(calls[1][off_diagonal], calls[0][off_diagonal])
+    assert np.all(np.diag(calls[1]) > np.diag(calls[0]))
+    assert not ip.banked
+    assert ip.residual <= 1e-9
+    assert ip.complementarity <= 1e-12
+    assert flow_matrix @ ip.v == pytest.approx(flow_matrix @ reference.v, abs=1e-7)
+    assert ip.multipliers == pytest.approx(reference.multipliers, abs=1e-6)
+
+
+def test_interior_point_not_finite_capacity_row_raises_without_bank():
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    bad_caps = caps.copy()
+    bad_caps[2] = np.nan
+    with pytest.raises(NetOptError):
+        netopt._interior_point(flow_matrix, link_matrix, bad_caps, LOG, 1e-12)
+    bad_row = link_matrix.copy()
+    bad_row[2, bad_row[2] > 0] = np.inf
+    with pytest.raises(NetOptError):
+        netopt._interior_point(flow_matrix, bad_row, caps, LOG, 1e-12)
+
+
+def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization():
+    # At alpha=510 the curvature at the starting rate 0.25 overflows to inf
+    # while the gradient stays finite, so only the Newton matrix is non-finite.
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    steep = UtilitySpec(alpha=510.0, epsilon=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NetOptError, match="not positive definite"):
+            netopt._interior_point(flow_matrix, link_matrix, caps, steep, 1e-12)

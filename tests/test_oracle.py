@@ -7,7 +7,6 @@ from hetnet_rrm.oracle import (
     MAX_ORACLE_PATTERNS,
     OracleScaleError,
     check_oracle_scale,
-    grid_search_time_sharing,
     oracle_solve,
     vertex_rate_rows,
 )
@@ -15,6 +14,7 @@ from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, det_model, random_instance, relay_grid_graph
+from reference import grid_search_time_sharing
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
