@@ -12,7 +12,6 @@ from .netopt import (
 from .oracle import OracleScaleError, OracleSolution, oracle_solve
 from .phy import (
     enumerate_feasible_patterns,
-    is_feasible_pattern,
     rate_table_for_patterns,
     schedule_links,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "format_trace",
     "initial_state",
     "interference_from_positions",
-    "is_feasible_pattern",
     "load_scenario",
     "optimize_time_sharing",
     "oracle_solve",

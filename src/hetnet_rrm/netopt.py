@@ -1,17 +1,21 @@
-"""Concave flow optimization over fixed link capacities, with exact prices.
+"""Concave flow optimization and time sharing, with exact prices.
 
-This solves the long-timescale flow-control plus multi-path routing program:
-maximize the sum of per-flow alpha-fair utilities of delivered rate subject to
-flow conservation and per-link capacity.  Flows live on explicit path sets
-(every simple source-to-destination path), which makes conservation structural
-and leaves a concave program with only inequality constraints.  A primal-dual
-interior-point method solves it; its capacity multipliers are the gradient of
+This solves the long-timescale program of time shares, flow control and
+multi-path routing: maximize the sum of per-flow alpha-fair utilities of
+delivered rate subject to flow conservation and per-link capacity, where each
+link's capacity is a fixed base plus the share-weighted average of pattern
+rate rows.  Flows live on explicit path sets (every simple source-to-
+destination path), which makes conservation structural; with the shares as
+extra variables the program stays concave with only inequality constraints.
+One primal-dual interior-point method solves it, for fixed capacities
+(:func:`solve_p1`) and jointly over shares and flows
+(:func:`optimize_time_sharing`).  Its capacity multipliers are the gradient of
 the achieved utility with respect to capacities and drive both the
-time-sharing step and pattern discovery upstream.
+time-sharing certificate and pattern discovery upstream.
 
-Zero or near-zero capacities are clamped to a tiny floor rather than pruned so
-the returned price of a starved link reflects the marginal value of giving it
-capacity; the primal flow routed across such links is zeroed on return.
+Links no share can lift above a tiny capacity floor are starved: the paths
+through them leave the program, and their prices are patched in afterwards as
+the marginal value of giving them capacity.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .topology import TopologyGraph
 
@@ -205,8 +208,9 @@ def _interior_point(
     The Newton system is factored and solved by LAPACK ``potrf``/``potrs``
     called directly: they are the routines ``scipy.linalg.cho_factor`` and
     ``cho_solve`` wrap, called with the same arguments, so the iterates are
-    the wrappers' bit for bit.  The wrappers' finiteness check is kept: a
-    non-finite matrix or right-hand side counts as a failed factorization.
+    the wrappers' bit for bit.  The wrappers' finiteness check is kept, once
+    per Newton system: a non-finite matrix or right-hand side counts as a
+    failed factorization and is not retried with jitter.
     """
     n_rows, n_vars = ineq_matrix.shape
     neg_flow_t = -flow_matrix.T
@@ -255,17 +259,18 @@ def _interior_point(
         mu_s = mu / s
         mu_v = mu / v
         rhs = -f1 - ineq_t @ (mu_s - lam + w_cap * f2) + (mu_v - z)
-        rhs_finite = np.isfinite(rhs).all()
-        jitter = 0.0
         dv = None
-        for _ in range(8):
-            matrix = hess if jitter == 0.0 else hess + jitter * np.eye(n_vars)
-            if rhs_finite and np.isfinite(matrix).all():
+        if np.isfinite(rhs).all() and np.isfinite(hess).all():
+            matrix, jitter = hess, 0.0
+            for _ in range(8):
                 factor, info = _potrf(matrix, lower=1, clean=0)
                 if info == 0:
                     dv = _potrs(factor, rhs, lower=1)[0]
                     break
-            jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
+                jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
+                matrix = hess + jitter * np.eye(n_vars)
+                if not np.isfinite(matrix).all():
+                    break
         if dv is None:
             return breakdown("interior-point Newton system not positive definite", it)
         ineq_dv = ineq_matrix @ dv
@@ -281,11 +286,6 @@ def _interior_point(
         z = z + alpha_d * dz
 
     return breakdown(f"interior point did not converge in {max_iters} iterations", max_iters)
-
-
-def _alive_paths(problem: _PathProblem, dead_links: np.ndarray) -> np.ndarray:
-    """Boolean mask of paths that avoid every dead link."""
-    return problem.link_matrix[dead_links].sum(axis=0) == 0
 
 
 def _starved_link_prices(
@@ -311,6 +311,78 @@ def _starved_link_prices(
         prices[l] = best
 
 
+def _solve_joint(
+    graph: TopologyGraph,
+    base_capacity: np.ndarray,
+    rate_rows: np.ndarray,
+    utility: UtilitySpec,
+    mu_cap: float = np.inf,
+) -> tuple[np.ndarray, FlowSolution]:
+    """Jointly optimal shares and flows for capacities ``base + rate_rows^T q``.
+
+    Variables are path flows plus the first J-1 shares (the last share is
+    eliminated through the simplex equality); one row leaves the plain flow
+    problem.  The capacity prices come from the joint problem, so at a
+    degenerate optimum they are already share-stationary; re-pricing the
+    same shares through the flow problem alone can split prices across tied
+    constraints in a way that wrecks the gap certificate.  The
+    complementarity floor is ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
+    """
+    n_rows = rate_rows.shape[0]
+    problem = _path_problem(graph)
+
+    # A link no share vector can lift above the floor stays dead; drop the
+    # paths through it so the solver never chases near-boundary variables.
+    best_caps = np.maximum(base_capacity + rate_rows.max(axis=0), CAPACITY_FLOOR)
+    dead = best_caps <= CAPACITY_FLOOR
+    alive = problem.link_matrix[dead].sum(axis=0) == 0
+
+    shares = np.full(n_rows, 1.0 / n_rows)
+    rates = np.zeros(graph.num_flows)
+    link_flows = np.zeros((graph.num_flows, graph.num_links))
+    prices = np.zeros(graph.num_links)
+    kkt, newton_iters, banked = 0.0, 0, False
+    if np.any(alive):
+        path_flows = problem.flow_matrix[:, alive]
+        link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
+        n_caps, n_paths = link_matrix.shape
+        rhs = np.maximum(base_capacity[~dead] + rate_rows[-1, ~dead], CAPACITY_FLOOR)
+        if n_rows == 1:
+            ineq, flow_matrix = link_matrix, path_flows
+        else:
+            # Path loads minus the capacity the free shares add, then sum of
+            # free shares <= 1 (keeps the eliminated share nonnegative).
+            ineq = np.zeros((n_caps + 1, n_paths + n_rows - 1))
+            ineq[:n_caps, :n_paths] = link_matrix
+            ineq[:n_caps, n_paths:] = -(rate_rows[:-1] - rate_rows[-1])[:, ~dead].T
+            ineq[n_caps, n_paths:] = 1.0
+            rhs = np.append(rhs, 1.0)
+            flow_matrix = np.zeros((graph.num_flows, n_paths + n_rows - 1))
+            flow_matrix[:, :n_paths] = path_flows
+
+        mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), mu_cap)
+        ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
+        shares[:-1] = ip.v[n_paths:]
+        shares[-1] = max(0.0, 1.0 - shares[:-1].sum())
+        shares /= shares.sum()
+        rates = flow_matrix @ ip.v
+        link_flows[:, ~dead] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
+        prices[~dead] = ip.multipliers[:n_caps]
+        kkt = max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates))))
+        newton_iters, banked = ip.newton_iters, ip.banked
+
+    _starved_link_prices(problem, dead, prices, utility.gradient(rates))
+    return shares, FlowSolution(
+        rates=rates,
+        link_flows=link_flows,
+        prices=prices,
+        utility=utility.total(rates),
+        kkt_residual=kkt,
+        newton_iters=newton_iters,
+        banked=banked,
+    )
+
+
 def solve_p1(
     graph: TopologyGraph,
     capacities: np.ndarray,
@@ -330,121 +402,14 @@ def solve_p1(
         raise ValueError("need one capacity per link")
     if np.any(capacities < -1e-12):
         raise ValueError("capacities must be nonnegative")
-    problem = _path_problem(graph)
-    capped = np.maximum(capacities, CAPACITY_FLOOR)
-    dead = capped <= CAPACITY_FLOOR
-    alive = _alive_paths(problem, dead)
-
-    prices = np.zeros(graph.num_links)
-    if np.any(alive):
-        flow_matrix = problem.flow_matrix[:, alive]
-        link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
-        mu_floor = min(1e-12 * max(1.0, float(np.max(capped))), tol * 1e-4)
-        ip = _interior_point(flow_matrix, link_matrix, capped[~dead], utility, mu_floor)
-        rates = flow_matrix @ ip.v
-        link_flows = np.zeros((graph.num_flows, graph.num_links))
-        link_flows[:, ~dead] = (flow_matrix * ip.v) @ link_matrix.T
-        prices[~dead] = ip.multipliers
-        kkt = max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates))))
-        newton_iters, banked = ip.newton_iters, ip.banked
-    else:
-        rates = np.zeros(graph.num_flows)
-        link_flows = np.zeros((graph.num_flows, graph.num_links))
-        kkt = 0.0
-        newton_iters, banked = 0, False
-
-    if kkt > tol:
-        raise NetOptError(f"flow solver residual {kkt:.2e} exceeds tolerance {tol:.2e}")
-    _starved_link_prices(problem, dead, prices, utility.gradient(rates))
-    return FlowSolution(
-        rates=rates,
-        link_flows=link_flows,
-        prices=prices,
-        utility=utility.total(rates),
-        kkt_residual=kkt,
-        newton_iters=newton_iters,
-        banked=banked,
+    _, solution = _solve_joint(
+        graph, capacities, np.zeros((1, graph.num_links)), utility, mu_cap=tol * 1e-4
     )
-
-
-def _time_sharing_presolve(
-    rate_rows: np.ndarray,
-    base_capacity: np.ndarray,
-    graph: TopologyGraph,
-    utility: UtilitySpec,
-) -> tuple[np.ndarray, FlowSolution]:
-    """Jointly optimize shares and flows by the same interior-point core.
-
-    Variables are path flows plus the first J-1 shares (the last share is
-    eliminated through the simplex equality).  Returns the share vector and
-    the matching flow solution.  The capacity prices come from the joint
-    problem, so at a degenerate optimum they are already share-stationary;
-    re-pricing the same shares through the flow problem alone can split
-    prices across tied constraints in a way that wrecks the gap certificate.
-    """
-    n_rows = rate_rows.shape[0]
-    problem = _path_problem(graph)
-
-    # A link no share vector can lift above the floor stays dead; drop the
-    # paths through it so the solver never chases near-boundary variables.
-    best_caps = np.maximum(base_capacity + rate_rows.max(axis=0), CAPACITY_FLOOR)
-    dead = best_caps <= CAPACITY_FLOOR
-    alive = _alive_paths(problem, dead)
-    if not np.any(alive):
-        shares = np.full(n_rows, 1.0 / n_rows)
-        rates = np.zeros(graph.num_flows)
-        prices = np.zeros(graph.num_links)
-        _starved_link_prices(problem, dead, prices, utility.gradient(rates))
-        return shares, FlowSolution(
-            rates=rates,
-            link_flows=np.zeros((graph.num_flows, graph.num_links)),
-            prices=prices,
-            utility=utility.total(rates),
-            kkt_residual=0.0,
+    if solution.kkt_residual > tol:
+        raise NetOptError(
+            f"flow solver residual {solution.kkt_residual:.2e} exceeds tolerance {tol:.2e}"
         )
-    link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
-    n_paths = link_matrix.shape[1]
-    n_caps = link_matrix.shape[0]
-    reduced = (rate_rows[:-1] - rate_rows[-1])[:, ~dead]  # (J-1, L_alive)
-
-    # Inequalities: path loads minus capacity offset from shares, then sum of
-    # free shares <= 1 (keeps the eliminated share nonnegative).
-    ineq = np.zeros((n_caps + 1, n_paths + n_rows - 1))
-    ineq[:n_caps, :n_paths] = link_matrix
-    ineq[:n_caps, n_paths:] = -reduced.T
-    ineq[n_caps, n_paths:] = 1.0
-    rhs = np.concatenate([
-        np.maximum(base_capacity[~dead] + rate_rows[-1, ~dead], CAPACITY_FLOOR),
-        [1.0],
-    ])
-    flow_matrix = np.zeros((graph.num_flows, n_paths + n_rows - 1))
-    flow_matrix[:, :n_paths] = problem.flow_matrix[:, alive]
-
-    mu_floor = 1e-12 * max(1.0, float(np.max(rhs)))
-    ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
-    v = ip.v
-
-    shares = np.empty(n_rows)
-    shares[:-1] = v[n_paths:]
-    shares[-1] = max(0.0, 1.0 - shares[:-1].sum())
-    shares /= shares.sum()
-
-    rates = flow_matrix @ v
-    link_flows = np.zeros((graph.num_flows, graph.num_links))
-    link_flows[:, ~dead] = (problem.flow_matrix[:, alive] * v[:n_paths]) @ link_matrix.T
-    prices = np.zeros(graph.num_links)
-    prices[~dead] = ip.multipliers[:n_caps]
-    _starved_link_prices(problem, dead, prices, utility.gradient(rates))
-    solution = FlowSolution(
-        rates=rates,
-        link_flows=link_flows,
-        prices=prices,
-        utility=utility.total(rates),
-        kkt_residual=max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates)))),
-        newton_iters=ip.newton_iters,
-        banked=ip.banked,
-    )
-    return shares, solution
+    return solution
 
 
 def optimize_time_sharing(
@@ -453,101 +418,27 @@ def optimize_time_sharing(
     utility: UtilitySpec,
     tol: float = 1e-5,
     base_capacity: np.ndarray | None = None,
-    presolve: bool = True,
-    init_shares: np.ndarray | None = None,
-    max_iters: int = 500,
 ) -> tuple[np.ndarray, FlowSolution]:
-    """Optimal time-sharing over pattern rate rows by conditional gradient.
+    """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
     Maximizes utility of the shared capacity ``base + rate_rows^T q`` over the
-    probability simplex.  Each iterate prices the current capacities through
-    :func:`solve_p1`; the share gradient is ``rate_rows @ prices`` and the loop
-    stops when the linearization gap ``max_j g_j - q.g`` drops to ``tol``.
-    Away steps keep the iteration from stalling on simplex faces, and an
-    optional joint interior-point presolve warm-starts q so the loop normally
-    only has to certify the gap.
+    probability simplex in one interior-point solve over shares and path
+    flows.  The result is certified by the linearization gap
+    ``max_j g_j - q.g`` of the share gradient ``g = rate_rows @ prices``;
+    a gap above ``tol`` raises :class:`NetOptError`.  A single row has no
+    shares to optimize and is priced by :func:`solve_p1`.
     """
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
-    n_rows = rate_rows.shape[0]
     if rate_rows.shape[1] != graph.num_links:
         raise ValueError("rate rows must have one column per link")
     if base_capacity is None:
         base_capacity = np.zeros(graph.num_links)
+    if rate_rows.shape[0] == 1:
+        return np.ones(1), solve_p1(graph, base_capacity + rate_rows[0], utility)
 
-    sol: FlowSolution | None = None
-    if init_shares is not None:
-        q = np.asarray(init_shares, dtype=float)
-        if q.shape != (n_rows,) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError("init_shares must lie on the probability simplex")
-    elif presolve and n_rows > 1:
-        try:
-            q, sol = _time_sharing_presolve(rate_rows, base_capacity, graph, utility)
-        except NetOptError:
-            # The presolve is only a warm start; the conditional-gradient
-            # loop below carries full convergence responsibility.
-            q = np.full(n_rows, 1.0 / n_rows)
-    else:
-        q = np.full(n_rows, 1.0 / n_rows)
-
-    def solve_at(shares: np.ndarray) -> FlowSolution:
-        return solve_p1(graph, base_capacity + shares @ rate_rows, utility)
-
-    if sol is None:
-        sol = solve_at(q)
-    for _ in range(max_iters):
-        g = rate_rows @ sol.prices
-        gap = float(np.max(g) - q @ g)
-        if gap <= tol:
-            return q, sol
-
-        j_fw = int(np.argmax(g))
-        support = np.flatnonzero(q > 1e-14)
-        j_aw = int(support[np.argmin(g[support])])
-        fw_gain = g[j_fw] - q @ g
-        aw_gain = q @ g - g[j_aw]
-        if fw_gain >= aw_gain:
-            direction = -q.copy()
-            direction[j_fw] += 1.0
-            gamma_max = 1.0
-        else:
-            direction = q.copy()
-            direction[j_aw] -= 1.0
-            denom = 1.0 - q[j_aw]
-            gamma_max = q[j_aw] / denom if denom > 1e-14 else 0.0
-        if gamma_max <= 1e-14:
-            return q, sol
-
-        def shares_at(gamma: float) -> np.ndarray:
-            shares = np.clip(q + gamma * direction, 0.0, None)
-            return shares / shares.sum()
-
-        res = minimize_scalar(
-            lambda gamma: -solve_at(shares_at(gamma)).utility,
-            bounds=(0.0, gamma_max),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        # The bounded search never probes the exact endpoint, so compare both.
-        best_gamma, best_sol = 0.0, sol
-        for gamma in (float(res.x), gamma_max):
-            cand = solve_at(shares_at(gamma))
-            if cand.utility > best_sol.utility:
-                best_gamma, best_sol = gamma, cand
-        if best_gamma == 0.0:
-            # A stall with a large reported gap usually means the flow
-            # problem's prices split degenerately across tied constraints.
-            # The joint solve prices the same point share-stationarily.
-            if n_rows > 1:
-                q_joint, sol_joint = _time_sharing_presolve(
-                    rate_rows, base_capacity, graph, utility
-                )
-                g_joint = rate_rows @ sol_joint.prices
-                gap_joint = float(np.max(g_joint) - q_joint @ g_joint)
-                if sol_joint.utility >= sol.utility - 1e-9 and gap_joint <= tol:
-                    return q_joint, sol_joint
-            raise NetOptError(
-                f"time-sharing stalled with linearization gap {gap:.3e} above tol {tol:.1e}"
-            )
-        q, sol = shares_at(best_gamma), best_sol
-
-    raise NetOptError(f"time-sharing gap above {tol} after {max_iters} conditional-gradient steps")
+    shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility)
+    g = rate_rows @ solution.prices
+    gap = float(np.max(g) - shares @ g)
+    if not gap <= tol:
+        raise NetOptError(f"joint share solve left linearization gap {gap:.3e} above tol {tol:.1e}")
+    return shares, solution

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel
 from .topology import TopologyGraph
 
 MAX_PATTERN_BS = 20
@@ -69,12 +68,6 @@ def enumerate_feasible_patterns(interference: np.ndarray, max_bs: int = MAX_PATT
     for s in _maximal_independent_sets(interference):
         patterns.add(tuple(1 if v in s else 0 for v in range(n)))
     return sorted(patterns)
-
-
-def is_feasible_pattern(interference: np.ndarray, pattern: Pattern) -> bool:
-    active = np.flatnonzero(np.asarray(pattern, dtype=bool))
-    sub = interference[np.ix_(active, active)]
-    return not np.any(sub)
 
 
 def schedule_links(
@@ -273,32 +266,3 @@ def rate_table_for_patterns(
     mean, stderr = station_contributions(graph, weights, rate_block, winner_rates)
     mask = np.array(patterns, dtype=float)  # (J, B)
     return RateTable(patterns=list(patterns), rates=mask @ mean, stderr=mask @ stderr)
-
-
-def conditional_rate(
-    graph: TopologyGraph,
-    pattern: Pattern,
-    weights: np.ndarray,
-    channel: ChannelModel,
-    n_samples: int,
-    t_start: int = 0,
-    statistical_winners: bool = False,
-) -> np.ndarray:
-    """Monte Carlo mean link rates for one pattern (exact when the channel is
-    deterministic and ``n_samples`` is 1)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    block = channel.rate_block(t_start, n_samples)
-    winner = channel.statistical_rates() if statistical_winners else None
-    table = rate_table_for_patterns(graph, [pattern], weights, block, winner)
-    return table.rates[0]
-
-
-def policy_rate(shares: np.ndarray, rate_rows: np.ndarray) -> np.ndarray:
-    """Time-sharing average ``sum_j q_j r_j`` over pattern rate rows."""
-    shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 1 or rate_rows.shape[0] != shares.shape[0]:
-        raise ValueError(f"{shares.shape[0]} shares for {rate_rows.shape[0]} rate rows")
-    if np.any(shares < -1e-12) or abs(shares.sum() - 1.0) > 1e-9:
-        raise ValueError("shares must lie on the probability simplex")
-    return shares @ rate_rows

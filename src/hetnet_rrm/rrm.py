@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .netopt import FlowSolution, NetOptError, UtilitySpec, optimize_time_sharing
+from .netopt import FlowSolution, UtilitySpec, optimize_time_sharing
 from .phy import (
     Pattern,
     contribution_stats,

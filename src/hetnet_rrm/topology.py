@@ -145,15 +145,6 @@ class TopologyGraph:
         return base
 
 
-def build_incidence(graph: TopologyGraph) -> np.ndarray:
-    """Node-link incidence matrix: +1 at the head row, -1 at the tail row."""
-    inc = np.zeros((graph.num_nodes, graph.num_links), dtype=np.int8)
-    for l in graph.links:
-        inc[l.head, l.index] = 1
-        inc[l.tail, l.index] = -1
-    return inc
-
-
 def interference_from_positions(
     nodes: tuple[Node, ...],
     macro_radius: float,

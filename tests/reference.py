@@ -1,4 +1,4 @@
-"""Brute-force references the tests check the solvers against.
+"""Brute-force references the tests check the program against.
 
 They live with the tests, not in the package, so that no solver code path
 can lean on them and the references stay independent of what they check.
@@ -6,8 +6,45 @@ can lean on them and the references stay independent of what they check.
 
 import numpy as np
 
+from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
+from hetnet_rrm.phy import Pattern, rate_table_for_patterns
 from hetnet_rrm.topology import TopologyGraph
+
+
+def build_incidence(graph: TopologyGraph) -> np.ndarray:
+    """Node-link incidence matrix: +1 at the head row, -1 at the tail row."""
+    inc = np.zeros((graph.num_nodes, graph.num_links), dtype=np.int8)
+    for l in graph.links:
+        inc[l.head, l.index] = 1
+        inc[l.tail, l.index] = -1
+    return inc
+
+
+def is_feasible_pattern(interference: np.ndarray, pattern: Pattern) -> bool:
+    """True when no two active stations of the pattern interfere."""
+    active = np.flatnonzero(np.asarray(pattern, dtype=bool))
+    sub = interference[np.ix_(active, active)]
+    return not np.any(sub)
+
+
+def conditional_rate(
+    graph: TopologyGraph,
+    pattern: Pattern,
+    weights: np.ndarray,
+    channel: ChannelModel,
+    n_samples: int,
+    t_start: int = 0,
+    statistical_winners: bool = False,
+) -> np.ndarray:
+    """Monte Carlo mean link rates for one pattern (exact when the channel is
+    deterministic and ``n_samples`` is 1)."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    block = channel.rate_block(t_start, n_samples)
+    winner = channel.statistical_rates() if statistical_winners else None
+    table = rate_table_for_patterns(graph, [pattern], weights, block, winner)
+    return table.rates[0]
 
 
 def finite_diff_gradient(

@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 
 from conftest import det_model, random_instance
-from reference import finite_diff_gradient
+from reference import build_incidence, finite_diff_gradient, is_feasible_pattern
 from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.cli import EXIT_OK, main, run_experiment
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.oracle import oracle_solve
-from hetnet_rrm.phy import is_feasible_pattern, rate_table_for_patterns
+from hetnet_rrm.phy import rate_table_for_patterns
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.scenario import parse_scenario, with_param
-from hetnet_rrm.topology import build_incidence
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnet_rrm import netopt
 from hetnet_rrm.netopt import (
@@ -9,7 +10,7 @@ from hetnet_rrm.netopt import (
     solve_p1,
 )
 from hetnet_rrm.oracle import vertex_rate_rows
-from hetnet_rrm.topology import Flow, Link, Node, NodeKind, build_incidence
+from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
     build_graph,
@@ -19,7 +20,7 @@ from conftest import (
     relay_grid_graph,
     single_link_graph,
 )
-from reference import finite_diff_gradient
+from reference import build_incidence, finite_diff_gradient
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -209,20 +210,13 @@ def test_time_sharing_alpha2_closed_form():
 
 def test_time_sharing_input_validation():
     g = _conflict_pair_graph()
-    rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
     with pytest.raises(ValueError):
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
-    with pytest.raises(ValueError):
-        optimize_time_sharing(rows, g, LOG, init_shares=np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        optimize_time_sharing(rows, g, LOG, init_shares=np.array([-0.1, 0.6, 0.5]))
-    with pytest.raises(ValueError):
-        optimize_time_sharing(rows, g, LOG, init_shares=np.array([1.0]))
 
 
 def test_time_sharing_certifies_random_vertex_systems():
     # Regression guard: degenerate vertex systems used to break the interior
-    # point near the central-path floor or stall the conditional gradient.
+    # point near the central-path floor or stall the share optimizer.
     for seed in (1006, 1013, 1021):
         g = random_instance(seed)
         rows = vertex_rate_rows(det_model(g))
@@ -239,15 +233,47 @@ def test_time_sharing_certifies_random_vertex_systems():
             assert sol.utility >= solve_p1(g, g.wired_base_capacity() + row, LOG).utility - 1e-6
 
 
-def test_time_sharing_warm_start_reaches_same_utility():
+def test_time_sharing_joint_optimum_dominates_fixed_shares():
     g = _conflict_pair_graph()
     rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
-    q_cold, sol_cold = optimize_time_sharing(rows, g, LOG, presolve=False)
-    q_warm, sol_warm = optimize_time_sharing(rows, g, LOG, presolve=True)
-    assert sol_cold.utility == pytest.approx(sol_warm.utility, abs=1e-4)
-    start = np.array([0.2, 0.3, 0.5])
-    q_init, sol_init = optimize_time_sharing(rows, g, LOG, init_shares=start)
-    assert sol_init.utility == pytest.approx(sol_warm.utility, abs=1e-4)
+    _, sol = optimize_time_sharing(rows, g, LOG)
+    for start in (np.full(3, 1.0 / 3.0), np.array([0.2, 0.3, 0.5])):
+        assert sol.utility >= solve_p1(g, start @ rows, LOG).utility
+
+
+def test_time_sharing_gap_above_tolerance_raises(monkeypatch):
+    # A joint solve that stopped at uniform shares leaves a gap the
+    # post-condition must refuse rather than return.
+    g = _conflict_pair_graph()
+    rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
+    uniform = np.full(3, 1.0 / 3.0)
+    at_uniform = solve_p1(g, uniform @ rows, LOG)
+    monkeypatch.setattr(netopt, "_solve_joint", lambda *args: (uniform, at_uniform))
+    with pytest.raises(NetOptError, match="linearization gap"):
+        optimize_time_sharing(rows, g, LOG)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    alpha=st.sampled_from([1.0, 2.0]),
+    tol=st.sampled_from([1e-5, 1e-7]),
+)
+def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol):
+    g = random_instance(seed)
+    u = UtilitySpec(alpha=alpha, epsilon=1e-3)
+    rows = vertex_rate_rows(det_model(g))
+    base = g.wired_base_capacity()
+    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base)
+    assert q.shape == (rows.shape[0],)
+    assert np.all(q >= 0.0) and q.sum() == pytest.approx(1.0, abs=1e-12)
+    g_share = rows @ sol.prices
+    assert float(np.max(g_share) - q @ g_share) <= tol
+    assert sol.kkt_residual <= 1e-6
+    # the flows fit the capacities the returned shares provide
+    assert np.all(sol.link_flows.sum(axis=0) <= base + q @ rows + 1e-6)
+    for row in rows:
+        assert sol.utility >= solve_p1(g, base + row, u).utility - 1e-6
 
 
 def _relay_grid_program():
@@ -311,11 +337,26 @@ def test_interior_point_not_finite_capacity_row_raises_without_bank():
         netopt._interior_point(flow_matrix, bad_row, caps, LOG, 1e-12)
 
 
-def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization():
+def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monkeypatch):
     # At alpha=510 the curvature at the starting rate 0.25 overflows to inf
     # while the gradient stays finite, so only the Newton matrix is non-finite.
+    # No jitter can make such a matrix finite, so it is neither factored nor
+    # retried with a jitter taken from its trace.
     flow_matrix, link_matrix, caps = _relay_grid_program()
     steep = UtilitySpec(alpha=510.0, epsilon=1e-3)
+    potrf, trace = netopt._potrf, np.trace
+    calls = []
+
+    def record(fn):
+        def wrapped(matrix, *args, **kwargs):
+            calls.append(fn)
+            return fn(matrix, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(netopt, "_potrf", record(potrf))
+    monkeypatch.setattr(netopt.np, "trace", record(trace))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NetOptError, match="not positive definite"):
             netopt._interior_point(flow_matrix, link_matrix, caps, steep, 1e-12)
+    assert calls == []

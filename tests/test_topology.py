@@ -7,12 +7,12 @@ from hetnet_rrm.topology import (
     Node,
     NodeKind,
     TopologyGraph,
-    build_incidence,
     interference_from_positions,
     validate,
 )
 
 from conftest import build_graph, multicell_graph, single_link_graph
+from reference import build_incidence
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
 
