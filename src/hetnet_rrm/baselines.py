@@ -7,9 +7,12 @@ them side by side:
   generous wired link from its nearest macro, then the full adaptive scheme
   runs on the augmented network.  An upper-reference since wireless relay
   traffic moves onto wires.
-* fixed-duration dynamic spectrum allocation (FDDSA): uniform time-sharing
-  over every admissible pattern with no pattern discovery and no share
-  optimization; flow control and price-based weights still adapt.
+* fixed-duration dynamic spectrum allocation (FDDSA): every admissible
+  pattern, the all-silent one included, is on for a fixed 1/J of the time
+  (J patterns).  It runs the adaptive loop with each pattern in its own
+  duration group (``RrmConfig.fixed_pattern_durations``): members are still
+  discovered and pinned to their discovery weights, flow control and
+  price-based weights still adapt, but no time moves between patterns.
 * two-timescale rate-statistics coordination (TTRSC): the adaptive scheme but
   with subband winners chosen from statistical (fading-averaged) rates rather
   than per-subframe realizations.  Identical to the proposed scheme when the
@@ -18,24 +21,12 @@ them side by side:
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
 from .channel import ChannelModel
-from .netopt import solve_p1
-from .phy import enumerate_feasible_patterns, rate_table_for_patterns
-from .rrm import (
-    RrmConfig,
-    RrmResult,
-    RrmState,
-    ScheduledPattern,
-    SuperframeRecord,
-    certificate,
-    run_to_convergence,
-    simulate_subframes,
-)
+from .rrm import RrmConfig, RrmResult, run_to_convergence
 from .topology import Link, NodeKind, TopologyGraph
 
 FBC_CAPACITY_MARGIN = 10.0
@@ -50,68 +41,7 @@ def run_ttrsc(model: ChannelModel, config: RrmConfig) -> RrmResult:
 
 
 def run_fddsa(model: ChannelModel, config: RrmConfig) -> RrmResult:
-    """Uniform time-sharing over all admissible patterns.
-
-    Each superframe simulates the subframes, rebuilds the pattern rate table
-    under the current weights, and re-solves flow control at the uniform
-    mixture's capacities; the prices feed the next superframe's scheduler.
-    """
-    graph = model.graph
-    patterns = enumerate_feasible_patterns(graph.interference)
-    shares = np.full(len(patterns), 1.0 / len(patterns))
-    weights = np.ones(graph.num_links)
-    base = graph.wired_base_capacity()
-    n_sub = config.subframes_per_superframe
-
-    records: list[SuperframeRecord] = []
-    state = RrmState(
-        members=[ScheduledPattern(pattern=p, weights=weights) for p in patterns],
-        shares=shares,
-        weights=weights,
-        patterns=patterns,
-        rate_rows=np.zeros((len(patterns), graph.num_links)),
-        row_stderr=np.zeros((len(patterns), graph.num_links)),
-    )
-    converged = False
-    previous = None
-    for i in range(config.max_superframes):
-        started = time.perf_counter()
-        t0 = i * n_sub
-        rate_block = model.rate_block(t0, n_sub)
-        served, _ = simulate_subframes(model, t0, patterns, shares, weights, rate_block, None)
-
-        table = rate_table_for_patterns(graph, patterns, weights, rate_block)
-        flow = solve_p1(graph, base + shares @ table.rates, config.utility, tol=config.flow_tol)
-        weights = flow.prices.copy()
-        state = RrmState(
-            members=[ScheduledPattern(pattern=p, weights=weights) for p in patterns],
-            shares=shares,
-            weights=weights,
-            patterns=patterns,
-            rate_rows=table.rates,
-            row_stderr=table.stderr,
-            flow=flow,
-            utility=flow.utility,
-            superframe=i + 1,
-        )
-        records.append(
-            SuperframeRecord(
-                index=i,
-                utility=flow.utility,
-                n_members=len(patterns),
-                shares=shares.copy(),
-                flow_rates=flow.rates.copy(),
-                served_rates=served,
-                wall_ms=(time.perf_counter() - started) * 1e3,
-            )
-        )
-        if previous is not None and abs(flow.utility - previous) < config.epsilon_converge:
-            converged = True
-            break
-        previous = flow.utility
-
-    report = certificate(model, state, config, state.superframe * n_sub)
-    return RrmResult(state=state, records=records, converged=converged, certificate=report)
+    return run_to_convergence(model, replace(config, fixed_pattern_durations=True))
 
 
 def nearest_macro(graph: TopologyGraph, pico_index: int) -> int:

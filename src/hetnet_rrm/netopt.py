@@ -311,33 +311,57 @@ def _starved_link_prices(
         prices[l] = best
 
 
+def _duration_groups(
+    n_rows: int, groups: np.ndarray | None, totals: np.ndarray | None
+) -> list[tuple[np.ndarray, float]]:
+    """Rows and total share of each duration group; no grouping is one group
+    of total 1."""
+    if groups is None:
+        return [(np.arange(n_rows), 1.0)]
+    rows = [np.flatnonzero(np.asarray(groups) == h) for h in range(len(totals))]
+    if sum(map(len, rows)) != n_rows or not all(map(len, rows)):
+        raise ValueError("need one group label in 0..G-1 per rate row, each label used")
+    return [(idx, float(t)) for idx, t in zip(rows, totals)]
+
+
 def _solve_joint(
     graph: TopologyGraph,
     base_capacity: np.ndarray,
     rate_rows: np.ndarray,
     utility: UtilitySpec,
+    groups: list[tuple[np.ndarray, float]] | None = None,
     mu_cap: float = np.inf,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Jointly optimal shares and flows for capacities ``base + rate_rows^T q``.
 
-    Variables are path flows plus the first J-1 shares (the last share is
-    eliminated through the simplex equality); one row leaves the plain flow
-    problem.  The capacity prices come from the joint problem, so at a
-    degenerate optimum they are already share-stationary; re-pricing the
-    same shares through the flow problem alone can split prices across tied
-    constraints in a way that wrecks the gap certificate.  The
-    complementarity floor is ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
+    Each duration group's shares (``groups`` holds its rows and total; by
+    default one group of total 1) sum to its total.  Variables are path flows
+    plus every share but each group's last, eliminated through its group's
+    equality; without free shares this is the plain flow problem.  The
+    capacity prices come from the joint problem, so at a degenerate optimum
+    they are already share-stationary; re-pricing the same shares through the
+    flow problem alone can split prices across tied constraints in a way that
+    wrecks the gap certificate.  The complementarity floor is
+    ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
     """
-    n_rows = rate_rows.shape[0]
+    if groups is None:
+        groups = _duration_groups(rate_rows.shape[0], None, None)
     problem = _path_problem(graph)
+    totals = np.array([t for _, t in groups])
+    lasts = np.array([idx[-1] for idx, _ in groups])
+    n_free = np.array([len(idx) - 1 for idx, _ in groups])
+    free = np.concatenate([idx[:-1] for idx, _ in groups])
 
     # A link no share vector can lift above the floor stays dead; drop the
     # paths through it so the solver never chases near-boundary variables.
-    best_caps = np.maximum(base_capacity + rate_rows.max(axis=0), CAPACITY_FLOOR)
+    group_best = np.array([rate_rows[idx].max(axis=0) for idx, _ in groups])
+    best_caps = np.maximum(base_capacity + totals @ group_best, CAPACITY_FLOOR)
     dead = best_caps <= CAPACITY_FLOOR
     alive = problem.link_matrix[dead].sum(axis=0) == 0
 
-    shares = np.full(n_rows, 1.0 / n_rows)
+    shares = np.zeros(rate_rows.shape[0])
+    for idx, total in groups:
+        shares[idx] = total / len(idx)
     rates = np.zeros(graph.num_flows)
     link_flows = np.zeros((graph.num_flows, graph.num_links))
     prices = np.zeros(graph.num_links)
@@ -346,25 +370,31 @@ def _solve_joint(
         path_flows = problem.flow_matrix[:, alive]
         link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
         n_caps, n_paths = link_matrix.shape
-        rhs = np.maximum(base_capacity[~dead] + rate_rows[-1, ~dead], CAPACITY_FLOOR)
-        if n_rows == 1:
+        rhs = np.maximum(base_capacity[~dead] + (totals @ rate_rows[lasts])[~dead], CAPACITY_FLOOR)
+        if free.size == 0:
             ineq, flow_matrix = link_matrix, path_flows
         else:
-            # Path loads minus the capacity the free shares add, then sum of
-            # free shares <= 1 (keeps the eliminated share nonnegative).
-            ineq = np.zeros((n_caps + 1, n_paths + n_rows - 1))
+            # Path loads minus the capacity the free shares add, then per
+            # group with free shares (contiguous columns), their sum <= the
+            # group's total (keeps the eliminated share nonnegative).
+            sized = np.flatnonzero(n_free)
+            ineq = np.zeros((n_caps + sized.size, n_paths + free.size))
             ineq[:n_caps, :n_paths] = link_matrix
-            ineq[:n_caps, n_paths:] = -(rate_rows[:-1] - rate_rows[-1])[:, ~dead].T
-            ineq[n_caps, n_paths:] = 1.0
-            rhs = np.append(rhs, 1.0)
-            flow_matrix = np.zeros((graph.num_flows, n_paths + n_rows - 1))
+            last_of = np.repeat(lasts, n_free)
+            ineq[:n_caps, n_paths:] = -(rate_rows[free] - rate_rows[last_of])[:, ~dead].T
+            ends = n_paths + np.cumsum(n_free)
+            for h, g in enumerate(sized):
+                ineq[n_caps + h, ends[g] - n_free[g] : ends[g]] = 1.0
+            rhs = np.append(rhs, totals[sized])
+            flow_matrix = np.zeros((graph.num_flows, n_paths + free.size))
             flow_matrix[:, :n_paths] = path_flows
 
         mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), mu_cap)
         ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
-        shares[:-1] = ip.v[n_paths:]
-        shares[-1] = max(0.0, 1.0 - shares[:-1].sum())
-        shares /= shares.sum()
+        shares[free] = ip.v[n_paths:]
+        for idx, total in groups:
+            shares[idx[-1]] = max(0.0, total - shares[idx[:-1]].sum())
+            shares[idx] = total * shares[idx] / shares[idx].sum()
         rates = flow_matrix @ ip.v
         link_flows[:, ~dead] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
         prices[~dead] = ip.multipliers[:n_caps]
@@ -418,27 +448,36 @@ def optimize_time_sharing(
     utility: UtilitySpec,
     tol: float = 1e-5,
     base_capacity: np.ndarray | None = None,
+    groups: np.ndarray | None = None,
+    totals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
-    Maximizes utility of the shared capacity ``base + rate_rows^T q`` over the
-    probability simplex in one interior-point solve over shares and path
-    flows.  The result is certified by the linearization gap
-    ``max_j g_j - q.g`` of the share gradient ``g = rate_rows @ prices``;
-    a gap above ``tol`` raises :class:`NetOptError`.  A single row has no
-    shares to optimize and is priced by :func:`solve_p1`.
+    Maximizes utility of the shared capacity ``base + rate_rows^T q`` in one
+    interior-point solve over shares and path flows.  Row ``j`` is in duration
+    group ``groups[j]``, whose shares sum to ``totals[groups[j]]``; without
+    ``groups`` the shares range over the probability simplex.  The result is
+    certified by the linearization gap ``sum_h totals[h] * max_{j in h} g_j
+    - q.g`` of the share gradient ``g = rate_rows @ prices``; a gap above
+    ``tol`` raises :class:`NetOptError`.  When every group is a single row the
+    shares are the totals, and :func:`solve_p1` prices their capacities.
     """
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
     if rate_rows.shape[1] != graph.num_links:
         raise ValueError("rate rows must have one column per link")
     if base_capacity is None:
         base_capacity = np.zeros(graph.num_links)
-    if rate_rows.shape[0] == 1:
-        return np.ones(1), solve_p1(graph, base_capacity + rate_rows[0], utility)
+    partition = _duration_groups(rate_rows.shape[0], groups, totals)
+    if len(partition) == rate_rows.shape[0]:
+        shares = np.zeros(rate_rows.shape[0])
+        for idx, total in partition:
+            shares[idx] = total
+        return shares, solve_p1(graph, base_capacity + shares @ rate_rows, utility)
 
-    shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility)
+    shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, partition)
     g = rate_rows @ solution.prices
-    gap = float(np.max(g) - shares @ g)
+    best = sum(total * float(np.max(g[idx])) for idx, total in partition)
+    gap = float(best - shares @ g)
     if not gap <= tol:
         raise NetOptError(f"joint share solve left linearization gap {gap:.3e} above tol {tol:.1e}")
     return shares, solution

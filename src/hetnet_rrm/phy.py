@@ -264,5 +264,11 @@ def rate_table_for_patterns(
     of the sampled table genuinely maximizes the sampled weighted rate.
     """
     mean, stderr = station_contributions(graph, weights, rate_block, winner_rates)
+    return pattern_rate_table(patterns, mean, stderr)
+
+
+def pattern_rate_table(patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray) -> RateTable:
+    """Pattern rows from per-station contributions (:func:`station_contributions`):
+    a pattern's row is the sum of its active stations' rows."""
     mask = np.array(patterns, dtype=float)  # (J, B)
     return RateTable(patterns=list(patterns), rates=mask @ mean, stderr=mask @ stderr)

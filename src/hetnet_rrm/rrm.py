@@ -18,6 +18,11 @@ when the channel is deterministic) rather than drifting with the current
 weights.  The share program then anneals over these rows.  Keeping the
 discovery weights pinned is what makes the ascent monotone: re-scheduling old
 patterns under new weights can lower their achieved rows and cycle.
+
+The shares obey *duration groups*, a partition of the admissible patterns
+whose members share a fixed total time: one group of total 1 (the whole
+simplex), or, under fixed pattern durations (fddsa), a group of total 1/J
+for each of the J patterns, so only time within a pattern is optimized.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .phy import (
     Pattern,
     contribution_stats,
     enumerate_feasible_patterns,
+    pattern_rate_table,
+    rate_table_for_patterns,
     schedule_block,
     station_contributions,
 )
@@ -52,6 +59,11 @@ class ScheduledPattern:
 
 @dataclass
 class RrmConfig:
+    """``max_members`` caps the members kept per superframe, but pruning never
+    empties a duration group: it gets back its largest-share member.
+    ``fixed_pattern_durations`` gives each of the J admissible patterns its
+    own duration group of total 1/J (fddsa)."""
+
     subframes_per_superframe: int = 200
     max_superframes: int = 60
     epsilon_converge: float = 1e-6
@@ -62,6 +74,7 @@ class RrmConfig:
     share_gap_tol: float = 1e-5
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     statistical_scheduling: bool = False
+    fixed_pattern_durations: bool = False
 
     def __post_init__(self) -> None:
         if self.subframes_per_superframe < 1:
@@ -102,11 +115,13 @@ class SuperframeRecord:
 class CertificateReport:
     """One-sided optimality bound from the final weights.
 
-    ``gap`` is the best weighted rate any feasible pattern could achieve minus
+    ``gap`` is the best weighted rate the duration groups allow,
+    ``sum_g t_g * max_{p in g} v_p`` over groups of total time ``t_g``, minus
     the weighted rate of the converged time-sharing policy; by concavity it
     upper-bounds the utility loss to the optimum.  ``tolerance`` widens the
-    check by three standard errors of the Monte Carlo rate estimates (zero for
-    a deterministic channel).
+    check by three standard errors of the Monte Carlo rate estimates, weighted
+    the same way (zero for a deterministic channel).  ``best_pattern`` is the
+    overall max-weight pattern.
     """
 
     gap: float
@@ -116,21 +131,29 @@ class CertificateReport:
     policy_value: float
 
 
-def initial_state(model: ChannelModel) -> RrmState:
-    """Start from the densest admissible pattern with neutral weights."""
+def _pattern_groups(patterns: list[Pattern], fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Duration group of each admissible pattern, and each group's total time."""
+    if fixed:
+        return np.arange(len(patterns)), np.full(len(patterns), 1.0 / len(patterns))
+    return np.zeros(len(patterns), dtype=int), np.ones(1)
+
+
+def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
+    """Start from one member per duration group, with neutral weights: the
+    densest admissible pattern, or every pattern under fixed durations."""
     graph = model.graph
     patterns = enumerate_feasible_patterns(graph.interference)
     all_on = tuple([1] * graph.num_bs)
-    start = all_on if all_on in patterns else patterns[-1]
+    densest = all_on if all_on in patterns else patterns[-1]
+    starts = patterns if fixed_pattern_durations else [densest]
     weights = np.ones(graph.num_links)
-    member = ScheduledPattern(pattern=start, weights=weights)
     return RrmState(
-        members=[member],
-        shares=np.array([1.0]),
+        members=[ScheduledPattern(pattern=p, weights=weights) for p in starts],
+        shares=_pattern_groups(patterns, fixed_pattern_durations)[1],
         weights=weights,
         patterns=patterns,
-        rate_rows=np.zeros((1, graph.num_links)),
-        row_stderr=np.zeros((1, graph.num_links)),
+        rate_rows=np.zeros((len(starts), graph.num_links)),
+        row_stderr=np.zeros((len(starts), graph.num_links)),
     )
 
 
@@ -140,59 +163,49 @@ def _sample_member_indices(shares: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, draws, side="right"), len(shares) - 1)
 
 
-def simulate_subframes(
-    model: ChannelModel,
-    t_start: int,
-    patterns: list[Pattern],
-    shares: np.ndarray,
-    weights: np.ndarray,
-    rate_block: np.ndarray,
-    winner_rates: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Short timescale of one superframe: sample a pattern per subframe from
-    ``shares`` and schedule the block under ``weights``.
-
-    Returns ``phy.schedule_block``'s ``(served, per_station)``.
-    """
-    draws = model.pattern_draws(t_start, rate_block.shape[0])
-    active = np.array(patterns, dtype=bool)[_sample_member_indices(shares, draws)]
-    return schedule_block(model.graph, active, weights, rate_block, winner_rates)
-
-
 def _member_rows(
     graph: TopologyGraph,
     members: list[ScheduledPattern],
     rate_block: np.ndarray,
     winner_rates: np.ndarray | None,
+    weights: np.ndarray,
+    contributions: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-estimate each member's conditional rate row under its own weights.
 
-    Members sharing a weight vector share one scheduling pass; rows then
-    follow from per-station additivity of interference-free patterns.
+    Members sharing a weight vector share one scheduling pass and one rate
+    table.  ``contributions`` is the block's pass under ``weights`` already
+    made by the caller; members pinned to those weights reuse it.
     """
     rows = np.zeros((len(members), graph.num_links))
     stderr = np.zeros_like(rows)
     by_weights: dict[bytes, list[int]] = {}
     for j, member in enumerate(members):
         by_weights.setdefault(member.weights.tobytes(), []).append(j)
-    for indices in by_weights.values():
-        weights = members[indices[0]].weights
-        mean, sem = station_contributions(graph, weights, rate_block, winner_rates)
-        for j in indices:
-            mask = np.array(members[j].pattern, dtype=float)
-            rows[j] = mask @ mean
-            stderr[j] = mask @ sem
+    current = weights.tobytes()
+    for key, indices in by_weights.items():
+        patterns = [members[j].pattern for j in indices]
+        if key == current:
+            table = pattern_rate_table(patterns, *contributions)
+        else:
+            table = rate_table_for_patterns(
+                graph, patterns, members[indices[0]].weights, rate_block, winner_rates
+            )
+        rows[indices], stderr[indices] = table.rates, table.stderr
     return rows, stderr
 
 
-def _best_pattern(
+def _pattern_values(
     patterns: list[Pattern], contributions: np.ndarray, weights: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Max-weight admissible pattern given per-station contribution rows."""
-    station_gain = contributions @ weights  # (B,)
-    mask = np.array(patterns, dtype=float)  # (J, B)
-    values = mask @ station_gain
-    return int(np.argmax(values)), values
+) -> np.ndarray:
+    """Weighted rate of every admissible pattern given per-station rows."""
+    return np.array(patterns, dtype=float) @ (contributions @ weights)
+
+
+def _group_best(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Index of each duration group's max-weight pattern."""
+    in_group = groups[None, :] == np.arange(n_groups)[:, None]
+    return np.where(in_group, values, -np.inf).argmax(axis=1)
 
 
 def run_superframe(
@@ -202,8 +215,9 @@ def run_superframe(
 
     Simulates the subframes of the current superframe under the current
     shares and weights, then refreshes the scheduled-pattern set (greedy
-    max-weight pattern discovery), re-optimizes time shares jointly with flow
-    control, and adopts the resulting capacity prices as the next weights.
+    max-weight pattern discovery in every duration group), re-optimizes time
+    shares jointly with flow control, and adopts the resulting capacity
+    prices as the next weights.
     """
     started = time.perf_counter()
     graph = model.graph
@@ -217,57 +231,63 @@ def run_superframe(
     # winners, masked by each subframe's sampled pattern.  The feasibility
     # assertions run on every subframe in every mode, and subframe 0 is
     # re-scheduled by the reference schedule_links as a live cross-check.
-    served, per_station = simulate_subframes(
-        model,
-        t0,
-        [m.pattern for m in state.members],
-        state.shares,
-        state.weights,
-        rate_block,
-        winner_rates,
-    )
+    draws = model.pattern_draws(t0, n_sub)
+    member_patterns = np.array([m.pattern for m in state.members], dtype=bool)
+    active = member_patterns[_sample_member_indices(state.shares, draws)]
+    served, per_station = schedule_block(graph, active, state.weights, rate_block, winner_rates)
 
-    # Pattern discovery: the best admissible pattern under the current
+    # Pattern discovery: each duration group's best pattern under the current
     # weights, scheduled under those same weights (the kernel pass above),
     # joins the set unless an existing member already realizes the same
     # pattern with the same row.
     members = list(state.members)
-    rows, row_stderr = _member_rows(graph, members, rate_block, winner_rates)
     contributions, contrib_sem = contribution_stats(graph, per_station)
-    best_j, _ = _best_pattern(state.patterns, contributions, state.weights)
-    best_pattern = state.patterns[best_j]
-    pattern_mask = np.array(best_pattern, dtype=float)
-    candidate_row = pattern_mask @ contributions
-    duplicate = any(
-        m.pattern == best_pattern and np.array_equal(rows[j], candidate_row)
-        for j, m in enumerate(members)
+    rows, row_stderr = _member_rows(
+        graph, members, rate_block, winner_rates, state.weights, (contributions, contrib_sem)
     )
-    if not duplicate:
-        members.append(ScheduledPattern(pattern=best_pattern, weights=state.weights.copy()))
-        rows = np.vstack([rows, candidate_row])
-        row_stderr = np.vstack([row_stderr, pattern_mask @ contrib_sem])
+    pattern_groups, totals = _pattern_groups(state.patterns, config.fixed_pattern_durations)
+    values = _pattern_values(state.patterns, contributions, state.weights)
+    best = _group_best(values, pattern_groups, len(totals))
+    found = pattern_rate_table([state.patterns[j] for j in best], contributions, contrib_sem)
+    for pattern, row, sem in zip(found.patterns, found.rates, found.stderr):
+        duplicate = any(
+            m.pattern == pattern and np.array_equal(rows[i], row) for i, m in enumerate(members)
+        )
+        if not duplicate:
+            members.append(ScheduledPattern(pattern=pattern, weights=state.weights.copy()))
+            rows = np.vstack([rows, row])
+            row_stderr = np.vstack([row_stderr, sem])
 
     # Share re-optimization, jointly with flow control and routing; the
     # embedded flow solution's prices become the next weights.
+    groups = pattern_groups[[state.patterns.index(m.pattern) for m in members]]
     shares, flow = optimize_time_sharing(
         rows,
         graph,
         config.utility,
         tol=config.share_gap_tol,
         base_capacity=graph.wired_base_capacity(),
+        groups=groups,
+        totals=totals,
     )
 
+    # Prune small and surplus members; a group left empty keeps its largest.
     keep = shares >= config.q_prune
-    if not np.any(keep):
-        keep[int(np.argmax(shares))] = True
     if keep.sum() > config.max_members:
         order = np.argsort(shares)[::-1]
         keep = np.zeros_like(keep)
         keep[order[: config.max_members]] = True
+    for h in range(len(totals)):
+        in_group = np.flatnonzero(groups == h)
+        if not keep[in_group].any():
+            keep[in_group[np.argmax(shares[in_group])]] = True
     if not np.all(keep):
         members = [m for j, m in enumerate(members) if keep[j]]
-        rows, row_stderr = rows[keep], row_stderr[keep]
-        shares = shares[keep] / shares[keep].sum()
+        rows, row_stderr, groups = rows[keep], row_stderr[keep], groups[keep]
+        shares = shares[keep]
+        for h, total in enumerate(totals):
+            in_group = groups == h
+            shares[in_group] = total * shares[in_group] / shares[in_group].sum()
 
     new_state = RrmState(
         members=members,
@@ -321,19 +341,22 @@ def certificate(
     contributions, contrib_sem = station_contributions(
         graph, weights, rate_block, winner_rates
     )
-    best_j, values = _best_pattern(state.patterns, contributions, weights)
-    rows, row_sem = _member_rows(graph, state.members, rate_block, winner_rates)
+    values = _pattern_values(state.patterns, contributions, weights)
+    pattern_groups, totals = _pattern_groups(state.patterns, config.fixed_pattern_durations)
+    best = _group_best(values, pattern_groups, len(totals))
+    rows, row_sem = _member_rows(
+        graph, state.members, rate_block, winner_rates, weights, (contributions, contrib_sem)
+    )
     policy_row = state.shares @ rows
     policy_value = float(weights @ policy_row)
 
-    mask = np.array(state.patterns, dtype=float)
-    value_sem = mask @ (contrib_sem @ weights)
+    value_sem = _pattern_values(state.patterns, contrib_sem, weights)
     policy_sem = float(state.shares @ (row_sem @ weights))
-    tolerance = 3.0 * (float(value_sem[best_j]) + policy_sem) + 1e-9
+    tolerance = 3.0 * (float(totals @ value_sem[best]) + policy_sem) + 1e-9
     return CertificateReport(
-        gap=float(values[best_j]) - policy_value,
+        gap=float(totals @ values[best]) - policy_value,
         tolerance=tolerance,
-        best_pattern=state.patterns[best_j],
+        best_pattern=state.patterns[int(np.argmax(values))],
         pattern_values=values,
         policy_value=policy_value,
     )
@@ -350,7 +373,7 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     returned certificate is evaluated on the block of draws after the last
     executed superframe.
     """
-    state = initial_state(model)
+    state = initial_state(model, config.fixed_pattern_durations)
     records: list[SuperframeRecord] = []
     converged = False
     report: CertificateReport | None = None

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,11 @@ def test_time_sharing_input_validation():
     g = _conflict_pair_graph()
     with pytest.raises(ValueError):
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
+    rows = np.ones((3, 2))
+    # every row needs a label in 0..G-1, and every group a row
+    for labels in ([0, 1], [0, 1, 2], [0, 0, -1], [0, 0, 2]):
+        with pytest.raises(ValueError, match="group label"):
+            optimize_time_sharing(rows, g, LOG, groups=np.array(labels), totals=np.full(2, 0.5))
 
 
 def test_time_sharing_certifies_random_vertex_systems():
@@ -253,27 +260,49 @@ def test_time_sharing_gap_above_tolerance_raises(monkeypatch):
         optimize_time_sharing(rows, g, LOG)
 
 
+def _seeded_partition(n_rows, seed):
+    """Random group labels over min(n_rows, 3) groups, each used, totals 1/G."""
+    rng = np.random.default_rng(seed)
+    n_groups = min(n_rows, 3)
+    extra = rng.integers(0, n_groups, n_rows - n_groups)
+    labels = rng.permutation(np.concatenate([np.arange(n_groups), extra]))
+    return labels, np.full(n_groups, 1.0 / n_groups)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**31 - 1),
     alpha=st.sampled_from([1.0, 2.0]),
     tol=st.sampled_from([1e-5, 1e-7]),
+    grouping=st.sampled_from(["one_group", "partition"]),
 )
-def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol):
+def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grouping):
     g = random_instance(seed)
     u = UtilitySpec(alpha=alpha, epsilon=1e-3)
     rows = vertex_rate_rows(det_model(g))
     base = g.wired_base_capacity()
-    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base)
+    if grouping == "one_group":
+        labels, totals = np.zeros(rows.shape[0], dtype=int), np.ones(1)
+    else:
+        labels, totals = _seeded_partition(rows.shape[0], seed)
+    q, sol = optimize_time_sharing(
+        rows, g, u, tol=tol, base_capacity=base, groups=labels, totals=totals
+    )
     assert q.shape == (rows.shape[0],)
-    assert np.all(q >= 0.0) and q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(q >= 0.0)
+    members = [np.flatnonzero(labels == h) for h in range(len(totals))]
+    for idx, total in zip(members, totals):
+        assert q[idx].sum() == pytest.approx(total, abs=1e-12)
     g_share = rows @ sol.prices
-    assert float(np.max(g_share) - q @ g_share) <= tol
+    best = sum(t * np.max(g_share[idx]) for idx, t in zip(members, totals))
+    assert float(best - q @ g_share) <= tol
     assert sol.kkt_residual <= 1e-6
     # the flows fit the capacities the returned shares provide
     assert np.all(sol.link_flows.sum(axis=0) <= base + q @ rows + 1e-6)
-    for row in rows:
-        assert sol.utility >= solve_p1(g, base + row, u).utility - 1e-6
+    # every vertex of the grouped share set: one row per group at its total
+    for vertex in itertools.product(*members):
+        caps = base + totals @ rows[list(vertex)]
+        assert sol.utility >= solve_p1(g, caps, u).utility - 1e-6
 
 
 def _relay_grid_program():

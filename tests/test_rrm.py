@@ -142,6 +142,22 @@ def test_max_members_cap_is_enforced():
     assert all(rec.n_members <= 2 for rec in result.records)
 
 
+def test_pruning_never_empties_a_duration_group():
+    # fddsa on the relay grid: J = 3 patterns, each its own group of 1/3.
+    # Three or more members reach the cap of two, which keeps the two largest
+    # shares; the group left empty gets its largest member back.
+    model = det_model(relay_grid_graph())
+    config = fast_config(max_members=2, max_superframes=6, fixed_pattern_durations=True)
+    state = initial_state(model, fixed_pattern_durations=True)
+    assert len(state.patterns) == 3
+    for _ in range(config.max_superframes):
+        state, record = run_superframe(model, state, config)
+        assert record.n_members == 3
+        groups = [m.pattern for m in state.members]
+        assert sorted(groups) == state.patterns
+        assert np.allclose(state.shares, 1.0 / 3.0, rtol=0.0, atol=1e-12)
+
+
 def test_budget_exhaustion_reports_not_converged():
     model = det_model(diamond_graph())
     config = fast_config(max_superframes=2)
