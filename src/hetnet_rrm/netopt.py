@@ -312,16 +312,19 @@ def _starved_link_prices(
 
 
 def _duration_groups(
-    n_rows: int, groups: np.ndarray | None, totals: np.ndarray | None
+    n_rows: int, groups: list[tuple[np.ndarray, float]] | None
 ) -> list[tuple[np.ndarray, float]]:
-    """Rows and total share of each duration group; no grouping is one group
-    of total 1."""
+    """Check a partition of the rows into duration groups; no grouping is one
+    group of total 1."""
     if groups is None:
         return [(np.arange(n_rows), 1.0)]
-    rows = [np.flatnonzero(np.asarray(groups) == h) for h in range(len(totals))]
-    if sum(map(len, rows)) != n_rows or not all(map(len, rows)):
-        raise ValueError("need one group label in 0..G-1 per rate row, each label used")
-    return [(idx, float(t)) for idx, t in zip(rows, totals)]
+    groups = [(np.asarray(idx, dtype=int), float(total)) for idx, total in groups]
+    rows = np.sort(np.concatenate([idx for idx, _ in groups] + [np.zeros(0, dtype=int)]))
+    if not np.array_equal(rows, np.arange(n_rows)) or not all(idx.size for idx, _ in groups):
+        raise ValueError("duration groups must partition the rate rows into non-empty groups")
+    if not all(np.isfinite(total) and total > 0.0 for _, total in groups):
+        raise ValueError("duration group totals must be finite and positive")
+    return groups
 
 
 def _solve_joint(
@@ -345,7 +348,7 @@ def _solve_joint(
     ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
     """
     if groups is None:
-        groups = _duration_groups(rate_rows.shape[0], None, None)
+        groups = _duration_groups(rate_rows.shape[0], None)
     problem = _path_problem(graph)
     totals = np.array([t for _, t in groups])
     lasts = np.array([idx[-1] for idx, _ in groups])
@@ -448,26 +451,26 @@ def optimize_time_sharing(
     utility: UtilitySpec,
     tol: float = 1e-5,
     base_capacity: np.ndarray | None = None,
-    groups: np.ndarray | None = None,
-    totals: np.ndarray | None = None,
+    groups: list[tuple[np.ndarray, float]] | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
     Maximizes utility of the shared capacity ``base + rate_rows^T q`` in one
-    interior-point solve over shares and path flows.  Row ``j`` is in duration
-    group ``groups[j]``, whose shares sum to ``totals[groups[j]]``; without
-    ``groups`` the shares range over the probability simplex.  The result is
-    certified by the linearization gap ``sum_h totals[h] * max_{j in h} g_j
-    - q.g`` of the share gradient ``g = rate_rows @ prices``; a gap above
-    ``tol`` raises :class:`NetOptError`.  When every group is a single row the
-    shares are the totals, and :func:`solve_p1` prices their capacities.
+    interior-point solve over shares and path flows.  ``groups`` partitions the
+    rows into duration groups, pairs of row indices and a total time ``t_h``
+    their shares sum to; without it the shares range over the probability
+    simplex.  The result is certified by the linearization gap
+    ``sum_h t_h * max_{j in h} g_j - q.g`` of the share gradient
+    ``g = rate_rows @ prices``; a gap above ``tol`` raises
+    :class:`NetOptError`.  When every group is a single row the shares are
+    the totals, and :func:`solve_p1` prices their capacities.
     """
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
     if rate_rows.shape[1] != graph.num_links:
         raise ValueError("rate rows must have one column per link")
     if base_capacity is None:
         base_capacity = np.zeros(graph.num_links)
-    partition = _duration_groups(rate_rows.shape[0], groups, totals)
+    partition = _duration_groups(rate_rows.shape[0], groups)
     if len(partition) == rate_rows.shape[0]:
         shares = np.zeros(rate_rows.shape[0])
         for idx, total in partition:
@@ -476,8 +479,7 @@ def optimize_time_sharing(
 
     shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, partition)
     g = rate_rows @ solution.prices
-    best = sum(total * float(np.max(g[idx])) for idx, total in partition)
-    gap = float(best - shares @ g)
+    gap = float(sum(total * float(np.max(g[idx])) for idx, total in partition) - shares @ g)
     if not gap <= tol:
         raise NetOptError(f"joint share solve left linearization gap {gap:.3e} above tol {tol:.1e}")
     return shares, solution

@@ -48,21 +48,20 @@ from .topology import TopologyGraph
 
 @dataclass(frozen=True, eq=False)
 class ScheduledPattern:
-    """A DTX pattern together with the link weights that introduced it."""
+    """A DTX pattern, its position among the admissible patterns, and the
+    link weights that introduced it."""
 
     pattern: Pattern
+    index: int
     weights: np.ndarray = field(repr=False)
-
-    def key(self) -> tuple[Pattern, bytes]:
-        return self.pattern, self.weights.tobytes()
 
 
 @dataclass
 class RrmConfig:
-    """``max_members`` caps the members kept per superframe, but pruning never
-    empties a duration group: it gets back its largest-share member.
-    ``fixed_pattern_durations`` gives each of the J admissible patterns its
-    own duration group of total 1/J (fddsa)."""
+    """``q_prune`` (a fraction of the group's total) and ``max_members`` prune
+    each duration group separately, and never empty one: a group keeps at
+    least its largest-share member.  ``fixed_pattern_durations`` gives each of
+    the J admissible patterns its own duration group of total 1/J (fddsa)."""
 
     subframes_per_superframe: int = 200
     max_superframes: int = 60
@@ -70,7 +69,6 @@ class RrmConfig:
     gap_converge_rel: float = 1e-6
     q_prune: float = 1e-12
     max_members: int = 64
-    flow_tol: float = 1e-6
     share_gap_tol: float = 1e-5
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     statistical_scheduling: bool = False
@@ -131,11 +129,24 @@ class CertificateReport:
     policy_value: float
 
 
-def _pattern_groups(patterns: list[Pattern], fixed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Duration group of each admissible pattern, and each group's total time."""
+def _duration_groups(
+    members: list[ScheduledPattern], n_patterns: int, fixed: bool
+) -> list[tuple[np.ndarray, float]]:
+    """Member indices and total time of each duration group: one group of
+    total 1, or under fixed durations one group of total 1/J per pattern."""
+    if not fixed:
+        return [(np.arange(len(members)), 1.0)]
+    index = np.array([m.index for m in members])
+    order = np.argsort(index, kind="stable")
+    bounds = np.searchsorted(index[order], np.arange(n_patterns + 1))
+    return [(order[a:b], 1.0 / n_patterns) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _group_best(values: np.ndarray, fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each duration group's max-weight pattern, and the group's total time."""
     if fixed:
-        return np.arange(len(patterns)), np.full(len(patterns), 1.0 / len(patterns))
-    return np.zeros(len(patterns), dtype=int), np.ones(1)
+        return np.arange(len(values)), np.full(len(values), 1.0 / len(values))
+    return np.array([np.argmax(values)]), np.ones(1)
 
 
 def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
@@ -145,11 +156,11 @@ def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) ->
     patterns = enumerate_feasible_patterns(graph.interference)
     all_on = tuple([1] * graph.num_bs)
     densest = all_on if all_on in patterns else patterns[-1]
-    starts = patterns if fixed_pattern_durations else [densest]
+    starts = range(len(patterns)) if fixed_pattern_durations else [patterns.index(densest)]
     weights = np.ones(graph.num_links)
     return RrmState(
-        members=[ScheduledPattern(pattern=p, weights=weights) for p in starts],
-        shares=_pattern_groups(patterns, fixed_pattern_durations)[1],
+        members=[ScheduledPattern(pattern=patterns[j], index=j, weights=weights) for j in starts],
+        shares=np.full(len(starts), 1.0 / len(starts)),
         weights=weights,
         patterns=patterns,
         rate_rows=np.zeros((len(starts), graph.num_links)),
@@ -202,12 +213,6 @@ def _pattern_values(
     return np.array(patterns, dtype=float) @ (contributions @ weights)
 
 
-def _group_best(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Index of each duration group's max-weight pattern."""
-    in_group = groups[None, :] == np.arange(n_groups)[:, None]
-    return np.where(in_group, values, -np.inf).argmax(axis=1)
-
-
 def run_superframe(
     model: ChannelModel, state: RrmState, config: RrmConfig
 ) -> tuple[RrmState, SuperframeRecord]:
@@ -245,22 +250,19 @@ def run_superframe(
     rows, row_stderr = _member_rows(
         graph, members, rate_block, winner_rates, state.weights, (contributions, contrib_sem)
     )
-    pattern_groups, totals = _pattern_groups(state.patterns, config.fixed_pattern_durations)
-    values = _pattern_values(state.patterns, contributions, state.weights)
-    best = _group_best(values, pattern_groups, len(totals))
+    fixed = config.fixed_pattern_durations
+    best, _ = _group_best(_pattern_values(state.patterns, contributions, state.weights), fixed)
     found = pattern_rate_table([state.patterns[j] for j in best], contributions, contrib_sem)
-    for pattern, row, sem in zip(found.patterns, found.rates, found.stderr):
-        duplicate = any(
-            m.pattern == pattern and np.array_equal(rows[i], row) for i, m in enumerate(members)
-        )
-        if not duplicate:
-            members.append(ScheduledPattern(pattern=pattern, weights=state.weights.copy()))
-            rows = np.vstack([rows, row])
-            row_stderr = np.vstack([row_stderr, sem])
+    seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
+    new = [k for k, j in enumerate(best) if (j, found.rates[k].tobytes()) not in seen]
+    weights = state.weights.copy()
+    members += [ScheduledPattern(state.patterns[best[k]], int(best[k]), weights) for k in new]
+    rows = np.vstack([rows, found.rates[new]])
+    row_stderr = np.vstack([row_stderr, found.stderr[new]])
 
     # Share re-optimization, jointly with flow control and routing; the
     # embedded flow solution's prices become the next weights.
-    groups = pattern_groups[[state.patterns.index(m.pattern) for m in members]]
+    groups = _duration_groups(members, len(state.patterns), fixed)
     shares, flow = optimize_time_sharing(
         rows,
         graph,
@@ -268,26 +270,19 @@ def run_superframe(
         tol=config.share_gap_tol,
         base_capacity=graph.wired_base_capacity(),
         groups=groups,
-        totals=totals,
     )
 
-    # Prune small and surplus members; a group left empty keeps its largest.
-    keep = shares >= config.q_prune
-    if keep.sum() > config.max_members:
-        order = np.argsort(shares)[::-1]
-        keep = np.zeros_like(keep)
-        keep[order[: config.max_members]] = True
-    for h in range(len(totals)):
-        in_group = np.flatnonzero(groups == h)
-        if not keep[in_group].any():
-            keep[in_group[np.argmax(shares[in_group])]] = True
-    if not np.all(keep):
-        members = [m for j, m in enumerate(members) if keep[j]]
-        rows, row_stderr, groups = rows[keep], row_stderr[keep], groups[keep]
-        shares = shares[keep]
-        for h, total in enumerate(totals):
-            in_group = groups == h
-            shares[in_group] = total * shares[in_group] / shares[in_group].sum()
+    # Prune small and surplus members in each group, which keeps its largest.
+    keep = np.zeros(len(members), dtype=bool)
+    for idx, total in groups:
+        order = idx[np.argsort(shares[idx])[::-1]]
+        kept = np.sort(order[shares[order] >= config.q_prune * total][: config.max_members])
+        kept = kept if kept.size else order[:1]
+        keep[kept] = True
+        if kept.size < idx.size:
+            shares[kept] = total * shares[kept] / shares[kept].sum()
+    members = [m for j, m in enumerate(members) if keep[j]]
+    rows, row_stderr, shares = rows[keep], row_stderr[keep], shares[keep]
 
     new_state = RrmState(
         members=members,
@@ -342,8 +337,7 @@ def certificate(
         graph, weights, rate_block, winner_rates
     )
     values = _pattern_values(state.patterns, contributions, weights)
-    pattern_groups, totals = _pattern_groups(state.patterns, config.fixed_pattern_durations)
-    best = _group_best(values, pattern_groups, len(totals))
+    best, totals = _group_best(values, config.fixed_pattern_durations)
     rows, row_sem = _member_rows(
         graph, state.members, rate_block, winner_rates, weights, (contributions, contrib_sem)
     )

@@ -61,7 +61,6 @@ _RUN_KEYS = (
     "gap_converge_rel",
     "q_prune",
     "max_members",
-    "flow_tol",
     "share_gap_tol",
     "utility",
     "alpha",
@@ -417,7 +416,6 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     gap_rel = _get_float(cur, run, "gap_converge_rel", 1e-6)
     q_prune = _get_float(cur, run, "q_prune", 1e-12)
     max_members = _get_int(cur, run, "max_members", 64)
-    flow_tol = _get_float(cur, run, "flow_tol", 1e-6)
     share_gap_tol = _get_float(cur, run, "share_gap_tol", 1e-5)
     alpha = _get_float(cur, run, "alpha", 1.0)
     utility_eps = _get_float(cur, run, "utility_epsilon", 1e-3)
@@ -458,7 +456,6 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
             gap_converge_rel=gap_rel,
             q_prune=q_prune,
             max_members=max_members,
-            flow_tol=flow_tol,
             share_gap_tol=share_gap_tol,
             utility=utility,
         )
@@ -543,7 +540,6 @@ def dump_scenario(scenario: Scenario) -> str:
         f"gap_converge_rel = {_fmt(rrm.gap_converge_rel)}",
         f"q_prune = {_fmt(rrm.q_prune)}",
         f"max_members = {rrm.max_members}",
-        f"flow_tol = {_fmt(rrm.flow_tol)}",
         f"share_gap_tol = {_fmt(rrm.share_gap_tol)}",
         "utility = alpha_fair",
         f"alpha = {_fmt(rrm.utility.alpha)}",

@@ -215,10 +215,16 @@ def test_time_sharing_input_validation():
     with pytest.raises(ValueError):
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
     rows = np.ones((3, 2))
-    # every row needs a label in 0..G-1, and every group a row
-    for labels in ([0, 1], [0, 1, 2], [0, 0, -1], [0, 0, 2]):
-        with pytest.raises(ValueError, match="group label"):
-            optimize_time_sharing(rows, g, LOG, groups=np.array(labels), totals=np.full(2, 0.5))
+    # the groups must partition the rows, with no group empty
+    bad = ([[0], [1]], [[0, 1], [1, 2]], [[0, 1], [2], []], [[0, 1], [3]], [[0, 1], [-1, 2]])
+    for indices in bad:
+        groups = [(idx, 0.5) for idx in indices]
+        with pytest.raises(ValueError, match="partition"):
+            optimize_time_sharing(rows, g, LOG, groups=groups)
+    # and every total must be finite and positive
+    for total in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            optimize_time_sharing(rows, g, LOG, groups=[([0, 1], 0.5), ([2], total)])
 
 
 def test_time_sharing_certifies_random_vertex_systems():
@@ -261,12 +267,12 @@ def test_time_sharing_gap_above_tolerance_raises(monkeypatch):
 
 
 def _seeded_partition(n_rows, seed):
-    """Random group labels over min(n_rows, 3) groups, each used, totals 1/G."""
+    """Random partition of the rows into min(n_rows, 3) groups of total 1/G."""
     rng = np.random.default_rng(seed)
     n_groups = min(n_rows, 3)
     extra = rng.integers(0, n_groups, n_rows - n_groups)
     labels = rng.permutation(np.concatenate([np.arange(n_groups), extra]))
-    return labels, np.full(n_groups, 1.0 / n_groups)
+    return [(np.flatnonzero(labels == h), 1.0 / n_groups) for h in range(n_groups)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -282,19 +288,17 @@ def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grou
     rows = vertex_rate_rows(det_model(g))
     base = g.wired_base_capacity()
     if grouping == "one_group":
-        labels, totals = np.zeros(rows.shape[0], dtype=int), np.ones(1)
+        groups = [(np.arange(rows.shape[0]), 1.0)]
     else:
-        labels, totals = _seeded_partition(rows.shape[0], seed)
-    q, sol = optimize_time_sharing(
-        rows, g, u, tol=tol, base_capacity=base, groups=labels, totals=totals
-    )
+        groups = _seeded_partition(rows.shape[0], seed)
+    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base, groups=groups)
     assert q.shape == (rows.shape[0],)
     assert np.all(q >= 0.0)
-    members = [np.flatnonzero(labels == h) for h in range(len(totals))]
-    for idx, total in zip(members, totals):
+    members, totals = [idx for idx, _ in groups], np.array([t for _, t in groups])
+    for idx, total in groups:
         assert q[idx].sum() == pytest.approx(total, abs=1e-12)
     g_share = rows @ sol.prices
-    best = sum(t * np.max(g_share[idx]) for idx, t in zip(members, totals))
+    best = sum(t * np.max(g_share[idx]) for idx, t in groups)
     assert float(best - q @ g_share) <= tol
     assert sol.kkt_residual <= 1e-6
     # the flows fit the capacities the returned shares provide

@@ -196,6 +196,13 @@ def test_control_lead_must_stay_inside_superframe():
     assert ok.control_lead_subframes == 49
 
 
+def test_removed_flow_tol_key_is_an_error_not_ignored():
+    # No runtime code reads a flow tolerance, so the key is refused.
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(BASE.replace("seed = 3", "seed = 3\nflow_tol = 1e-6"))
+    assert "unknown [run] key 'flow_tol'" in "\n".join(err.value.errors)
+
+
 def test_utility_family_is_validated():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(BASE.replace("seed = 3", "seed = 3\nutility = max_min"))
