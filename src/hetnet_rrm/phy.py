@@ -13,7 +13,9 @@ are interference-free, conditional link rates are additive over active
 stations, which the rate-table computation exploits.
 
 One block kernel, :func:`block_winners`, takes that argmax for every station
-on every subframe of a (S, L, M) rate block at once; both timescales read it.
+on every subframe of a (S, L, M) rate block, under a whole (K, L) stack of
+weight vectors, in one call: row 0 schedules the short timescale, and every
+row yields the per-link rates the long timescale's rate rows are built from.
 :func:`schedule_links` is its single-subframe reference.
 """
 
@@ -146,43 +148,89 @@ def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndar
             raise AssertionError(f"wired link {l} appeared in a radio schedule")
 
 
+#: Weight rows scored at once; bounds the kernel's (rows, Bm, S, M) working set.
+ROWS_PER_CHUNK = 2
+
+
+def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stations' wireless links as the block kernel reads them.
+
+    Returns ``(single, table, count)``: ``single`` holds the links of one-link
+    stations, and ``table`` (Bm, C) the candidates of every other station,
+    the first ``count[b]`` of row ``b`` its own and the rest copies of its
+    first one.
+    """
+    width = max((cand.size for cand in graph.station_links), default=0)
+    single = [cand[0] for cand in graph.station_links if cand.size == 1]
+    multi = [cand for cand in graph.station_links if cand.size > 1]
+    table = [list(cand) + [cand[0]] * (width - cand.size) for cand in multi]
+    return (
+        np.array(single, dtype=int),
+        np.array(table, dtype=int).reshape(len(multi), width),
+        np.array([cand.size for cand in multi], dtype=int),
+    )
+
+
 def block_winners(
     graph: TopologyGraph,
     weights: np.ndarray,
     rate_block: np.ndarray,
     winner_rates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-weight winners of every station on every subframe of a block.
+    """Max-weight winners of every station on every subframe of a block, for a
+    whole stack of weight vectors at once.
 
     The block form of :func:`schedule_links` with every station active.
-    Returns ``(winners, per_station)``: ``winners`` (S, L, M) marks, per
-    subframe and subband, each station's argmax link (ties to the lowest link
-    index), and ``per_station[s, n]`` (S, B, L) is the rate station ``n``'s
-    links are served on subframe ``s``, summed over subbands.  A pattern's
-    schedule on subframe ``s`` is ``winners[s]`` on its active stations' links.
+    ``weights`` is a (K, L) stack.  Returns ``(winners, rates)``: ``winners``
+    (S, L, M) marks, per subframe and subband, each station's argmax link
+    under row 0 of the stack (ties to the lowest link index), and
+    ``rates[k, s, l]`` (K, S, L) is the rate link ``l`` is served on subframe
+    ``s`` under row ``k``, summed over subbands.  A pattern's schedule on
+    subframe ``s`` is ``winners[s]`` on its active stations' links.
 
-    ``winner_rates`` optionally supplies a separate (L, M) table used only for
-    the argmax (statistical scheduling); payload rates still come from
-    ``rate_block``.
+    A one-link station serves its link whatever the weights, so its rates are
+    computed once for every row.  The other stations take a running maximum
+    over their candidates with strict ``>``: argmax's first-max rule, which is
+    why a non-finite weight is refused.  ``winner_rates`` optionally supplies
+    a separate (L, M) table used only for the argmax (statistical
+    scheduling); payload rates still come from ``rate_block``.
     """
+    weights = np.asarray(weights, dtype=float)
     n_samples, n_links, n_subbands = rate_block.shape
+    if weights.ndim != 2 or weights.shape[1] != n_links:
+        raise ValueError(f"weights must be a (K, {n_links}) stack, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weight stack holds a non-finite entry")
+    single, table, count = _candidates(graph)
     winners = np.zeros(rate_block.shape, dtype=bool)
-    per_station = np.zeros((n_samples, graph.num_bs, n_links))
-    for slot, cand in enumerate(graph.station_links):
-        if cand.size == 0:
-            continue
-        payload = rate_block[:, cand, :]  # (S, C, M)
-        if winner_rates is None:
-            scores = weights[cand][None, :, None] * payload
-        else:
-            scores = np.broadcast_to(
-                weights[cand][None, :, None] * winner_rates[cand, :][None, :, :], payload.shape
-            )
-        winner = np.argmax(scores, axis=1)  # (S, M), first max -> lowest link index
-        chosen = winner[:, None, :] == np.arange(cand.size)[None, :, None]
-        winners[:, cand, :] = chosen
-        per_station[:, slot, cand] = np.where(chosen, payload, 0.0).sum(axis=2)
-    return winners, per_station
+    rates = np.zeros((weights.shape[0], n_samples, n_links))
+    winners[:, single, :] = True
+    rates[:, :, single] = rate_block[:, single, :].sum(axis=2)
+    if table.size == 0:
+        return winners, rates
+    # Station-major (Bm, S, M) copies: a weight then scales a contiguous run.
+    payload = [np.ascontiguousarray(rate_block[:, column, :].transpose(1, 0, 2)) for column in table.T]
+    scored = payload if winner_rates is None else [winner_rates[column, None, :] for column in table.T]
+    for lo in range(0, weights.shape[0], ROWS_PER_CHUNK):
+        chunk = weights[lo : lo + ROWS_PER_CHUNK, table]  # (k, Bm, C)
+        best = chunk[:, :, 0, None, None] * scored[0]  # (k, Bm, S or 1, M)
+        pick = np.zeros(best.shape, dtype=np.int8)
+        for c in range(1, table.shape[1]):
+            score = chunk[:, :, c, None, None] * scored[c]
+            # c only grows, so the latest strictly better candidate is the max.
+            np.maximum(pick, (score > best) * np.int8(c), out=pick)
+            np.maximum(best, score, out=best)
+        for c in range(table.shape[1]):
+            chosen = pick == c
+            own = count > c  # padding copies are never strictly better
+            links = table[own, c]
+            if lo == 0:
+                winners[:, links, :] = chosen[0, own].transpose(1, 0, 2)
+            # Rates are finite and non-negative, so masking by a product is
+            # exact; the subband sum stays a contiguous reduction over M.
+            served = (payload[c] * chosen).sum(axis=3)  # (k, Bm, S)
+            rates[lo : lo + ROWS_PER_CHUNK, :, links] = served[:, own].transpose(0, 2, 1)
+    return winners, rates
 
 
 def schedule_block(
@@ -190,16 +238,16 @@ def schedule_block(
     active: np.ndarray,
     weights: np.ndarray,
     rate_block: np.ndarray,
+    winners: np.ndarray,
     winner_rates: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Schedule a block of subframes, subframe ``s`` under pattern ``active[s]``.
 
-    Returns ``(served, per_station)``: the mean rate (L,) each link is served
-    over the block and the kernel's (S, B, L) per-station rates.  Every
-    subframe's schedule passes :func:`assert_block_feasible`, and subframe 0
-    is re-scheduled by the reference :func:`schedule_links`, which must agree.
+    ``winners`` is :func:`block_winners`' row for ``weights``.  Returns the
+    mean rate (L,) each link is served over the block.  Every subframe's
+    schedule passes :func:`assert_block_feasible`, and subframe 0 is
+    re-scheduled by the reference :func:`schedule_links`, which must agree.
     """
-    winners, per_station = block_winners(graph, weights, rate_block, winner_rates)
     owner = np.array([graph.bs_slot[link.head] for link in graph.links], dtype=int)
     rho = winners & active[:, owner, None]
     assert_block_feasible(graph, active, rho)
@@ -209,27 +257,41 @@ def schedule_block(
     )
     if not np.array_equal(reference, rho[0]):
         raise AssertionError(f"block schedule of subframe 0 disagrees with schedule_links under {first}")
-    per_link = (active[:, :, None] * per_station).sum(axis=1)  # (S, L), one station per link
+    per_link = (rate_block * rho).sum(axis=2)  # (S, L); exact for finite non-negative rates
     # A plain sum over a single link's column switches to pairwise summation;
     # accumulating adds the subframes strictly in order, for every link count.
-    served = np.add.accumulate(per_link, axis=0)[-1] / rate_block.shape[0]
-    return served, per_station
+    return np.add.accumulate(per_link, axis=0)[-1] / rate_block.shape[0]
 
 
-def contribution_stats(graph: TopologyGraph, per_station: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block mean and standard error (B, L) of :func:`block_winners`' per-station rates."""
-    n_samples, n_bs, n_links = per_station.shape
-    mean = np.zeros((n_bs, n_links))
-    stderr = np.zeros((n_bs, n_links))
-    for slot, cand in enumerate(graph.station_links):
-        if cand.size == 0:
+def contribution_stats(graph: TopologyGraph, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block mean and standard error (K, B, L) of :func:`block_winners`' rates.
+
+    Row ``[k, n]`` holds station ``n``'s links.  The summation order over the
+    subframes is that of a per-station reduction of a contiguous (S, C) copy:
+    numpy sums a lone column pairwise but adds the rows of a wider block one
+    after another, so one-link stations reduce pairwise and the others in
+    order, and every bit of the mean follows.
+    """
+    n_rows, n_samples, n_links = rates.shape
+    single, table, count = _candidates(graph)
+    multi = table[np.arange(table.shape[1]) < count[:, None]]  # each station's own, in order
+    link_mean = np.zeros((n_rows, n_links))
+    link_sem = np.zeros((n_rows, n_links))
+    # (K, Ls, S) for pairwise sums over S, (K, S, Lm) for sums in order.
+    for links, axis in ((single, 2), (multi, 1)):
+        if links.size == 0:
             continue
-        # Reduce a contiguous (S, C) copy: numpy's summation order, and so the
-        # last bits of the mean, depend on the memory layout.
-        per_sample = np.ascontiguousarray(per_station[:, slot, cand])
-        mean[slot, cand] = per_sample.mean(axis=0)
+        per_sample = np.take(rates, links, axis=2)
+        per_sample = np.ascontiguousarray(per_sample.transpose(0, 2, 1) if axis == 2 else per_sample)
+        link_mean[:, links] = per_sample.mean(axis=axis)
         if n_samples > 1:
-            stderr[slot, cand] = per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples)
+            link_sem[:, links] = per_sample.std(axis=axis, ddof=1) / np.sqrt(n_samples)
+    owner = np.array([graph.bs_slot[link.head] for link in graph.links], dtype=int)
+    wireless = np.array(graph.wireless_links, dtype=int)
+    mean = np.zeros((n_rows, graph.num_bs, n_links))
+    stderr = np.zeros_like(mean)
+    mean[:, owner[wireless], wireless] = link_mean[:, wireless]
+    stderr[:, owner[wireless], wireless] = link_sem[:, wireless]
     return mean, stderr
 
 
@@ -238,37 +300,30 @@ def station_contributions(
     weights: np.ndarray,
     rate_block: np.ndarray,
     winner_rates: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-station mean link-rate contributions under max-weight scheduling.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-station mean link-rate contributions under max-weight scheduling,
+    for a (K, L) stack of weight vectors from one kernel pass.
 
-    Returns ``(mean, stderr)`` of shape (B, L): row ``n`` holds the average
-    over the block's subframes of the rate each of station ``n``'s links gets
-    when the station is active.  Because admissible patterns are
-    interference-free, a pattern's rate row is the sum of its active rows.
-    ``winner_rates`` is as in :func:`block_winners`.
+    Returns ``(winners, mean, stderr)``: ``winners`` is :func:`block_winners`'
+    schedule under row 0, and ``mean[k, n]`` (K, B, L) the average over the
+    block's subframes of the rate each of station ``n``'s links gets under
+    row ``k`` when the station is active.  Because admissible patterns are
+    interference-free, a pattern's rate row is the sum of its active rows
+    (:func:`rate_table_for_patterns`).  ``winner_rates`` is as in
+    :func:`block_winners`.
     """
-    _, per_station = block_winners(graph, weights, rate_block, winner_rates)
-    return contribution_stats(graph, per_station)
+    winners, rates = block_winners(graph, weights, rate_block, winner_rates)
+    return (winners, *contribution_stats(graph, rates))
 
 
-def rate_table_for_patterns(
-    graph: TopologyGraph,
-    patterns: list[Pattern],
-    weights: np.ndarray,
-    rate_block: np.ndarray,
-    winner_rates: np.ndarray | None = None,
-) -> RateTable:
-    """Conditional rates for every pattern from one shared draw block.
+def rate_table_for_patterns(patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray) -> RateTable:
+    """Conditional rates for every pattern from one row of
+    :func:`station_contributions`: a pattern's row is the sum of its active
+    stations' rows.
 
-    Sharing draws across patterns keeps comparisons paired: the argmax pattern
-    of the sampled table genuinely maximizes the sampled weighted rate.
+    Taking every pattern from one shared draw block keeps comparisons paired:
+    the argmax pattern of the sampled table genuinely maximizes the sampled
+    weighted rate.
     """
-    mean, stderr = station_contributions(graph, weights, rate_block, winner_rates)
-    return pattern_rate_table(patterns, mean, stderr)
-
-
-def pattern_rate_table(patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray) -> RateTable:
-    """Pattern rows from per-station contributions (:func:`station_contributions`):
-    a pattern's row is the sum of its active stations' rows."""
     mask = np.array(patterns, dtype=float)  # (J, B)
     return RateTable(patterns=list(patterns), rates=mask @ mean, stderr=mask @ stderr)

@@ -10,6 +10,13 @@ each subframe keeps its sampled pattern's active stations, the feasibility
 assertions run on every subframe, and subframe 0 is cross-checked against the
 single-subframe reference ``phy.schedule_links``.
 
+Each superframe makes one kernel call (:func:`block_pass`) for a stack of
+weight vectors: row 0 holds the current weights, which the short timescale
+schedules with, and the other rows every distinct member weight vector,
+from which the members' rate rows are read.  A certificate's block is the
+next superframe's, so when the certificate fails that superframe reuses its
+block and pass.
+
 The optimization state is a set of *scheduled patterns*: a DTX activity
 pattern bundled with the link weights under which it was discovered.  Each
 superframe re-estimates every member's conditional rate row under its own
@@ -36,14 +43,11 @@ from .channel import ChannelModel
 from .netopt import FlowSolution, UtilitySpec, optimize_time_sharing
 from .phy import (
     Pattern,
-    contribution_stats,
     enumerate_feasible_patterns,
-    pattern_rate_table,
     rate_table_for_patterns,
     schedule_block,
     station_contributions,
 )
-from .topology import TopologyGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,34 +178,69 @@ def _sample_member_indices(shares: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, draws, side="right"), len(shares) - 1)
 
 
-def _member_rows(
-    graph: TopologyGraph,
-    members: list[ScheduledPattern],
-    rate_block: np.ndarray,
-    winner_rates: np.ndarray | None,
-    weights: np.ndarray,
-    contributions: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class BlockPass:
+    """One superframe's block of channel draws and its one kernel pass.
+
+    The pass schedules a (K, L) weight stack: row 0 holds the current
+    weights, the other rows every distinct member weight vector, and member
+    ``j`` reads row ``member_row[j]``.  ``contributions``/``stderr`` (K, B, L)
+    are :func:`phy.station_contributions`' per-station rates of each row, and
+    ``winners`` is row 0's (S, L, M) schedule.
+    """
+
+    t0: int
+    rate_block: np.ndarray = field(repr=False)
+    winner_rates: np.ndarray | None = field(repr=False)
+    member_row: np.ndarray = field(repr=False)
+    winners: np.ndarray = field(repr=False)
+    contributions: np.ndarray = field(repr=False)
+    stderr: np.ndarray = field(repr=False)
+
+
+def block_pass(model: ChannelModel, state: RrmState, config: RrmConfig, t0: int) -> BlockPass:
+    """Draw the block of subframes from ``t0`` on and make its kernel pass
+    under the current weights and every member's weights."""
+    rows = {state.weights.tobytes(): 0}
+    stack = [state.weights]
+    member_row = []
+    for member in state.members:
+        key = member.weights.tobytes()
+        if key not in rows:
+            rows[key] = len(stack)
+            stack.append(member.weights)
+        member_row.append(rows[key])
+    rate_block = model.rate_block(t0, config.subframes_per_superframe)
+    winner_rates = model.statistical_rates() if config.statistical_scheduling else None
+    winners, contributions, stderr = station_contributions(
+        model.graph, np.array(stack), rate_block, winner_rates
+    )
+    return BlockPass(
+        t0=t0,
+        rate_block=rate_block,
+        winner_rates=winner_rates,
+        member_row=np.array(member_row, dtype=int),
+        winners=winners,
+        contributions=contributions,
+        stderr=stderr,
+    )
+
+
+def _member_rows(members: list[ScheduledPattern], block: BlockPass) -> tuple[np.ndarray, np.ndarray]:
     """Re-estimate each member's conditional rate row under its own weights.
 
-    Members sharing a weight vector share one scheduling pass and one rate
-    table.  ``contributions`` is the block's pass under ``weights`` already
-    made by the caller; members pinned to those weights reuse it.
+    Every row comes from the block's one stacked kernel pass: members sharing
+    a weight vector share its stack row and one rate table, and members
+    pinned to the current weights read row 0, the pass the short timescale
+    schedules with.
     """
-    rows = np.zeros((len(members), graph.num_links))
+    rows = np.zeros((len(members), block.contributions.shape[2]))
     stderr = np.zeros_like(rows)
-    by_weights: dict[bytes, list[int]] = {}
-    for j, member in enumerate(members):
-        by_weights.setdefault(member.weights.tobytes(), []).append(j)
-    current = weights.tobytes()
-    for key, indices in by_weights.items():
-        patterns = [members[j].pattern for j in indices]
-        if key == current:
-            table = pattern_rate_table(patterns, *contributions)
-        else:
-            table = rate_table_for_patterns(
-                graph, patterns, members[indices[0]].weights, rate_block, winner_rates
-            )
+    for k in np.unique(block.member_row):
+        indices = np.flatnonzero(block.member_row == k)
+        table = rate_table_for_patterns(
+            [members[j].pattern for j in indices], block.contributions[k], block.stderr[k]
+        )
         rows[indices], stderr[indices] = table.rates, table.stderr
     return rows, stderr
 
@@ -214,7 +253,7 @@ def _pattern_values(
 
 
 def run_superframe(
-    model: ChannelModel, state: RrmState, config: RrmConfig
+    model: ChannelModel, state: RrmState, config: RrmConfig, block: BlockPass | None = None
 ) -> tuple[RrmState, SuperframeRecord]:
     """One long-timescale iteration.
 
@@ -222,37 +261,40 @@ def run_superframe(
     shares and weights, then refreshes the scheduled-pattern set (greedy
     max-weight pattern discovery in every duration group), re-optimizes time
     shares jointly with flow control, and adopts the resulting capacity
-    prices as the next weights.
+    prices as the next weights.  ``block`` is this superframe's
+    :func:`block_pass` when the caller has already made it for ``state``
+    (a failed certificate's); otherwise it is made here.
     """
     started = time.perf_counter()
     graph = model.graph
     t0 = state.superframe * config.subframes_per_superframe
-    n_sub = config.subframes_per_superframe
-    rate_block = model.rate_block(t0, n_sub)
-    winner_rates = model.statistical_rates() if config.statistical_scheduling else None
+    if block is None:
+        block = block_pass(model, state, config, t0)
+    elif block.t0 != t0:
+        raise ValueError(f"block pass starts at subframe {block.t0}, superframe at {t0}")
 
     # Short timescale: per-subframe pattern sampling and link scheduling under
-    # the current weights, for the whole block at once: the block kernel's
-    # winners, masked by each subframe's sampled pattern.  The feasibility
-    # assertions run on every subframe in every mode, and subframe 0 is
-    # re-scheduled by the reference schedule_links as a live cross-check.
-    draws = model.pattern_draws(t0, n_sub)
+    # the current weights, for the whole block at once: row 0's winners,
+    # masked by each subframe's sampled pattern.  The feasibility assertions
+    # run on every subframe in every mode, and subframe 0 is re-scheduled by
+    # the reference schedule_links as a live cross-check.
+    draws = model.pattern_draws(t0, config.subframes_per_superframe)
     member_patterns = np.array([m.pattern for m in state.members], dtype=bool)
     active = member_patterns[_sample_member_indices(state.shares, draws)]
-    served, per_station = schedule_block(graph, active, state.weights, rate_block, winner_rates)
+    served = schedule_block(
+        graph, active, state.weights, block.rate_block, block.winners, block.winner_rates
+    )
 
     # Pattern discovery: each duration group's best pattern under the current
-    # weights, scheduled under those same weights (the kernel pass above),
-    # joins the set unless an existing member already realizes the same
-    # pattern with the same row.
+    # weights, scheduled under those same weights (row 0 of the pass), joins
+    # the set unless an existing member already realizes the same pattern
+    # with the same row.
     members = list(state.members)
-    contributions, contrib_sem = contribution_stats(graph, per_station)
-    rows, row_stderr = _member_rows(
-        graph, members, rate_block, winner_rates, state.weights, (contributions, contrib_sem)
-    )
+    contributions, contrib_sem = block.contributions[0], block.stderr[0]
+    rows, row_stderr = _member_rows(members, block)
     fixed = config.fixed_pattern_durations
     best, _ = _group_best(_pattern_values(state.patterns, contributions, state.weights), fixed)
-    found = pattern_rate_table([state.patterns[j] for j in best], contributions, contrib_sem)
+    found = rate_table_for_patterns([state.patterns[j] for j in best], contributions, contrib_sem)
     seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
     new = [k for k, j in enumerate(best) if (j, found.rates[k].tobytes()) not in seen]
     weights = state.weights.copy()
@@ -324,23 +366,26 @@ class RrmResult:
 
 
 def certificate(
-    model: ChannelModel, state: RrmState, config: RrmConfig, t_start: int
+    model: ChannelModel,
+    state: RrmState,
+    config: RrmConfig,
+    t_start: int,
+    block: BlockPass | None = None,
 ) -> CertificateReport:
-    """Evaluate the stopping certificate on a fresh block of channel draws."""
-    graph = model.graph
-    n_sub = config.subframes_per_superframe
-    rate_block = model.rate_block(t_start, n_sub)
-    winner_rates = model.statistical_rates() if config.statistical_scheduling else None
-    weights = state.weights
+    """Evaluate the stopping certificate on a fresh block of channel draws.
 
-    contributions, contrib_sem = station_contributions(
-        graph, weights, rate_block, winner_rates
-    )
+    ``block`` is the :func:`block_pass` of ``state`` from ``t_start`` on when
+    the caller has already made it; otherwise it is made here.
+    """
+    if block is None:
+        block = block_pass(model, state, config, t_start)
+    elif block.t0 != t_start:
+        raise ValueError(f"block pass starts at subframe {block.t0}, certificate at {t_start}")
+    weights = state.weights
+    contributions, contrib_sem = block.contributions[0], block.stderr[0]
     values = _pattern_values(state.patterns, contributions, weights)
     best, totals = _group_best(values, config.fixed_pattern_durations)
-    rows, row_sem = _member_rows(
-        graph, state.members, rate_block, winner_rates, weights, (contributions, contrib_sem)
-    )
+    rows, row_sem = _member_rows(state.members, block)
     policy_row = state.shares @ rows
     policy_value = float(weights @ policy_row)
 
@@ -372,14 +417,18 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     converged = False
     report: CertificateReport | None = None
     previous = None
+    shared: BlockPass | None = None
     for _ in range(config.max_superframes):
-        state, record = run_superframe(model, state, config)
+        state, record = run_superframe(model, state, config, shared)
         records.append(record)
-        report = None
+        report, shared = None, None
         if previous is not None and abs(record.utility - previous) < config.epsilon_converge:
-            report = certificate(
-                model, state, config, state.superframe * config.subframes_per_superframe
-            )
+            # The certificate's block is the next superframe's: if it fails,
+            # that superframe schedules the same draws under the same state,
+            # so it reuses the pass.
+            t_next = state.superframe * config.subframes_per_superframe
+            shared = block_pass(model, state, config, t_next)
+            report = certificate(model, state, config, t_next, shared)
             allowed = report.tolerance + config.gap_converge_rel * max(
                 1.0, abs(report.policy_value)
             )

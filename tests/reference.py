@@ -8,7 +8,7 @@ import numpy as np
 
 from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
-from hetnet_rrm.phy import Pattern, rate_table_for_patterns
+from hetnet_rrm.phy import Pattern, rate_table_for_patterns, station_contributions
 from hetnet_rrm.topology import TopologyGraph
 
 
@@ -43,8 +43,60 @@ def conditional_rate(
         raise ValueError("n_samples must be >= 1")
     block = channel.rate_block(t_start, n_samples)
     winner = channel.statistical_rates() if statistical_winners else None
-    table = rate_table_for_patterns(graph, [pattern], weights, block, winner)
-    return table.rates[0]
+    _, mean, stderr = station_contributions(graph, weights[None], block, winner)
+    return rate_table_for_patterns([pattern], mean[0], stderr[0]).rates[0]
+
+
+def vector_block_winners(
+    graph: TopologyGraph,
+    weights: np.ndarray,
+    rate_block: np.ndarray,
+    winner_rates: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block kernel for one weight vector, one station at a time.
+
+    Returns ``(winners, per_station)``: ``winners`` (S, L, M) as
+    ``phy.block_winners`` gives for its row, and ``per_station[s, n]``
+    (S, B, L) the rate station ``n``'s links are served on subframe ``s``,
+    summed over subbands.  Each station takes ``np.argmax`` over its
+    candidates, so ties go to the lowest link index.
+    """
+    n_samples, n_links, n_subbands = rate_block.shape
+    winners = np.zeros(rate_block.shape, dtype=bool)
+    per_station = np.zeros((n_samples, graph.num_bs, n_links))
+    for slot, cand in enumerate(graph.station_links):
+        if cand.size == 0:
+            continue
+        payload = rate_block[:, cand, :]  # (S, C, M)
+        if winner_rates is None:
+            scores = weights[cand][None, :, None] * payload
+        else:
+            scores = np.broadcast_to(
+                weights[cand][None, :, None] * winner_rates[cand, :][None, :, :], payload.shape
+            )
+        winner = np.argmax(scores, axis=1)  # (S, M)
+        chosen = winner[:, None, :] == np.arange(cand.size)[None, :, None]
+        winners[:, cand, :] = chosen
+        per_station[:, slot, cand] = np.where(chosen, payload, 0.0).sum(axis=2)
+    return winners, per_station
+
+
+def vector_contribution_stats(
+    graph: TopologyGraph, per_station: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block mean and standard error (B, L) of :func:`vector_block_winners`'
+    per-station rates, one contiguous (S, C) copy per station."""
+    n_samples, n_bs, n_links = per_station.shape
+    mean = np.zeros((n_bs, n_links))
+    stderr = np.zeros((n_bs, n_links))
+    for slot, cand in enumerate(graph.station_links):
+        if cand.size == 0:
+            continue
+        per_sample = np.ascontiguousarray(per_station[:, slot, cand])
+        mean[slot, cand] = per_sample.mean(axis=0)
+        if n_samples > 1:
+            stderr[slot, cand] = per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    return mean, stderr
 
 
 def finite_diff_gradient(

@@ -22,7 +22,7 @@ from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.cli import EXIT_OK, main, run_experiment
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.oracle import oracle_solve
-from hetnet_rrm.phy import rate_table_for_patterns
+from hetnet_rrm.phy import rate_table_for_patterns, station_contributions
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.scenario import parse_scenario, with_param
 
@@ -167,7 +167,8 @@ def test_certified_pattern_dominates_all_feasible_patterns(
             continue
         state = result.state
         block = model.rate_block(10_000, config.subframes_per_superframe)
-        table = rate_table_for_patterns(graph, state.patterns, state.weights, block)
+        _, mean, stderr = station_contributions(graph, state.weights[None], block)
+        table = rate_table_for_patterns(state.patterns, mean[0], stderr[0])
         values = table.rates @ state.weights
         sems = table.stderr @ state.weights
         best = state.patterns.index(result.certificate.best_pattern)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from hetnet_rrm.channel import ChannelModel
@@ -19,8 +20,14 @@ from hetnet_rrm.phy import (
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, multicell_graph, random_instance
-from reference import conditional_rate, is_feasible_pattern
+from reference import (
+    conditional_rate,
+    is_feasible_pattern,
+    vector_block_winners,
+    vector_contribution_stats,
+)
 from hetnet_rrm import phy
+from hetnet_rrm.rrm import RrmConfig, initial_state, run_superframe
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
 
@@ -161,15 +168,16 @@ def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
         ]:
             active = np.array(patterns, dtype=bool)[rng.integers(len(patterns), size=n_sub)]
             active[rng.random(n_sub) < 0.2] = False  # some all-silent subframes
-            winners, per_station = block_winners(g, weights, block, winner_rates)
-            served, kernel_per_station = schedule_block(g, active, weights, block, winner_rates)
+            winners, rates = block_winners(g, weights[None], block, winner_rates)
+            served = schedule_block(g, active, weights, block, winners, winner_rates)
             schedules, ref_served = _loop_reference(g, active, weights, block, winner_rates)
             assert np.array_equal(winners & active[:, owner, None], schedules)
             assert np.array_equal(served, ref_served)
-            assert np.array_equal(kernel_per_station, per_station)
+            full = schedule_block(g, np.ones_like(active), weights, block, winners, winner_rates)
+            assert np.array_equal(full, np.add.accumulate(rates[0], axis=0)[-1] / n_sub)
             all_on, _ = _loop_reference(g, np.ones_like(active), weights, block, winner_rates)
             assert np.array_equal(winners, all_on)
-            assert np.array_equal(per_station.sum(axis=1), (all_on * block).sum(axis=2))
+            assert np.array_equal(rates[0], (all_on * block).sum(axis=2))
             cases += 1
     assert cases == 24
 
@@ -216,14 +224,67 @@ def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
     kernel = phy.block_winners
 
     def swapped(graph, weights, rate_block, winner_rates=None):
-        winners, per_station = kernel(graph, weights, rate_block, winner_rates)
+        winners, rates = kernel(graph, weights, rate_block, winner_rates)
         winners = winners.copy()
         winners[0, [0, 1]] = winners[0, [1, 0]]  # still feasible, but not max-weight
-        return winners, per_station
+        return winners, rates
 
     monkeypatch.setattr(phy, "block_winners", swapped)
+    winners, _, _ = phy.station_contributions(g, np.ones((1, 3)), block)
     with pytest.raises(AssertionError, match="disagrees with schedule_links"):
-        schedule_block(g, active, np.ones(3), block)
+        schedule_block(g, active, np.ones(3), block, winners)
+    # the superframe loop feeds the same pass to the same cross-check
+    model = ChannelModel(g, 2, 40.0, 33.0, seed=4)
+    with pytest.raises(AssertionError, match="disagrees with schedule_links"):
+        run_superframe(model, initial_state(model), RrmConfig(subframes_per_superframe=5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_rows=st.integers(1, 6),
+    n_samples=st.sampled_from([1, 2, 40]),
+    kind=st.sampled_from(["fading", "ties", "statistical"]),
+)
+def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n_samples, kind):
+    g = random_instance(seed % 500)
+    rng = np.random.default_rng(seed)
+    model = ChannelModel(g, int(rng.integers(1, 12)), 40.0, 33.0, seed=seed % 1000)
+    block = model.rate_block(int(rng.integers(0, 10_000)), n_samples)
+    winner_rates = model.statistical_rates() if kind == "statistical" else None
+    weights = rng.uniform(0.0, 2.0, (n_rows, g.num_links))
+    weights[rng.random(weights.shape) < 0.2] = 0.0  # zero weights tie at a zero score
+    if kind == "ties":
+        block = np.full(block.shape, 0.75)
+        weights = np.round(weights * 2.0) / 2.0  # equal weights: equal scores
+    weights[rng.integers(n_rows)] = weights[0]  # a repeated row
+    winners, rates = block_winners(g, weights, block, winner_rates)
+    mean, stderr = phy.contribution_stats(g, rates)
+    assert rates.shape == (n_rows, n_samples, g.num_links)
+    for k in range(n_rows):
+        ref_winners, per_station = vector_block_winners(g, weights[k], block, winner_rates)
+        ref_mean, ref_stderr = vector_contribution_stats(g, per_station)
+        if k == 0:
+            assert np.array_equal(winners, ref_winners)
+        assert np.array_equal(rates[k], per_station.sum(axis=1))
+        assert np.array_equal(mean[k], ref_mean)
+        assert np.array_equal(stderr[k], ref_stderr)
+        if n_samples == 1:
+            assert np.all(stderr[k] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_kernel_refuses_non_finite_weights(bad):
+    g = _two_station_graph()
+    block = np.random.default_rng(5).random((4, 3, 2))
+    weights = np.ones((3, 3))
+    weights[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        block_winners(g, weights, block)
+    with pytest.raises(ValueError, match="non-finite"):
+        phy.station_contributions(g, weights, block)
+    with pytest.raises(ValueError, match=r"\(K, 3\) stack"):
+        block_winners(g, np.ones(3), block)
 
 
 def test_station_contributions_hand_case():
@@ -234,15 +295,16 @@ def test_station_contributions_hand_case():
             [[1.0, 2.0], [3.0, 1.0], [6.0, 2.0]],
         ]
     )
-    mean, stderr = station_contributions(g, np.ones(3), block)
+    _, mean, stderr = station_contributions(g, np.ones((1, 3)), block)
+    mean, stderr = mean[0], stderr[0]
     # station 0: subframe 0 serves link0@2.0 + link1@3.0; subframe 1 link1@3.0 + link0@2.0
     assert np.allclose(mean[0], [2.0, 3.0, 0.0])
     assert np.allclose(mean[1], [0.0, 0.0, 8.0])
     assert np.allclose(stderr[0], [0.0, 0.0, 0.0])
     # statistical winners pin the argmax while payload stays realized
     stat = np.array([[9.0, 9.0], [1.0, 1.0], [1.0, 1.0]])
-    mean2, _ = station_contributions(g, np.ones(3), block, winner_rates=stat)
-    assert np.allclose(mean2[0], [3.0, 0.0, 0.0])  # link0 payload (2+1, 1+2)/2 per subband summed
+    _, mean2, _ = station_contributions(g, np.ones((1, 3)), block, winner_rates=stat)
+    assert np.allclose(mean2[0, 0], [3.0, 0.0, 0.0])  # link0 payload (2+1, 1+2)/2 per subband summed
 
 
 def test_rate_table_rows_are_sums_of_station_rows():
@@ -251,8 +313,9 @@ def test_rate_table_rows_are_sums_of_station_rows():
     block = m.rate_block(0, 40)
     weights = np.linspace(0.5, 1.5, g.num_links)
     patterns = enumerate_feasible_patterns(g.interference)
-    table = rate_table_for_patterns(g, patterns, weights, block)
-    mean, _ = station_contributions(g, weights, block)
+    _, mean, stderr = station_contributions(g, weights[None], block)
+    table = rate_table_for_patterns(patterns, mean[0], stderr[0])
+    mean = mean[0]
     for j, p in enumerate(patterns):
         assert np.allclose(table.rates[j], np.array(p) @ mean)
     silent = patterns.index(tuple(0 for _ in g.bs_nodes))

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from hetnet_rrm import phy, rrm
 from hetnet_rrm.baselines import run_fddsa
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.rrm import (
@@ -13,6 +15,7 @@ from hetnet_rrm.rrm import (
     run_superframe,
     run_to_convergence,
 )
+from hetnet_rrm.scenario import parse_scenario
 
 from conftest import det_model, diamond_graph, random_instance, relay_grid_graph, single_link_graph
 
@@ -207,3 +210,63 @@ def test_utility_never_depends_on_served_noise():
     assert [rec.utility for rec in r1.records] == pytest.approx(
         [rec.utility for rec in r2.records], abs=1e-12
     )
+
+
+def test_one_kernel_pass_per_superframe_plus_unshared_certificates(monkeypatch):
+    """The current weights and every member's weights share one kernel call
+    per superframe, and a certificate that fails hands its block and pass to
+    the next superframe, which draws the same block under the same state."""
+    events = []
+    kernel, superframe, cert = phy.block_winners, rrm.run_superframe, rrm.certificate
+
+    def counted_kernel(*args, **kwargs):
+        events.append(("kernel", None))
+        return kernel(*args, **kwargs)
+
+    def counted_superframe(model, state, config, block=None):
+        events.append(("superframe", state.superframe * config.subframes_per_superframe))
+        return superframe(model, state, config, block)
+
+    def counted_certificate(model, state, config, t_start, block=None):
+        events.append(("certificate", t_start))
+        return cert(model, state, config, t_start, block)
+
+    monkeypatch.setattr(phy, "block_winners", counted_kernel)
+    monkeypatch.setattr(rrm, "run_superframe", counted_superframe)
+    monkeypatch.setattr(rrm, "certificate", counted_certificate)
+
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    fig7 = parse_scenario(text, path="fig7_like.scenario")
+    model = fig7.channel_model(seed=1)
+    runs = [
+        lambda: run_to_convergence(model, fig7.rrm),
+        lambda: run_fddsa(model, fig7.rrm),
+        lambda: run_to_convergence(det_model(random_instance(1)), fast_config()),
+    ]
+    shared_total = 0
+    for run in runs:
+        events.clear()
+        result = run()
+        kinds = [kind for kind, _ in events]
+        steps = [e for e in events if e[0] != "kernel"]
+        shared = sum(
+            a[0] == "certificate" and b == ("superframe", a[1]) for a, b in zip(steps, steps[1:])
+        )
+        assert kinds.count("superframe") == len(result.records)
+        assert kinds.count("kernel") == len(result.records) + kinds.count("certificate") - shared
+        shared_total += shared
+    assert shared_total >= 2  # the oracle instance fails two certificates before converging
+
+
+def test_a_block_pass_from_another_block_is_refused():
+    model = det_model(diamond_graph())
+    config = fast_config()
+    state = initial_state(model)
+    block = rrm.block_pass(model, state, config, t0=40)
+    with pytest.raises(ValueError, match="starts at subframe 40"):
+        run_superframe(model, state, config, block)
+    with pytest.raises(ValueError, match="starts at subframe 40"):
+        certificate(model, state, config, 0, block)
+    shared, fresh = certificate(model, state, config, 40, block), certificate(model, state, config, 40)
+    assert (shared.gap, shared.tolerance) == (fresh.gap, fresh.tolerance)
+    assert np.array_equal(shared.pattern_values, fresh.pattern_values)
