@@ -20,6 +20,7 @@ the marginal value of giving them capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -69,13 +70,13 @@ class UtilitySpec:
         return (d + self.epsilon) ** (1.0 - self.alpha) / (1.0 - self.alpha)
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return (d + self.epsilon) ** (-self.alpha)
+        return self.derivatives(d)[0]
 
-    def curvature(self, d: np.ndarray) -> np.ndarray:
-        """Negative second derivative, ``alpha * (d + eps)^(-alpha - 1)``."""
-        d = np.asarray(d, dtype=float)
-        return self.alpha * (d + self.epsilon) ** (-self.alpha - 1.0)
+    def derivatives(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient ``(d + eps)^(-alpha)`` and negative second derivative
+        ``alpha * (d + eps)^(-alpha - 1)``, from one shifted rate."""
+        shifted = np.asarray(d, dtype=float) + self.epsilon
+        return shifted ** (-self.alpha), self.alpha * shifted ** (-self.alpha - 1.0)
 
     def total(self, d: np.ndarray) -> float:
         return float(np.sum(self.value(d)))
@@ -160,15 +161,6 @@ def _path_problem(graph: TopologyGraph, max_paths: int = MAX_PATHS_PER_FLOW) -> 
     return _PathProblem(paths, np.array(flow_of_path), link_matrix, flow_matrix)
 
 
-def _step_length(val: np.ndarray, step: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps ``val + alpha * step`` positive,
-    backed off to 0.995 of the boundary."""
-    neg = step < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, 0.995 * float((-val[neg] / step[neg]).min()))
-
-
 class _InteriorPointResult(NamedTuple):
     v: np.ndarray
     multipliers: np.ndarray
@@ -197,13 +189,19 @@ def _interior_point(
     The start is centered (``lam = mu0/s``, ``z = mu0/v``) so no
     complementarity pair begins orders of magnitude off the central path.
 
+    Every column of ``flow_matrix`` holds a single 1 (a path's flow) or no
+    nonzero (a share); anything else raises ValueError.  The flow part of the
+    Hessian, ``F^T diag(c) F``, is therefore ``c[k]`` wherever two columns
+    carry the same flow k and zero elsewhere, and is added as such.
+
     Near the end of the path the Newton matrix conditions like
     ``max(lam/s, z/v)``, which can break Cholesky a few iterations before
     ``mu_floor`` is reached even though the iterate is already stationary and
     feasible to full precision.  Every iterate that passes the residual tests
     is therefore banked, and numerical breakdown returns the banked iterate
     instead of failing; NetOptError is raised only when breakdown strikes
-    before any accurate iterate exists.
+    before any accurate iterate exists.  Overflow and invalid values are
+    tested for explicitly, so floating-point warnings are silenced.
 
     The Newton system is factored and solved by LAPACK ``potrf``/``potrs``
     called directly: they are the routines ``scipy.linalg.cho_factor`` and
@@ -212,15 +210,30 @@ def _interior_point(
     per Newton system: a non-finite matrix or right-hand side counts as a
     failed factorization and is not retried with jitter.
     """
+    not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
+    if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
+        raise ValueError("each flow_matrix column must hold a single 1 or no nonzero")
     n_rows, n_vars = ineq_matrix.shape
+    n = n_rows + n_vars
+    # The column pairs that carry the same flow, as flat Hessian indices.
+    pair_p, pair_q = np.nonzero(flow_matrix.T @ flow_matrix)
+    pair_flat = pair_p * n_vars + pair_q
+    pair_flow = flow_matrix.argmax(axis=0)[pair_p]
     neg_flow_t = -flow_matrix.T
     ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
-    v = np.full(n_vars, 0.25 * scale)
-    s = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
+    # Primal x = [s; v] and dual y = [lam; z] share one buffer, and so do
+    # their Newton directions, so one division gives both step lengths.
+    xy = np.empty(2 * n)
+    x, y = xy[:n], xy[n:]
+    s, v, lam, z = x[:n_rows], x[n_rows:], y[:n_rows], y[n_rows:]
+    dxy = np.empty(2 * n)
+    dx, dy = dxy[:n], dxy[n:]
+    ds = dx[:n_rows]
+    v[:] = 0.25 * scale
+    s[:] = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
     mu0 = scale
-    lam = mu0 / s
-    z = mu0 / v
+    np.divide(mu0, x, out=y)
     feas_scale = 1.0 + float(np.max(np.abs(ineq_rhs)))
     banked: tuple[np.ndarray, np.ndarray, float, float] | None = None
 
@@ -229,61 +242,63 @@ def _interior_point(
             raise NetOptError(reason)
         return _InteriorPointResult(*banked, iters, True)
 
-    for it in range(max_iters):
-        d = flow_matrix @ v
-        grad_obj = neg_flow_t @ utility.gradient(d)
-        f1 = grad_obj + ineq_t @ lam - z
-        f2 = ineq_matrix @ v + s - ineq_rhs
-        mu_now = (lam @ s + z @ v) / (n_rows + n_vars)
-        stat_scale = 1.0 + float(np.abs(grad_obj).max())
-        f1_max = np.abs(f1).max()
-        f2_max = np.abs(f2).max()
-        if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
-            banked = (v, lam, mu_now, max(f1_max / stat_scale, f2_max / feas_scale))
-            if mu_now <= mu_floor:
-                return _InteriorPointResult(*banked, it, False)
+    with np.errstate(all="ignore"):
+        for it in range(max_iters):
+            d = flow_matrix @ v
+            gradient, curvature = utility.derivatives(d)
+            grad_obj = neg_flow_t @ gradient
+            f1 = grad_obj + ineq_t @ lam - z
+            f2 = ineq_matrix @ v + s - ineq_rhs
+            mu_now = (lam @ s + z @ v) / n
+            stat_scale = 1.0 + float(np.abs(grad_obj).max())
+            f1_max = np.abs(f1).max()
+            f2_max = np.abs(f2).max()
+            if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
+                residual = max(f1_max / stat_scale, f2_max / feas_scale)
+                banked = (v.copy(), lam.copy(), mu_now, residual)
+                if mu_now <= mu_floor:
+                    return _InteriorPointResult(*banked, it, False)
 
-        if not (np.isfinite(mu_now) and np.isfinite(f1_max)):
-            return breakdown("interior point diverged to non-finite iterates", it)
-        mu = 0.2 * mu_now
-        with np.errstate(over="ignore", divide="ignore"):
-            w_cap = lam / s
-            diag_bar = z / v
-        if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
-            return breakdown("interior point barrier weights overflowed", it)
-        hess = (
-            (flow_matrix * utility.curvature(d)[:, None]).T @ flow_matrix
-            + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
-        )
-        hess.ravel()[:: n_vars + 1] += diag_bar
-        mu_s = mu / s
-        mu_v = mu / v
-        rhs = -f1 - ineq_t @ (mu_s - lam + w_cap * f2) + (mu_v - z)
-        dv = None
-        if np.isfinite(rhs).all() and np.isfinite(hess).all():
-            matrix, jitter = hess, 0.0
-            for _ in range(8):
-                factor, info = _potrf(matrix, lower=1, clean=0)
-                if info == 0:
-                    dv = _potrs(factor, rhs, lower=1)[0]
-                    break
-                jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
-                matrix = hess + jitter * np.eye(n_vars)
-                if not np.isfinite(matrix).all():
-                    break
-        if dv is None:
-            return breakdown("interior-point Newton system not positive definite", it)
-        ineq_dv = ineq_matrix @ dv
-        ds = -f2 - ineq_dv
-        dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
-        dz = mu_v - z - diag_bar * dv
+            if not (math.isfinite(mu_now) and math.isfinite(f1_max)):
+                return breakdown("interior point diverged to non-finite iterates", it)
+            mu = 0.2 * mu_now
+            weights = y / x  # [lam / s; z / v]
+            if not np.isfinite(weights).all():
+                return breakdown("interior point barrier weights overflowed", it)
+            w_cap, diag_bar = weights[:n_rows], weights[n_rows:]
+            hess = (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
+            hess.ravel()[pair_flat] += curvature[pair_flow]
+            hess.ravel()[:: n_vars + 1] += diag_bar
+            centering = mu / x - y  # [mu / s - lam; mu / v - z]
+            rhs = -f1 - ineq_t @ (centering[:n_rows] + w_cap * f2) + centering[n_rows:]
+            dv = None
+            if np.isfinite(rhs).all() and np.isfinite(hess).all():
+                matrix, jitter = hess, 0.0
+                for _ in range(8):
+                    factor, info = _potrf(matrix, lower=1, clean=0)
+                    if info == 0:
+                        dv = _potrs(factor, rhs, lower=1)[0]
+                        break
+                    jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
+                    matrix = hess + jitter * np.eye(n_vars)
+                    if not np.isfinite(matrix).all():
+                        break
+            if dv is None:
+                return breakdown("interior-point Newton system not positive definite", it)
+            # ds = -(f2 + A dv), so dlam = mu / s - lam + w_cap * (f2 + A dv)
+            # and dz = mu / v - z - diag_bar * dv are both centering - weights * dx.
+            np.subtract(-f2, ineq_matrix @ dv, out=ds)
+            dx[n_rows:] = dv
+            np.subtract(centering, weights * dx, out=dy)
 
-        alpha_p = _step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
-        alpha_d = _step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))
-        v = v + alpha_p * dv
-        s = s + alpha_p * ds
-        lam = lam + alpha_d * dlam
-        z = z + alpha_d * dz
+            # Largest steps in (0, 1] that keep x and y positive, backed off
+            # to 0.995 of the boundary: -0.995 * max(val / step) over the
+            # negative steps.
+            ratio = np.where(dxy < 0.0, xy / dxy, -np.inf)
+            alpha_p = min(1.0, -0.995 * float(ratio[:n].max()))
+            alpha_d = min(1.0, -0.995 * float(ratio[n:].max()))
+            x += alpha_p * dx
+            y += alpha_d * dy
 
     return breakdown(f"interior point did not converge in {max_iters} iterations", max_iters)
 

@@ -7,6 +7,7 @@ can lean on them and the references stay independent of what they check.
 import numpy as np
 
 from hetnet_rrm.channel import ChannelModel
+from hetnet_rrm import netopt
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.phy import Pattern, rate_table_for_patterns, station_contributions
 from hetnet_rrm.topology import TopologyGraph
@@ -178,3 +179,104 @@ def grid_search_time_sharing(
         fine_best, _ = evaluate(local)
         best = max(best, fine_best)
     return best
+
+
+def step_length(val: np.ndarray, step: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps ``val + alpha * step`` positive,
+    backed off to 0.995 of the boundary."""
+    neg = step < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, 0.995 * float((-val[neg] / step[neg]).min()))
+
+
+def unstacked_interior_point(
+    flow_matrix: np.ndarray,
+    ineq_matrix: np.ndarray,
+    ineq_rhs: np.ndarray,
+    utility: UtilitySpec,
+    mu_floor: float,
+    max_iters: int = 300,
+):
+    """``netopt._interior_point`` with one array per variable block.
+
+    The same Newton iteration, written with ``v``, ``s``, ``lam`` and ``z`` as
+    separate arrays, concatenated step lengths, a dense flow Hessian
+    ``(F * c).T @ F`` and a fresh ``np.errstate`` per iteration.  The
+    program's iteration must return the same result from the same inputs,
+    bit for bit.
+    """
+    n_rows, n_vars = ineq_matrix.shape
+    neg_flow_t = -flow_matrix.T
+    ineq_t = ineq_matrix.T
+    scale = max(1.0, float(np.max(ineq_rhs)))
+    v = np.full(n_vars, 0.25 * scale)
+    s = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
+    mu0 = scale
+    lam = mu0 / s
+    z = mu0 / v
+    feas_scale = 1.0 + float(np.max(np.abs(ineq_rhs)))
+    banked: tuple[np.ndarray, np.ndarray, float, float] | None = None
+
+    def breakdown(reason: str, iters: int) -> netopt._InteriorPointResult:
+        if banked is None:
+            raise netopt.NetOptError(reason)
+        return netopt._InteriorPointResult(*banked, iters, True)
+
+    for it in range(max_iters):
+        d = flow_matrix @ v
+        grad_obj = neg_flow_t @ utility.gradient(d)
+        f1 = grad_obj + ineq_t @ lam - z
+        f2 = ineq_matrix @ v + s - ineq_rhs
+        mu_now = (lam @ s + z @ v) / (n_rows + n_vars)
+        stat_scale = 1.0 + float(np.abs(grad_obj).max())
+        f1_max = np.abs(f1).max()
+        f2_max = np.abs(f2).max()
+        if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
+            banked = (v, lam, mu_now, max(f1_max / stat_scale, f2_max / feas_scale))
+            if mu_now <= mu_floor:
+                return netopt._InteriorPointResult(*banked, it, False)
+
+        if not (np.isfinite(mu_now) and np.isfinite(f1_max)):
+            return breakdown("interior point diverged to non-finite iterates", it)
+        mu = 0.2 * mu_now
+        with np.errstate(over="ignore", divide="ignore"):
+            w_cap = lam / s
+            diag_bar = z / v
+        if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
+            return breakdown("interior point barrier weights overflowed", it)
+        hess = (
+            (flow_matrix * utility.derivatives(d)[1][:, None]).T @ flow_matrix
+            + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
+        )
+        hess.ravel()[:: n_vars + 1] += diag_bar
+        mu_s = mu / s
+        mu_v = mu / v
+        rhs = -f1 - ineq_t @ (mu_s - lam + w_cap * f2) + (mu_v - z)
+        dv = None
+        if np.isfinite(rhs).all() and np.isfinite(hess).all():
+            matrix, jitter = hess, 0.0
+            for _ in range(8):
+                factor, info = netopt._potrf(matrix, lower=1, clean=0)
+                if info == 0:
+                    dv = netopt._potrs(factor, rhs, lower=1)[0]
+                    break
+                jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
+                matrix = hess + jitter * np.eye(n_vars)
+                if not np.isfinite(matrix).all():
+                    break
+        if dv is None:
+            return breakdown("interior-point Newton system not positive definite", it)
+        ineq_dv = ineq_matrix @ dv
+        ds = -f2 - ineq_dv
+        dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
+        dz = mu_v - z - diag_bar * dv
+
+        alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
+        alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))
+        v = v + alpha_p * dv
+        s = s + alpha_p * ds
+        lam = lam + alpha_d * dlam
+        z = z + alpha_d * dz
+
+    return breakdown(f"interior point did not converge in {max_iters} iterations", max_iters)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,18 +12,20 @@ from hetnet_rrm.netopt import (
     optimize_time_sharing,
     solve_p1,
 )
-from hetnet_rrm.oracle import vertex_rate_rows
+from hetnet_rrm.oracle import oracle_solve, vertex_rate_rows
+from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
     build_graph,
     det_model,
     diamond_graph,
+    multicell_graph,
     random_instance,
     relay_grid_graph,
     single_link_graph,
 )
-from reference import build_incidence, finite_diff_gradient
+from reference import build_incidence, finite_diff_gradient, unstacked_interior_point
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -38,7 +41,9 @@ def test_utility_spec_forms_and_derivatives():
         num_grad = (u.value(d + h) - u.value(d - h)) / (2 * h)
         assert np.allclose(u.gradient(d), num_grad, rtol=1e-5)
         num_curv = -(u.gradient(d + h) - u.gradient(d - h)) / (2 * h)
-        assert np.allclose(u.curvature(d), num_curv, rtol=1e-5)
+        gradient, curvature = u.derivatives(d)
+        assert np.array_equal(gradient, u.gradient(d))
+        assert np.allclose(curvature, num_curv, rtol=1e-5)
         assert u.total(d) == pytest.approx(u.value(d).sum())
     with pytest.raises(ValueError):
         UtilitySpec(alpha=0.0)
@@ -393,3 +398,76 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
         with pytest.raises(NetOptError, match="not positive definite"):
             netopt._interior_point(flow_matrix, link_matrix, caps, steep, 1e-12)
     assert calls == []
+
+
+def test_interior_point_rejects_flow_columns_other_than_a_single_one():
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    shared = flow_matrix.copy()
+    shared[:, 0] = 1.0  # one path carrying every flow
+    split = flow_matrix.copy()
+    split[:2, 0] = 0.5  # sums to 1 over two flows
+    for bad in (shared, split, 2.0 * flow_matrix, -flow_matrix):
+        with pytest.raises(ValueError, match="single 1"):
+            netopt._interior_point(bad, link_matrix, caps, LOG, 1e-12)
+
+
+def _record_interior_point(monkeypatch):
+    """Patch ``netopt._interior_point`` to log the arguments of every call."""
+    calls = []
+    solve = netopt._interior_point
+
+    def record(*args):
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+        return solve(*args)
+
+    monkeypatch.setattr(netopt, "_interior_point", record)
+    return calls
+
+
+def _outcome(solve, args):
+    """Every field of the result as bytes or values, or the error message."""
+    try:
+        result = solve(*args)
+    except NetOptError as error:
+        return str(error)
+    return tuple(f.tobytes() if isinstance(f, np.ndarray) else f for f in result)
+
+
+def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
+    calls = _record_interior_point(monkeypatch)
+    config = RrmConfig(subframes_per_superframe=40, max_superframes=40, utility=LOG)
+    for graph in (multicell_graph(), random_instance(5), random_instance(45), random_instance(226)):
+        run_to_convergence(det_model(graph), config)
+    monkeypatch.undo()
+    joint = [args for args in calls if np.any(args[0].sum(axis=0) == 0.0)]
+    assert joint and len(joint) < len(calls)  # share programs and plain flow solves
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    calls += [
+        (flow_matrix, link_matrix, caps, LOG, 0.0),  # banked
+        (flow_matrix, link_matrix, caps, LOG, 1e-12, 1),  # out of iterations
+    ]
+    outcomes = []
+    for args in calls:
+        with np.errstate(all="ignore"):
+            outcomes.append(_outcome(unstacked_interior_point, args))
+        assert _outcome(netopt._interior_point, args) == outcomes[-1]
+    assert sum(not isinstance(o, str) and o[-1] for o in outcomes) >= 3  # banked
+
+
+@pytest.mark.parametrize("seed", [258, 306])
+def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkeypatch, seed):
+    # The oracle's share program on these instances overflows after its last
+    # accurate iterate: in the Newton matrix (258), and in the trace that
+    # sizes a jitter retry, which then makes the jittered matrix NaN (306).
+    calls = _record_interior_point(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = oracle_solve(det_model(random_instance(seed)), LOG)
+    assert exact.flow.banked
+    assert exact.flow.kkt_residual <= 1e-6
+    # the unstacked iteration, which scopes no warnings, shows the overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for args in calls:
+            unstacked_interior_point(*args)
+    assert any("overflow" in str(w.message) for w in caught)
