@@ -72,25 +72,32 @@ def keyed_generator(seed: int, stream: int, t: int = 0) -> Generator:
 class _KeyedStream:
     """One reusable generator for a (seed, stream) pair.
 
-    ``at(t)`` rewinds it to exactly the state ``keyed_generator(seed, stream,
-    t)`` starts in (counter ``[0, 0, t, 0]``, empty output buffer), which is
-    several times cheaper than building a new generator per subframe.
+    ``at(t)`` resets its Philox to exactly the state ``keyed_generator(seed,
+    stream, t)`` starts in: the same key, counter ``[0, 0, t, 0]``, and an
+    empty output buffer with no cached 32-bit half.  The state dict is built
+    once and holds plain Python ints, because numpy's state setter reads it
+    entry by entry and every read from a numpy array would make a scalar;
+    ``at`` only writes ``t`` into counter word 2 and assigns the same dict.
+    A ``t`` outside ``[0, 2**64)`` raises ``OverflowError``; it never wraps.
     """
 
     def __init__(self, seed: int, stream: int):
-        self._key = _philox_key(seed, stream)
-        self._bits = Philox(key=self._key)
+        key = _philox_key(seed, stream)
+        self._bits = Philox(key=key)
         self._generator = Generator(self._bits)
-
-    def at(self, t: int) -> Generator:
-        self._bits.state = {
+        self._counter = [0, 0, 0, 0]
+        self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, t, 0], dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": self._counter, "key": tuple(int(k) for k in key)},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def at(self, t: int) -> Generator:
+        self._counter[2] = t
+        self._bits.state = self._state
         return self._generator
 
 
@@ -159,8 +166,9 @@ class ChannelModel:
         else:
             if large_gains.shape != (graph.num_links,):
                 raise ValueError("large_gains must have one entry per link")
-            if np.any(large_gains[list(graph.wireless_links)] <= 0):
-                raise ValueError("large-scale gains must be positive")
+            wireless_gains = large_gains[list(graph.wireless_links)]
+            if not np.all(np.isfinite(wireless_gains) & (wireless_gains > 0)):
+                raise ValueError("large-scale gains must be finite and positive")
             self.large_gains = np.asarray(large_gains, dtype=float)
 
         noise_watts = dbm_to_watts(noise_dbm)

@@ -248,8 +248,7 @@ def schedule_block(
     schedule passes :func:`assert_block_feasible`, and subframe 0 is
     re-scheduled by the reference :func:`schedule_links`, which must agree.
     """
-    owner = np.array([graph.bs_slot[link.head] for link in graph.links], dtype=int)
-    rho = winners & active[:, owner, None]
+    rho = winners & active[:, graph.link_station, None]
     assert_block_feasible(graph, active, rho)
     first = tuple(int(on) for on in active[0])
     reference = schedule_links(
@@ -286,12 +285,12 @@ def contribution_stats(graph: TopologyGraph, rates: np.ndarray) -> tuple[np.ndar
         link_mean[:, links] = per_sample.mean(axis=axis)
         if n_samples > 1:
             link_sem[:, links] = per_sample.std(axis=axis, ddof=1) / np.sqrt(n_samples)
-    owner = np.array([graph.bs_slot[link.head] for link in graph.links], dtype=int)
     wireless = np.array(graph.wireless_links, dtype=int)
     mean = np.zeros((n_rows, graph.num_bs, n_links))
     stderr = np.zeros_like(mean)
-    mean[:, owner[wireless], wireless] = link_mean[:, wireless]
-    stderr[:, owner[wireless], wireless] = link_sem[:, wireless]
+    owner = graph.link_station[wireless]
+    mean[:, owner, wireless] = link_mean[:, wireless]
+    stderr[:, owner, wireless] = link_sem[:, wireless]
     return mean, stderr
 
 

@@ -376,6 +376,10 @@ def _parse_pathloss(cur: _Cursor, records: list[tuple[int, str]]) -> PathlossPar
             )
             classes[key] = getattr(defaults, key)
             continue
+        if not all(map(math.isfinite, (exponent, ref_gain, sigma))):
+            cur.error(lineno, f"'{key}' needs three finite numbers, got '{raw}'")
+            classes[key] = getattr(defaults, key)
+            continue
         classes[key] = LinkClassParams(exponent, ref_gain, sigma)
     return PathlossParams(**classes)
 

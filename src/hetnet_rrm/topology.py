@@ -136,6 +136,13 @@ class TopologyGraph:
             out.append(links)
         return tuple(out)
 
+    @cached_property
+    def link_station(self) -> np.ndarray:
+        """Slot in ``bs_nodes`` of each link's transmitting station (read-only)."""
+        owner = np.array([self.bs_slot[link.head] for link in self.links], dtype=int)
+        owner.setflags(write=False)
+        return owner
+
     def wired_base_capacity(self) -> np.ndarray:
         """Length-L vector: wired capacity where wired, 0 on wireless links."""
         base = np.zeros(self.num_links)

@@ -6,7 +6,7 @@ can lean on them and the references stay independent of what they check.
 
 import numpy as np
 
-from hetnet_rrm.channel import ChannelModel
+from hetnet_rrm.channel import STREAM_FADING, STREAM_PATTERN, ChannelModel, keyed_generator
 from hetnet_rrm import netopt
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.phy import Pattern, rate_table_for_patterns, station_contributions
@@ -46,6 +46,24 @@ def conditional_rate(
     winner = channel.statistical_rates() if statistical_winners else None
     _, mean, stderr = station_contributions(graph, weights[None], block, winner)
     return rate_table_for_patterns([pattern], mean[0], stderr[0]).rates[0]
+
+
+def keyed_channel_draws(
+    channel: ChannelModel, t_start: int, n_subframes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``draw_block``, ``rate_block`` and ``pattern_draws`` of ``channel``,
+    rebuilt from a fresh ``keyed_generator(seed, stream, t)`` per subframe."""
+    wireless = list(channel.graph.wireless_links)
+    draws = np.zeros((n_subframes, channel.num_links, channel.num_subbands))
+    uniforms = np.empty(n_subframes)
+    for s in range(n_subframes):
+        t = t_start + s
+        small = np.ones((len(wireless), channel.num_subbands))
+        if not channel.deterministic:
+            small = keyed_generator(channel.seed, STREAM_FADING, t).standard_exponential(small.shape)
+        draws[s, wireless] = small * channel.large_gains[wireless, None] ** 2
+        uniforms[s] = keyed_generator(channel.seed, STREAM_PATTERN, t).random()
+    return draws, np.log1p(draws * channel.tx_powers[None, :, None]), uniforms
 
 
 def vector_block_winners(

@@ -14,6 +14,7 @@ from hetnet_rrm.channel import (
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, det_model, random_instance, single_link_graph
+from reference import keyed_channel_draws
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
 
@@ -115,6 +116,32 @@ def test_draws_replay_by_counter():
     assert not np.array_equal(other.draw_subframe(5), later)
 
 
+def test_block_draws_equal_a_fresh_keyed_generator_per_subframe():
+    g = augment_with_wired_backhaul(random_instance(6), wired_capacity=100.0)
+    assert g.wired_links
+    models = [ChannelModel(g, 3, 40.0, 33.0, seed=8) for _ in range(2)]
+    models.append(det_model(g, num_subbands=3, seed=8))
+    names = ("draw_block", "rate_block", "pattern_draws")
+    calls = [(m, name, t) for t in (0, 9, 2**40 - 2, 2**40) for m in models for name in names]
+    # Interleave both streams and both same-seed models in a scrambled order.
+    for i in np.random.default_rng(0).permutation(len(calls)):
+        m, name, t = calls[i]
+        got = getattr(m, name)(t, 3)
+        expected = keyed_channel_draws(m, t, 3)[names.index(name)]
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (name, t, m.deterministic)
+    # A negative subframe never wraps around to a large counter.
+    for m in models:
+        with pytest.raises(OverflowError):
+            m.pattern_draws(-1, 2)
+        if not m.deterministic:
+            with pytest.raises(OverflowError):
+                m.draw_block(-2, 4)
+        draws, _, uniforms = keyed_channel_draws(m, 5, 2)
+        assert m.draw_block(5, 2).tobytes() == draws.tobytes()
+        assert m.pattern_draws(5, 2).tobytes() == uniforms.tobytes()
+
+
 def test_keyed_generator_streams_are_independent():
     a = keyed_generator(1, 1, 0).random(4)
     b = keyed_generator(1, 2, 0).random(4)
@@ -174,5 +201,8 @@ def test_large_gains_override_validation():
         ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.ones(3))
     with pytest.raises(ValueError):
         ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.zeros(1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.array([bad]))
     with pytest.raises(ValueError):
         ChannelModel(g, 0, 40.0, 33.0, seed=0)

@@ -115,6 +115,18 @@ def test_bad_scenario_reports_each_line_and_exits_config(tmp_path, capsys):
     assert all(line.startswith("error: ") for line in err.strip().splitlines())
 
 
+@pytest.mark.parametrize("raw", ["nan -16 4", "1.9 inf 4", "1.9 -16 nan"])
+def test_non_finite_pathloss_exits_config(tmp_path, capsys, raw):
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    src = scenario_file(tmp_path, demo + f"\n[pathloss]\nbs_user = {raw}\n", "pl.scenario")
+    line = len(demo.splitlines()) + 3
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}:{line}: 'bs_user' needs three finite numbers, got '{raw}'\n"
+
+
 def test_oracle_report(tmp_path, capsys):
     src = scenario_file(tmp_path)
     assert main(["oracle", "--scenario", src]) == EXIT_OK

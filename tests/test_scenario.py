@@ -242,6 +242,16 @@ def test_non_finite_numbers_are_rejected():
     assert any(m.startswith("nan.scenario:") and "'p_pico_dbm' must be a finite number" in m for m in messages)
     assert any("'noise_dbm' must be a finite number, got '-inf'" in m for m in messages)
 
+    pathloss = {"bs_user": "nan -16 4", "bs_bs": "1.9 inf 4", "macro_macro": "1.9 -16 -inf"}
+    text = BASE + "\n[pathloss]\n" + "".join(f"{k} = {v}\n" for k, v in pathloss.items())
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, path="nan.scenario")
+    lines = text.splitlines()
+    assert sorted(err.value.errors) == sorted(
+        f"nan.scenario:{lines.index(f'{k} = {v}') + 1}: '{k}' needs three finite numbers, got '{v}'"
+        for k, v in pathloss.items()
+    )
+
 
 def test_with_param_applies_the_parser_rules():
     s = parse_scenario(BASE)

@@ -41,6 +41,9 @@ def test_counts_and_partitions(multicell):
     # every link belongs to exactly one station's outgoing set
     seen = sorted(l for n in g.bs_nodes for l in g.outgoing_links(n))
     assert seen == list(range(18))
+    for n in g.bs_nodes:
+        assert np.all(g.link_station[list(g.outgoing_links(n))] == g.bs_slot[n])
+    assert g.link_station is g.link_station and not g.link_station.flags.writeable
 
 
 def test_outgoing_rejects_user_nodes(multicell):
