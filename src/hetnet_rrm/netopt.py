@@ -33,8 +33,12 @@ from .topology import TopologyGraph
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
 
-# LAPACK Cholesky factor and solve in double precision (see _interior_point).
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# LAPACK Cholesky factor-and-solve in double precision (see _interior_point).
+(_posv,) = scipy.linalg.get_lapack_funcs(("posv",), dtype=np.float64)
+# Reductions called as ufunc methods, without the ndarray method wrappers.
+_all = np.logical_and.reduce
+_isfinite = np.isfinite
+_segment_max = np.maximum.reduceat
 
 
 class NetOptError(RuntimeError):
@@ -58,10 +62,10 @@ class UtilitySpec:
     epsilon: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0 for strict concavity")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0 for strict concavity")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
 
     def value(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -203,17 +207,27 @@ def _interior_point(
     before any accurate iterate exists.  Overflow and invalid values are
     tested for explicitly, so floating-point warnings are silenced.
 
-    The Newton system is factored and solved by LAPACK ``potrf``/``potrs``
-    called directly: they are the routines ``scipy.linalg.cho_factor`` and
-    ``cho_solve`` wrap, called with the same arguments, so the iterates are
-    the wrappers' bit for bit.  The wrappers' finiteness check is kept, once
-    per Newton system: a non-finite matrix or right-hand side counts as a
-    failed factorization and is not retried with jitter.
+    The Newton system is factored and solved by one LAPACK ``posv`` call,
+    which runs ``potrf`` and then ``potrs``: the routines
+    ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, with the same
+    arguments, so the iterates are the wrappers' bit for bit.  The wrappers'
+    finiteness check is kept, once per Newton system: a non-finite matrix or
+    right-hand side counts as a failed factorization and is not retried with
+    jitter.  The iteration is bound by per-call overhead, not arithmetic, so
+    each step works in preallocated buffers: the objective gradient and both
+    residuals are views of one stacked vector whose three max-norms come from
+    one segmented reduction, and so are the two step lengths.  Each sum and
+    product is still formed in the same order as a plain transcription of the
+    iteration (``tests/reference.py``), which it matches bit for bit.
     """
     not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
     if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
         raise ValueError("each flow_matrix column must hold a single 1 or no nonzero")
     n_rows, n_vars = ineq_matrix.shape
+    # The segmented maxima below need non-empty segments.  Callers always
+    # satisfy this: a live path is a variable and crosses a live link's row.
+    if n_rows == 0 or n_vars == 0:
+        raise ValueError("need at least one variable and one inequality row")
     n = n_rows + n_vars
     # The column pairs that carry the same flow, as flat Hessian indices.
     pair_p, pair_q = np.nonzero(flow_matrix.T @ flow_matrix)
@@ -230,6 +244,19 @@ def _interior_point(
     dxy = np.empty(2 * n)
     dx, dy = dxy[:n], dxy[n:]
     ds = dx[:n_rows]
+    ratio = np.empty(2 * n)
+    halves = np.array([0, n])
+    # The objective gradient and both residuals share one buffer too, so one
+    # abs and one segmented max give all three max-norms.
+    resid = np.empty(2 * n_vars + n_rows)
+    grad_obj, f1, f2 = resid[:n_vars], resid[n_vars : 2 * n_vars], resid[2 * n_vars :]
+    abs_resid = np.empty_like(resid)
+    resid_starts = np.array([0, n_vars, 2 * n_vars])
+    weights = np.empty(n)  # [lam / s; z / v]
+    w_cap, diag_bar = weights[:n_rows], weights[n_rows:]
+    w_col = w_cap[:, None]
+    centering = np.empty(n)  # [mu / s - lam; mu / v - z]
+    center_s, center_v = centering[:n_rows], centering[n_rows:]
     v[:] = 0.25 * scale
     s[:] = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
     mu0 = scale
@@ -246,13 +273,12 @@ def _interior_point(
         for it in range(max_iters):
             d = flow_matrix @ v
             gradient, curvature = utility.derivatives(d)
-            grad_obj = neg_flow_t @ gradient
-            f1 = grad_obj + ineq_t @ lam - z
-            f2 = ineq_matrix @ v + s - ineq_rhs
+            np.matmul(neg_flow_t, gradient, out=grad_obj)
+            np.subtract(np.add(grad_obj, ineq_t @ lam, out=f1), z, out=f1)
+            np.subtract(np.add(ineq_matrix @ v, s, out=f2), ineq_rhs, out=f2)
             mu_now = (lam @ s + z @ v) / n
-            stat_scale = 1.0 + float(np.abs(grad_obj).max())
-            f1_max = np.abs(f1).max()
-            f2_max = np.abs(f2).max()
+            grad_max, f1_max, f2_max = _segment_max(np.abs(resid, out=abs_resid), resid_starts)
+            stat_scale = 1.0 + float(grad_max)
             if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
                 residual = max(f1_max / stat_scale, f2_max / feas_scale)
                 banked = (v.copy(), lam.copy(), mu_now, residual)
@@ -262,22 +288,21 @@ def _interior_point(
             if not (math.isfinite(mu_now) and math.isfinite(f1_max)):
                 return breakdown("interior point diverged to non-finite iterates", it)
             mu = 0.2 * mu_now
-            weights = y / x  # [lam / s; z / v]
-            if not np.isfinite(weights).all():
+            if not _all(_isfinite(np.divide(y, x, out=weights))):
                 return breakdown("interior point barrier weights overflowed", it)
-            w_cap, diag_bar = weights[:n_rows], weights[n_rows:]
-            hess = (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
-            hess.ravel()[pair_flat] += curvature[pair_flow]
-            hess.ravel()[:: n_vars + 1] += diag_bar
-            centering = mu / x - y  # [mu / s - lam; mu / v - z]
-            rhs = -f1 - ineq_t @ (centering[:n_rows] + w_cap * f2) + centering[n_rows:]
+            hess = (ineq_matrix * w_col).T @ ineq_matrix
+            flat = hess.ravel()
+            flat[pair_flat] += curvature[pair_flow]
+            flat[:: n_vars + 1] += diag_bar
+            np.subtract(np.divide(mu, x, out=centering), y, out=centering)
+            rhs = -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
             dv = None
-            if np.isfinite(rhs).all() and np.isfinite(hess).all():
+            if _all(_isfinite(rhs)) and _all(_isfinite(flat)):
                 matrix, jitter = hess, 0.0
                 for _ in range(8):
-                    factor, info = _potrf(matrix, lower=1, clean=0)
+                    _, solution, info = _posv(matrix, rhs, lower=1)
                     if info == 0:
-                        dv = _potrs(factor, rhs, lower=1)[0]
+                        dv = solution
                         break
                     jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
                     matrix = hess + jitter * np.eye(n_vars)
@@ -289,14 +314,16 @@ def _interior_point(
             # and dz = mu / v - z - diag_bar * dv are both centering - weights * dx.
             np.subtract(-f2, ineq_matrix @ dv, out=ds)
             dx[n_rows:] = dv
-            np.subtract(centering, weights * dx, out=dy)
+            np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
 
             # Largest steps in (0, 1] that keep x and y positive, backed off
             # to 0.995 of the boundary: -0.995 * max(val / step) over the
-            # negative steps.
-            ratio = np.where(dxy < 0.0, xy / dxy, -np.inf)
-            alpha_p = min(1.0, -0.995 * float(ratio[:n].max()))
-            alpha_d = min(1.0, -0.995 * float(ratio[n:].max()))
+            # negative steps.  A NaN step counts as not negative.
+            np.divide(xy, dxy, out=ratio)
+            ratio[~(dxy < 0.0)] = -np.inf
+            ratio_p, ratio_d = _segment_max(ratio, halves)
+            alpha_p = min(1.0, -0.995 * float(ratio_p))
+            alpha_d = min(1.0, -0.995 * float(ratio_d))
             x += alpha_p * dx
             y += alpha_d * dy
 
@@ -448,6 +475,8 @@ def solve_p1(
     capacities = np.asarray(capacities, dtype=float)
     if capacities.shape != (graph.num_links,):
         raise ValueError("need one capacity per link")
+    if not np.all(np.isfinite(capacities)):
+        raise ValueError("capacities must be finite")
     if np.any(capacities < -1e-12):
         raise ValueError("capacities must be nonnegative")
     _, solution = _solve_joint(
@@ -483,8 +512,12 @@ def optimize_time_sharing(
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
     if rate_rows.shape[1] != graph.num_links:
         raise ValueError("rate rows must have one column per link")
+    if not np.all(np.isfinite(rate_rows)):
+        raise ValueError("rate rows must be finite")
     if base_capacity is None:
         base_capacity = np.zeros(graph.num_links)
+    elif not np.all(np.isfinite(base_capacity)):
+        raise ValueError("base capacities must be finite")
     partition = _duration_groups(rate_rows.shape[0], groups)
     if len(partition) == rate_rows.shape[0]:
         shares = np.zeros(rate_rows.shape[0])

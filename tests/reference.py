@@ -5,12 +5,17 @@ can lean on them and the references stay independent of what they check.
 """
 
 import numpy as np
+import scipy.linalg
 
 from hetnet_rrm.channel import STREAM_FADING, STREAM_PATTERN, ChannelModel, keyed_generator
 from hetnet_rrm import netopt
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.phy import Pattern, rate_table_for_patterns, station_contributions
 from hetnet_rrm.topology import TopologyGraph
+
+# The Cholesky factor and solve as two LAPACK calls, as cho_factor and
+# cho_solve make them.
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def build_incidence(graph: TopologyGraph) -> np.ndarray:
@@ -275,9 +280,9 @@ def unstacked_interior_point(
         if np.isfinite(rhs).all() and np.isfinite(hess).all():
             matrix, jitter = hess, 0.0
             for _ in range(8):
-                factor, info = netopt._potrf(matrix, lower=1, clean=0)
+                factor, info = _potrf(matrix, lower=1, clean=0)
                 if info == 0:
-                    dv = netopt._potrs(factor, rhs, lower=1)[0]
+                    dv = _potrs(factor, rhs, lower=1)[0]
                     break
                 jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
                 matrix = hess + jitter * np.eye(n_vars)

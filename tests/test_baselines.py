@@ -15,7 +15,14 @@ from hetnet_rrm.netopt import UtilitySpec
 from hetnet_rrm.rrm import RrmConfig
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
-from conftest import build_graph, det_model, diamond_graph, multicell_graph, relay_grid_graph
+from conftest import (
+    build_graph,
+    det_model,
+    diamond_graph,
+    multicell_graph,
+    random_instance,
+    relay_grid_graph,
+)
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -206,3 +213,17 @@ def test_fddsa_lags_proposed_without_share_optimization():
     prop = run_proposed(det_model(g), config)
     fddsa = run_fddsa(det_model(g), config)
     assert prop.utility > fddsa.utility + 0.1
+
+
+def test_fddsa_never_beats_proposed_beyond_its_certified_gap():
+    # fddsa's program is proposed's with each pattern's total time fixed, so
+    # its utility is achievable by proposed's program; by concavity proposed
+    # is within its certificate gap of that program's optimum.
+    config = fast_config(max_superframes=40)
+    graphs = [multicell_graph(), relay_grid_graph(), diamond_graph()]
+    graphs += [random_instance(seed) for seed in range(1, 40)]
+    for g in graphs:
+        prop = run_proposed(det_model(g), config)
+        fddsa = run_fddsa(det_model(g), config)
+        assert prop.converged
+        assert fddsa.utility <= prop.utility + prop.certificate.gap

@@ -212,10 +212,10 @@ def test_path_explosion_exits_solver(tmp_path, capsys):
 
 
 def test_flow_solver_failure_exits_solver(tmp_path, capsys, monkeypatch):
-    def never_positive_definite(matrix, **kwargs):
-        return matrix, 1
+    def never_positive_definite(matrix, rhs, **kwargs):
+        return matrix, rhs, 1
 
-    monkeypatch.setattr(netopt, "_potrf", never_positive_definite)
+    monkeypatch.setattr(netopt, "_posv", never_positive_definite)
     src = scenario_file(tmp_path)
     assert main(["run", "--scenario", src]) == EXIT_SOLVER
     captured = capsys.readouterr()

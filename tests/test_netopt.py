@@ -51,6 +51,11 @@ def test_utility_spec_forms_and_derivatives():
         UtilitySpec(alpha=-1.0)
     with pytest.raises(ValueError):
         UtilitySpec(epsilon=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            UtilitySpec(alpha=bad)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            UtilitySpec(epsilon=bad)
 
 
 def test_single_link_closed_form():
@@ -129,11 +134,23 @@ def test_complementary_slackness(multicell):
     assert np.all(np.minimum(sol.prices, slack) <= 1e-5)
 
 
-def test_solution_reports_newton_iterations(multicell):
+def test_solution_reports_newton_iterations(monkeypatch, multicell):
+    # Factor and solve are one posv call, so a solve without a jitter retry
+    # makes exactly one LAPACK call per Newton step.
+    posv = netopt._posv
+    infos = []
+
+    def counted(matrix, rhs, **kwargs):
+        result = posv(matrix, rhs, **kwargs)
+        infos.append(result[2])
+        return result
+
+    monkeypatch.setattr(netopt, "_posv", counted)
     rng = np.random.default_rng(41)
     sol = solve_p1(multicell, rng.uniform(0.2, 1.2, multicell.num_links), LOG)
     assert sol.newton_iters > 0
     assert sol.banked is False
+    assert infos == [0] * sol.newton_iters
 
 
 def test_capacity_validation():
@@ -142,6 +159,15 @@ def test_capacity_validation():
         solve_p1(g, np.array([0.5, 0.5]), LOG)
     with pytest.raises(ValueError):
         solve_p1(g, np.array([-0.2]), LOG)
+    # a non-finite capacity is a bad input, not a solver failure, and is
+    # refused before any arithmetic can warn about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_p1(g, np.array([bad]), LOG)
+            with pytest.raises(ValueError, match="finite"):
+                solve_p1(diamond_graph(), np.array([0.5, bad, 0.4, 0.7]), LOG)
 
 
 def test_starved_link_gets_marginal_price():
@@ -230,6 +256,18 @@ def test_time_sharing_input_validation():
     for total in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             optimize_time_sharing(rows, g, LOG, groups=[([0, 1], 0.5), ([2], total)])
+    # non-finite rates or base capacities are bad inputs, refused up front
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
+            bad_rows[2, 0] = bad
+            with pytest.raises(ValueError, match="rate rows must be finite"):
+                optimize_time_sharing(bad_rows, g, LOG)
+            with pytest.raises(ValueError, match="rate rows must be finite"):
+                optimize_time_sharing(bad_rows[2:], g, LOG)  # the single-row path
+            with pytest.raises(ValueError, match="base capacities must be finite"):
+                optimize_time_sharing(rows, g, LOG, base_capacity=np.array([bad, 0.0]))
 
 
 def test_time_sharing_certifies_random_vertex_systems():
@@ -342,15 +380,15 @@ def test_interior_point_returns_banked_iterate_below_reachable_floor():
 def test_interior_point_retries_failed_factorization_with_jitter(monkeypatch):
     flow_matrix, link_matrix, caps = _relay_grid_program()
     reference = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
-    potrf = netopt._potrf
+    posv = netopt._posv
     calls = []
 
-    def fail_once(matrix, **kwargs):
+    def fail_once(matrix, rhs, **kwargs):
         calls.append(matrix.copy())
-        factor, info = potrf(matrix, **kwargs)
-        return factor, (1 if len(calls) == 1 else info)
+        factor, solution, info = posv(matrix, rhs, **kwargs)
+        return factor, solution, (1 if len(calls) == 1 else info)
 
-    monkeypatch.setattr(netopt, "_potrf", fail_once)
+    monkeypatch.setattr(netopt, "_posv", fail_once)
     ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
     # the retry factors the same matrix with a larger diagonal
     off_diagonal = ~np.eye(len(calls[0]), dtype=bool)
@@ -382,7 +420,7 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
     # retried with a jitter taken from its trace.
     flow_matrix, link_matrix, caps = _relay_grid_program()
     steep = UtilitySpec(alpha=510.0, epsilon=1e-3)
-    potrf, trace = netopt._potrf, np.trace
+    posv, trace = netopt._posv, np.trace
     calls = []
 
     def record(fn):
@@ -392,7 +430,7 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
 
         return wrapped
 
-    monkeypatch.setattr(netopt, "_potrf", record(potrf))
+    monkeypatch.setattr(netopt, "_posv", record(posv))
     monkeypatch.setattr(netopt.np, "trace", record(trace))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NetOptError, match="not positive definite"):
@@ -409,6 +447,11 @@ def test_interior_point_rejects_flow_columns_other_than_a_single_one():
     for bad in (shared, split, 2.0 * flow_matrix, -flow_matrix):
         with pytest.raises(ValueError, match="single 1"):
             netopt._interior_point(bad, link_matrix, caps, LOG, 1e-12)
+    # a program needs a variable and an inequality row
+    with pytest.raises(ValueError, match="at least one"):
+        netopt._interior_point(flow_matrix, link_matrix[:0], caps[:0], LOG, 1e-12)
+    with pytest.raises(ValueError, match="at least one"):
+        netopt._interior_point(flow_matrix[:, :0], link_matrix[:, :0], caps, LOG, 1e-12)
 
 
 def _record_interior_point(monkeypatch):
@@ -438,9 +481,28 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     config = RrmConfig(subframes_per_superframe=40, max_superframes=40, utility=LOG)
     for graph in (multicell_graph(), random_instance(5), random_instance(45), random_instance(226)):
         run_to_convergence(det_model(graph), config)
+    n_runs = len(calls)
+    # The oracle's share programs over every vertex row; on random_instance(258)
+    # and (306) they stall after their last accurate iterate and return it banked.
+    for seed in (258, 306, 1006):
+        oracle_solve(det_model(random_instance(seed)), LOG)
+    n_oracle = len(calls)
+    # Zero capacities kill links, whose paths leave the program, so these
+    # programs have fewer rows than their graph has links.
+    rng = np.random.default_rng(17)
+    for graph in (diamond_graph(), relay_grid_graph(), multicell_graph(), random_instance(45)):
+        peak = det_model(graph).statistical_rates().sum(axis=1)
+        for n_dead in (1, 2):
+            caps = peak * rng.uniform(0.05, 1.0, graph.num_links)
+            caps[rng.choice(graph.num_links, n_dead, replace=False)] = 0.0
+            n_before = len(calls)
+            solve_p1(graph, caps, LOG)
+            assert all(args[1].shape[0] < graph.num_links for args in calls[n_before:])
     monkeypatch.undo()
-    joint = [args for args in calls if np.any(args[0].sum(axis=0) == 0.0)]
-    assert joint and len(joint) < len(calls)  # share programs and plain flow solves
+    joint = [args for args in calls[:n_runs] if np.any(args[0].sum(axis=0) == 0.0)]
+    assert joint and len(joint) < n_runs  # share programs and plain flow solves
+    assert all(np.any(args[0].sum(axis=0) == 0.0) for args in calls[n_runs:n_oracle])
+    assert len(calls) >= n_oracle + 6
     flow_matrix, link_matrix, caps = _relay_grid_program()
     calls += [
         (flow_matrix, link_matrix, caps, LOG, 0.0),  # banked
@@ -451,7 +513,8 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
         with np.errstate(all="ignore"):
             outcomes.append(_outcome(unstacked_interior_point, args))
         assert _outcome(netopt._interior_point, args) == outcomes[-1]
-    assert sum(not isinstance(o, str) and o[-1] for o in outcomes) >= 3  # banked
+    banked = [not isinstance(o, str) and o[-1] for o in outcomes]
+    assert sum(banked) >= 3 and sum(banked[n_runs:n_oracle]) >= 2
 
 
 @pytest.mark.parametrize("seed", [258, 306])
