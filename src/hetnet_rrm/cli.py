@@ -22,7 +22,7 @@ from .channel import ChannelModel
 from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
 from .rrm import RrmResult
-from .scenario import Scenario, ScenarioError, load_scenario, with_param
+from .scenario import MODES, Scenario, ScenarioError, load_scenario, with_param
 from .trace import BITS_PER_NAT, format_trace
 
 EXIT_OK = 0
@@ -112,9 +112,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError([f"--values must be comma-separated numbers: {exc}"]) from exc
     if not values:
         raise ScenarioError(["--values must list at least one value"])
-    modes = args.modes.split(",") if args.modes else ["proposed", "fbc", "fddsa", "ttrsc"]
+    modes = args.modes.split(",") if args.modes else MODES
     for mode in modes:
-        if mode != "fbc" and mode not in _RUNNERS:
+        if mode not in MODES:
             raise ScenarioError([f"unknown mode '{mode}' in --modes"])
     # Validate every value before the first run.
     sweeps = [(value, with_param(scenario, args.param, value)) for value in values]
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and write its trace")
     run.add_argument("--scenario", required=True)
-    run.add_argument("--mode", choices=("proposed", "fbc", "fddsa", "ttrsc"), default=None)
+    run.add_argument("--mode", choices=MODES, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None, help="trace path (default: stdout)")
     run.set_defaults(func=_cmd_run)

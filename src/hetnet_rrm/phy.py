@@ -21,8 +21,6 @@ row yields the per-link rates the long timescale's rate rows are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .topology import TopologyGraph
@@ -111,20 +109,6 @@ def assert_schedule_feasible(graph: TopologyGraph, pattern: Pattern, rho: np.nda
     for l in graph.wired_links:
         if np.any(rho[l]):
             raise AssertionError(f"wired link {l} appeared in a radio schedule")
-
-
-@dataclass(frozen=True, eq=False)
-class RateTable:
-    """Conditional mean link rates per pattern, with Monte Carlo standard errors.
-
-    ``rates[j, l]`` is the average rate of link ``l`` when pattern ``j`` is on
-    and links are scheduled by the max-weight rule for the weights the table
-    was built with.  Wired links are not radio-scheduled and carry zeros.
-    """
-
-    patterns: list[Pattern]
-    rates: np.ndarray = field(repr=False)
-    stderr: np.ndarray = field(repr=False)
 
 
 def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndarray) -> None:
@@ -315,14 +299,18 @@ def station_contributions(
     return (winners, *contribution_stats(graph, rates))
 
 
-def rate_table_for_patterns(patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray) -> RateTable:
-    """Conditional rates for every pattern from one row of
-    :func:`station_contributions`: a pattern's row is the sum of its active
-    stations' rows.
+def rate_table_for_patterns(
+    patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional mean link rates for every pattern, with their Monte Carlo
+    standard errors, from one row of :func:`station_contributions`: a
+    pattern's row is the sum of its active stations' rows.  Row ``j`` is the
+    average rate of each link when pattern ``j`` is on and links are
+    scheduled by the max-weight rule; wired links carry zeros.
 
     Taking every pattern from one shared draw block keeps comparisons paired:
     the argmax pattern of the sampled table genuinely maximizes the sampled
     weighted rate.
     """
     mask = np.array(patterns, dtype=float)  # (J, B)
-    return RateTable(patterns=list(patterns), rates=mask @ mean, stderr=mask @ stderr)
+    return mask @ mean, mask @ stderr

@@ -134,13 +134,13 @@ class CertificateReport:
 
 
 def _duration_groups(
-    members: list[ScheduledPattern], n_patterns: int, fixed: bool
+    index: np.ndarray, n_patterns: int, fixed: bool
 ) -> list[tuple[np.ndarray, float]]:
-    """Member indices and total time of each duration group: one group of
-    total 1, or under fixed durations one group of total 1/J per pattern."""
+    """Positions and total time of each duration group among rows whose
+    pattern indices are ``index``: one group of total 1, or under fixed
+    durations one group of total 1/J per pattern."""
     if not fixed:
-        return [(np.arange(len(members)), 1.0)]
-    index = np.array([m.index for m in members])
+        return [(np.arange(len(index)), 1.0)]
     order = np.argsort(index, kind="stable")
     bounds = np.searchsorted(index[order], np.arange(n_patterns + 1))
     return [(order[a:b], 1.0 / n_patterns) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -148,9 +148,9 @@ def _duration_groups(
 
 def _group_best(values: np.ndarray, fixed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Each duration group's max-weight pattern, and the group's total time."""
-    if fixed:
-        return np.arange(len(values)), np.full(len(values), 1.0 / len(values))
-    return np.array([np.argmax(values)]), np.ones(1)
+    groups = _duration_groups(np.arange(len(values)), len(values), fixed)
+    best = np.array([idx[np.argmax(values[idx])] for idx, _ in groups])
+    return best, np.array([total for _, total in groups])
 
 
 def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
@@ -238,10 +238,9 @@ def _member_rows(members: list[ScheduledPattern], block: BlockPass) -> tuple[np.
     stderr = np.zeros_like(rows)
     for k in np.unique(block.member_row):
         indices = np.flatnonzero(block.member_row == k)
-        table = rate_table_for_patterns(
+        rows[indices], stderr[indices] = rate_table_for_patterns(
             [members[j].pattern for j in indices], block.contributions[k], block.stderr[k]
         )
-        rows[indices], stderr[indices] = table.rates, table.stderr
     return rows, stderr
 
 
@@ -294,17 +293,19 @@ def run_superframe(
     rows, row_stderr = _member_rows(members, block)
     fixed = config.fixed_pattern_durations
     best, _ = _group_best(_pattern_values(state.patterns, contributions, state.weights), fixed)
-    found = rate_table_for_patterns([state.patterns[j] for j in best], contributions, contrib_sem)
+    found, found_stderr = rate_table_for_patterns(
+        [state.patterns[j] for j in best], contributions, contrib_sem
+    )
     seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
-    new = [k for k, j in enumerate(best) if (j, found.rates[k].tobytes()) not in seen]
+    new = [k for k, j in enumerate(best) if (j, found[k].tobytes()) not in seen]
     weights = state.weights.copy()
     members += [ScheduledPattern(state.patterns[best[k]], int(best[k]), weights) for k in new]
-    rows = np.vstack([rows, found.rates[new]])
-    row_stderr = np.vstack([row_stderr, found.stderr[new]])
+    rows = np.vstack([rows, found[new]])
+    row_stderr = np.vstack([row_stderr, found_stderr[new]])
 
     # Share re-optimization, jointly with flow control and routing; the
     # embedded flow solution's prices become the next weights.
-    groups = _duration_groups(members, len(state.patterns), fixed)
+    groups = _duration_groups(np.array([m.index for m in members]), len(state.patterns), fixed)
     shares, flow = optimize_time_sharing(
         rows,
         graph,

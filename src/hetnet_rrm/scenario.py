@@ -39,7 +39,8 @@ NATS_PER_BIT = math.log(2.0)
 _SECTIONS = ("nodes", "links", "backhaul", "flows", "radio", "pathloss", "run")
 _REQUIRED_SECTIONS = ("nodes", "links", "backhaul", "flows", "radio", "run")
 
-_MODES = ("proposed", "fbc", "fddsa", "ttrsc")
+#: Every scheme a scenario's ``mode`` or the command line may name.
+MODES = ("proposed", "fbc", "fddsa", "ttrsc")
 
 _RADIO_KEYS = (
     "subbands",
@@ -67,7 +68,7 @@ _RUN_KEYS = (
     "utility_epsilon",
 )
 
-#: Lower bounds of the integer settings; the parser and the sweep share them.
+#: Lower bounds of the integer settings.
 _INT_MINIMUM = {
     "subbands": 1,
     "seed": 0,
@@ -207,19 +208,26 @@ def _parse_settings(
     return out
 
 
+def _finite(cur: _Cursor, lineno: int, tokens: list[str], need: str) -> list[float] | None:
+    """The rule for every number a scenario holds: each token must parse as a
+    finite float.  Otherwise ``need`` is recorded at ``lineno`` with the
+    offending text and None returned."""
+    try:
+        values = [float(token) for token in tokens]
+    except ValueError:
+        values = [math.nan]
+    if all(map(math.isfinite, values)):
+        return values
+    cur.error(lineno, f"{need}, got '{' '.join(tokens)}'")
+    return None
+
+
 def _get_float(cur: _Cursor, settings, key: str, default: float) -> float:
     if key not in settings:
         return default
     lineno, raw = settings[key]
-    try:
-        value = float(raw)
-    except ValueError:
-        cur.error(lineno, f"'{key}' must be a number, got '{raw}'")
-        return default
-    if not math.isfinite(value):
-        cur.error(lineno, f"'{key}' must be a finite number, got '{raw}'")
-        return default
-    return value
+    value = _finite(cur, lineno, [raw], f"'{key}' must be a finite number")
+    return default if value is None else value[0]
 
 
 def _get_int(cur: _Cursor, settings, key: str, default: int) -> int:
@@ -247,6 +255,25 @@ def _get_bool(cur: _Cursor, settings, key: str, default: bool) -> bool:
     return default
 
 
+def _numbered(cur: _Cursor, records: list[tuple[int, str]], section: str, item: str):
+    """Yield ``(lineno, body, id, fields)`` for each record whose leading id
+    is the next in order; report the others.  An in-order id counts whatever
+    the rest of its record holds, so one bad record gives one error."""
+    expected = 0
+    for lineno, body in records:
+        parts = body.split()
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            cur.error(lineno, f"[{section}] record has a non-integer id: '{body}'")
+            continue
+        if idx != expected:
+            cur.error(lineno, f"{item} id {idx} out of order; expected {expected}")
+            continue
+        expected += 1
+        yield lineno, body, idx, parts
+
+
 def _parse_nodes(
     cur: _Cursor, records: list[tuple[int, str]]
 ) -> tuple[list[Node], dict[int, float]]:
@@ -254,34 +281,26 @@ def _parse_nodes(
     overrides: dict[int, float] = {}
     kinds = {k.value: k for k in NodeKind}
     num_bs = 0
-    for lineno, body in records:
-        parts = body.split()
+    for lineno, body, idx, parts in _numbered(cur, records, "nodes", "node"):
         if len(parts) not in (4, 5):
             cur.error(lineno, f"[nodes] record needs 'id kind x y [power_dbm]', got '{body}'")
-            continue
-        try:
-            idx = int(parts[0])
-            x, y = float(parts[2]), float(parts[3])
-        except ValueError:
-            cur.error(lineno, f"[nodes] record has non-numeric id or position: '{body}'")
             continue
         if parts[1] not in kinds:
             cur.error(lineno, f"unknown node kind '{parts[1]}' (macro, pico or user)")
             continue
         kind = kinds[parts[1]]
-        if idx != len(nodes):
-            cur.error(lineno, f"node id {idx} out of order; expected {len(nodes)}")
+        position = _finite(cur, lineno, parts[2:4], f"node {idx} position must be two finite numbers")
+        if position is None:
             continue
         if len(parts) == 5:
             if kind is NodeKind.USER:
                 cur.error(lineno, f"user node {idx} cannot carry a transmit power")
                 continue
-            try:
-                overrides[idx] = float(parts[4])
-            except ValueError:
-                cur.error(lineno, f"node {idx} power must be a number, got '{parts[4]}'")
+            power = _finite(cur, lineno, parts[4:], f"node {idx} power must be a finite number")
+            if power is None:
                 continue
-        nodes.append(Node(index=idx, kind=kind, position=(x, y)))
+            overrides[idx] = power[0]
+        nodes.append(Node(index=idx, kind=kind, position=tuple(position)))
         if kind.is_base_station:
             num_bs += 1
             if num_bs == MAX_PATTERN_BS + 1:
@@ -295,30 +314,24 @@ def _parse_nodes(
 
 def _parse_links(cur: _Cursor, records: list[tuple[int, str]]) -> list[Link]:
     links: list[Link] = []
-    for lineno, body in records:
-        parts = body.split()
+    for lineno, body, idx, parts in _numbered(cur, records, "links", "link"):
         if len(parts) not in (3, 5) or (len(parts) == 5 and parts[3] != "wired"):
             cur.error(lineno, f"[links] record needs 'id head tail [wired <bits>]', got '{body}'")
             continue
         try:
-            idx, head, tail = int(parts[0]), int(parts[1]), int(parts[2])
+            head, tail = int(parts[1]), int(parts[2])
         except ValueError:
             cur.error(lineno, f"[links] record has non-integer ids: '{body}'")
             continue
-        if idx != len(links):
-            cur.error(lineno, f"link id {idx} out of order; expected {len(links)}")
-            continue
         capacity = None
         if len(parts) == 5:
-            try:
-                bits = float(parts[4])
-            except ValueError:
-                cur.error(lineno, f"link {idx} wired capacity must be a number, got '{parts[4]}'")
+            bits = _finite(cur, lineno, parts[4:], f"link {idx} wired capacity must be a finite number")
+            if bits is None:
                 continue
-            if bits <= 0:
-                cur.error(lineno, f"link {idx} wired capacity must be positive, got {bits}")
+            if bits[0] <= 0:
+                cur.error(lineno, f"link {idx} wired capacity must be positive, got {bits[0]}")
                 continue
-            capacity = bits * NATS_PER_BIT
+            capacity = bits[0] * NATS_PER_BIT
         links.append(Link(index=idx, head=head, tail=tail, wired_capacity=capacity))
     return links
 
@@ -340,47 +353,32 @@ def _parse_backhaul(cur: _Cursor, records: list[tuple[int, str]]) -> set[int]:
 
 def _parse_flows(cur: _Cursor, records: list[tuple[int, str]]) -> list[Flow]:
     flows: list[Flow] = []
-    for lineno, body in records:
-        parts = body.split()
+    for lineno, body, idx, parts in _numbered(cur, records, "flows", "flow"):
         if len(parts) != 3:
             cur.error(lineno, f"[flows] record needs 'id source destination', got '{body}'")
             continue
         try:
-            idx, src, dst = (int(p) for p in parts)
+            src, dst = int(parts[1]), int(parts[2])
         except ValueError:
             cur.error(lineno, f"[flows] record has non-integer ids: '{body}'")
-            continue
-        if idx != len(flows):
-            cur.error(lineno, f"flow id {idx} out of order; expected {len(flows)}")
             continue
         flows.append(Flow(index=idx, source=src, destination=dst))
     return flows
 
 
 def _parse_pathloss(cur: _Cursor, records: list[tuple[int, str]]) -> PathlossParams:
-    settings = _parse_settings(cur, records, "pathloss", _PATHLOSS_KEYS)
     classes = {}
-    defaults = PathlossParams()
-    for key in _PATHLOSS_KEYS:
-        if key not in settings:
-            classes[key] = getattr(defaults, key)
-            continue
-        lineno, raw = settings[key]
+    for key, (lineno, raw) in _parse_settings(cur, records, "pathloss", _PATHLOSS_KEYS).items():
         parts = raw.split()
-        try:
-            exponent, ref_gain, sigma = (float(p) for p in parts)
-        except ValueError:
+        if len(parts) != 3:
             cur.error(
                 lineno,
                 f"'{key}' needs three numbers 'exponent ref_gain_db shadow_sigma_db', got '{raw}'",
             )
-            classes[key] = getattr(defaults, key)
             continue
-        if not all(map(math.isfinite, (exponent, ref_gain, sigma))):
-            cur.error(lineno, f"'{key}' needs three finite numbers, got '{raw}'")
-            classes[key] = getattr(defaults, key)
-            continue
-        classes[key] = LinkClassParams(exponent, ref_gain, sigma)
+        values = _finite(cur, lineno, parts, f"'{key}' needs three finite numbers")
+        if values is not None:
+            classes[key] = LinkClassParams(*values)
     return PathlossParams(**classes)
 
 
@@ -427,8 +425,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     mode = "proposed"
     if "mode" in run:
         lineno, raw = run["mode"]
-        if raw not in _MODES:
-            cur.error(lineno, f"mode must be one of {', '.join(_MODES)}, got '{raw}'")
+        if raw not in MODES:
+            cur.error(lineno, f"mode must be one of {', '.join(MODES)}, got '{raw}'")
         else:
             mode = raw
     if "utility" in run:
@@ -557,30 +555,30 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
     """Return a copy with one swept parameter replaced.
 
     Only :data:`SWEEPABLE_PARAMS` are accepted; anything else needs a real
-    edit to the scenario file so sweeps stay reviewable.  Values obey the
-    scenario parser's rules: integer settings must be integers no smaller than
-    their minimum, and float settings must be finite.
+    edit to the scenario file so sweeps stay reviewable.  The value replaces
+    its line in :func:`dump_scenario`'s text, which :func:`parse_scenario`
+    then reads, so a swept value obeys exactly the parser's rules.  An
+    integral value is written as an integer (a seed of ``9.0`` is 9).  Errors
+    keep the parser's wording, prefixed ``--param <name>:``.
     """
     if name not in SWEEPABLE_PARAMS:
         raise ScenarioError(
             [f"parameter '{name}' is not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})"]
         )
-    if name not in _INT_MINIMUM:
-        if not math.isfinite(value):
-            raise ScenarioError([f"'{name}' must be a finite number, got {value!r}"])
-        return replace(scenario, **{name: float(value)})
-    if not (math.isfinite(value) and value == int(value)):
-        raise ScenarioError([f"'{name}' must be an integer, got {value!r}"])
-    value = int(value)
-    if value < _INT_MINIMUM[name]:
-        raise ScenarioError([f"'{name}' must be >= {_INT_MINIMUM[name]}, got {value}"])
-    if name in ("seed", "subbands"):
-        return replace(scenario, **{name: value})
-    if name == "subframes_per_superframe" and scenario.control_lead_subframes >= value:
+    value = float(value)
+    raw = str(int(value)) if value.is_integer() else repr(value)
+    prefix = f"{name} = "
+    lines = [
+        prefix + raw if line.startswith(prefix) else line
+        for line in dump_scenario(scenario).split("\n")
+    ]
+    try:
+        swept = parse_scenario("\n".join(lines))
+    except ScenarioError as exc:
+        # Drop the "<scenario>:<line>:" location of text the user never saw.
         raise ScenarioError(
-            [
-                f"control_lead_subframes ({scenario.control_lead_subframes}) must be smaller "
-                f"than subframes_per_superframe ({value})"
-            ]
-        )
-    return replace(scenario, rrm=replace(scenario.rrm, **{name: value}))
+            [f"--param {name}: {error.split(': ', 1)[1]}" for error in exc.errors]
+        ) from None
+    # No sweepable parameter touches the topology; keeping the graph object
+    # keeps the caches keyed on it (the flow solver's path sets) warm.
+    return replace(swept, graph=scenario.graph)

@@ -201,8 +201,8 @@ def validate(graph: TopologyGraph) -> list[str]:
             problems.append(f"link {link.index} is a self-loop")
         if not graph.nodes[link.head].kind.is_base_station:
             problems.append(f"link {link.index} transmits from user node {link.head}")
-        if link.is_wired and link.wired_capacity <= 0:
-            problems.append(f"link {link.index} has non-positive wired capacity")
+        if link.is_wired and not 0 < link.wired_capacity < np.inf:
+            problems.append(f"link {link.index} wired capacity must be finite and positive")
 
     for node in graph.nodes:
         if node.kind is NodeKind.MACRO and node.index not in graph.backhaul:

@@ -50,7 +50,8 @@ def conditional_rate(
     block = channel.rate_block(t_start, n_samples)
     winner = channel.statistical_rates() if statistical_winners else None
     _, mean, stderr = station_contributions(graph, weights[None], block, winner)
-    return rate_table_for_patterns([pattern], mean[0], stderr[0]).rates[0]
+    rates, _ = rate_table_for_patterns([pattern], mean[0], stderr[0])
+    return rates[0]
 
 
 def keyed_channel_draws(

@@ -127,6 +127,28 @@ def test_non_finite_pathloss_exits_config(tmp_path, capsys, raw):
         assert captured.err == f"error: {src}:{line}: 'bs_user' needs three finite numbers, got '{raw}'\n"
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (10, "1   pico   140.0", "1 pico {}", "node 1 position must be two finite numbers, got '{} 0.0'"),
+        (12, "3   user   200.0   40.0", "3 user 200.0 {}", "node 3 position must be two finite numbers, got '200.0 {}'"),
+        (10, "1   pico   140.0    0.0", "1 pico 140.0 0.0 {}", "node 1 power must be a finite number, got '{}'"),
+        (18, "2   1   3", "2 1 3 wired {}", "link 2 wired capacity must be a finite number, got '{}'"),
+    ],
+    ids=["x", "y", "power", "wired"],
+)
+def test_non_finite_record_numbers_exit_config(tmp_path, capsys, raw, line, old, new, message):
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    assert demo.splitlines()[line - 1].startswith(old)
+    src = scenario_file(tmp_path, demo.replace(old, new.format(raw), 1), "record.scenario")
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}:{line}: {message.format(raw)}\n"
+
+
 def test_oracle_report(tmp_path, capsys):
     src = scenario_file(tmp_path)
     assert main(["oracle", "--scenario", src]) == EXIT_OK
@@ -282,7 +304,7 @@ def test_sweep_argument_validation(tmp_path, capsys):
     [
         ("subbands", "0", "'subbands' must be >= 1, got 0"),
         ("max_superframes", "0", "'max_superframes' must be >= 1, got 0"),
-        ("p_pico_dbm", "nan", "'p_pico_dbm' must be a finite number, got nan"),
+        ("p_pico_dbm", "nan", "'p_pico_dbm' must be a finite number, got 'nan'"),
         ("seed", "-1", "'seed' must be >= 0, got -1"),
     ],
 )
@@ -291,5 +313,5 @@ def test_sweep_rejects_values_the_parser_would(param, value, message, capsys):
     code = main(["sweep", "--scenario", fig7, "--param", param, "--values", value])
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: --param {param}: {message}\n"
     assert captured.out == ""

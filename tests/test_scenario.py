@@ -160,6 +160,22 @@ def test_wired_capacity_converts_bits_to_nats():
     assert "wired capacity must be positive" in "\n".join(err.value.errors)
 
 
+def test_one_bad_record_gives_one_error():
+    # A record whose id is in order counts toward the next id, so the records
+    # after it are not also reported out of order.
+    for old, new, message in [
+        ("0 0 2\n", "0 0 2 wired -inf\n", "10: link 0 wired capacity must be a finite number, got '-inf'"),
+        ("0 0 2\n", "0 0 2 wired 0\n", "10: link 0 wired capacity must be positive, got 0.0"),
+        ("1 pico 300.0 0.0", "1 pico far 0.0", "5: node 1 position must be two finite numbers, got 'far 0.0'"),
+        ("1 pico 300.0 0.0", "1 pico nan 0.0", "5: node 1 position must be two finite numbers, got 'nan 0.0'"),
+        ("1 pico 300.0 0.0", "1 pico 300.0 0.0 loud", "5: node 1 power must be a finite number, got 'loud'"),
+        ("1 pico 300.0 0.0", "1 pico 300.0", "5: [nodes] record needs 'id kind x y [power_dbm]', got '1 pico 300.0'"),
+    ]:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(BASE.replace(old, new, 1), path="one.scenario")
+        assert err.value.errors == [f"one.scenario:{message}"]
+
+
 def test_per_node_power_override():
     text = BASE.replace("1 pico 300.0 0.0", "1 pico 300.0 0.0 21.5")
     s = parse_scenario(text)
@@ -224,6 +240,8 @@ def test_topology_validation_failures_become_scenario_errors():
 def test_with_param_sweeps_and_casts():
     s = parse_scenario(BASE)
     assert with_param(s, "p_pico_dbm", 35.0).p_pico_dbm == 35.0
+    # the topology is not swept, so caches keyed on the graph stay warm
+    assert with_param(s, "p_pico_dbm", 35.0).graph is s.graph
     assert with_param(s, "seed", 9.0).seed == 9
     assert with_param(s, "subbands", 6.0).subbands == 6
     swept = with_param(s, "subframes_per_superframe", 100.0)
@@ -256,15 +274,19 @@ def test_non_finite_numbers_are_rejected():
 def test_with_param_applies_the_parser_rules():
     s = parse_scenario(BASE)
     for name, value, message in [
-        ("subbands", 2.5, "'subbands' must be an integer, got 2.5"),
-        ("seed", math.inf, "'seed' must be an integer, got inf"),
+        ("subbands", 2.5, "'subbands' must be an integer, got '2.5'"),
+        ("seed", math.inf, "'seed' must be an integer, got 'inf'"),
         ("max_superframes", 0.0, "'max_superframes' must be >= 1, got 0"),
-        ("noise_dbm", math.nan, "'noise_dbm' must be a finite number, got nan"),
-        ("subframes_per_superframe", 2.0, "control_lead_subframes (2) must be smaller"),
+        ("noise_dbm", math.nan, "'noise_dbm' must be a finite number, got 'nan'"),
+        (
+            "subframes_per_superframe",
+            2.0,
+            "control_lead_subframes (2) must be smaller than subframes_per_superframe (2)",
+        ),
     ]:
         with pytest.raises(ScenarioError) as err:
             with_param(s, name, value)
-        assert message in err.value.errors[0]
+        assert err.value.errors == [f"--param {name}: {message}"]
 
 
 def test_bundled_scenarios_parse_and_describe_themselves():

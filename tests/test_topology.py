@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetnet_rrm.baselines import augment_with_wired_backhaul
 from hetnet_rrm.topology import (
     Flow,
     Link,
@@ -105,7 +106,14 @@ def test_validate_flags_structsingle():
     bad = _raw(nodes, [Link(1, 0, 1)], [Flow(0, 0, 1)], {0})
     assert any("indices must be 0..L-1" in p for p in validate(bad))
     bad = _raw(nodes, [Link(0, 0, 1, wired_capacity=0.0)], [Flow(0, 0, 1)], {0})
-    assert any("non-positive wired capacity" in p for p in validate(bad))
+    assert any("wired capacity must be finite and positive" in p for p in validate(bad))
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_validate_flags_non_finite_wired_capacity(capacity):
+    augmented = augment_with_wired_backhaul(multicell_graph(), capacity)
+    assert augmented.wired_links
+    assert any("wired capacity must be finite and positive" in p for p in validate(augmented))
 
 
 def test_validate_flags_backhaul_and_flows():
