@@ -22,6 +22,7 @@ from .rrm import (
     RrmState,
     ScheduledPattern,
     SuperframeRecord,
+    block_pass,
     certificate,
     initial_state,
     run_to_convergence,
@@ -72,6 +73,7 @@ __all__ = [
     "TopologyGraph",
     "TraceData",
     "UtilitySpec",
+    "block_pass",
     "certificate",
     "dump_scenario",
     "enumerate_feasible_patterns",

@@ -190,15 +190,9 @@ class ChannelModel:
     def num_links(self) -> int:
         return self.graph.num_links
 
-    def draw_subframe(self, t: int) -> np.ndarray:
-        """Squared magnitudes ``|h|^2`` with shape (L, M) for subframe ``t``.
-
-        Wired links carry zeros; they never enter the radio scheduler.
-        """
-        return self.draw_block(t, 1)[0]
-
     def draw_block(self, t_start: int, n_subframes: int) -> np.ndarray:
-        """Stacked draws for subframes ``t_start .. t_start + n - 1``: (S, L, M)."""
+        """Squared magnitudes ``|h|^2`` for subframes ``t_start .. t_start + n - 1``:
+        (S, L, M).  Wired links carry zeros; they never enter the radio scheduler."""
         out = np.zeros((n_subframes, self.num_links, self.num_subbands))
         large_sq = self.large_gains[self._wireless] ** 2
         if self.deterministic:

@@ -12,10 +12,11 @@ single-subframe reference ``phy.schedule_links``.
 
 Each superframe makes one kernel call (:func:`block_pass`) for a stack of
 weight vectors: row 0 holds the current weights, which the short timescale
-schedules with, and the other rows every distinct member weight vector,
-from which the members' rate rows are read.  A certificate's block is the
-next superframe's, so when the certificate fails that superframe reuses its
-block and pass.
+schedules with and pattern discovery ranks patterns under, and the other
+rows every distinct member weight vector, from which the members' rate rows
+are read.  The loop evaluates that pass, decides (once the utility plateaus,
+the stopping certificate reduces the pass), and only then advances, so the
+certificate and the superframe it may let run read one pass.
 
 The optimization state is a set of *scheduled patterns*: a DTX activity
 pattern bundled with the link weights under which it was discovered.  Each
@@ -87,6 +88,10 @@ class RrmConfig:
             raise ValueError("q_prune must lie in [0, 1)")
         if self.max_members < 2:
             raise ValueError("max_members must allow at least two members")
+        if not (self.epsilon_converge > 0.0 and self.share_gap_tol > 0.0):
+            raise ValueError("epsilon_converge and share_gap_tol must be positive")
+        if not self.gap_converge_rel >= 0.0:
+            raise ValueError("gap_converge_rel must be non-negative")
 
 
 @dataclass
@@ -146,13 +151,6 @@ def _duration_groups(
     return [(order[a:b], 1.0 / n_patterns) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _group_best(values: np.ndarray, fixed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each duration group's max-weight pattern, and the group's total time."""
-    groups = _duration_groups(np.arange(len(values)), len(values), fixed)
-    best = np.array([idx[np.argmax(values[idx])] for idx, _ in groups])
-    return best, np.array([total for _, total in groups])
-
-
 def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
     """Start from one member per duration group, with neutral weights: the
     densest admissible pattern, or every pattern under fixed durations."""
@@ -178,98 +176,97 @@ def _sample_member_indices(shares: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, draws, side="right"), len(shares) - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BlockPass:
-    """One superframe's block of channel draws and its one kernel pass.
+    """One superframe's block of channel draws, its one kernel pass, and what
+    the certificate and pattern discovery read off the pass.
 
-    The pass schedules a (K, L) weight stack: row 0 holds the current
-    weights, the other rows every distinct member weight vector, and member
-    ``j`` reads row ``member_row[j]``.  ``contributions``/``stderr`` (K, B, L)
-    are :func:`phy.station_contributions`' per-station rates of each row, and
-    ``winners`` is row 0's (S, L, M) schedule.
+    ``winners`` (S, L, M) and the per-station rates ``contributions`` and
+    ``stderr`` (B, L) are row 0's, under the current weights.
+    ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
+    its own weights, ``pattern_values`` (J,) every admissible pattern's
+    weighted rate under row 0, and ``group_best`` each duration group's
+    argmax of those, of total time ``group_totals``.
     """
 
     t0: int
-    rate_block: np.ndarray = field(repr=False)
-    winner_rates: np.ndarray | None = field(repr=False)
-    member_row: np.ndarray = field(repr=False)
-    winners: np.ndarray = field(repr=False)
-    contributions: np.ndarray = field(repr=False)
-    stderr: np.ndarray = field(repr=False)
+    rate_block: np.ndarray
+    winner_rates: np.ndarray | None
+    winners: np.ndarray
+    contributions: np.ndarray
+    stderr: np.ndarray
+    member_rates: np.ndarray
+    member_stderr: np.ndarray
+    pattern_values: np.ndarray
+    group_best: np.ndarray
+    group_totals: np.ndarray
 
 
-def block_pass(model: ChannelModel, state: RrmState, config: RrmConfig, t0: int) -> BlockPass:
-    """Draw the block of subframes from ``t0`` on and make its kernel pass
-    under the current weights and every member's weights."""
-    rows = {state.weights.tobytes(): 0}
-    stack = [state.weights]
-    member_row = []
+def block_pass(
+    model: ChannelModel, state: RrmState, config: RrmConfig, t0: int | None = None
+) -> BlockPass:
+    """Draw the block of subframes from ``t0`` on (by default the start of
+    ``state``'s superframe) and make its one kernel pass under the current
+    weights and every member's weights.
+
+    Members sharing a weight vector share its stack row and one rate table,
+    and members pinned to the current weights read row 0, the pass the short
+    timescale schedules with.
+    """
+    if t0 is None:
+        t0 = state.superframe * config.subframes_per_superframe
+    stack = {state.weights.tobytes(): state.weights}
     for member in state.members:
-        key = member.weights.tobytes()
-        if key not in rows:
-            rows[key] = len(stack)
-            stack.append(member.weights)
-        member_row.append(rows[key])
+        stack.setdefault(member.weights.tobytes(), member.weights)
+    keys = list(stack)
+    member_row = np.array([keys.index(m.weights.tobytes()) for m in state.members], dtype=int)
     rate_block = model.rate_block(t0, config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
     winners, contributions, stderr = station_contributions(
-        model.graph, np.array(stack), rate_block, winner_rates
+        model.graph, np.array(list(stack.values())), rate_block, winner_rates
     )
+
+    member_rates = np.zeros((len(state.members), contributions.shape[2]))
+    member_stderr = np.zeros_like(member_rates)
+    for k in np.unique(member_row):
+        indices = np.flatnonzero(member_row == k)
+        member_rates[indices], member_stderr[indices] = rate_table_for_patterns(
+            [state.members[j].pattern for j in indices], contributions[k], stderr[k]
+        )
+    values = np.array(state.patterns, dtype=float) @ (contributions[0] @ state.weights)
+    groups = _duration_groups(np.arange(len(values)), len(values), config.fixed_pattern_durations)
     return BlockPass(
         t0=t0,
         rate_block=rate_block,
         winner_rates=winner_rates,
-        member_row=np.array(member_row, dtype=int),
         winners=winners,
-        contributions=contributions,
-        stderr=stderr,
+        contributions=contributions[0],
+        stderr=stderr[0],
+        member_rates=member_rates,
+        member_stderr=member_stderr,
+        pattern_values=values,
+        group_best=np.array([idx[np.argmax(values[idx])] for idx, _ in groups]),
+        group_totals=np.array([total for _, total in groups]),
     )
 
 
-def _member_rows(members: list[ScheduledPattern], block: BlockPass) -> tuple[np.ndarray, np.ndarray]:
-    """Re-estimate each member's conditional rate row under its own weights.
-
-    Every row comes from the block's one stacked kernel pass: members sharing
-    a weight vector share its stack row and one rate table, and members
-    pinned to the current weights read row 0, the pass the short timescale
-    schedules with.
-    """
-    rows = np.zeros((len(members), block.contributions.shape[2]))
-    stderr = np.zeros_like(rows)
-    for k in np.unique(block.member_row):
-        indices = np.flatnonzero(block.member_row == k)
-        rows[indices], stderr[indices] = rate_table_for_patterns(
-            [members[j].pattern for j in indices], block.contributions[k], block.stderr[k]
-        )
-    return rows, stderr
-
-
-def _pattern_values(
-    patterns: list[Pattern], contributions: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted rate of every admissible pattern given per-station rows."""
-    return np.array(patterns, dtype=float) @ (contributions @ weights)
-
-
 def run_superframe(
-    model: ChannelModel, state: RrmState, config: RrmConfig, block: BlockPass | None = None
+    model: ChannelModel, state: RrmState, config: RrmConfig, block: BlockPass
 ) -> tuple[RrmState, SuperframeRecord]:
-    """One long-timescale iteration.
+    """One long-timescale iteration on ``block``, the :func:`block_pass` of
+    ``state`` from the start of its superframe (a pass from any other
+    subframe is refused).
 
-    Simulates the subframes of the current superframe under the current
-    shares and weights, then refreshes the scheduled-pattern set (greedy
-    max-weight pattern discovery in every duration group), re-optimizes time
-    shares jointly with flow control, and adopts the resulting capacity
-    prices as the next weights.  ``block`` is this superframe's
-    :func:`block_pass` when the caller has already made it for ``state``
-    (a failed certificate's); otherwise it is made here.
+    Simulates the superframe's subframes under the current shares and
+    weights, then refreshes the scheduled-pattern set (greedy max-weight
+    pattern discovery in every duration group), re-optimizes time shares
+    jointly with flow control, and adopts the resulting capacity prices as
+    the next weights.
     """
     started = time.perf_counter()
     graph = model.graph
     t0 = state.superframe * config.subframes_per_superframe
-    if block is None:
-        block = block_pass(model, state, config, t0)
-    elif block.t0 != t0:
+    if block.t0 != t0:
         raise ValueError(f"block pass starts at subframe {block.t0}, superframe at {t0}")
 
     # Short timescale: per-subframe pattern sampling and link scheduling under
@@ -289,12 +286,9 @@ def run_superframe(
     # the set unless an existing member already realizes the same pattern
     # with the same row.
     members = list(state.members)
-    contributions, contrib_sem = block.contributions[0], block.stderr[0]
-    rows, row_stderr = _member_rows(members, block)
-    fixed = config.fixed_pattern_durations
-    best, _ = _group_best(_pattern_values(state.patterns, contributions, state.weights), fixed)
+    rows, row_stderr, best = block.member_rates, block.member_stderr, block.group_best
     found, found_stderr = rate_table_for_patterns(
-        [state.patterns[j] for j in best], contributions, contrib_sem
+        [state.patterns[j] for j in best], block.contributions, block.stderr
     )
     seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
     new = [k for k, j in enumerate(best) if (j, found[k].tobytes()) not in seen]
@@ -305,7 +299,9 @@ def run_superframe(
 
     # Share re-optimization, jointly with flow control and routing; the
     # embedded flow solution's prices become the next weights.
-    groups = _duration_groups(np.array([m.index for m in members]), len(state.patterns), fixed)
+    groups = _duration_groups(
+        np.array([m.index for m in members]), len(state.patterns), config.fixed_pattern_durations
+    )
     shares, flow = optimize_time_sharing(
         rows,
         graph,
@@ -366,32 +362,16 @@ class RrmResult:
         return np.array([r.utility for r in self.records])
 
 
-def certificate(
-    model: ChannelModel,
-    state: RrmState,
-    config: RrmConfig,
-    t_start: int,
-    block: BlockPass | None = None,
-) -> CertificateReport:
-    """Evaluate the stopping certificate on a fresh block of channel draws.
-
-    ``block`` is the :func:`block_pass` of ``state`` from ``t_start`` on when
-    the caller has already made it; otherwise it is made here.
-    """
-    if block is None:
-        block = block_pass(model, state, config, t_start)
-    elif block.t0 != t_start:
-        raise ValueError(f"block pass starts at subframe {block.t0}, certificate at {t_start}")
+def certificate(state: RrmState, config: RrmConfig, block: BlockPass) -> CertificateReport:
+    """Evaluate the stopping certificate of ``state`` on ``block``, a
+    :func:`block_pass` of ``state`` made under ``config``: a reduction of the
+    pass, with no kernel call of its own.  A pass from a later, unseen block
+    of draws gives a certificate on fresh draws."""
     weights = state.weights
-    contributions, contrib_sem = block.contributions[0], block.stderr[0]
-    values = _pattern_values(state.patterns, contributions, weights)
-    best, totals = _group_best(values, config.fixed_pattern_durations)
-    rows, row_sem = _member_rows(state.members, block)
-    policy_row = state.shares @ rows
-    policy_value = float(weights @ policy_row)
-
-    value_sem = _pattern_values(state.patterns, contrib_sem, weights)
-    policy_sem = float(state.shares @ (row_sem @ weights))
+    values, best, totals = block.pattern_values, block.group_best, block.group_totals
+    policy_value = float(weights @ (state.shares @ block.member_rates))
+    value_sem = np.array(state.patterns, dtype=float) @ (block.stderr @ weights)
+    policy_sem = float(state.shares @ (block.member_stderr @ weights))
     tolerance = 3.0 * (float(totals @ value_sem[best]) + policy_sem) + 1e-9
     return CertificateReport(
         gap=float(totals @ values[best]) - policy_value,
@@ -405,40 +385,29 @@ def certificate(
 def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     """Iterate superframes until the utility settles or the budget runs out.
 
-    Convergence needs two signals: the utility moved less than
-    ``epsilon_converge`` between consecutive superframes, and the optimality
-    certificate's gap is negligible.  A utility plateau alone is not enough;
-    multi-hop routes gain their scheduled patterns one superframe at a time,
-    so the utility can sit still while the pattern set is mid-discovery.  The
-    returned certificate is evaluated on the block of draws after the last
-    executed superframe.
+    Each iteration evaluates, decides, then advances.  It makes the current
+    superframe's :func:`block_pass`; once the utility has moved less than
+    ``epsilon_converge`` between the last two superframes, it reduces that
+    pass to the optimality :func:`certificate` and stops if the gap is
+    negligible; otherwise :func:`run_superframe` runs on the same pass.  A
+    utility plateau alone is not enough; multi-hop routes gain their
+    scheduled patterns one superframe at a time, so the utility can sit still
+    while the pattern set is mid-discovery.  The returned certificate is read
+    off the pass after the last executed superframe.
     """
     state = initial_state(model, config.fixed_pattern_durations)
     records: list[SuperframeRecord] = []
-    converged = False
-    report: CertificateReport | None = None
-    previous = None
-    shared: BlockPass | None = None
-    for _ in range(config.max_superframes):
-        state, record = run_superframe(model, state, config, shared)
-        records.append(record)
-        report, shared = None, None
-        if previous is not None and abs(record.utility - previous) < config.epsilon_converge:
-            # The certificate's block is the next superframe's: if it fails,
-            # that superframe schedules the same draws under the same state,
-            # so it reuses the pass.
-            t_next = state.superframe * config.subframes_per_superframe
-            shared = block_pass(model, state, config, t_next)
-            report = certificate(model, state, config, t_next, shared)
-            allowed = report.tolerance + config.gap_converge_rel * max(
-                1.0, abs(report.policy_value)
-            )
-            if report.gap <= allowed:
-                converged = True
-                break
-        previous = record.utility
-    if report is None:
-        report = certificate(
-            model, state, config, state.superframe * config.subframes_per_superframe
+    while True:
+        block = block_pass(model, state, config)
+        budget_spent = len(records) == config.max_superframes
+        plateau = len(records) >= 2 and (
+            abs(records[-1].utility - records[-2].utility) < config.epsilon_converge
         )
-    return RrmResult(state=state, records=records, converged=converged, certificate=report)
+        if plateau or budget_spent:
+            report = certificate(state, config, block)
+            allowed = config.gap_converge_rel * max(1.0, abs(report.policy_value))
+            converged = plateau and report.gap <= report.tolerance + allowed
+            if converged or budget_spent:
+                return RrmResult(state, records, converged, report)
+        state, record = run_superframe(model, state, config, block)
+        records.append(record)

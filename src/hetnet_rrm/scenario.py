@@ -78,6 +78,21 @@ _INT_MINIMUM = {
     "max_members": 2,
 }
 
+_DBM = (-300.0, 300.0, "lie in [-300, 300] dBm")
+_POSITIVE = (math.ulp(0.0), math.inf, "be > 0")  # the least float above zero
+#: Closed ranges ``(low, high, need)`` of the float settings that have one,
+#: and of the node records' ``power_dbm`` column.  Within +-300 dBm every
+#: power and power ratio is finite and nonzero.
+_FLOAT_RANGE = {
+    "p_macro_dbm": _DBM,
+    "p_pico_dbm": _DBM,
+    "noise_dbm": _DBM,
+    "power_dbm": _DBM,
+    "epsilon_converge": _POSITIVE,
+    "share_gap_tol": _POSITIVE,
+    "gap_converge_rel": (0.0, math.inf, "be >= 0"),
+}
+
 #: Parameters the sweep command may vary without editing the file.
 SWEEPABLE_PARAMS = (
     "p_macro_dbm",
@@ -222,12 +237,25 @@ def _finite(cur: _Cursor, lineno: int, tokens: list[str], need: str) -> list[flo
     return None
 
 
+def _bounded(cur: _Cursor, lineno: int, raw: str, key: str, name: str) -> float | None:
+    """One number under the finite-number rule and ``key``'s
+    :data:`_FLOAT_RANGE`, or None after an error that calls it ``name``."""
+    value = _finite(cur, lineno, [raw], f"{name} must be a finite number")
+    if value is None:
+        return None
+    low, high, need = _FLOAT_RANGE.get(key, (-math.inf, math.inf, ""))
+    if low <= value[0] <= high:
+        return value[0]
+    cur.error(lineno, f"{name} must {need}, got '{raw}'")
+    return None
+
+
 def _get_float(cur: _Cursor, settings, key: str, default: float) -> float:
     if key not in settings:
         return default
     lineno, raw = settings[key]
-    value = _finite(cur, lineno, [raw], f"'{key}' must be a finite number")
-    return default if value is None else value[0]
+    value = _bounded(cur, lineno, raw, key, f"'{key}'")
+    return default if value is None else value
 
 
 def _get_int(cur: _Cursor, settings, key: str, default: int) -> int:
@@ -296,10 +324,10 @@ def _parse_nodes(
             if kind is NodeKind.USER:
                 cur.error(lineno, f"user node {idx} cannot carry a transmit power")
                 continue
-            power = _finite(cur, lineno, parts[4:], f"node {idx} power must be a finite number")
+            power = _bounded(cur, lineno, parts[4], "power_dbm", f"node {idx} power")
             if power is None:
                 continue
-            overrides[idx] = power[0]
+            overrides[idx] = power
         nodes.append(Node(index=idx, kind=kind, position=tuple(position)))
         if kind.is_base_station:
             num_bs += 1
@@ -558,15 +586,16 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
     edit to the scenario file so sweeps stay reviewable.  The value replaces
     its line in :func:`dump_scenario`'s text, which :func:`parse_scenario`
     then reads, so a swept value obeys exactly the parser's rules.  An
-    integral value is written as an integer (a seed of ``9.0`` is 9).  Errors
-    keep the parser's wording, prefixed ``--param <name>:``.
+    integral value of an integer setting is written as an integer (a seed of
+    ``9.0`` is 9).  Errors keep the parser's wording, prefixed
+    ``--param <name>:``.
     """
     if name not in SWEEPABLE_PARAMS:
         raise ScenarioError(
             [f"parameter '{name}' is not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})"]
         )
     value = float(value)
-    raw = str(int(value)) if value.is_integer() else repr(value)
+    raw = str(int(value)) if name in _INT_MINIMUM and value.is_integer() else repr(value)
     prefix = f"{name} = "
     lines = [
         prefix + raw if line.startswith(prefix) else line

@@ -106,14 +106,14 @@ def test_small_scale_fading_is_unit_mean():
 def test_draws_replay_by_counter():
     g = random_instance(3)
     m = ChannelModel(g, 4, 40.0, 33.0, seed=9)
-    later = m.draw_subframe(5).copy()
-    _ = m.draw_subframe(7)
-    again = m.draw_subframe(5)
+    later = m.draw_block(5, 1)[0].copy()
+    _ = m.draw_block(7, 1)[0]
+    again = m.draw_block(5, 1)[0]
     assert np.array_equal(later, again)
     twin = ChannelModel(g, 4, 40.0, 33.0, seed=9)
-    assert np.array_equal(twin.draw_subframe(5), later)
+    assert np.array_equal(twin.draw_block(5, 1)[0], later)
     other = ChannelModel(g, 4, 40.0, 33.0, seed=10)
-    assert not np.array_equal(other.draw_subframe(5), later)
+    assert not np.array_equal(other.draw_block(5, 1)[0], later)
 
 
 def test_block_draws_equal_a_fresh_keyed_generator_per_subframe():

@@ -149,6 +149,32 @@ def test_non_finite_record_numbers_exit_config(tmp_path, capsys, raw, line, old,
         assert captured.err == f"error: {src}:{line}: {message.format(raw)}\n"
 
 
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (30, "p_macro_dbm = 40.0", "p_macro_dbm = -301", "'p_macro_dbm' must lie in [-300, 300] dBm, got '-301'"),
+        (31, "p_pico_dbm = 33.0", "p_pico_dbm = 1e308", "'p_pico_dbm' must lie in [-300, 300] dBm, got '1e308'"),
+        (32, "noise_dbm = -100.0", "noise_dbm = -1e308", "'noise_dbm' must lie in [-300, 300] dBm, got '-1e308'"),
+        (32, "noise_dbm = -100.0", "noise_dbm = 1e308", "'noise_dbm' must lie in [-300, 300] dBm, got '1e308'"),
+        (10, "1   pico   140.0    0.0", "1 pico 140.0 0.0 300.5", "node 1 power must lie in [-300, 300] dBm, got '300.5'"),
+        (43, "epsilon_converge = 1e-6", "epsilon_converge = -1.0", "'epsilon_converge' must be > 0, got '-1.0'"),
+        (43, "epsilon_converge = 1e-6", "epsilon_converge = 0", "'epsilon_converge' must be > 0, got '0'"),
+        (44, "gap_converge_rel = 1e-6", "gap_converge_rel = -1.0", "'gap_converge_rel' must be >= 0, got '-1.0'"),
+        (45, "utility = alpha_fair", "share_gap_tol = -1.0\nutility = alpha_fair", "'share_gap_tol' must be > 0, got '-1.0'"),
+    ],
+    ids=["p_macro", "p_pico", "noise_low", "noise_high", "power", "epsilon", "epsilon_zero", "gap_rel", "share_gap"],
+)
+def test_out_of_range_numbers_exit_config(tmp_path, capsys, line, old, new, message):
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    assert demo.splitlines()[line - 1].startswith(old)
+    src = scenario_file(tmp_path, demo.replace(old, new, 1), "range.scenario")
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}:{line}: {message}\n"
+
+
 def test_oracle_report(tmp_path, capsys):
     src = scenario_file(tmp_path)
     assert main(["oracle", "--scenario", src]) == EXIT_OK
@@ -305,6 +331,7 @@ def test_sweep_argument_validation(tmp_path, capsys):
         ("subbands", "0", "'subbands' must be >= 1, got 0"),
         ("max_superframes", "0", "'max_superframes' must be >= 1, got 0"),
         ("p_pico_dbm", "nan", "'p_pico_dbm' must be a finite number, got 'nan'"),
+        ("p_pico_dbm", "1e308", "'p_pico_dbm' must lie in [-300, 300] dBm, got '1e+308'"),
         ("seed", "-1", "'seed' must be >= 0, got -1"),
     ],
 )

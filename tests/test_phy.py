@@ -27,7 +27,7 @@ from reference import (
     vector_contribution_stats,
 )
 from hetnet_rrm import phy
-from hetnet_rrm.rrm import RrmConfig, initial_state, run_superframe
+from hetnet_rrm.rrm import RrmConfig, block_pass, initial_state, run_superframe
 
 MACRO, PICO, USER = NodeKind.MACRO, NodeKind.PICO, NodeKind.USER
 
@@ -235,8 +235,9 @@ def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
         schedule_block(g, active, np.ones(3), block, winners)
     # the superframe loop feeds the same pass to the same cross-check
     model = ChannelModel(g, 2, 40.0, 33.0, seed=4)
+    state, config = initial_state(model), RrmConfig(subframes_per_superframe=5)
     with pytest.raises(AssertionError, match="disagrees with schedule_links"):
-        run_superframe(model, initial_state(model), RrmConfig(subframes_per_superframe=5))
+        run_superframe(model, state, config, block_pass(model, state, config))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

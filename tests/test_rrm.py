@@ -10,6 +10,7 @@ from hetnet_rrm.netopt import UtilitySpec, solve_p1
 from hetnet_rrm.rrm import (
     RrmConfig,
     _sample_member_indices,
+    block_pass,
     certificate,
     initial_state,
     run_superframe,
@@ -54,6 +55,15 @@ def test_config_validation():
         RrmConfig(q_prune=-0.1)
     with pytest.raises(ValueError):
         RrmConfig(max_members=1)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            RrmConfig(epsilon_converge=bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            RrmConfig(share_gap_tol=bad)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            RrmConfig(gap_converge_rel=bad)
+    assert RrmConfig(gap_converge_rel=0.0, epsilon_converge=1e-300).gap_converge_rel == 0.0
 
 
 def test_sample_member_indices_partitions_unit_interval():
@@ -71,7 +81,7 @@ def test_single_link_superframe_matches_hand_computation():
     r = float(model.statistical_rates()[0].sum())
     config = fast_config()
     state = initial_state(model)
-    state, record = run_superframe(model, state, config)
+    state, record = run_superframe(model, state, config, block_pass(model, state, config))
 
     assert record.index == 0
     assert record.n_members == 1
@@ -135,7 +145,7 @@ def test_certificate_fresh_draws_consistency():
     model = det_model(diamond_graph())
     config = fast_config()
     result = run_to_convergence(model, config)
-    again = certificate(model, result.state, config, t_start=10_000)
+    again = certificate(result.state, config, block_pass(model, result.state, config, t0=10_000))
     # deterministic channels make the certificate independent of the block
     assert again.gap == pytest.approx(result.certificate.gap, abs=1e-12)
 
@@ -163,8 +173,9 @@ def test_max_members_caps_each_duration_group():
     # q_prune is a fraction of the group total; pruning every member of a
     # group still keeps its largest, so no pattern loses its 1/3.
     state = initial_state(model, fixed_pattern_durations=True)
+    config = replace(config, q_prune=0.99)
     for _ in range(4):
-        state, record = run_superframe(model, state, replace(config, q_prune=0.99))
+        state, record = run_superframe(model, state, config, block_pass(model, state, config))
         assert sorted(m.pattern for m in state.members) == state.patterns
         assert np.allclose(state.shares, 1.0 / 3.0, rtol=0.0, atol=1e-12)
 
@@ -212,61 +223,54 @@ def test_utility_never_depends_on_served_noise():
     )
 
 
-def test_one_kernel_pass_per_superframe_plus_unshared_certificates(monkeypatch):
-    """The current weights and every member's weights share one kernel call
-    per superframe, and a certificate that fails hands its block and pass to
-    the next superframe, which draws the same block under the same state."""
-    events = []
-    kernel, superframe, cert = phy.block_winners, rrm.run_superframe, rrm.certificate
+def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
+    """Each superframe makes one kernel pass for the current weights and every
+    member's weights.  The certificate reduces, with no kernel call, the pass
+    the next superframe schedules with, so a run makes one pass more than it
+    has superframes and returns the certificate of its last pass."""
+    passes, certified = [], []
+    kernel, cert = phy.block_winners, rrm.certificate
 
     def counted_kernel(*args, **kwargs):
-        events.append(("kernel", None))
+        passes.append(None)
         return kernel(*args, **kwargs)
 
-    def counted_superframe(model, state, config, block=None):
-        events.append(("superframe", state.superframe * config.subframes_per_superframe))
-        return superframe(model, state, config, block)
-
-    def counted_certificate(model, state, config, t_start, block=None):
-        events.append(("certificate", t_start))
-        return cert(model, state, config, t_start, block)
+    def counted_certificate(state, config, block):
+        made = len(passes)
+        report = cert(state, config, block)
+        assert len(passes) == made
+        certified.append(block.t0)
+        return report
 
     monkeypatch.setattr(phy, "block_winners", counted_kernel)
-    monkeypatch.setattr(rrm, "run_superframe", counted_superframe)
     monkeypatch.setattr(rrm, "certificate", counted_certificate)
-
     text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
     fig7 = parse_scenario(text, path="fig7_like.scenario")
-    model = fig7.channel_model(seed=1)
-    runs = [
-        lambda: run_to_convergence(model, fig7.rrm),
-        lambda: run_fddsa(model, fig7.rrm),
-        lambda: run_to_convergence(det_model(random_instance(1)), fast_config()),
+    cases = [
+        (fig7.channel_model(seed=1), fig7.rrm),
+        (fig7.channel_model(seed=1), replace(fig7.rrm, fixed_pattern_durations=True)),
+        (det_model(random_instance(1)), fast_config()),
+        (det_model(random_instance(1)), fast_config(fixed_pattern_durations=True)),
     ]
-    shared_total = 0
-    for run in runs:
-        events.clear()
-        result = run()
-        kinds = [kind for kind, _ in events]
-        steps = [e for e in events if e[0] != "kernel"]
-        shared = sum(
-            a[0] == "certificate" and b == ("superframe", a[1]) for a, b in zip(steps, steps[1:])
-        )
-        assert kinds.count("superframe") == len(result.records)
-        assert kinds.count("kernel") == len(result.records) + kinds.count("certificate") - shared
-        shared_total += shared
-    assert shared_total >= 2  # the oracle instance fails two certificates before converging
+    failed = 0
+    for model, config in cases:
+        passes.clear()
+        certified.clear()
+        result = run_to_convergence(model, config)
+        assert len(passes) == len(result.records) + 1
+        assert certified[-1] == len(result.records) * config.subframes_per_superframe
+        failed += len(certified) - result.converged
+        again = cert(result.state, config, block_pass(model, result.state, config))
+        assert (again.gap, again.tolerance) == (result.certificate.gap, result.certificate.tolerance)
+        assert np.array_equal(again.pattern_values, result.certificate.pattern_values)
+    assert failed >= 2  # random_instance(1) fails two certificates before converging
 
 
 def test_a_block_pass_from_another_block_is_refused():
     model = det_model(diamond_graph())
     config = fast_config()
     state = initial_state(model)
-    block = rrm.block_pass(model, state, config, t0=40)
-    with pytest.raises(ValueError, match="starts at subframe 40"):
+    block = block_pass(model, state, config, t0=40)
+    with pytest.raises(ValueError, match="starts at subframe 40, superframe at 0"):
         run_superframe(model, state, config, block)
-    with pytest.raises(ValueError, match="starts at subframe 40"):
-        certificate(model, state, config, 0, block)
-    shared, fresh = certificate(model, state, config, 40, block), certificate(model, state, config, 40)
-    assert (shared.gap, shared.tolerance) == (fresh.gap, fresh.tolerance)
-    assert np.array_equal(shared.pattern_values, fresh.pattern_values)
+    assert block_pass(model, state, config).t0 == 0

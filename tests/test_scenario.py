@@ -271,6 +271,28 @@ def test_non_finite_numbers_are_rejected():
     )
 
 
+def test_float_ranges_hold_their_edges_and_nothing_past_them():
+    radio, run = "deterministic = true", "seed = 3"
+    edges = {radio: "p_pico_dbm = 300\nnoise_dbm = -300", run: "gap_converge_rel = 0"}
+    text = BASE
+    for anchor, lines in edges.items():
+        text = text.replace(anchor, f"{anchor}\n{lines}")
+    s = parse_scenario(text)
+    assert (s.p_pico_dbm, s.noise_dbm, s.rrm.gap_converge_rel) == (300.0, -300.0, 0.0)
+    assert parse_scenario(BASE.replace("1 pico 300.0 0.0", "1 pico 300.0 0.0 -300")).power_overrides == {1: -300.0}
+    assert with_param(s, "p_macro_dbm", -300.0).p_macro_dbm == -300.0
+    for anchor, line, message in [
+        (radio, "p_macro_dbm = 300.0001", "'p_macro_dbm' must lie in [-300, 300] dBm, got '300.0001'"),
+        (run, "share_gap_tol = 0.0", "'share_gap_tol' must be > 0, got '0.0'"),
+        (run, "epsilon_converge = -0.0", "'epsilon_converge' must be > 0, got '-0.0'"),
+        (run, "gap_converge_rel = -1e-300", "'gap_converge_rel' must be >= 0, got '-1e-300'"),
+    ]:
+        text = BASE.replace(anchor, f"{anchor}\n{line}")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, path="r.scenario")
+        assert err.value.errors == [f"r.scenario:{text.splitlines().index(line) + 1}: {message}"]
+
+
 def test_with_param_applies_the_parser_rules():
     s = parse_scenario(BASE)
     for name, value, message in [
