@@ -11,6 +11,18 @@ scenario realization; the small-scale part is unit-mean Rayleigh block fading,
 redrawn independently per subframe and subband (``|h_small|^2`` exponential
 with mean 1).  In deterministic mode ``h_small`` is pinned to 1.
 
+Because the draws are pure in their coordinates, the two keyed draws are
+module-level functions memoized per block: :func:`fading_draws` (the
+small-scale ``|h_small|^2`` of a block) and :func:`pattern_uniforms` (its
+pattern-sampling uniforms).  Every model with the same seed, wireless link
+count and subband count shares them, so a sweep over powers, noise or the
+superframe budget (and fbc's augmented graph, which keeps the wireless links)
+draws each block once per process.  Entries are kept in one least-recently-
+used store of at most :data:`DRAW_MEMO_BYTES`; a block larger than that is
+returned uncached.  Stored arrays are read-only, and :meth:`ChannelModel.
+draw_block` scales them into a fresh array, so no caller can write into the
+store.
+
 Note on conventions: the configured path-loss ``exponent`` applies to the
 amplitude-like ``h_large`` directly (received power therefore decays at twice
 that exponent), and ``ref_gain_db`` is the power gain at 1 m, already
@@ -19,6 +31,8 @@ normalized so the receiver noise power is 1.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +46,9 @@ STREAM_SHADOWING = 2
 STREAM_PATTERN = 3
 
 _MIN_DISTANCE_M = 1.0
+
+#: Byte budget of the draw memo; ``fig7_like``'s 13 fading blocks take 3.7 MB.
+DRAW_MEMO_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,60 @@ class _KeyedStream:
         self._counter[2] = t
         self._bits.state = self._state
         return self._generator
+
+
+class _DrawMemo:
+    """Least-recently-used store of read-only draws, at most
+    :data:`DRAW_MEMO_BYTES` in all (read at every store)."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: tuple, draw: Callable[[], np.ndarray]) -> np.ndarray:
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+            return value
+        value = draw()
+        value.flags.writeable = False
+        if value.nbytes <= DRAW_MEMO_BYTES:
+            self.entries[key] = value
+            self.nbytes += value.nbytes
+            while self.nbytes > DRAW_MEMO_BYTES:
+                self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+        return value
+
+
+_memo = _DrawMemo()
+
+
+def fading_draws(
+    seed: int, n_wireless: int, n_subbands: int, t_start: int, n_subframes: int
+) -> np.ndarray:
+    """Small-scale ``|h_small|^2`` of subframes ``t_start .. t_start + n - 1``
+    on the wireless links: (S, L_wireless, M), read-only and memoized.
+    A subframe outside ``[0, 2**64)`` raises ``OverflowError``."""
+
+    def draw() -> np.ndarray:
+        stream = _KeyedStream(seed, STREAM_FADING)
+        small = np.empty((n_subframes, n_wireless, n_subbands))
+        for s in range(n_subframes):
+            stream.at(t_start + s).standard_exponential(out=small[s])
+        return small
+
+    return _memo.get((STREAM_FADING, seed, n_wireless, n_subbands, t_start, n_subframes), draw)
+
+
+def pattern_uniforms(seed: int, t_start: int, n_subframes: int) -> np.ndarray:
+    """Uniform(0,1) pattern-sampling draws, one per subframe: (S,), read-only
+    and memoized."""
+
+    def draw() -> np.ndarray:
+        stream = _KeyedStream(seed, STREAM_PATTERN)
+        return np.array([stream.at(t_start + s).random() for s in range(n_subframes)])
+
+    return _memo.get((STREAM_PATTERN, seed, t_start, n_subframes), draw)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -183,8 +254,6 @@ class ChannelModel:
             self.tx_powers[l.index] = dbm_to_watts(dbm) / noise_watts
 
         self._wireless = np.array(graph.wireless_links, dtype=int)
-        self._fading = _KeyedStream(self.seed, STREAM_FADING)
-        self._pattern = _KeyedStream(self.seed, STREAM_PATTERN)
 
     @property
     def num_links(self) -> int:
@@ -198,9 +267,9 @@ class ChannelModel:
         if self.deterministic:
             out[:, self._wireless, :] = large_sq[None, :, None]
             return out
-        small = np.empty((n_subframes, len(self._wireless), self.num_subbands))
-        for s in range(n_subframes):
-            self._fading.at(t_start + s).standard_exponential(out=small[s])
+        small = fading_draws(
+            self.seed, len(self._wireless), self.num_subbands, t_start, n_subframes
+        )
         out[:, self._wireless, :] = small * large_sq[None, :, None]
         return out
 
@@ -215,5 +284,6 @@ class ChannelModel:
         return snr_term(h2, self.tx_powers[:, None])
 
     def pattern_draws(self, t_start: int, n_subframes: int) -> np.ndarray:
-        """Uniform(0,1) stream for per-subframe pattern sampling, one per subframe."""
-        return np.array([self._pattern.at(t_start + s).random() for s in range(n_subframes)])
+        """Uniform(0,1) stream for per-subframe pattern sampling, one per
+        subframe (read-only: :func:`pattern_uniforms`)."""
+        return pattern_uniforms(self.seed, t_start, n_subframes)

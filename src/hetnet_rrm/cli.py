@@ -4,7 +4,9 @@ Exit codes: 0 success (run converged), 2 run stopped at the superframe limit,
 3 configuration or scenario error (including a scenario with more than
 ``phy.MAX_PATTERN_BS`` base stations), 4 oracle size caps exceeded, 5 the
 flow solver failed (``NetOptError``) or a flow has too many simple paths to
-enumerate (``PathExplosionError``).  Log verbosity
+enumerate (``PathExplosionError``).  A run or sweep cell that stops at the
+superframe limit logs one WARNING line naming the convergence test it failed
+and by how much (:func:`rrm.stop_reason`).  Log verbosity
 comes from the ``HETNET_RRM_LOG`` environment variable (a standard logging
 level name); everything else is flags and files.
 """
@@ -21,7 +23,7 @@ from .baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
 from .channel import ChannelModel
 from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
-from .rrm import RrmResult
+from .rrm import RrmResult, stop_reason
 from .scenario import MODES, Scenario, ScenarioError, load_scenario, with_param
 from .trace import BITS_PER_NAT, format_trace
 
@@ -68,6 +70,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, seed=seed, mode=mode)
     log.info("running mode=%s seed=%d on %s", mode, seed, args.scenario)
     result, _ = run_experiment(scenario, mode, seed)
+    if not result.converged:
+        log.warning("run stopped at the superframe limit: %s", stop_reason(result, scenario.rrm))
     _emit(format_trace(scenario, mode, seed, result), args.out)
     return EXIT_OK if result.converged else EXIT_MAX_ITERS
 
@@ -130,6 +134,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for mode in modes:
             result, _ = run_experiment(swept, mode, swept.seed)
             all_converged &= result.converged
+            if not result.converged:
+                log.warning(
+                    "sweep %s=%s mode=%s stopped at the superframe limit: %s",
+                    args.param, value, mode, stop_reason(result, swept.rrm),
+                )
             lines.append(
                 f"{value!r} {mode} {result.utility!r} "
                 f"{len(result.records)} {'true' if result.converged else 'false'}"

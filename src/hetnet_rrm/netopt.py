@@ -21,8 +21,8 @@ the marginal value of giving them capacity.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -147,12 +147,18 @@ def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> lis
     return found
 
 
-@lru_cache(maxsize=256)
-def _path_problem(graph: TopologyGraph, max_paths: int = MAX_PATHS_PER_FLOW) -> _PathProblem:
+# Path sets per graph object, dropped with the graph (graphs hash by identity).
+_path_problems: weakref.WeakKeyDictionary[TopologyGraph, _PathProblem] = weakref.WeakKeyDictionary()
+
+
+def _path_problem(graph: TopologyGraph) -> _PathProblem:
+    problem = _path_problems.get(graph)
+    if problem is not None:
+        return problem
     paths: list[tuple[int, ...]] = []
     flow_of_path: list[int] = []
     for flow in graph.flows:
-        flow_paths = _simple_paths(graph, flow.source, flow.destination, max_paths)
+        flow_paths = _simple_paths(graph, flow.source, flow.destination, MAX_PATHS_PER_FLOW)
         if not flow_paths:
             raise NetOptError(f"flow {flow.index} has no route from {flow.source} to {flow.destination}")
         paths.extend(flow_paths)
@@ -162,7 +168,10 @@ def _path_problem(graph: TopologyGraph, max_paths: int = MAX_PATHS_PER_FLOW) -> 
         link_matrix[list(path), p] = 1.0
     flow_matrix = np.zeros((graph.num_flows, len(paths)))
     flow_matrix[flow_of_path, np.arange(len(paths))] = 1.0
-    return _PathProblem(paths, np.array(flow_of_path), link_matrix, flow_matrix)
+    problem = _path_problems[graph] = _PathProblem(
+        paths, np.array(flow_of_path), link_matrix, flow_matrix
+    )
+    return problem
 
 
 class _InteriorPointResult(NamedTuple):

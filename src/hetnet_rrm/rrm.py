@@ -31,10 +31,16 @@ The shares obey *duration groups*, a partition of the admissible patterns
 whose members share a fixed total time: one group of total 1 (the whole
 simplex), or, under fixed pattern durations (fddsa), a group of total 1/J
 for each of the J patterns, so only time within a pattern is optimized.
+
+:func:`run_to_convergence` logs one ``INFO`` line per superframe to the
+``hetnet_rrm.rrm`` logger; :func:`stop_reason` says which convergence test a
+run that hit its superframe limit failed, and by how much.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +55,8 @@ from .phy import (
     schedule_block,
     station_contributions,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,14 +408,49 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     while True:
         block = block_pass(model, state, config)
         budget_spent = len(records) == config.max_superframes
-        plateau = len(records) >= 2 and (
-            abs(records[-1].utility - records[-2].utility) < config.epsilon_converge
-        )
+        plateau = _utility_step(records) < config.epsilon_converge
         if plateau or budget_spent:
             report = certificate(state, config, block)
-            allowed = config.gap_converge_rel * max(1.0, abs(report.policy_value))
-            converged = plateau and report.gap <= report.tolerance + allowed
+            converged = plateau and report.gap <= report.tolerance + _gap_slack(report, config)
             if converged or budget_spent:
                 return RrmResult(state, records, converged, report)
         state, record = run_superframe(model, state, config, block)
         records.append(record)
+        log.info(
+            "superframe %d: utility %r, %d members, %d Newton iterations, banked %s, %.1f ms",
+            record.index, record.utility, record.n_members, state.flow.newton_iters,
+            state.flow.banked, record.wall_ms,
+        )
+
+
+def _utility_step(records: list[SuperframeRecord]) -> float:
+    """How far the utility moved over the last two superframes (inf before two)."""
+    if len(records) < 2:
+        return math.inf
+    return abs(records[-1].utility - records[-2].utility)
+
+
+def _gap_slack(report: CertificateReport, config: RrmConfig) -> float:
+    """The certificate gap convergence allows beyond ``report.tolerance``."""
+    return config.gap_converge_rel * max(1.0, abs(report.policy_value))
+
+
+def stop_reason(result: RrmResult, config: RrmConfig) -> str:
+    """The convergence test a run that stopped at its superframe limit failed
+    last, and by how much: the utility step against ``epsilon_converge``, or
+    the certificate gap against its tolerance plus the ``gap_converge_rel``
+    slack."""
+    if len(result.records) < 2:
+        return f"{len(result.records)} superframe(s) ran; the utility step test needs two"
+    step = _utility_step(result.records)
+    if step >= config.epsilon_converge:
+        return (
+            f"utility step {step:.3g} >= epsilon_converge {config.epsilon_converge:.3g} "
+            f"(by {step - config.epsilon_converge:.3g})"
+        )
+    report = result.certificate
+    slack = _gap_slack(report, config)
+    return (
+        f"certificate gap {report.gap:.3g} > tolerance {report.tolerance:.3g} "
+        f"+ gap_converge_rel slack {slack:.3g} (by {report.gap - report.tolerance - slack:.3g})"
+    )

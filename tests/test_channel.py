@@ -1,8 +1,14 @@
+from collections import Counter
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from hetnet_rrm import channel
 from hetnet_rrm.baselines import augment_with_wired_backhaul
 from hetnet_rrm.channel import (
+    STREAM_FADING,
+    STREAM_PATTERN,
     ChannelModel,
     LinkClassParams,
     PathlossParams,
@@ -11,6 +17,7 @@ from hetnet_rrm.channel import (
     large_scale_gains,
     snr_term,
 )
+from hetnet_rrm.cli import EXIT_OK, main
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, det_model, random_instance, single_link_graph
@@ -206,3 +213,91 @@ def test_large_gains_override_validation():
             ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.array([bad]))
     with pytest.raises(ValueError):
         ChannelModel(g, 0, 40.0, 33.0, seed=0)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty draw memo for one test, so store counts do not depend on what
+    earlier tests drew."""
+    memo = channel._DrawMemo()
+    monkeypatch.setattr(channel, "_memo", memo)
+    return memo
+
+
+def test_memoized_draws_of_one_seed_match_the_reference_across_powers_and_fbc(fresh_memo):
+    g = random_instance(6)
+    aug = augment_with_wired_backhaul(g, wired_capacity=100.0)
+    assert aug.num_links > g.num_links
+    models = [
+        ChannelModel(g, 3, 40.0, 33.0, seed=8),
+        ChannelModel(g, 3, 43.0, 27.0, seed=8, noise_dbm=-90.0),
+        ChannelModel(aug, 3, 40.0, 33.0, seed=8),
+    ]
+    names = ("draw_block", "rate_block", "pattern_draws")
+    for t in (0, 9):
+        for m in models:
+            expected = keyed_channel_draws(m, t, 4)
+            for name, want in zip(names, expected):
+                assert getattr(m, name)(t, 4).tobytes() == want.tobytes(), (name, t)
+    # one fading and one pattern entry per block, shared by all three models
+    assert len(fresh_memo.entries) == 4
+
+
+def test_writes_into_draw_results_leave_the_memo_intact(fresh_memo):
+    m = ChannelModel(random_instance(3), 4, 40.0, 33.0, seed=9)
+    draws, rates, uniforms = keyed_channel_draws(m, 5, 3)
+    m.draw_block(5, 3)[:] = -1.0
+    m.rate_block(5, 3)[:] = 7.0
+    assert m.draw_block(5, 3).tobytes() == draws.tobytes()
+    assert m.rate_block(5, 3).tobytes() == rates.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        m.pattern_draws(5, 3)[0] = 2.0
+    assert m.pattern_draws(5, 3).tobytes() == uniforms.tobytes()
+
+
+def test_sweep_rewinds_each_stream_once_per_distinct_subframe(fresh_memo, monkeypatch, tmp_path):
+    rewinds = Counter()
+    at = channel._KeyedStream.at
+
+    def spy(self, t):
+        rewinds[self._state["state"]["key"][1], t] += 1
+        return at(self, t)
+
+    monkeypatch.setattr(channel._KeyedStream, "at", spy)
+    fig7 = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario")
+    code = main([
+        "sweep", "--scenario", str(fig7), "--param", "p_pico_dbm", "--values", "29,33",
+        "--modes", "proposed,fbc", "--out", str(tmp_path / "sweep.txt"),
+    ])
+    assert code == EXIT_OK
+    assert set(rewinds.values()) == {1}
+    for stream in (STREAM_FADING, STREAM_PATTERN):
+        subframes = sorted(t for s, t in rewinds if s == stream)
+        assert subframes == list(range(len(subframes))) and subframes
+
+
+def test_overflowing_draws_store_nothing(fresh_memo):
+    m = ChannelModel(random_instance(3), 4, 40.0, 33.0, seed=9)
+    for call in (
+        lambda: m.draw_block(-2, 4),
+        lambda: m.draw_block(2**64 - 2, 4),
+        lambda: m.pattern_draws(-1, 2),
+        lambda: m.pattern_draws(2**64 - 1, 2),
+    ):
+        with pytest.raises(OverflowError):
+            call()
+    assert not fresh_memo.entries and fresh_memo.nbytes == 0
+
+
+def test_memo_keeps_its_byte_budget(fresh_memo, monkeypatch):
+    m = ChannelModel(single_link_graph(), 4, 40.0, 33.0, seed=3)
+    block_bytes = 10 * 1 * 4 * 8
+    monkeypatch.setattr(channel, "DRAW_MEMO_BYTES", 2 * block_bytes)
+    big = m.draw_block(0, 30)  # over budget: returned, not retained
+    assert big.tobytes() == keyed_channel_draws(m, 0, 30)[0].tobytes()
+    assert not fresh_memo.entries
+    for t in (0, 10, 20):
+        m.draw_block(t, 10)
+    # the least recently used block made room for the third
+    assert [key[4] for key in fresh_memo.entries] == [10, 20]
+    assert fresh_memo.nbytes == 2 * block_bytes

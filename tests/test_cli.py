@@ -1,9 +1,11 @@
+import dataclasses
+import logging
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from hetnet_rrm import netopt
+from hetnet_rrm import netopt, rrm
 from hetnet_rrm.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITERS,
@@ -308,6 +310,81 @@ def test_sweep_exit_two_when_any_mode_stalls(tmp_path):
     assert code == EXIT_MAX_ITERS
     rows = [l.split() for l in out.read_text(encoding="utf-8").splitlines()[4:] if l]
     assert [(r[1], r[3], r[4]) for r in rows] == [("proposed", "1", "false")]
+
+
+ONE_SUPERFRAME = TWO_USER_DET.replace("max_superframes = 12", "max_superframes = 1")
+
+
+def _messages(caplog, name: str, level: int) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == name and r.levelno == level]
+
+
+def test_run_at_superframe_limit_warns_why_and_leaves_stdout_alone(tmp_path, capsys, caplog):
+    src = scenario_file(tmp_path, ONE_SUPERFRAME)
+    assert main(["run", "--scenario", src]) == EXIT_MAX_ITERS
+    quiet = capsys.readouterr().out
+    assert _messages(caplog, "hetnet_rrm", logging.WARNING) == [
+        "run stopped at the superframe limit: "
+        "1 superframe(s) ran; the utility step test needs two"
+    ]
+    assert not _messages(caplog, "hetnet_rrm.rrm", logging.INFO)
+
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="hetnet_rrm")
+    assert main(["run", "--scenario", src]) == EXIT_MAX_ITERS
+    assert capsys.readouterr().out == quiet
+    (line,) = _messages(caplog, "hetnet_rrm.rrm", logging.INFO)
+    assert line.startswith("superframe 0: utility ")
+    assert " members, " in line and " Newton iterations, banked False, " in line
+    assert line.endswith(" ms")
+
+
+def test_sweep_cell_at_superframe_limit_warns_why(tmp_path, caplog):
+    src = scenario_file(tmp_path)
+    code = main(
+        [
+            "sweep", "--scenario", src, "--param", "max_superframes",
+            "--values", "1,12", "--modes", "proposed", "--out", str(tmp_path / "s"),
+        ]
+    )
+    assert code == EXIT_MAX_ITERS
+    assert _messages(caplog, "hetnet_rrm", logging.WARNING) == [
+        "sweep max_superframes=1.0 mode=proposed stopped at the superframe limit: "
+        "1 superframe(s) ran; the utility step test needs two"
+    ]
+
+
+def test_converged_run_logs_one_info_line_per_superframe(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="hetnet_rrm")
+    out = tmp_path / "run.trace"
+    assert main(["run", "--scenario", scenario_file(tmp_path), "--out", str(out)]) == EXIT_OK
+    lines = _messages(caplog, "hetnet_rrm.rrm", logging.INFO)
+    superframes = int(parse_trace(out.read_text(encoding="utf-8")).summary["superframes"])
+    assert [l.split(":")[0] for l in lines] == [f"superframe {i}" for i in range(superframes)]
+    assert not _messages(caplog, "hetnet_rrm", logging.WARNING)
+
+
+def test_stop_reason_names_the_failed_test_and_its_margin(tmp_path, caplog, monkeypatch):
+    two = TWO_USER_DET.replace("max_superframes = 12", "max_superframes = 2")
+    assert main(["run", "--scenario", scenario_file(tmp_path, two)]) == EXIT_MAX_ITERS
+    (warning,) = _messages(caplog, "hetnet_rrm", logging.WARNING)
+    assert "utility step " in warning and " >= epsilon_converge 1e-06 (by " in warning
+
+    # A certificate one nat short of optimal never lets the run stop.
+    certify = rrm.certificate
+
+    def short(state, config, block):
+        report = certify(state, config, block)
+        return dataclasses.replace(report, gap=report.gap + 1.0)
+
+    monkeypatch.setattr(rrm, "certificate", short)
+    caplog.clear()
+    assert main(["run", "--scenario", scenario_file(tmp_path)]) == EXIT_MAX_ITERS
+    (warning,) = _messages(caplog, "hetnet_rrm", logging.WARNING)
+    assert warning.startswith("run stopped at the superframe limit: certificate gap 1 > tolerance ")
+    assert " + gap_converge_rel slack " in warning and warning.endswith(")")
+    by = float(warning.rsplit("(by ", 1)[1][:-1])
+    assert 0.99 < by <= 1.0
 
 
 def test_sweep_argument_validation(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +352,19 @@ def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grou
     for vertex in itertools.product(*members):
         caps = base + totals @ rows[list(vertex)]
         assert sol.utility >= solve_p1(g, caps, u).utility - 1e-6
+
+
+def test_path_sets_are_dropped_with_their_graph():
+    gc.collect()  # graphs earlier tests dropped leave with their cycles
+    graph = relay_grid_graph()
+    solve_p1(graph, np.ones(graph.num_links), LOG)
+    assert graph in netopt._path_problems
+    alive = weakref.ref(graph)
+    cached = len(netopt._path_problems)
+    del graph
+    gc.collect()
+    assert alive() is None
+    assert len(netopt._path_problems) == cached - 1
 
 
 def _relay_grid_program():

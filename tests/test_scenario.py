@@ -2,9 +2,12 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnet_rrm.channel import LinkClassParams
 from hetnet_rrm.scenario import (
+    _FLOAT_RANGE,
+    _INT_MINIMUM,
     NATS_PER_BIT,
     SWEEPABLE_PARAMS,
     Scenario,
@@ -336,3 +339,39 @@ def test_load_scenario_reads_files(tmp_path):
         bad.write_text(BASE.replace("hetnet-scenario v1", "nope"), encoding="utf-8")
         load_scenario(str(bad))
     assert str(bad) in err.value.errors[0]
+
+
+BUNDLED = [
+    parse_scenario(resources.files("hetnet_rrm").joinpath(f"scenarios/{name}").read_text())
+    for name in ("two_hop_demo.scenario", "fig7_like.scenario")
+]
+
+
+def _in_range(name: str, floor: int = 0):
+    """Values of a sweepable parameter the parser accepts (an integer one at
+    least ``floor``), as ``with_param`` takes them."""
+    if name in _INT_MINIMUM:
+        return st.integers(max(_INT_MINIMUM[name], floor), 2**53).map(float)
+    low, high, _ = _FLOAT_RANGE[name]
+    return st.floats(low, high)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_swept_values_survive_dump_and_parse(data):
+    for base in BUNDLED:
+        swept = base
+        for name in SWEEPABLE_PARAMS:
+            floor = base.control_lead_subframes + 1 if name == "subframes_per_superframe" else 0
+            swept = with_param(swept, name, data.draw(_in_range(name, floor), label=name))
+        text = dump_scenario(swept)
+        again = parse_scenario(text)
+        assert dump_scenario(again) == text
+        assert again.rrm == swept.rrm
+        assert again.graph.nodes == swept.graph.nodes
+        for key in (
+            "subbands", "p_macro_dbm", "p_pico_dbm", "noise_dbm", "deterministic",
+            "macro_radius_m", "pico_radius_m", "pathloss", "power_overrides", "seed",
+            "control_lead_subframes",
+        ):
+            assert getattr(again, key) == getattr(swept, key), key
