@@ -64,10 +64,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    mode = args.mode or scenario.mode
-    seed = scenario.seed if args.seed is None else args.seed
-    if seed != scenario.seed or mode != scenario.mode:
-        scenario = replace(scenario, seed=seed, mode=mode)
+    if args.seed is not None:  # under the parser's rule, so the trace's config echo re-parses
+        scenario = with_param(scenario, "seed", args.seed)
+    scenario = replace(scenario, mode=args.mode or scenario.mode)
+    mode, seed = scenario.mode, scenario.seed
     log.info("running mode=%s seed=%d on %s", mode, seed, args.scenario)
     result, _ = run_experiment(scenario, mode, seed)
     if not result.converged:

@@ -120,29 +120,32 @@ def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> lis
     out: dict[int, list[int]] = {n.index: [] for n in graph.nodes}
     for l in graph.links:
         out[l.head].append(l.index)
-    for links in out.values():
-        links.sort()
+    # Depth first over an explicit stack of link iterators, one per node on
+    # the path: a recursive closure would hold the graph in a reference cycle.
     found: list[tuple[int, ...]] = []
-
-    def dfs(node: int, visited: set[int], acc: list[int]) -> None:
-        if node == dest:
-            found.append(tuple(acc))
+    acc: list[int] = []
+    visited = {source}
+    stack = [iter(out[source])]
+    while stack:
+        l = next(stack[-1], None)
+        if l is None:
+            stack.pop()
+            if acc:
+                visited.remove(graph.links[acc.pop()].tail)
+            continue
+        nxt = graph.links[l].tail
+        if nxt in visited:
+            continue
+        if nxt == dest:
+            found.append((*acc, l))
             if len(found) > cap:
                 raise PathExplosionError(
                     f"flow {source}->{dest} exceeds {cap} simple paths; refusing to enumerate"
                 )
-            return
-        for l in out[node]:
-            nxt = graph.links[l].tail
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            acc.append(l)
-            dfs(nxt, visited, acc)
-            acc.pop()
-            visited.remove(nxt)
-
-    dfs(source, {source}, [])
+            continue
+        visited.add(nxt)
+        acc.append(l)
+        stack.append(iter(out[nxt]))
     found.sort()
     return found
 

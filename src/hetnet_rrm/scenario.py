@@ -12,12 +12,16 @@ Sections: ``[nodes]`` (``id kind x y [power_dbm]``), ``[links]``
 (``id head tail [wired <bits>]``), ``[backhaul]`` (node ids), ``[flows]``
 (``id source destination``), ``[radio]``, ``[pathloss]`` (optional, one
 ``exponent ref_gain_db shadow_sigma_db`` triple per link class) and ``[run]``.
+
+Each ``[radio]`` and ``[run]`` key is declared once, in :data:`_SETTINGS`, which
+the parser, :func:`dump_scenario` and :func:`with_param` all read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .channel import ChannelModel, LinkClassParams, PathlossParams
 from .netopt import UtilitySpec
@@ -42,66 +46,11 @@ _REQUIRED_SECTIONS = ("nodes", "links", "backhaul", "flows", "radio", "run")
 #: Every scheme a scenario's ``mode`` or the command line may name.
 MODES = ("proposed", "fbc", "fddsa", "ttrsc")
 
-_RADIO_KEYS = (
-    "subbands",
-    "p_macro_dbm",
-    "p_pico_dbm",
-    "noise_dbm",
-    "deterministic",
-    "macro_radius_m",
-    "pico_radius_m",
-)
 _PATHLOSS_KEYS = ("macro_macro", "bs_bs", "bs_user")
-_RUN_KEYS = (
-    "seed",
-    "mode",
-    "subframes_per_superframe",
-    "control_lead_subframes",
-    "max_superframes",
-    "epsilon_converge",
-    "gap_converge_rel",
-    "q_prune",
-    "max_members",
-    "share_gap_tol",
-    "utility",
-    "alpha",
-    "utility_epsilon",
-)
-
-#: Lower bounds of the integer settings.
-_INT_MINIMUM = {
-    "subbands": 1,
-    "seed": 0,
-    "subframes_per_superframe": 1,
-    "control_lead_subframes": 0,
-    "max_superframes": 1,
-    "max_members": 2,
-}
-
-_DBM = (-300.0, 300.0, "lie in [-300, 300] dBm")
-_POSITIVE = (math.ulp(0.0), math.inf, "be > 0")  # the least float above zero
-#: Closed ranges ``(low, high, need)`` of the float settings that have one,
-#: and of the node records' ``power_dbm`` column.  Within +-300 dBm every
-#: power and power ratio is finite and nonzero.
-_FLOAT_RANGE = {
-    "p_macro_dbm": _DBM,
-    "p_pico_dbm": _DBM,
-    "noise_dbm": _DBM,
-    "power_dbm": _DBM,
-    "epsilon_converge": _POSITIVE,
-    "share_gap_tol": _POSITIVE,
-    "gap_converge_rel": (0.0, math.inf, "be >= 0"),
-}
 
 #: Parameters the sweep command may vary without editing the file.
 SWEEPABLE_PARAMS = (
-    "p_macro_dbm",
-    "p_pico_dbm",
-    "noise_dbm",
-    "seed",
-    "subbands",
-    "subframes_per_superframe",
-    "max_superframes",
+    "p_macro_dbm", "p_pico_dbm", "noise_dbm", "seed", "subbands", "subframes_per_superframe", "max_superframes"
 )
 
 
@@ -150,6 +99,57 @@ class Scenario:
             noise_dbm=self.noise_dbm,
             power_overrides=self.power_overrides,
         )
+
+
+# Closed ranges ``(low, high, need)`` of float values.  Within +-300 dBm every
+# power and power ratio is finite and nonzero.
+_DBM = (-300.0, 300.0, "lie in [-300, 300] dBm")
+_POSITIVE = (math.ulp(0.0), math.inf, "be > 0")  # the least float above zero
+_NON_NEGATIVE = (0.0, math.inf, "be >= 0")
+
+
+class _Setting(NamedTuple):
+    """One ``[radio]`` or ``[run]`` key.  Its value sets field ``field`` (the
+    key when empty) of ``owner``; a file that leaves the key out keeps the
+    field's dataclass default.  ``limit`` is an ``int``'s least value, a
+    ``float``'s range or the words a ``bool`` or ``str`` allows (``utility``
+    allows one and sets nothing)."""
+
+    key: str
+    section: str
+    owner: type | None
+    kind: type
+    limit: object
+    field: str = ""
+
+
+#: Every setting: the one place a key is declared, in the order
+#: :func:`dump_scenario` writes them.
+_SETTINGS = {
+    row.key: row
+    for row in (
+        _Setting("subbands", "radio", Scenario, int, 1),
+        _Setting("p_macro_dbm", "radio", Scenario, float, _DBM),
+        _Setting("p_pico_dbm", "radio", Scenario, float, _DBM),
+        _Setting("noise_dbm", "radio", Scenario, float, _DBM),
+        _Setting("deterministic", "radio", Scenario, bool, ("true", "false")),
+        _Setting("macro_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
+        _Setting("pico_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
+        _Setting("seed", "run", Scenario, int, 0),
+        _Setting("mode", "run", Scenario, str, MODES),
+        _Setting("subframes_per_superframe", "run", RrmConfig, int, 1),
+        _Setting("control_lead_subframes", "run", Scenario, int, 0),
+        _Setting("max_superframes", "run", RrmConfig, int, 1),
+        _Setting("epsilon_converge", "run", RrmConfig, float, _POSITIVE),
+        _Setting("gap_converge_rel", "run", RrmConfig, float, _NON_NEGATIVE),
+        _Setting("q_prune", "run", RrmConfig, float, (0.0, math.nextafter(1.0, 0.0), "lie in [0, 1)")),
+        _Setting("max_members", "run", RrmConfig, int, 2),
+        _Setting("share_gap_tol", "run", RrmConfig, float, _POSITIVE),
+        _Setting("utility", "run", None, str, ("alpha_fair",)),
+        _Setting("alpha", "run", UtilitySpec, float, _POSITIVE),
+        _Setting("utility_epsilon", "run", UtilitySpec, float, _POSITIVE, "epsilon"),
+    )
+}
 
 
 class _Cursor:
@@ -237,50 +237,39 @@ def _finite(cur: _Cursor, lineno: int, tokens: list[str], need: str) -> list[flo
     return None
 
 
-def _bounded(cur: _Cursor, lineno: int, raw: str, key: str, name: str) -> float | None:
-    """One number under the finite-number rule and ``key``'s
-    :data:`_FLOAT_RANGE`, or None after an error that calls it ``name``."""
+def _bounded(cur: _Cursor, lineno: int, raw: str, limit: tuple, name: str) -> float | None:
+    """One number under the finite-number rule and the closed range
+    ``limit``, or None after an error that calls it ``name``."""
     value = _finite(cur, lineno, [raw], f"{name} must be a finite number")
     if value is None:
         return None
-    low, high, need = _FLOAT_RANGE.get(key, (-math.inf, math.inf, ""))
+    low, high, need = limit
     if low <= value[0] <= high:
         return value[0]
     cur.error(lineno, f"{name} must {need}, got '{raw}'")
     return None
 
 
-def _get_float(cur: _Cursor, settings, key: str, default: float) -> float:
-    if key not in settings:
-        return default
-    lineno, raw = settings[key]
-    value = _bounded(cur, lineno, raw, key, f"'{key}'")
-    return default if value is None else value
-
-
-def _get_int(cur: _Cursor, settings, key: str, default: int) -> int:
-    if key not in settings:
-        return default
-    lineno, raw = settings[key]
-    try:
-        value = int(raw)
-    except ValueError:
-        cur.error(lineno, f"'{key}' must be an integer, got '{raw}'")
-        return default
-    if value < _INT_MINIMUM[key]:
-        cur.error(lineno, f"'{key}' must be >= {_INT_MINIMUM[key]}, got {value}")
-        return default
-    return value
-
-
-def _get_bool(cur: _Cursor, settings, key: str, default: bool) -> bool:
-    if key not in settings:
-        return default
-    lineno, raw = settings[key]
-    if raw in ("true", "false"):
-        return raw == "true"
-    cur.error(lineno, f"'{key}' must be 'true' or 'false', got '{raw}'")
-    return default
+def _setting(cur: _Cursor, key: str, lineno: int, raw: str):
+    """``raw`` read under ``key``'s rule in :data:`_SETTINGS`, or None after
+    an error at ``lineno``."""
+    row = _SETTINGS[key]
+    if row.kind is float:
+        return _bounded(cur, lineno, raw, row.limit, f"'{key}'")
+    if row.kind is int:
+        try:
+            value = int(raw)
+        except ValueError:
+            cur.error(lineno, f"'{key}' must be an integer, got '{raw}'")
+            return None
+        if value >= row.limit:
+            return value
+        cur.error(lineno, f"'{key}' must be >= {row.limit}, got {value}")
+    elif raw in row.limit:
+        return raw == "true" if row.kind is bool else raw
+    else:
+        cur.error(lineno, f"{key} must be one of {', '.join(row.limit)}, got '{raw}'")
+    return None
 
 
 def _numbered(cur: _Cursor, records: list[tuple[int, str]], section: str, item: str):
@@ -324,7 +313,7 @@ def _parse_nodes(
             if kind is NodeKind.USER:
                 cur.error(lineno, f"user node {idx} cannot carry a transmit power")
                 continue
-            power = _bounded(cur, lineno, parts[4], "power_dbm", f"node {idx} power")
+            power = _bounded(cur, lineno, parts[4], _DBM, f"node {idx} power")
             if power is None:
                 continue
             overrides[idx] = power
@@ -423,49 +412,29 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     backhaul = _parse_backhaul(cur, sections["backhaul"])
     flows = _parse_flows(cur, sections["flows"])
 
-    radio = _parse_settings(cur, sections["radio"], "radio", _RADIO_KEYS)
-    subbands = _get_int(cur, radio, "subbands", 10)
-    p_macro = _get_float(cur, radio, "p_macro_dbm", 40.0)
-    p_pico = _get_float(cur, radio, "p_pico_dbm", 33.0)
-    noise = _get_float(cur, radio, "noise_dbm", -100.0)
-    deterministic = _get_bool(cur, radio, "deterministic", False)
-    macro_radius = _get_float(cur, radio, "macro_radius_m", 420.0)
-    pico_radius = _get_float(cur, radio, "pico_radius_m", 260.0)
-
+    given: dict[str, tuple[int, str]] = {}
+    for section in ("radio", "run"):
+        keys = tuple(key for key, row in _SETTINGS.items() if row.section == section)
+        given.update(_parse_settings(cur, sections[section], section, keys))
+    kwargs: dict = {row.owner: {} for row in _SETTINGS.values()}
+    for key, (lineno, raw) in given.items():
+        row, value = _SETTINGS[key], _setting(cur, key, lineno, raw)
+        if value is not None:
+            kwargs[row.owner][row.field or key] = value
     pathloss = _parse_pathloss(cur, sections.get("pathloss", []))
-
-    run = _parse_settings(cur, sections["run"], "run", _RUN_KEYS)
-    seed = _get_int(cur, run, "seed", 0)
-    t_s = _get_int(cur, run, "subframes_per_superframe", 200)
-    t_d = _get_int(cur, run, "control_lead_subframes", 2)
-    if t_d >= t_s:
-        lineno = run["control_lead_subframes"][0] if "control_lead_subframes" in run else 0
-        cur.error(lineno, f"control_lead_subframes ({t_d}) must be smaller than subframes_per_superframe ({t_s})")
-    max_superframes = _get_int(cur, run, "max_superframes", 60)
-    epsilon = _get_float(cur, run, "epsilon_converge", 1e-6)
-    gap_rel = _get_float(cur, run, "gap_converge_rel", 1e-6)
-    q_prune = _get_float(cur, run, "q_prune", 1e-12)
-    max_members = _get_int(cur, run, "max_members", 64)
-    share_gap_tol = _get_float(cur, run, "share_gap_tol", 1e-5)
-    alpha = _get_float(cur, run, "alpha", 1.0)
-    utility_eps = _get_float(cur, run, "utility_epsilon", 1e-3)
-
-    mode = "proposed"
-    if "mode" in run:
-        lineno, raw = run["mode"]
-        if raw not in MODES:
-            cur.error(lineno, f"mode must be one of {', '.join(MODES)}, got '{raw}'")
-        else:
-            mode = raw
-    if "utility" in run:
-        lineno, raw = run["utility"]
-        if raw != "alpha_fair":
-            cur.error(lineno, f"only the 'alpha_fair' utility family is supported, got '{raw}'")
-
+    # Only values that met their rule reach the constructors, and the table's
+    # rules are at least as strict as their checks, so none of them raises.
+    # The graph follows once the topology is validated.
+    rrm = RrmConfig(utility=UtilitySpec(**kwargs[UtilitySpec]), **kwargs[RrmConfig])
+    scenario = Scenario(graph=None, power_overrides=overrides, pathloss=pathloss, rrm=rrm, **kwargs[Scenario])
+    lead, length = scenario.control_lead_subframes, rrm.subframes_per_superframe
+    if lead >= length:
+        need = f"must be smaller than subframes_per_superframe ({length})"
+        cur.error(given.get("control_lead_subframes", (0,))[0], f"control_lead_subframes ({lead}) {need}")
     if cur.errors:
         raise ScenarioError(cur.errors)
 
-    interference = interference_from_positions(tuple(nodes), macro_radius, pico_radius)
+    interference = interference_from_positions(tuple(nodes), scenario.macro_radius_m, scenario.pico_radius_m)
     graph = TopologyGraph(
         nodes=tuple(nodes),
         links=tuple(links),
@@ -476,38 +445,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     problems = validate(graph)
     if problems:
         raise ScenarioError([f"{path}: {p}" for p in problems])
-
-    try:
-        utility = UtilitySpec(alpha=alpha, epsilon=utility_eps)
-        rrm = RrmConfig(
-            subframes_per_superframe=t_s,
-            max_superframes=max_superframes,
-            epsilon_converge=epsilon,
-            gap_converge_rel=gap_rel,
-            q_prune=q_prune,
-            max_members=max_members,
-            share_gap_tol=share_gap_tol,
-            utility=utility,
-        )
-    except ValueError as exc:
-        raise ScenarioError([f"{path}: {exc}"]) from exc
-
-    return Scenario(
-        graph=graph,
-        power_overrides=overrides,
-        subbands=subbands,
-        p_macro_dbm=p_macro,
-        p_pico_dbm=p_pico,
-        noise_dbm=noise,
-        deterministic=deterministic,
-        macro_radius_m=macro_radius,
-        pico_radius_m=pico_radius,
-        pathloss=pathloss,
-        seed=seed,
-        mode=mode,
-        control_lead_subframes=t_d,
-        rrm=rrm,
-    )
+    return replace(scenario, graph=graph)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -517,6 +455,19 @@ def load_scenario(path: str) -> Scenario:
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _dump_settings(scenario: Scenario, section: str) -> list[str]:
+    """The ``[section]`` block of :func:`dump_scenario` in table order, a
+    bool written ``true`` or ``false``."""
+    owners = {Scenario: scenario, RrmConfig: scenario.rrm, UtilitySpec: scenario.rrm.utility}
+    out = ["", f"[{section}]"]
+    for key, row in _SETTINGS.items():
+        if row.section != section:
+            continue
+        value = getattr(owners[row.owner], row.field or key) if row.owner else row.limit[0]
+        out.append(f"{key} = {_fmt(value) if row.kind is float else str(value).lower()}")
+    return out
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -541,41 +492,11 @@ def dump_scenario(scenario: Scenario) -> str:
     out += ["", "[flows]"]
     for flow in graph.flows:
         out.append(f"{flow.index} {flow.source} {flow.destination}")
-    out += [
-        "",
-        "[radio]",
-        f"subbands = {scenario.subbands}",
-        f"p_macro_dbm = {_fmt(scenario.p_macro_dbm)}",
-        f"p_pico_dbm = {_fmt(scenario.p_pico_dbm)}",
-        f"noise_dbm = {_fmt(scenario.noise_dbm)}",
-        f"deterministic = {'true' if scenario.deterministic else 'false'}",
-        f"macro_radius_m = {_fmt(scenario.macro_radius_m)}",
-        f"pico_radius_m = {_fmt(scenario.pico_radius_m)}",
-        "",
-        "[pathloss]",
-    ]
+    out += _dump_settings(scenario, "radio") + ["", "[pathloss]"]
     for key in _PATHLOSS_KEYS:
         cls = getattr(scenario.pathloss, key)
         out.append(f"{key} = {_fmt(cls.exponent)} {_fmt(cls.ref_gain_db)} {_fmt(cls.shadow_sigma_db)}")
-    rrm = scenario.rrm
-    out += [
-        "",
-        "[run]",
-        f"seed = {scenario.seed}",
-        f"mode = {scenario.mode}",
-        f"subframes_per_superframe = {rrm.subframes_per_superframe}",
-        f"control_lead_subframes = {scenario.control_lead_subframes}",
-        f"max_superframes = {rrm.max_superframes}",
-        f"epsilon_converge = {_fmt(rrm.epsilon_converge)}",
-        f"gap_converge_rel = {_fmt(rrm.gap_converge_rel)}",
-        f"q_prune = {_fmt(rrm.q_prune)}",
-        f"max_members = {rrm.max_members}",
-        f"share_gap_tol = {_fmt(rrm.share_gap_tol)}",
-        "utility = alpha_fair",
-        f"alpha = {_fmt(rrm.utility.alpha)}",
-        f"utility_epsilon = {_fmt(rrm.utility.epsilon)}",
-        "",
-    ]
+    out += _dump_settings(scenario, "run") + [""]
     return "\n".join(out)
 
 
@@ -586,16 +507,16 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
     edit to the scenario file so sweeps stay reviewable.  The value replaces
     its line in :func:`dump_scenario`'s text, which :func:`parse_scenario`
     then reads, so a swept value obeys exactly the parser's rules.  An
-    integral value of an integer setting is written as an integer (a seed of
-    ``9.0`` is 9).  Errors keep the parser's wording, prefixed
-    ``--param <name>:``.
+    integral value of an integer setting is written as an integer: a seed of
+    ``9.0`` is 9, and an ``int`` keeps every digit.  Errors keep the parser's
+    wording, prefixed ``--param <name>:``.
     """
     if name not in SWEEPABLE_PARAMS:
         raise ScenarioError(
             [f"parameter '{name}' is not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})"]
         )
-    value = float(value)
-    raw = str(int(value)) if name in _INT_MINIMUM and value.is_integer() else repr(value)
+    integral = isinstance(value, int) or float(value).is_integer()
+    raw = str(int(value)) if _SETTINGS[name].kind is int and integral else repr(float(value))
     prefix = f"{name} = "
     lines = [
         prefix + raw if line.startswith(prefix) else line

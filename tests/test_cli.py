@@ -96,6 +96,17 @@ def test_run_mode_and_seed_overrides_reach_trace_and_echo(tmp_path):
     assert int(data.summary["superframes"]) == 3
 
 
+def test_run_seed_obeys_the_parser(tmp_path, capsys):
+    # A trace's config echo must re-parse, so --seed takes the parser's rule.
+    src = scenario_file(tmp_path)
+    out = tmp_path / "neg.trace"
+    assert main(["run", "--scenario", src, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: --param seed: 'seed' must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_validate_reports_counts(tmp_path, capsys):
     src = scenario_file(tmp_path)
     assert main(["validate", "--scenario", src]) == EXIT_OK
@@ -163,8 +174,17 @@ def test_non_finite_record_numbers_exit_config(tmp_path, capsys, raw, line, old,
         (43, "epsilon_converge = 1e-6", "epsilon_converge = 0", "'epsilon_converge' must be > 0, got '0'"),
         (44, "gap_converge_rel = 1e-6", "gap_converge_rel = -1.0", "'gap_converge_rel' must be >= 0, got '-1.0'"),
         (45, "utility = alpha_fair", "share_gap_tol = -1.0\nutility = alpha_fair", "'share_gap_tol' must be > 0, got '-1.0'"),
+        (34, "macro_radius_m = 150.0", "macro_radius_m = -150", "'macro_radius_m' must be >= 0, got '-150'"),
+        (35, "pico_radius_m = 100.0", "pico_radius_m = -1e-9", "'pico_radius_m' must be >= 0, got '-1e-9'"),
+        (45, "utility = alpha_fair", "q_prune = 2\nutility = alpha_fair", "'q_prune' must lie in [0, 1), got '2'"),
+        (45, "utility = alpha_fair", "max_members = 1\nutility = alpha_fair", "'max_members' must be >= 2, got 1"),
+        (46, "alpha = 1.0", "alpha = -1", "'alpha' must be > 0, got '-1'"),
+        (47, "utility_epsilon = 0.001", "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
     ],
-    ids=["p_macro", "p_pico", "noise_low", "noise_high", "power", "epsilon", "epsilon_zero", "gap_rel", "share_gap"],
+    ids=[
+        "p_macro", "p_pico", "noise_low", "noise_high", "power", "epsilon", "epsilon_zero", "gap_rel",
+        "share_gap", "macro_radius", "pico_radius", "q_prune", "max_members", "alpha", "utility_epsilon",
+    ],
 )
 def test_out_of_range_numbers_exit_config(tmp_path, capsys, line, old, new, message):
     demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()

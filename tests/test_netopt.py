@@ -361,10 +361,14 @@ def test_path_sets_are_dropped_with_their_graph():
     assert graph in netopt._path_problems
     alive = weakref.ref(graph)
     cached = len(netopt._path_problems)
-    del graph
-    gc.collect()
-    assert alive() is None
-    assert len(netopt._path_problems) == cached - 1
+    # The last reference must free the graph, without the cyclic collector.
+    gc.disable()
+    try:
+        del graph
+        assert alive() is None
+        assert len(netopt._path_problems) == cached - 1
+    finally:
+        gc.enable()
 
 
 def _relay_grid_program():

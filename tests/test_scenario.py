@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnet_rrm.channel import LinkClassParams
+from hetnet_rrm.netopt import UtilitySpec
+from hetnet_rrm.rrm import RrmConfig
 from hetnet_rrm.scenario import (
-    _FLOAT_RANGE,
-    _INT_MINIMUM,
+    _SETTINGS,
     NATS_PER_BIT,
     SWEEPABLE_PARAMS,
     Scenario,
@@ -60,6 +62,11 @@ def test_parse_minimal_scenario_and_defaults():
     assert s.rrm.utility.alpha == 1.0 and s.rrm.utility.epsilon == 1e-3
     assert s.power_overrides == {}
     assert s.graph.interference[0, 1]  # 300 m < the 420 m macro radius
+    # A setting the file leaves out takes its dataclass default, field by field.
+    assert s.rrm == RrmConfig() and s.rrm.utility == UtilitySpec()
+    given, default = {"subbands": 4, "deterministic": True, "seed": 3}, Scenario(graph=s.graph)
+    for f in dataclasses.fields(Scenario):
+        assert getattr(s, f.name) == given.get(f.name, getattr(default, f.name)), f.name
 
 
 def test_dump_parse_roundtrip_is_byte_stable():
@@ -246,6 +253,7 @@ def test_with_param_sweeps_and_casts():
     # the topology is not swept, so caches keyed on the graph stay warm
     assert with_param(s, "p_pico_dbm", 35.0).graph is s.graph
     assert with_param(s, "seed", 9.0).seed == 9
+    assert with_param(s, "seed", 2**60 + 1).seed == 2**60 + 1  # an int keeps every digit
     assert with_param(s, "subbands", 6.0).subbands == 6
     swept = with_param(s, "subframes_per_superframe", 100.0)
     assert swept.rrm.subframes_per_superframe == 100
@@ -276,12 +284,16 @@ def test_non_finite_numbers_are_rejected():
 
 def test_float_ranges_hold_their_edges_and_nothing_past_them():
     radio, run = "deterministic = true", "seed = 3"
-    edges = {radio: "p_pico_dbm = 300\nnoise_dbm = -300", run: "gap_converge_rel = 0"}
+    edges = {
+        radio: "p_pico_dbm = 300\nnoise_dbm = -300\nmacro_radius_m = 0\npico_radius_m = 0",
+        run: "gap_converge_rel = 0\nq_prune = 0\nmax_members = 2",
+    }
     text = BASE
     for anchor, lines in edges.items():
         text = text.replace(anchor, f"{anchor}\n{lines}")
     s = parse_scenario(text)
     assert (s.p_pico_dbm, s.noise_dbm, s.rrm.gap_converge_rel) == (300.0, -300.0, 0.0)
+    assert (s.macro_radius_m, s.pico_radius_m, s.rrm.q_prune, s.rrm.max_members) == (0.0, 0.0, 0.0, 2)
     assert parse_scenario(BASE.replace("1 pico 300.0 0.0", "1 pico 300.0 0.0 -300")).power_overrides == {1: -300.0}
     assert with_param(s, "p_macro_dbm", -300.0).p_macro_dbm == -300.0
     for anchor, line, message in [
@@ -289,11 +301,25 @@ def test_float_ranges_hold_their_edges_and_nothing_past_them():
         (run, "share_gap_tol = 0.0", "'share_gap_tol' must be > 0, got '0.0'"),
         (run, "epsilon_converge = -0.0", "'epsilon_converge' must be > 0, got '-0.0'"),
         (run, "gap_converge_rel = -1e-300", "'gap_converge_rel' must be >= 0, got '-1e-300'"),
+        (radio, "macro_radius_m = -150.0", "'macro_radius_m' must be >= 0, got '-150.0'"),
+        (run, "q_prune = 1.0", "'q_prune' must lie in [0, 1), got '1.0'"),
+        (run, "max_members = 1", "'max_members' must be >= 2, got 1"),
+        (run, "alpha = 0", "'alpha' must be > 0, got '0'"),
+        (run, "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
     ]:
         text = BASE.replace(anchor, f"{anchor}\n{line}")
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text, path="r.scenario")
         assert err.value.errors == [f"r.scenario:{text.splitlines().index(line) + 1}: {message}"]
+    # The rules RrmConfig and UtilitySpec also check: each bad value is reported
+    # at its own line, all four at once.
+    bad = ["q_prune = 2", "max_members = 1", "alpha = -1", "utility_epsilon = 0"]
+    text = BASE.replace(run, "\n".join([run, *bad]))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, path="r.scenario")
+    assert [e.split(":")[1] for e in err.value.errors] == [
+        str(text.splitlines().index(line) + 1) for line in bad
+    ]
 
 
 def test_with_param_applies_the_parser_rules():
@@ -350,9 +376,10 @@ BUNDLED = [
 def _in_range(name: str, floor: int = 0):
     """Values of a sweepable parameter the parser accepts (an integer one at
     least ``floor``), as ``with_param`` takes them."""
-    if name in _INT_MINIMUM:
-        return st.integers(max(_INT_MINIMUM[name], floor), 2**53).map(float)
-    low, high, _ = _FLOAT_RANGE[name]
+    row = _SETTINGS[name]
+    if row.kind is int:
+        return st.integers(max(row.limit, floor), 2**53).map(float)
+    low, high, _ = row.limit
     return st.floats(low, high)
 
 
@@ -375,3 +402,38 @@ def test_swept_values_survive_dump_and_parse(data):
             "control_lead_subframes",
         ):
             assert getattr(again, key) == getattr(swept, key), key
+
+
+def test_every_setting_survives_dump_and_parse():
+    # One value per row of the table, each off its default (utility has one word).
+    values = {
+        "subbands": "5", "p_macro_dbm": "41.5", "p_pico_dbm": "30.25", "noise_dbm": "-95.5",
+        "deterministic": "true", "macro_radius_m": "500.0", "pico_radius_m": "120.0",
+        "seed": "12", "mode": "fddsa", "subframes_per_superframe": "80",
+        "control_lead_subframes": "5", "max_superframes": "9", "epsilon_converge": "2e-05",
+        "gap_converge_rel": "0.001", "q_prune": "0.25", "max_members": "7",
+        "share_gap_tol": "0.0003", "utility": "alpha_fair", "alpha": "2.5",
+        "utility_epsilon": "0.01",
+    }
+    assert list(values) == list(_SETTINGS)
+    blocks = {"radio": "", "run": ""}
+    for key, value in values.items():
+        blocks[_SETTINGS[key].section] += f"{key} = {value}\n"
+    text = BASE.split("[radio]")[0] + "".join(f"[{name}]\n{lines}\n" for name, lines in blocks.items())
+    s = parse_scenario(text)
+    defaults = {Scenario: Scenario(graph=s.graph), RrmConfig: RrmConfig(), UtilitySpec: UtilitySpec()}
+    parsed = {Scenario: s, RrmConfig: s.rrm, UtilitySpec: s.rrm.utility}
+    for key, row in _SETTINGS.items():
+        if row.owner is not None:
+            name = row.field or key
+            assert getattr(parsed[row.owner], name) != getattr(defaults[row.owner], name), key
+
+    dumped = dump_scenario(s)
+    assert [line for line in dumped.splitlines() if line.split(" = ")[0] in values] == [
+        f"{key} = {value}" for key, value in values.items()
+    ]
+    again = parse_scenario(dumped)
+    assert dump_scenario(again) == dumped
+    for f in dataclasses.fields(Scenario):
+        if f.name != "graph":
+            assert getattr(again, f.name) == getattr(s, f.name), f.name
