@@ -94,22 +94,16 @@ def augment_with_wired_backhaul(
     )
 
 
-def run_fbc(
-    model: ChannelModel,
-    config: RrmConfig,
-    wired_capacity: float | None = None,
-) -> tuple[RrmResult, ChannelModel]:
+def run_fbc(model: ChannelModel, config: RrmConfig) -> tuple[RrmResult, ChannelModel]:
     """Adaptive scheme on the wired-backhaul-augmented network.
 
-    The default wired capacity is a wide margin above the best single-link
-    wireless rate, so the added backhaul never bottlenecks.  Returns the
-    result together with the augmented network's channel model (the original
-    model when nothing needed wiring).
+    The wired capacity is a wide margin above the best single-link wireless
+    rate, so the added backhaul never bottlenecks.  Returns the result
+    together with the augmented network's channel model (the original model
+    when nothing needed wiring).
     """
-    if wired_capacity is None:
-        peak = float(model.statistical_rates().sum(axis=1).max())
-        wired_capacity = FBC_CAPACITY_MARGIN * max(peak, 1.0)
-    augmented = augment_with_wired_backhaul(model.graph, wired_capacity)
+    peak = float(model.statistical_rates().sum(axis=1).max())
+    augmented = augment_with_wired_backhaul(model.graph, FBC_CAPACITY_MARGIN * max(peak, 1.0))
     if augmented is model.graph:
         return run_to_convergence(model, config), model
     fbc_model = ChannelModel(

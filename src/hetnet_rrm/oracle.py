@@ -70,13 +70,7 @@ def vertex_rate_rows(model: ChannelModel) -> np.ndarray:
 
     rows: list[np.ndarray] = []
     for pattern in patterns:
-        choices: list[list[int]] = []
-        for slot, node in enumerate(graph.bs_nodes):
-            if not pattern[slot]:
-                continue
-            outgoing = list(graph.outgoing_wireless(node))
-            if outgoing:
-                choices.append(outgoing)
+        choices = [list(cand) for on, cand in zip(pattern, graph.station_links) if on and cand.size]
         if not choices:
             rows.append(np.zeros(graph.num_links))
             continue
@@ -84,8 +78,7 @@ def vertex_rate_rows(model: ChannelModel) -> np.ndarray:
             row = np.zeros(graph.num_links)
             row[list(combo)] = link_rates[list(combo)]
             rows.append(row)
-    unique = np.unique(np.array(rows), axis=0)
-    return unique
+    return np.unique(np.array(rows), axis=0)
 
 
 def oracle_solve(model: ChannelModel, utility: UtilitySpec) -> OracleSolution:

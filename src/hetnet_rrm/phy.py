@@ -9,8 +9,9 @@ Within a subframe each active station serves, on every subband, the outgoing
 wireless link maximizing ``weight * log(1 + |h|^2 p)``; ties go to the lowest
 link index, and the argmax link is scheduled even when its weighted rate is
 zero.  Since every link has exactly one transmitter and admissible patterns
-are interference-free, conditional link rates are additive over active
-stations, which the rate-table computation exploits.
+are interference-free, a pattern's conditional link rates are the all-active
+link rates on its active stations' links: rate rows are indexed by link, and
+a pattern's row masks one (L,) row of link means.
 
 One block kernel, :func:`block_winners`, takes that argmax for every station
 on every subframe of a (S, L, M) rate block, under a whole (K, L) stack of
@@ -84,35 +85,20 @@ def schedule_links(
     """
     n_links, n_subbands = subband_rates.shape
     rho = np.zeros((n_links, n_subbands), dtype=bool)
-    for slot, node in enumerate(graph.bs_nodes):
-        if not pattern[slot]:
-            continue
-        cand = np.array(graph.outgoing_wireless(node), dtype=int)
-        if cand.size == 0:
+    for slot, cand in enumerate(graph.station_links):
+        if not pattern[slot] or cand.size == 0:
             continue
         scores = weights[cand, None] * subband_rates[cand, :]
         winner = cand[np.argmax(scores, axis=0)]  # first max -> lowest link index
         rho[winner, np.arange(n_subbands)] = True
-    assert_schedule_feasible(graph, pattern, rho)
+    assert_block_feasible(graph, np.array(pattern, dtype=bool)[None], rho[None])
     return rho
 
 
-def assert_schedule_feasible(graph: TopologyGraph, pattern: Pattern, rho: np.ndarray) -> None:
-    """Hard feasibility assertions: silent or foreign links never scheduled and
-    every active station serves at most one link per subband."""
-    for slot, node in enumerate(graph.bs_nodes):
-        links = list(graph.outgoing_wireless(node))
-        used = rho[links, :].sum(axis=0) if links else np.zeros(rho.shape[1])
-        limit = int(pattern[slot])
-        if np.any(used > limit):
-            raise AssertionError(f"station {node} scheduled {used.max()} links on one subband (limit {limit})")
-    for l in graph.wired_links:
-        if np.any(rho[l]):
-            raise AssertionError(f"wired link {l} appeared in a radio schedule")
-
-
 def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndarray) -> None:
-    """:func:`assert_schedule_feasible` for every subframe of a block at once.
+    """Hard feasibility assertions on every subframe of a block: silent or
+    foreign links are never scheduled and every active station serves at most
+    one link per subband.
 
     ``active`` (S, B) holds each subframe's DTX pattern and ``rho`` (S, L, M)
     its schedule.
@@ -247,34 +233,28 @@ def schedule_block(
 
 
 def contribution_stats(graph: TopologyGraph, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block mean and standard error (K, B, L) of :func:`block_winners`' rates.
+    """Block mean and standard error (K, L) of :func:`block_winners`' rates.
 
-    Row ``[k, n]`` holds station ``n``'s links.  The summation order over the
-    subframes is that of a per-station reduction of a contiguous (S, C) copy:
-    numpy sums a lone column pairwise but adds the rows of a wider block one
-    after another, so one-link stations reduce pairwise and the others in
-    order, and every bit of the mean follows.
+    The summation order over the subframes is that of a per-station
+    reduction of a contiguous (S, C) copy: numpy sums a lone column pairwise
+    but adds the rows of a wider block one after another, so one-link
+    stations reduce pairwise and the others in order, and every bit of the
+    mean follows.
     """
     n_rows, n_samples, n_links = rates.shape
     single, table, count = _candidates(graph)
     multi = table[np.arange(table.shape[1]) < count[:, None]]  # each station's own, in order
-    link_mean = np.zeros((n_rows, n_links))
-    link_sem = np.zeros((n_rows, n_links))
+    mean = np.zeros((n_rows, n_links))
+    stderr = np.zeros((n_rows, n_links))
     # (K, Ls, S) for pairwise sums over S, (K, S, Lm) for sums in order.
     for links, axis in ((single, 2), (multi, 1)):
         if links.size == 0:
             continue
         per_sample = np.take(rates, links, axis=2)
         per_sample = np.ascontiguousarray(per_sample.transpose(0, 2, 1) if axis == 2 else per_sample)
-        link_mean[:, links] = per_sample.mean(axis=axis)
+        mean[:, links] = per_sample.mean(axis=axis)
         if n_samples > 1:
-            link_sem[:, links] = per_sample.std(axis=axis, ddof=1) / np.sqrt(n_samples)
-    wireless = np.array(graph.wireless_links, dtype=int)
-    mean = np.zeros((n_rows, graph.num_bs, n_links))
-    stderr = np.zeros_like(mean)
-    owner = graph.link_station[wireless]
-    mean[:, owner, wireless] = link_mean[:, wireless]
-    stderr[:, owner, wireless] = link_sem[:, wireless]
+            stderr[:, links] = per_sample.std(axis=axis, ddof=1) / np.sqrt(n_samples)
     return mean, stderr
 
 
@@ -284,14 +264,15 @@ def station_contributions(
     rate_block: np.ndarray,
     winner_rates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-station mean link-rate contributions under max-weight scheduling,
+    """Mean link rates under max-weight scheduling with every station active,
     for a (K, L) stack of weight vectors from one kernel pass.
 
     Returns ``(winners, mean, stderr)``: ``winners`` is :func:`block_winners`'
-    schedule under row 0, and ``mean[k, n]`` (K, B, L) the average over the
-    block's subframes of the rate each of station ``n``'s links gets under
-    row ``k`` when the station is active.  Because admissible patterns are
-    interference-free, a pattern's rate row is the sum of its active rows
+    schedule under row 0, and ``mean[k, l]`` (K, L) the average over the
+    block's subframes of the rate link ``l`` gets under row ``k`` when its
+    station is active, with its standard error ``stderr``.  Because each link
+    has one station and admissible patterns are interference-free, a
+    pattern's rate row keeps the links of its active stations
     (:func:`rate_table_for_patterns`).  ``winner_rates`` is as in
     :func:`block_winners`.
     """
@@ -300,17 +281,18 @@ def station_contributions(
 
 
 def rate_table_for_patterns(
-    patterns: list[Pattern], mean: np.ndarray, stderr: np.ndarray
+    graph: TopologyGraph, patterns: np.ndarray, mean: np.ndarray, stderr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean link rates for every pattern, with their Monte Carlo
-    standard errors, from one row of :func:`station_contributions`: a
-    pattern's row is the sum of its active stations' rows.  Row ``j`` is the
-    average rate of each link when pattern ``j`` is on and links are
-    scheduled by the max-weight rule; wired links carry zeros.
+    """Conditional mean link rates of (J, B) patterns, with their Monte Carlo
+    standard errors, from :func:`station_contributions`' link means: row ``j``
+    is ``mean`` (an (L,) row, or one (J, L) row per pattern) on the links of
+    pattern ``j``'s active stations and zero elsewhere, so it is the average
+    rate of each link when pattern ``j`` is on and links are scheduled by the
+    max-weight rule; wired links carry zeros.
 
     Taking every pattern from one shared draw block keeps comparisons paired:
     the argmax pattern of the sampled table genuinely maximizes the sampled
     weighted rate.
     """
-    mask = np.array(patterns, dtype=float)  # (J, B)
-    return mask @ mean, mask @ stderr
+    mask = np.asarray(patterns)[:, graph.link_station]  # (J, L)
+    return mask * mean, mask * stderr

@@ -13,10 +13,12 @@ single-subframe reference ``phy.schedule_links``.
 Each superframe makes one kernel call (:func:`block_pass`) for a stack of
 weight vectors: row 0 holds the current weights, which the short timescale
 schedules with and pattern discovery ranks patterns under, and the other
-rows every distinct member weight vector, from which the members' rate rows
-are read.  The loop evaluates that pass, decides (once the utility plateaus,
-the stopping certificate reduces the pass), and only then advances, so the
-certificate and the superframe it may let run read one pass.
+rows every distinct member weight vector.  The pass yields each row's (L,)
+link means, and a member's rate row is its stack row kept on the links of
+its pattern's active stations.  The loop evaluates that pass, decides (once
+the utility plateaus, the stopping certificate reduces the pass), and only
+then advances, so the certificate and the superframe it may let run read one
+pass.
 
 The optimization state is a set of *scheduled patterns*: a DTX activity
 pattern bundled with the link weights under which it was discovered.  Each
@@ -161,12 +163,11 @@ def _duration_groups(
 
 def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
     """Start from one member per duration group, with neutral weights: the
-    densest admissible pattern, or every pattern under fixed durations."""
+    lexicographically last admissible pattern (all-on when admissible), or
+    every pattern under fixed durations."""
     graph = model.graph
     patterns = enumerate_feasible_patterns(graph.interference)
-    all_on = tuple([1] * graph.num_bs)
-    densest = all_on if all_on in patterns else patterns[-1]
-    starts = range(len(patterns)) if fixed_pattern_durations else [patterns.index(densest)]
+    starts = range(len(patterns)) if fixed_pattern_durations else [len(patterns) - 1]
     weights = np.ones(graph.num_links)
     return RrmState(
         members=[ScheduledPattern(pattern=patterns[j], index=j, weights=weights) for j in starts],
@@ -189,25 +190,27 @@ class BlockPass:
     """One superframe's block of channel draws, its one kernel pass, and what
     the certificate and pattern discovery read off the pass.
 
-    ``winners`` (S, L, M) and the per-station rates ``contributions`` and
-    ``stderr`` (B, L) are row 0's, under the current weights.
+    ``winners`` (S, L, M) is row 0's, under the current weights.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
-    weighted rate under row 0, and ``group_best`` each duration group's
-    argmax of those, of total time ``group_totals``.
+    weighted rate under row 0 and ``pattern_sem`` its weighted standard
+    error, ``group_best`` each duration group's argmax of those values, of
+    total time ``group_totals``, and ``best_rates``/``best_stderr`` the rate
+    rows of those argmax patterns under row 0.
     """
 
     t0: int
     rate_block: np.ndarray
     winner_rates: np.ndarray | None
     winners: np.ndarray
-    contributions: np.ndarray
-    stderr: np.ndarray
     member_rates: np.ndarray
     member_stderr: np.ndarray
     pattern_values: np.ndarray
+    pattern_sem: np.ndarray
     group_best: np.ndarray
     group_totals: np.ndarray
+    best_rates: np.ndarray
+    best_stderr: np.ndarray
 
 
 def block_pass(
@@ -217,12 +220,14 @@ def block_pass(
     ``state``'s superframe) and make its one kernel pass under the current
     weights and every member's weights.
 
-    Members sharing a weight vector share its stack row and one rate table,
-    and members pinned to the current weights read row 0, the pass the short
-    timescale schedules with.
+    Members sharing a weight vector share its stack row, and members pinned
+    to the current weights read row 0, the pass the short timescale
+    schedules with; every member's rate row is masked from its stack row's
+    link means at once.
     """
     if t0 is None:
         t0 = state.superframe * config.subframes_per_superframe
+    graph = model.graph
     stack = {state.weights.tobytes(): state.weights}
     for member in state.members:
         stack.setdefault(member.weights.tobytes(), member.weights)
@@ -230,31 +235,35 @@ def block_pass(
     member_row = np.array([keys.index(m.weights.tobytes()) for m in state.members], dtype=int)
     rate_block = model.rate_block(t0, config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
-    winners, contributions, stderr = station_contributions(
-        model.graph, np.array(list(stack.values())), rate_block, winner_rates
+    winners, mean, stderr = station_contributions(
+        graph, np.array(list(stack.values())), rate_block, winner_rates
     )
 
-    member_rates = np.zeros((len(state.members), contributions.shape[2]))
-    member_stderr = np.zeros_like(member_rates)
-    for k in np.unique(member_row):
-        indices = np.flatnonzero(member_row == k)
-        member_rates[indices], member_stderr[indices] = rate_table_for_patterns(
-            [state.members[j].pattern for j in indices], contributions[k], stderr[k]
-        )
-    values = np.array(state.patterns, dtype=float) @ (contributions[0] @ state.weights)
+    patterns = np.array(state.patterns, dtype=float)
+    member_rates, member_stderr = rate_table_for_patterns(
+        graph, patterns[[m.index for m in state.members]], mean[member_row], stderr[member_row]
+    )
+    # Each station's weighted sum over its links as a (B, L) block product:
+    # a per-station reduction would sum in another order, to other bits.
+    station = np.zeros((2, graph.num_bs, graph.num_links))
+    station[:, graph.link_station, np.arange(graph.num_links)] = mean[0], stderr[0]
+    values, value_sem = (patterns @ (rows @ state.weights) for rows in station)
     groups = _duration_groups(np.arange(len(values)), len(values), config.fixed_pattern_durations)
+    best = np.array([idx[np.argmax(values[idx])] for idx, _ in groups])
+    best_rates, best_stderr = rate_table_for_patterns(graph, patterns[best], mean[0], stderr[0])
     return BlockPass(
         t0=t0,
         rate_block=rate_block,
         winner_rates=winner_rates,
         winners=winners,
-        contributions=contributions[0],
-        stderr=stderr[0],
         member_rates=member_rates,
         member_stderr=member_stderr,
         pattern_values=values,
-        group_best=np.array([idx[np.argmax(values[idx])] for idx, _ in groups]),
+        pattern_sem=value_sem,
+        group_best=best,
         group_totals=np.array([total for _, total in groups]),
+        best_rates=best_rates,
+        best_stderr=best_stderr,
     )
 
 
@@ -295,15 +304,12 @@ def run_superframe(
     # with the same row.
     members = list(state.members)
     rows, row_stderr, best = block.member_rates, block.member_stderr, block.group_best
-    found, found_stderr = rate_table_for_patterns(
-        [state.patterns[j] for j in best], block.contributions, block.stderr
-    )
     seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
-    new = [k for k, j in enumerate(best) if (j, found[k].tobytes()) not in seen]
+    new = [k for k, j in enumerate(best) if (j, block.best_rates[k].tobytes()) not in seen]
     weights = state.weights.copy()
     members += [ScheduledPattern(state.patterns[best[k]], int(best[k]), weights) for k in new]
-    rows = np.vstack([rows, found[new]])
-    row_stderr = np.vstack([row_stderr, found_stderr[new]])
+    rows = np.vstack([rows, block.best_rates[new]])
+    row_stderr = np.vstack([row_stderr, block.best_stderr[new]])
 
     # Share re-optimization, jointly with flow control and routing; the
     # embedded flow solution's prices become the next weights.
@@ -378,9 +384,8 @@ def certificate(state: RrmState, config: RrmConfig, block: BlockPass) -> Certifi
     weights = state.weights
     values, best, totals = block.pattern_values, block.group_best, block.group_totals
     policy_value = float(weights @ (state.shares @ block.member_rates))
-    value_sem = np.array(state.patterns, dtype=float) @ (block.stderr @ weights)
     policy_sem = float(state.shares @ (block.member_stderr @ weights))
-    tolerance = 3.0 * (float(totals @ value_sem[best]) + policy_sem) + 1e-9
+    tolerance = 3.0 * (float(totals @ block.pattern_sem[best]) + policy_sem) + 1e-9
     return CertificateReport(
         gap=float(totals @ values[best]) - policy_value,
         tolerance=tolerance,

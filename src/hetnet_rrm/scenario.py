@@ -430,7 +430,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     lead, length = scenario.control_lead_subframes, rrm.subframes_per_superframe
     if lead >= length:
         need = f"must be smaller than subframes_per_superframe ({length})"
-        cur.error(given.get("control_lead_subframes", (0,))[0], f"control_lead_subframes ({lead}) {need}")
+        where = given.get("control_lead_subframes") or given["subframes_per_superframe"]
+        cur.error(where[0], f"control_lead_subframes ({lead}) {need}")
     if cur.errors:
         raise ScenarioError(cur.errors)
 

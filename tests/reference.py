@@ -50,7 +50,7 @@ def conditional_rate(
     block = channel.rate_block(t_start, n_samples)
     winner = channel.statistical_rates() if statistical_winners else None
     _, mean, stderr = station_contributions(graph, weights[None], block, winner)
-    rates, _ = rate_table_for_patterns([pattern], mean[0], stderr[0])
+    rates, _ = rate_table_for_patterns(graph, np.array([pattern]), mean[0], stderr[0])
     return rates[0]
 
 
@@ -109,18 +109,18 @@ def vector_block_winners(
 def vector_contribution_stats(
     graph: TopologyGraph, per_station: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Block mean and standard error (B, L) of :func:`vector_block_winners`'
+    """Block mean and standard error (L,) of :func:`vector_block_winners`'
     per-station rates, one contiguous (S, C) copy per station."""
-    n_samples, n_bs, n_links = per_station.shape
-    mean = np.zeros((n_bs, n_links))
-    stderr = np.zeros((n_bs, n_links))
+    n_samples, _, n_links = per_station.shape
+    mean = np.zeros(n_links)
+    stderr = np.zeros(n_links)
     for slot, cand in enumerate(graph.station_links):
         if cand.size == 0:
             continue
         per_sample = np.ascontiguousarray(per_station[:, slot, cand])
-        mean[slot, cand] = per_sample.mean(axis=0)
+        mean[cand] = per_sample.mean(axis=0)
         if n_samples > 1:
-            stderr[slot, cand] = per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples)
+            stderr[cand] = per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return mean, stderr
 
 

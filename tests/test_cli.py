@@ -1,12 +1,17 @@
 import dataclasses
+import importlib
+import importlib.util
 import logging
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hetnet_rrm import netopt, rrm
 from hetnet_rrm.cli import (
+    _RUNNERS,
     EXIT_CONFIG,
     EXIT_MAX_ITERS,
     EXIT_OK,
@@ -14,6 +19,7 @@ from hetnet_rrm.cli import (
     EXIT_SOLVER,
     main,
 )
+from hetnet_rrm.scenario import MODES
 from hetnet_rrm.trace import parse_trace
 
 TWO_USER_DET = """\
@@ -439,3 +445,23 @@ def test_sweep_rejects_values_the_parser_would(param, value, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: --param {param}: {message}\n"
     assert captured.out == ""
+
+
+def test_traced_functions_and_runners_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps, and every mode's runner,
+    exists under its name: a traced benchmark run looks them up by name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TRACED) >= 16
+    for _, module_name, attr in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
+    # fbc runs through run_fbc, which also returns its augmented model
+    assert set(_RUNNERS) == set(MODES) - {"fbc"}
+    assert all(callable(runner) for runner in _RUNNERS.values())

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.phy import (
     PatternEnumerationError,
     assert_block_feasible,
-    assert_schedule_feasible,
     block_winners,
     enumerate_feasible_patterns,
     rate_table_for_patterns,
@@ -128,15 +128,19 @@ def test_schedule_links_weight_scale_invariance():
 
 
 def test_assert_schedule_feasible_rejects_violations():
+    """A one-subframe schedule, checked as schedule_links checks it: as a
+    block of one subframe."""
     g = _two_station_graph()
     bad = np.zeros((3, 2), dtype=bool)
     bad[0, 0] = bad[1, 0] = True        # station 0 serves two links on subband 0
-    with pytest.raises(AssertionError):
-        assert_schedule_feasible(g, (1, 1), bad)
+    message = "subframe 0: station 0 scheduled 2 links on subband 0 (limit 1)"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        assert_block_feasible(g, np.array([[1, 1]], dtype=bool), bad[None])
     bad = np.zeros((3, 2), dtype=bool)
     bad[2, 0] = True                    # station 1 is silent in the pattern
-    with pytest.raises(AssertionError):
-        assert_schedule_feasible(g, (1, 0), bad)
+    message = "subframe 0: station 1 scheduled 1 links on subband 0 (limit 0)"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        assert_block_feasible(g, np.array([[1, 0]], dtype=bool), bad[None])
 
 
 def _loop_reference(graph, active, weights, block, winner_rates):
@@ -299,13 +303,14 @@ def test_station_contributions_hand_case():
     _, mean, stderr = station_contributions(g, np.ones((1, 3)), block)
     mean, stderr = mean[0], stderr[0]
     # station 0: subframe 0 serves link0@2.0 + link1@3.0; subframe 1 link1@3.0 + link0@2.0
-    assert np.allclose(mean[0], [2.0, 3.0, 0.0])
-    assert np.allclose(mean[1], [0.0, 0.0, 8.0])
-    assert np.allclose(stderr[0], [0.0, 0.0, 0.0])
+    assert np.allclose(mean[:2], [2.0, 3.0])
+    # station 1's only link serves (4+4, 6+2) on the two subframes
+    assert np.allclose(mean[2], 8.0)
+    assert np.allclose(stderr, [0.0, 0.0, 0.0])
     # statistical winners pin the argmax while payload stays realized
     stat = np.array([[9.0, 9.0], [1.0, 1.0], [1.0, 1.0]])
     _, mean2, _ = station_contributions(g, np.ones((1, 3)), block, winner_rates=stat)
-    assert np.allclose(mean2[0, 0], [3.0, 0.0, 0.0])  # link0 payload (2+1, 1+2)/2 per subband summed
+    assert np.allclose(mean2[0, :2], [3.0, 0.0])  # link0 payload (2+1, 1+2)/2 per subband summed
 
 
 def test_rate_table_rows_are_sums_of_station_rows():
@@ -315,10 +320,12 @@ def test_rate_table_rows_are_sums_of_station_rows():
     weights = np.linspace(0.5, 1.5, g.num_links)
     patterns = enumerate_feasible_patterns(g.interference)
     _, mean, stderr = station_contributions(g, weights[None], block)
-    rates, _ = rate_table_for_patterns(patterns, mean[0], stderr[0])
+    rates, _ = rate_table_for_patterns(g, np.array(patterns), mean[0], stderr[0])
     mean = mean[0]
     for j, p in enumerate(patterns):
-        assert np.allclose(rates[j], np.array(p) @ mean)
+        # station n's row holds the link means on its own links, zero elsewhere
+        station_rows = [np.where(g.link_station == n, mean, 0.0) for n in range(g.num_bs)]
+        assert np.array_equal(rates[j], sum(on * row for on, row in zip(p, station_rows)))
     silent = patterns.index(tuple(0 for _ in g.bs_nodes))
     assert np.all(rates[silent] == 0.0)
 

@@ -17,8 +17,16 @@ from hetnet_rrm.rrm import (
     run_to_convergence,
 )
 from hetnet_rrm.scenario import parse_scenario
+from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
-from conftest import det_model, diamond_graph, random_instance, relay_grid_graph, single_link_graph
+from conftest import (
+    build_graph,
+    det_model,
+    diamond_graph,
+    random_instance,
+    relay_grid_graph,
+    single_link_graph,
+)
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -42,6 +50,25 @@ def test_initial_state_starts_from_densest_pattern():
     assert (1,) * d.num_bs not in state.patterns
     assert state.members[0].pattern == state.patterns[-1]
     assert sum(state.members[0].pattern) >= 1
+
+
+def test_initial_state_starts_from_the_lexicographically_last_pattern():
+    """The start is the last admissible pattern in lexicographic order, which
+    is all-on when that is admissible but need not be the densest one."""
+    nodes = [
+        Node(0, NodeKind.MACRO, (0.0, 0.0)),
+        Node(1, NodeKind.PICO, (300.0, 0.0)),
+        Node(2, NodeKind.PICO, (-300.0, 0.0)),
+        Node(3, NodeKind.USER, (340.0, 30.0)),
+        Node(4, NodeKind.USER, (-340.0, 30.0)),
+    ]
+    links = [Link(0, 0, 1), Link(1, 0, 2), Link(2, 1, 3), Link(3, 2, 4)]
+    g = build_graph(nodes, links, [Flow(0, 0, 3), Flow(1, 0, 4)], {0})
+    assert np.array_equal(g.interference, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    state = initial_state(det_model(g))
+    assert state.patterns == [(0, 0, 0), (0, 1, 1), (1, 0, 0)]
+    assert [m.pattern for m in state.members] == [(1, 0, 0)]
+    assert [m.index for m in state.members] == [2]
 
 
 def test_config_validation():

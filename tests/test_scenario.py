@@ -220,6 +220,14 @@ def test_control_lead_must_stay_inside_superframe():
         BASE.replace("seed = 3", "seed = 3\nsubframes_per_superframe = 50\ncontrol_lead_subframes = 49")
     )
     assert ok.control_lead_subframes == 49
+    # Without a lead key the default lead is blamed on the superframe length's line.
+    text = BASE.replace("seed = 3", "seed = 3\nsubframes_per_superframe = 2")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, path="x.scenario")
+    line = text.splitlines().index("subframes_per_superframe = 2") + 1
+    assert err.value.errors == [
+        f"x.scenario:{line}: control_lead_subframes (2) must be smaller than subframes_per_superframe (2)"
+    ]
 
 
 def test_removed_flow_tol_key_is_an_error_not_ignored():
