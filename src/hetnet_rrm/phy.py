@@ -22,6 +22,8 @@ row yields the per-link rates the long timescale's rate rows are built from.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .topology import TopologyGraph
@@ -122,23 +124,37 @@ def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndar
 ROWS_PER_CHUNK = 2
 
 
+# Candidate layouts per graph object, dropped with the graph (graphs hash by identity).
+_candidate_tables: weakref.WeakKeyDictionary[
+    TopologyGraph, tuple[np.ndarray, np.ndarray, np.ndarray]
+] = weakref.WeakKeyDictionary()
+
+
 def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stations' wireless links as the block kernel reads them.
+    """The stations' wireless links as the block kernel reads them, built once
+    per graph (read-only arrays).
 
     Returns ``(single, table, count)``: ``single`` holds the links of one-link
     stations, and ``table`` (Bm, C) the candidates of every other station,
     the first ``count[b]`` of row ``b`` its own and the rest copies of its
     first one.
     """
+    cached = _candidate_tables.get(graph)
+    if cached is not None:
+        return cached
     width = max((cand.size for cand in graph.station_links), default=0)
     single = [cand[0] for cand in graph.station_links if cand.size == 1]
     multi = [cand for cand in graph.station_links if cand.size > 1]
     table = [list(cand) + [cand[0]] * (width - cand.size) for cand in multi]
-    return (
+    arrays = (
         np.array(single, dtype=int),
         np.array(table, dtype=int).reshape(len(multi), width),
         np.array([cand.size for cand in multi], dtype=int),
     )
+    for array in arrays:
+        array.setflags(write=False)
+    _candidate_tables[graph] = arrays
+    return arrays
 
 
 def block_winners(

@@ -13,21 +13,27 @@ single-subframe reference ``phy.schedule_links``.
 Each superframe makes one kernel call (:func:`block_pass`) for a stack of
 weight vectors: row 0 holds the current weights, which the short timescale
 schedules with and pattern discovery ranks patterns under, and the other
-rows every distinct member weight vector.  The pass yields each row's (L,)
-link means, and a member's rate row is its stack row kept on the links of
-its pattern's active stations.  The loop evaluates that pass, decides (once
+rows every distinct member weight vector (none on a deterministic channel
+after the first superframe).  The pass yields each row's (L,) link means,
+and a member's rate row is its stack row kept on the links of its pattern's
+active stations.  The loop evaluates that pass, decides (once
 the utility plateaus, the stopping certificate reduces the pass), and only
 then advances, so the certificate and the superframe it may let run read one
 pass.
 
 The optimization state is a set of *scheduled patterns*: a DTX activity
 pattern bundled with the link weights under which it was discovered.  Each
-superframe re-estimates every member's conditional rate row under its own
-stored weights, so a member's row is a stationary target (exactly stationary
-when the channel is deterministic) rather than drifting with the current
-weights.  The share program then anneals over these rows.  Keeping the
-discovery weights pinned is what makes the ascent monotone: re-scheduling old
-patterns under new weights can lower their achieved rows and cycle.
+fading superframe re-estimates every member's conditional rate row under its
+own stored weights on fresh draws, so a member's row is a stationary target
+rather than drifting with the current weights.  On a deterministic channel
+it is exactly stationary: a block repeats one subframe, so the row a member
+was measured with is kept and only the current weights are stacked.  The
+share program then anneals over these rows.  Keeping the discovery weights
+pinned is what makes the ascent monotone: re-scheduling old patterns under
+new weights can lower their achieved rows and cycle.  A superframe whose
+share program (member patterns, rows, duration groups, utility and
+tolerance) equals the one the state's flow solved, as when no member joined
+or was pruned on a deterministic channel, reuses that solve.
 
 The shares obey *duration groups*, a partition of the admissible patterns
 whose members share a fixed total time: one group of total 1 (the whole
@@ -35,8 +41,9 @@ simplex), or, under fixed pattern durations (fddsa), a group of total 1/J
 for each of the J patterns, so only time within a pattern is optimized.
 
 :func:`run_to_convergence` logs one ``INFO`` line per superframe to the
-``hetnet_rrm.rrm`` logger; :func:`stop_reason` says which convergence test a
-run that hit its superframe limit failed, and by how much.
+``hetnet_rrm.rrm`` logger, with the share solve's Newton iterations (0, and
+"share solve reused", when it was reused); :func:`stop_reason` says which
+convergence test a run that hit its superframe limit failed, and by how much.
 """
 
 from __future__ import annotations
@@ -116,6 +123,12 @@ class RrmState:
     utility: float = -np.inf
     superframe: int = 0
 
+    # ``(program, shares, flow)`` of the share solve ``flow`` came from, its
+    # shares before pruning, set by :func:`run_superframe`.  A cache, not
+    # state, so it is a plain attribute and no field: comparisons, copies and
+    # ``dataclasses.replace`` leave it out.
+    solve = None
+
 
 @dataclass(frozen=True)
 class SuperframeRecord:
@@ -190,6 +203,7 @@ class BlockPass:
     """One superframe's block of channel draws, its one kernel pass, and what
     the certificate and pattern discovery read off the pass.
 
+    ``patterns`` (J, B) holds the admissible patterns as a bool array, and
     ``winners`` (S, L, M) is row 0's, under the current weights.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
@@ -200,6 +214,7 @@ class BlockPass:
     """
 
     t0: int
+    patterns: np.ndarray
     rate_block: np.ndarray
     winner_rates: np.ndarray | None
     winners: np.ndarray
@@ -223,26 +238,33 @@ def block_pass(
     Members sharing a weight vector share its stack row, and members pinned
     to the current weights read row 0, the pass the short timescale
     schedules with; every member's rate row is masked from its stack row's
-    link means at once.
+    link means at once.  On a deterministic channel the rows ``state``
+    carries after its first superframe are kept instead and only row 0 is
+    stacked: the block repeats one subframe and a member's weights are
+    pinned, so re-stacking a member would give the same bits.
     """
     if t0 is None:
         t0 = state.superframe * config.subframes_per_superframe
     graph = model.graph
+    stationary = model.deterministic and state.superframe > 0
     stack = {state.weights.tobytes(): state.weights}
-    for member in state.members:
+    for member in [] if stationary else state.members:
         stack.setdefault(member.weights.tobytes(), member.weights)
-    keys = list(stack)
-    member_row = np.array([keys.index(m.weights.tobytes()) for m in state.members], dtype=int)
     rate_block = model.rate_block(t0, config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
     winners, mean, stderr = station_contributions(
         graph, np.array(list(stack.values())), rate_block, winner_rates
     )
 
-    patterns = np.array(state.patterns, dtype=float)
-    member_rates, member_stderr = rate_table_for_patterns(
-        graph, patterns[[m.index for m in state.members]], mean[member_row], stderr[member_row]
-    )
+    patterns = np.array(state.patterns, dtype=bool)
+    if stationary:
+        member_rates, member_stderr = state.rate_rows, state.row_stderr
+    else:
+        keys = list(stack)
+        member_row = [keys.index(m.weights.tobytes()) for m in state.members]
+        member_rates, member_stderr = rate_table_for_patterns(
+            graph, patterns[[m.index for m in state.members]], mean[member_row], stderr[member_row]
+        )
     # Each station's weighted sum over its links as a (B, L) block product:
     # a per-station reduction would sum in another order, to other bits.
     station = np.zeros((2, graph.num_bs, graph.num_links))
@@ -253,6 +275,7 @@ def block_pass(
     best_rates, best_stderr = rate_table_for_patterns(graph, patterns[best], mean[0], stderr[0])
     return BlockPass(
         t0=t0,
+        patterns=patterns,
         rate_block=rate_block,
         winner_rates=winner_rates,
         winners=winners,
@@ -292,8 +315,8 @@ def run_superframe(
     # run on every subframe in every mode, and subframe 0 is re-scheduled by
     # the reference schedule_links as a live cross-check.
     draws = model.pattern_draws(t0, config.subframes_per_superframe)
-    member_patterns = np.array([m.pattern for m in state.members], dtype=bool)
-    active = member_patterns[_sample_member_indices(state.shares, draws)]
+    index = np.array([m.index for m in state.members])
+    active = block.patterns[index[_sample_member_indices(state.shares, draws)]]
     served = schedule_block(
         graph, active, state.weights, block.rate_block, block.winners, block.winner_rates
     )
@@ -308,24 +331,33 @@ def run_superframe(
     new = [k for k, j in enumerate(best) if (j, block.best_rates[k].tobytes()) not in seen]
     weights = state.weights.copy()
     members += [ScheduledPattern(state.patterns[best[k]], int(best[k]), weights) for k in new]
+    index = np.concatenate([index, best[new]])
     rows = np.vstack([rows, block.best_rates[new]])
     row_stderr = np.vstack([row_stderr, block.best_stderr[new]])
 
     # Share re-optimization, jointly with flow control and routing; the
-    # embedded flow solution's prices become the next weights.
-    groups = _duration_groups(
-        np.array([m.index for m in members]), len(state.patterns), config.fixed_pattern_durations
+    # embedded flow solution's prices become the next weights.  The program
+    # the state's flow solved is reused when no member joined or was pruned
+    # and the rows did not move; its shares are copied before pruning.
+    groups = _duration_groups(index, len(state.patterns), config.fixed_pattern_durations)
+    program = (
+        index.tobytes(), rows.tobytes(),
+        config.utility, config.share_gap_tol, config.fixed_pattern_durations,
     )
-    shares, flow = optimize_time_sharing(
-        rows,
-        graph,
-        config.utility,
-        tol=config.share_gap_tol,
-        base_capacity=graph.wired_base_capacity(),
-        groups=groups,
-    )
+    if state.solve is not None and state.solve[0] == program:
+        _, solved_shares, flow = state.solve
+    else:
+        solved_shares, flow = optimize_time_sharing(
+            rows,
+            graph,
+            config.utility,
+            tol=config.share_gap_tol,
+            base_capacity=graph.wired_base_capacity(),
+            groups=groups,
+        )
 
     # Prune small and surplus members in each group, which keeps its largest.
+    shares = solved_shares.copy()
     keep = np.zeros(len(members), dtype=bool)
     for idx, total in groups:
         order = idx[np.argsort(shares[idx])[::-1]]
@@ -348,6 +380,7 @@ def run_superframe(
         utility=flow.utility,
         superframe=state.superframe + 1,
     )
+    new_state.solve = (program, solved_shares, flow)
     record = SuperframeRecord(
         index=state.superframe,
         utility=flow.utility,
@@ -419,11 +452,14 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
             converged = plateau and report.gap <= report.tolerance + _gap_slack(report, config)
             if converged or budget_spent:
                 return RrmResult(state, records, converged, report)
+        previous = state.flow
         state, record = run_superframe(model, state, config, block)
         records.append(record)
+        reused = state.flow is previous
         log.info(
-            "superframe %d: utility %r, %d members, %d Newton iterations, banked %s, %.1f ms",
-            record.index, record.utility, record.n_members, state.flow.newton_iters,
+            "superframe %d: utility %r, %d members, %d Newton iterations%s, banked %s, %.1f ms",
+            record.index, record.utility, record.n_members,
+            0 if reused else state.flow.newton_iters, " (share solve reused)" if reused else "",
             state.flow.banked, record.wall_ms,
         )
 

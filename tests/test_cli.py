@@ -388,6 +388,9 @@ def test_converged_run_logs_one_info_line_per_superframe(tmp_path, caplog):
     superframes = int(parse_trace(out.read_text(encoding="utf-8")).summary["superframes"])
     assert [l.split(":")[0] for l in lines] == [f"superframe {i}" for i in range(superframes)]
     assert not _messages(caplog, "hetnet_rrm", logging.WARNING)
+    # The last superframe adds no member, so it reuses the solve before it.
+    assert ", 0 Newton iterations (share solve reused), banked False, " in lines[-1]
+    assert not any("reused" in l for l in lines[:-1])
 
 
 def test_stop_reason_names_the_failed_test_and_its_margin(tmp_path, caplog, monkeypatch):

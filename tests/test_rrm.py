@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hetnet_rrm import phy, rrm
-from hetnet_rrm.baselines import run_fddsa
-from hetnet_rrm.netopt import UtilitySpec, solve_p1
+from hetnet_rrm.baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
+from hetnet_rrm.netopt import UtilitySpec, optimize_time_sharing, solve_p1
 from hetnet_rrm.rrm import (
     RrmConfig,
     _sample_member_indices,
@@ -23,6 +23,7 @@ from conftest import (
     build_graph,
     det_model,
     diamond_graph,
+    multicell_graph,
     random_instance,
     relay_grid_graph,
     single_link_graph,
@@ -250,6 +251,11 @@ def test_utility_never_depends_on_served_noise():
     )
 
 
+def _fig7_like():
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    return parse_scenario(text, path="fig7_like.scenario")
+
+
 def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
     """Each superframe makes one kernel pass for the current weights and every
     member's weights.  The certificate reduces, with no kernel call, the pass
@@ -271,8 +277,7 @@ def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
 
     monkeypatch.setattr(phy, "block_winners", counted_kernel)
     monkeypatch.setattr(rrm, "certificate", counted_certificate)
-    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
-    fig7 = parse_scenario(text, path="fig7_like.scenario")
+    fig7 = _fig7_like()
     cases = [
         (fig7.channel_model(seed=1), fig7.rrm),
         (fig7.channel_model(seed=1), replace(fig7.rrm, fixed_pattern_durations=True)),
@@ -301,3 +306,102 @@ def test_a_block_pass_from_another_block_is_refused():
     with pytest.raises(ValueError, match="starts at subframe 40, superframe at 0"):
         run_superframe(model, state, config, block)
     assert block_pass(model, state, config).t0 == 0
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        lambda: (det_model(diamond_graph()), fast_config()),
+        lambda: (det_model(multicell_graph()), fast_config()),
+        lambda: (_fig7_like().channel_model(seed=1), _fig7_like().rrm),
+    ],
+    ids=["diamond", "multicell", "fig7_like"],
+)
+def test_member_rows_equal_a_full_restack(monkeypatch, setup):
+    """Every superframe's block pass gives each member the row a pass that
+    stacks every member's weights gives, bit for bit.  A deterministic pass
+    reads the rows the state carries in place of re-stacking them; a fading
+    one re-measures them on its fresh draws."""
+    step = rrm.run_superframe
+    pinned_elsewhere = []
+
+    def checked_step(model, state, config, block):
+        state, record = step(model, state, config, block)
+        t0 = state.superframe * config.subframes_per_superframe
+        stack = np.array([state.weights] + [m.weights for m in state.members])
+        winner_rates = model.statistical_rates() if config.statistical_scheduling else None
+        _, mean, stderr = phy.station_contributions(
+            model.graph, stack, model.rate_block(t0, config.subframes_per_superframe), winner_rates
+        )
+        patterns = np.array([m.pattern for m in state.members], dtype=float)
+        rows, row_stderr = phy.rate_table_for_patterns(model.graph, patterns, mean[1:], stderr[1:])
+        block = block_pass(model, state, config)
+        assert rows.tobytes() == block.member_rates.tobytes()
+        assert row_stderr.tobytes() == block.member_stderr.tobytes()
+        if model.deterministic:
+            assert block.member_rates is state.rate_rows and block.member_stderr is state.row_stderr
+        pinned_elsewhere.append(any(np.any(m.weights != state.weights) for m in state.members))
+        return state, record
+
+    monkeypatch.setattr(rrm, "run_superframe", checked_step)
+    model, config = setup()
+    for run in (run_proposed, run_fddsa, run_ttrsc, lambda m, c: run_fbc(m, c)[0]):
+        pinned_elsewhere.clear()
+        result = run(model, config)
+        assert len(pinned_elsewhere) == len(result.records)
+        assert any(pinned_elsewhere)  # some member is re-measured under other weights
+
+
+def _count_share_solves(monkeypatch) -> list:
+    solves, solve = [], rrm.optimize_time_sharing
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rrm, "optimize_time_sharing", counted)
+    return solves
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
+    """A deterministic run's last superframe adds no member and poses the
+    program the one before it solved, so it makes no share solve of its own;
+    the shares and prices it keeps are a direct solve's bits."""
+    solves = _count_share_solves(monkeypatch)
+    model = det_model(relay_grid_graph())
+    config = fast_config(fixed_pattern_durations=fixed)
+    result = run_to_convergence(model, config)
+    assert result.converged
+    assert len(solves) == len(result.records) - 1
+
+    state = result.state
+    index = np.array([m.index for m in state.members])
+    shares, flow = optimize_time_sharing(
+        state.rate_rows,
+        model.graph,
+        config.utility,
+        tol=config.share_gap_tol,
+        base_capacity=model.graph.wired_base_capacity(),
+        groups=rrm._duration_groups(index, len(state.patterns), fixed),
+    )
+    assert shares.tobytes() == state.shares.tobytes()
+    assert flow.prices.tobytes() == state.flow.prices.tobytes() == state.weights.tobytes()
+
+    # Rows that moved pose another program, though no member joins.
+    block = block_pass(model, state, config)
+    moved = replace(block, member_rates=2.0 * block.member_rates, best_rates=2.0 * block.best_rates)
+    solved = len(solves)
+    run_superframe(model, state, config, block)
+    assert len(solves) == solved
+    run_superframe(model, state, config, moved)
+    assert len(solves) == solved + 1
+
+
+def test_fading_runs_solve_the_share_program_every_superframe(monkeypatch):
+    """Fresh draws move every row, so no fading superframe reuses a solve."""
+    solves = _count_share_solves(monkeypatch)
+    fig7 = _fig7_like()
+    result = run_to_convergence(fig7.channel_model(seed=1), fig7.rrm)
+    assert len(result.records) >= 3
+    assert len(solves) == len(result.records)
