@@ -33,8 +33,9 @@ from .topology import TopologyGraph
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
 
-# LAPACK Cholesky factor-and-solve in double precision (see _interior_point).
-(_posv,) = scipy.linalg.get_lapack_funcs(("posv",), dtype=np.float64)
+# LAPACK Cholesky factor-and-solve, and solve with a kept factor, in double
+# precision (see _interior_point).
+_posv, _potrs = scipy.linalg.get_lapack_funcs(("posv", "potrs"), dtype=np.float64)
 # Reductions called as ufunc methods, without the ndarray method wrappers.
 _all = np.logical_and.reduce
 _isfinite = np.isfinite
@@ -96,7 +97,8 @@ class FlowSolution:
     ``newton_iters`` counts the interior point's Newton steps (0 when no path
     survived to be solved), and ``banked`` says the solver returned its last
     accurate iterate after a numerical breakdown or its iteration cap instead
-    of reaching its complementarity floor.
+    of reaching its complementarity floor.  ``refinements`` counts the
+    Newton steps that took an iterative-refinement step near the floor.
     """
 
     rates: np.ndarray
@@ -106,6 +108,7 @@ class FlowSolution:
     kkt_residual: float
     newton_iters: int = 0
     banked: bool = False
+    refinements: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +187,7 @@ class _InteriorPointResult(NamedTuple):
     residual: float
     newton_iters: int
     banked: bool
+    refinements: int
 
 
 def _interior_point(
@@ -225,12 +229,31 @@ def _interior_point(
     arguments, so the iterates are the wrappers' bit for bit.  The wrappers'
     finiteness check is kept, once per Newton system: a non-finite matrix or
     right-hand side counts as a failed factorization and is not retried with
-    jitter.  The iteration is bound by per-call overhead, not arithmetic, so
-    each step works in preallocated buffers: the objective gradient and both
-    residuals are views of one stacked vector whose three max-norms come from
-    one segmented reduction, and so are the two step lengths.  Each sum and
-    product is still formed in the same order as a plain transcription of the
-    iteration (``tests/reference.py``), which it matches bit for bit.
+    jitter.
+
+    Near the floor the reduced Newton system is solved too coarsely: the
+    scaled stationarity residual can rise just as complementarity reaches
+    ``mu_floor``, so no later iterate passes the residual test and the solve
+    stalls until it banks.  Once ``mu_now <= 100 * mu_floor`` each Newton
+    direction therefore takes one step of iterative refinement (Wright,
+    *Primal-Dual Interior-Point Methods*, 1997): the residual of the
+    unreduced stationarity equation, ``r1 = f1 + H_obj dv + A^T dlam - dz``
+    with the objective Hessian ``H_obj = F^T diag(c) F`` as a matrix, is
+    solved as ``hess corr = -r1`` by one LAPACK ``potrs`` call on the
+    factor ``posv`` returned, with no second factorization; ``dv += corr``,
+    and ``ds``, ``dlam`` and ``dz`` follow from the corrected ``dv``.  The
+    result counts these steps.  The step is sensitive to rounding: forming
+    ``H_obj dv`` as ``F^T (c * (F dv))``, or skipping the step when the
+    residual test already passes, is equal in exact arithmetic but left a
+    ``fig7_like`` share solve to run to ``max_iters``.
+
+    The iteration is bound by per-call overhead, not arithmetic, so each
+    step works in preallocated buffers, the refinement's included: the
+    objective gradient and both residuals are views of one stacked vector
+    whose three max-norms come from one segmented reduction, and so are the
+    two step lengths.  Each sum and product is still formed in the same
+    order as a plain transcription of the iteration (``tests/reference.py``),
+    which it matches bit for bit.
     """
     not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
     if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
@@ -255,7 +278,7 @@ def _interior_point(
     s, v, lam, z = x[:n_rows], x[n_rows:], y[:n_rows], y[n_rows:]
     dxy = np.empty(2 * n)
     dx, dy = dxy[:n], dxy[n:]
-    ds = dx[:n_rows]
+    ds, dv, dlam, dz = dx[:n_rows], dx[n_rows:], dy[:n_rows], dy[n_rows:]
     ratio = np.empty(2 * n)
     halves = np.array([0, n])
     # The objective gradient and both residuals share one buffer too, so one
@@ -269,6 +292,13 @@ def _interior_point(
     w_col = w_cap[:, None]
     centering = np.empty(n)  # [mu / s - lam; mu / v - z]
     center_s, center_v = centering[:n_rows], centering[n_rows:]
+    # The refinement residual's buffers: the objective Hessian F^T diag(c) F
+    # as a matrix (nonzero only at the same-flow pairs) and the residual.
+    h_obj = np.zeros((n_vars, n_vars))
+    h_obj_flat = h_obj.ravel()
+    r1 = np.empty(n_vars)
+    refine_mu = 100.0 * mu_floor
+    refinements = 0
     v[:] = 0.25 * scale
     s[:] = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
     mu0 = scale
@@ -279,7 +309,7 @@ def _interior_point(
     def breakdown(reason: str, iters: int) -> _InteriorPointResult:
         if banked is None:
             raise NetOptError(reason)
-        return _InteriorPointResult(*banked, iters, True)
+        return _InteriorPointResult(*banked, iters, True, refinements)
 
     with np.errstate(all="ignore"):
         for it in range(max_iters):
@@ -295,7 +325,7 @@ def _interior_point(
                 residual = max(f1_max / stat_scale, f2_max / feas_scale)
                 banked = (v.copy(), lam.copy(), mu_now, residual)
                 if mu_now <= mu_floor:
-                    return _InteriorPointResult(*banked, it, False)
+                    return _InteriorPointResult(*banked, it, False, refinements)
 
             if not (math.isfinite(mu_now) and math.isfinite(f1_max)):
                 return breakdown("interior point diverged to non-finite iterates", it)
@@ -304,29 +334,42 @@ def _interior_point(
                 return breakdown("interior point barrier weights overflowed", it)
             hess = (ineq_matrix * w_col).T @ ineq_matrix
             flat = hess.ravel()
-            flat[pair_flat] += curvature[pair_flow]
+            pair_curvature = curvature[pair_flow]
+            flat[pair_flat] += pair_curvature
             flat[:: n_vars + 1] += diag_bar
             np.subtract(np.divide(mu, x, out=centering), y, out=centering)
             rhs = -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
-            dv = None
+            step = None
             if _all(_isfinite(rhs)) and _all(_isfinite(flat)):
                 matrix, jitter = hess, 0.0
                 for _ in range(8):
-                    _, solution, info = _posv(matrix, rhs, lower=1)
+                    factor, solution, info = _posv(matrix, rhs, lower=1)
                     if info == 0:
-                        dv = solution
+                        step = solution
                         break
                     jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
                     matrix = hess + jitter * np.eye(n_vars)
                     if not np.isfinite(matrix).all():
                         break
-            if dv is None:
+            if step is None:
                 return breakdown("interior-point Newton system not positive definite", it)
+            dv[:] = step
             # ds = -(f2 + A dv), so dlam = mu / s - lam + w_cap * (f2 + A dv)
             # and dz = mu / v - z - diag_bar * dv are both centering - weights * dx.
             np.subtract(-f2, ineq_matrix @ dv, out=ds)
-            dx[n_rows:] = dv
             np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
+            if mu_now <= refine_mu:
+                # One refinement step: solve hess corr = -r1 for the residual
+                # r1 of the unreduced stationarity equation, on the kept factor
+                # (negation is exact, so dv - solve(r1) is dv + solve(-r1)).
+                h_obj_flat[pair_flat] = pair_curvature
+                np.add(f1, h_obj @ dv, out=r1)
+                np.add(r1, ineq_t @ dlam, out=r1)
+                np.subtract(r1, dz, out=r1)
+                dv -= _potrs(factor, r1, lower=1)[0]
+                refinements += 1
+                np.subtract(-f2, ineq_matrix @ dv, out=ds)
+                np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
 
             # Largest steps in (0, 1] that keep x and y positive, backed off
             # to 0.995 of the boundary: -0.995 * max(val / step) over the
@@ -422,7 +465,7 @@ def _solve_joint(
     rates = np.zeros(graph.num_flows)
     link_flows = np.zeros((graph.num_flows, graph.num_links))
     prices = np.zeros(graph.num_links)
-    kkt, newton_iters, banked = 0.0, 0, False
+    kkt, complementarity, newton_iters, banked, refinements = 0.0, 0.0, 0, False, 0
     if np.any(alive):
         path_flows = problem.flow_matrix[:, alive]
         link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
@@ -455,18 +498,22 @@ def _solve_joint(
         rates = flow_matrix @ ip.v
         link_flows[:, ~dead] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
         prices[~dead] = ip.multipliers[:n_caps]
-        kkt = max(ip.residual, ip.complementarity / max(1.0, abs(utility.total(rates))))
-        newton_iters, banked = ip.newton_iters, ip.banked
+        kkt, complementarity = ip.residual, ip.complementarity
+        newton_iters, banked, refinements = ip.newton_iters, ip.banked, ip.refinements
 
-    _starved_link_prices(problem, dead, prices, utility.gradient(rates))
+    value = utility.total(rates)
+    kkt = max(kkt, complementarity / max(1.0, abs(value)))
+    if np.any(dead):
+        _starved_link_prices(problem, dead, prices, utility.gradient(rates))
     return shares, FlowSolution(
         rates=rates,
         link_flows=link_flows,
         prices=prices,
-        utility=utility.total(rates),
+        utility=value,
         kkt_residual=kkt,
         newton_iters=newton_iters,
         banked=banked,
+        refinements=refinements,
     )
 
 

@@ -41,9 +41,10 @@ simplex), or, under fixed pattern durations (fddsa), a group of total 1/J
 for each of the J patterns, so only time within a pattern is optimized.
 
 :func:`run_to_convergence` logs one ``INFO`` line per superframe to the
-``hetnet_rrm.rrm`` logger, with the share solve's Newton iterations (0, and
-"share solve reused", when it was reused); :func:`stop_reason` says which
-convergence test a run that hit its superframe limit failed, and by how much.
+``hetnet_rrm.rrm`` logger, with the share solve's Newton iterations and
+refinement steps (0, and "share solve reused", when it was reused);
+:func:`stop_reason` says which convergence test a run that hit its
+superframe limit failed, and by how much.
 """
 
 from __future__ import annotations
@@ -457,10 +458,11 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
         records.append(record)
         reused = state.flow is previous
         log.info(
-            "superframe %d: utility %r, %d members, %d Newton iterations%s, banked %s, %.1f ms",
+            "superframe %d: utility %r, %d members, %d Newton iterations, %d refinement steps%s, "
+            "banked %s, %.1f ms",
             record.index, record.utility, record.n_members,
-            0 if reused else state.flow.newton_iters, " (share solve reused)" if reused else "",
-            state.flow.banked, record.wall_ms,
+            0 if reused else state.flow.newton_iters, 0 if reused else state.flow.refinements,
+            " (share solve reused)" if reused else "", state.flow.banked, record.wall_ms,
         )
 
 

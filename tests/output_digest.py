@@ -11,7 +11,11 @@ bits, arrays by dtype, shape and bytes, dataclasses field by field, and
 traces line by line.  Wall-clock fields (``wall_ms`` and the traces'
 ``wall_ms`` column) are left out.  It prints one digest per operation and a
 total over all of them; two checkouts that print the same total produced the
-same outputs.  It is not a pytest module.
+same outputs.  For each workload and for the demo runs it also prints how
+hard the interior point worked: its calls, their Newton iterations and
+refinement steps, how many returned a banked iterate, and the most Newton
+iterations one call took.  These lines are not part of the total.  It is not
+a pytest module.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from hetnet_rrm import cli  # noqa: E402
+from hetnet_rrm import cli, netopt  # noqa: E402
 from hetnet_rrm.channel import ChannelModel  # noqa: E402
 
 from workloads import WORKLOADS  # noqa: E402
@@ -116,20 +120,51 @@ def two_hop_traces() -> list[tuple[str, str]]:
     return traces
 
 
+def counted_interior_point(results: list) -> None:
+    """Make ``netopt._interior_point`` append each result it returns to
+    ``results``."""
+    solve = netopt._interior_point
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        results.append(result)
+        return result
+
+    netopt._interior_point = counted
+
+
+def solver_line(name: str, results: list) -> str:
+    iters = [r.newton_iters for r in results]
+    return (
+        f"{name} interior point: {len(results)} calls, {sum(iters)} Newton iterations, "
+        f"{sum(r.refinements for r in results)} refinement steps, "
+        f"{sum(r.banked for r in results)} banked, largest {max(iters, default=0)}"
+    )
+
+
 def main() -> int:
     total = hashlib.sha256()
     count = 0
+    results: list = []
+    counted_interior_point(results)
+    solver_lines = []
     for name, workload in WORKLOADS.items():
-        for label, operation in workload(SEED).operations():
+        operations = workload(SEED).operations()
+        results.clear()  # set-up solves are not part of the round
+        for label, operation in operations:
             line = f"{name}/{label} {digest(operation())}"
             print(line)
             total.update(line.encode() + b"\n")
             count += 1
+        solver_lines.append(solver_line(name, results))
+    results.clear()
     for label, text in two_hop_traces():
         line = f"{label} {digest(text)}"
         print(line)
         total.update(line.encode() + b"\n")
         count += 1
+    solver_lines.append(solver_line("two_hop_demo", results))
+    print("\n".join(solver_lines))
     print(f"total {total.hexdigest()} over {count} outputs")
     return 0
 

@@ -226,9 +226,11 @@ def unstacked_interior_point(
 
     The same Newton iteration, written with ``v``, ``s``, ``lam`` and ``z`` as
     separate arrays, concatenated step lengths, a dense flow Hessian
-    ``(F * c).T @ F`` and a fresh ``np.errstate`` per iteration.  The
-    program's iteration must return the same result from the same inputs,
-    bit for bit.
+    ``(F * c).T @ F`` and a fresh ``np.errstate`` per iteration.  Once
+    ``mu_now <= 100 * mu_floor`` each Newton direction takes one refinement
+    step, ``hess corr = -r1`` with ``r1 = f1 + H_obj dv + A^T dlam - dz``,
+    solved on the same Cholesky factor.  The program's iteration must return
+    the same result from the same inputs, bit for bit.
     """
     n_rows, n_vars = ineq_matrix.shape
     neg_flow_t = -flow_matrix.T
@@ -241,11 +243,12 @@ def unstacked_interior_point(
     z = mu0 / v
     feas_scale = 1.0 + float(np.max(np.abs(ineq_rhs)))
     banked: tuple[np.ndarray, np.ndarray, float, float] | None = None
+    refinements = 0
 
     def breakdown(reason: str, iters: int) -> netopt._InteriorPointResult:
         if banked is None:
             raise netopt.NetOptError(reason)
-        return netopt._InteriorPointResult(*banked, iters, True)
+        return netopt._InteriorPointResult(*banked, iters, True, refinements)
 
     for it in range(max_iters):
         d = flow_matrix @ v
@@ -259,7 +262,7 @@ def unstacked_interior_point(
         if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
             banked = (v, lam, mu_now, max(f1_max / stat_scale, f2_max / feas_scale))
             if mu_now <= mu_floor:
-                return netopt._InteriorPointResult(*banked, it, False)
+                return netopt._InteriorPointResult(*banked, it, False, refinements)
 
         if not (np.isfinite(mu_now) and np.isfinite(f1_max)):
             return breakdown("interior point diverged to non-finite iterates", it)
@@ -269,10 +272,8 @@ def unstacked_interior_point(
             diag_bar = z / v
         if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
             return breakdown("interior point barrier weights overflowed", it)
-        hess = (
-            (flow_matrix * utility.derivatives(d)[1][:, None]).T @ flow_matrix
-            + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
-        )
+        h_obj = (flow_matrix * utility.derivatives(d)[1][:, None]).T @ flow_matrix
+        hess = h_obj + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
         hess.ravel()[:: n_vars + 1] += diag_bar
         mu_s = mu / s
         mu_v = mu / v
@@ -295,6 +296,14 @@ def unstacked_interior_point(
         ds = -f2 - ineq_dv
         dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
         dz = mu_v - z - diag_bar * dv
+        if mu_now <= 100.0 * mu_floor:
+            r1 = f1 + h_obj @ dv + ineq_t @ dlam - dz
+            dv = dv + _potrs(factor, -r1, lower=1)[0]
+            refinements += 1
+            ineq_dv = ineq_matrix @ dv
+            ds = -f2 - ineq_dv
+            dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
+            dz = mu_v - z - diag_bar * dv
 
         alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
         alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))

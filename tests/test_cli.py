@@ -361,7 +361,8 @@ def test_run_at_superframe_limit_warns_why_and_leaves_stdout_alone(tmp_path, cap
     assert capsys.readouterr().out == quiet
     (line,) = _messages(caplog, "hetnet_rrm.rrm", logging.INFO)
     assert line.startswith("superframe 0: utility ")
-    assert " members, " in line and " Newton iterations, banked False, " in line
+    assert " members, " in line and " Newton iterations, " in line
+    assert " refinement steps, banked False, " in line
     assert line.endswith(" ms")
 
 
@@ -389,7 +390,7 @@ def test_converged_run_logs_one_info_line_per_superframe(tmp_path, caplog):
     assert [l.split(":")[0] for l in lines] == [f"superframe {i}" for i in range(superframes)]
     assert not _messages(caplog, "hetnet_rrm", logging.WARNING)
     # The last superframe adds no member, so it reuses the solve before it.
-    assert ", 0 Newton iterations (share solve reused), banked False, " in lines[-1]
+    assert ", 0 Newton iterations, 0 refinement steps (share solve reused), banked False, " in lines[-1]
     assert not any("reused" in l for l in lines[:-1])
 
 

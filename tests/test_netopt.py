@@ -2,12 +2,14 @@ import gc
 import itertools
 import warnings
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnet_rrm import netopt
+from hetnet_rrm.baselines import run_fbc
 from hetnet_rrm.netopt import (
     NetOptError,
     UtilitySpec,
@@ -16,6 +18,7 @@ from hetnet_rrm.netopt import (
 )
 from hetnet_rrm.oracle import oracle_solve, vertex_rate_rows
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
+from hetnet_rrm.scenario import parse_scenario, with_param
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
@@ -138,21 +141,31 @@ def test_complementary_slackness(multicell):
 
 def test_solution_reports_newton_iterations(monkeypatch, multicell):
     # Factor and solve are one posv call, so a solve without a jitter retry
-    # makes exactly one LAPACK call per Newton step.
-    posv = netopt._posv
-    infos = []
+    # makes exactly one factorization per Newton step.  A refinement step
+    # near the floor solves on the factor its Newton step just made, with
+    # one potrs call and no factorization of its own.
+    posv, potrs = netopt._posv, netopt._potrs
+    infos, factors, refined = [], [], []
 
     def counted(matrix, rhs, **kwargs):
         result = posv(matrix, rhs, **kwargs)
         infos.append(result[2])
+        factors.append(result[0])
         return result
 
+    def counted_refinement(factor, rhs, **kwargs):
+        refined.append(factor is factors[-1])
+        return potrs(factor, rhs, **kwargs)
+
     monkeypatch.setattr(netopt, "_posv", counted)
+    monkeypatch.setattr(netopt, "_potrs", counted_refinement)
     rng = np.random.default_rng(41)
     sol = solve_p1(multicell, rng.uniform(0.2, 1.2, multicell.num_links), LOG)
     assert sol.newton_iters > 0
     assert sol.banked is False
     assert infos == [0] * sol.newton_iters
+    assert 0 < sol.refinements < sol.newton_iters
+    assert refined == [True] * sol.refinements
 
 
 def test_capacity_validation():
@@ -457,6 +470,25 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
     assert calls == []
 
 
+def test_interior_point_jitter_that_overflows_is_a_failed_factorization(monkeypatch):
+    # A trace that overflows sizes a jitter that makes the jittered matrix
+    # non-finite; it is not factored, and the failure is a breakdown.
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    posv = netopt._posv
+    calls = []
+
+    def fail(matrix, rhs, **kwargs):
+        calls.append(matrix)
+        factor, solution, _ = posv(matrix, rhs, **kwargs)
+        return factor, solution, 1
+
+    monkeypatch.setattr(netopt, "_posv", fail)
+    monkeypatch.setattr(netopt.np, "trace", lambda matrix: np.inf)
+    with pytest.raises(NetOptError, match="not positive definite"):
+        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
+    assert len(calls) == 1
+
+
 def test_interior_point_rejects_flow_columns_other_than_a_single_one():
     flow_matrix, link_matrix, caps = _relay_grid_program()
     shared = flow_matrix.copy()
@@ -500,10 +532,15 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     config = RrmConfig(subframes_per_superframe=40, max_superframes=40, utility=LOG)
     for graph in (multicell_graph(), random_instance(5), random_instance(45), random_instance(226)):
         run_to_convergence(det_model(graph), config)
+    # fbc's wired backhaul gives flows several paths, so the refinement
+    # residual's H_obj dv sums over more than one column per flow.
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    fig7 = with_param(parse_scenario(text, path="fig7_like.scenario"), "p_pico_dbm", 33.0)
+    run_fbc(fig7.channel_model(seed=fig7.seed), fig7.rrm)
     n_runs = len(calls)
-    # The oracle's share programs over every vertex row; on random_instance(258)
-    # and (306) they stall after their last accurate iterate and return it banked.
-    for seed in (258, 306, 1006):
+    # The oracle's share programs over every vertex row; on random_instance(158)
+    # and (1748) they stall after their last accurate iterate and return it banked.
+    for seed in (158, 1748, 1006):
         oracle_solve(det_model(random_instance(seed)), LOG)
     n_oracle = len(calls)
     # Zero capacities kill links, whose paths leave the program, so these
@@ -536,11 +573,11 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     assert sum(banked) >= 3 and sum(banked[n_runs:n_oracle]) >= 2
 
 
-@pytest.mark.parametrize("seed", [258, 306])
+@pytest.mark.parametrize("seed", [1748, 2060])
 def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkeypatch, seed):
-    # The oracle's share program on these instances overflows after its last
-    # accurate iterate: in the Newton matrix (258), and in the trace that
-    # sizes a jitter retry, which then makes the jittered matrix NaN (306).
+    # The oracle's share program on these instances overflows in the Newton
+    # matrix after its last accurate iterate, so the matrix is neither
+    # factored nor retried.
     calls = _record_interior_point(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

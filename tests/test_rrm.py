@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hetnet_rrm import phy, rrm
+from hetnet_rrm import netopt, phy, rrm
 from hetnet_rrm.baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
 from hetnet_rrm.netopt import UtilitySpec, optimize_time_sharing, solve_p1
 from hetnet_rrm.rrm import (
@@ -16,7 +16,7 @@ from hetnet_rrm.rrm import (
     run_superframe,
     run_to_convergence,
 )
-from hetnet_rrm.scenario import parse_scenario
+from hetnet_rrm.scenario import parse_scenario, with_param
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
@@ -405,3 +405,26 @@ def test_fading_runs_solve_the_share_program_every_superframe(monkeypatch):
     result = run_to_convergence(fig7.channel_model(seed=1), fig7.rrm)
     assert len(result.records) >= 3
     assert len(solves) == len(result.records)
+
+
+def test_fig7_like_fbc_share_solves_end_near_the_floor_without_a_stall(monkeypatch):
+    """Without the refinement step, fbc's joint solves on ``fig7_like`` stall
+    near the complementarity floor: at 31 dBm one takes 134 Newton
+    iterations, and at 33 and 35 dBm three return a banked iterate after
+    58-62.  Every solve of these cells must reach the floor within 25."""
+    results, solve = [], netopt._interior_point
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(netopt, "_interior_point", recorded)
+    fig7 = _fig7_like()
+    for power in (31.0, 33.0, 35.0):
+        swept = with_param(fig7, "p_pico_dbm", power)
+        n_before = len(results)
+        result, _ = run_fbc(swept.channel_model(seed=swept.seed), swept.rrm)
+        assert result.converged
+        assert len(results) - n_before == len(result.records)
+    assert all(not r.banked and r.newton_iters <= 25 for r in results)
+    assert any(r.refinements for r in results)
