@@ -8,8 +8,11 @@ It runs one seed-1 round of each workload in ``perfbench/workloads.py``
 (imported, never modified) and the four modes of ``hetnet-rrm run --scenario
 two_hop_demo.scenario --seed 1``, and hashes every output: floats by their
 bits, arrays by dtype, shape and bytes, dataclasses field by field, and
-traces line by line.  Wall-clock fields (``wall_ms`` and the traces'
-``wall_ms`` column) are left out.  It prints one digest per operation and a
+traces line by line.  ``RrmState`` and ``CertificateReport`` are hashed
+through a projection that does not depend on how they store patterns and
+members: the admissible patterns, the member patterns and the best pattern
+as int8 arrays, and the members' weights as one (N, L) array.  Wall-clock
+fields (``wall_ms`` and the traces' ``wall_ms`` column) are left out.  It prints one digest per operation and a
 total over all of them; two checkouts that print the same total produced the
 same outputs.  For each workload and for the demo runs it also prints how
 hard the interior point worked: its calls, their Newton iterations and
@@ -39,6 +42,7 @@ import numpy as np  # noqa: E402
 
 from hetnet_rrm import cli, netopt  # noqa: E402
 from hetnet_rrm.channel import ChannelModel  # noqa: E402
+from hetnet_rrm.rrm import CertificateReport, RrmState  # noqa: E402
 
 from workloads import WORKLOADS  # noqa: E402
 
@@ -58,14 +62,35 @@ def _strip_wall(text: str) -> str:
     return "\n".join(lines)
 
 
+_STATE_FIELDS = ("shares", "weights", "rate_rows", "row_stderr", "flow", "utility", "superframe")
+
+
+def _fields(value) -> list[tuple[str, object]]:
+    """The ``(name, value)`` pairs a dataclass is hashed by: its fields, but
+    for the optimizer state and its certificate a projection that reads the
+    same whatever form their patterns and member set are stored in."""
+    if isinstance(value, RrmState):
+        members = value.members
+        return [
+            ("patterns", np.array(value.patterns, dtype=np.int8)),
+            ("member_patterns", np.array([m.pattern for m in members], dtype=np.int8)),
+            ("member_weights", np.array([m.weights for m in members])),
+            *((name, getattr(value, name)) for name in _STATE_FIELDS),
+        ]
+    pairs = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, CertificateReport):
+        pairs = [(n, np.array(v, dtype=np.int8) if n == "best_pattern" else v) for n, v in pairs]
+    return pairs
+
+
 def _feed(h, value) -> None:
     """Add ``value`` to the hash ``h``, tagged by its kind."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         h.update(f"<{type(value).__name__}>".encode())
-        for f in dataclasses.fields(value):
-            if f.name != "wall_ms":
-                h.update(f.name.encode())
-                _feed(h, getattr(value, f.name))
+        for name, item in _fields(value):
+            if name != "wall_ms":
+                h.update(name.encode())
+                _feed(h, item)
     elif isinstance(value, ChannelModel):
         h.update(b"<ChannelModel>")
         for part in (value.tx_powers, value.large_gains, value.statistical_rates()):
