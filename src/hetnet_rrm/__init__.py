@@ -20,7 +20,6 @@ from .rrm import (
     RrmConfig,
     RrmResult,
     RrmState,
-    ScheduledPattern,
     SuperframeRecord,
     block_pass,
     certificate,
@@ -68,7 +67,6 @@ __all__ = [
     "SWEEPABLE_PARAMS",
     "Scenario",
     "ScenarioError",
-    "ScheduledPattern",
     "SuperframeRecord",
     "TopologyGraph",
     "TraceData",

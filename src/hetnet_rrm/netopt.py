@@ -408,20 +408,17 @@ def _starved_link_prices(
         prices[l] = best
 
 
-def _duration_groups(
-    n_rows: int, groups: list[tuple[np.ndarray, float]] | None
-) -> list[tuple[np.ndarray, float]]:
-    """Check a partition of the rows into duration groups; no grouping is one
-    group of total 1."""
-    if groups is None:
-        return [(np.arange(n_rows), 1.0)]
-    groups = [(np.asarray(idx, dtype=int), float(total)) for idx, total in groups]
-    rows = np.sort(np.concatenate([idx for idx, _ in groups] + [np.zeros(0, dtype=int)]))
-    if not np.array_equal(rows, np.arange(n_rows)) or not all(idx.size for idx, _ in groups):
-        raise ValueError("duration groups must partition the rate rows into non-empty groups")
-    if not all(np.isfinite(total) and total > 0.0 for _, total in groups):
-        raise ValueError("duration group totals must be finite and positive")
-    return groups
+def duration_groups(labels: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """The rows and total time of each duration group: row ``n`` sits in group
+    ``labels[n]``, and each of the H groups has total 1/H.  Every label
+    0..H-1 must be used."""
+    labels = np.asarray(labels, dtype=int)
+    counts = np.bincount(labels)  # refuses negative labels
+    if counts.size == 0 or not counts.all():
+        raise ValueError("duration group labels must use every group 0..H-1")
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(counts)
+    return [(order[b - c : b], 1.0 / counts.size) for b, c in zip(bounds, counts)]
 
 
 def _solve_joint(
@@ -429,13 +426,13 @@ def _solve_joint(
     base_capacity: np.ndarray,
     rate_rows: np.ndarray,
     utility: UtilitySpec,
-    groups: list[tuple[np.ndarray, float]] | None = None,
+    groups: list[tuple[np.ndarray, float]],
     mu_cap: float = np.inf,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Jointly optimal shares and flows for capacities ``base + rate_rows^T q``.
 
-    Each duration group's shares (``groups`` holds its rows and total; by
-    default one group of total 1) sum to its total.  Variables are path flows
+    Each duration group's shares (``groups`` is :func:`duration_groups`'
+    partition) sum to its total.  Variables are path flows
     plus every share but each group's last, eliminated through its group's
     equality; without free shares this is the plain flow problem.  The
     capacity prices come from the joint problem, so at a degenerate optimum
@@ -444,8 +441,6 @@ def _solve_joint(
     wrecks the gap certificate.  The complementarity floor is
     ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
     """
-    if groups is None:
-        groups = _duration_groups(rate_rows.shape[0], None)
     problem = _path_problem(graph)
     totals = np.array([t for _, t in groups])
     lasts = np.array([idx[-1] for idx, _ in groups])
@@ -538,8 +533,9 @@ def solve_p1(
         raise ValueError("capacities must be finite")
     if np.any(capacities < -1e-12):
         raise ValueError("capacities must be nonnegative")
+    one_row = [(np.zeros(1, dtype=int), 1.0)]
     _, solution = _solve_joint(
-        graph, capacities, np.zeros((1, graph.num_links)), utility, mu_cap=tol * 1e-4
+        graph, capacities, np.zeros((1, graph.num_links)), utility, one_row, mu_cap=tol * 1e-4
     )
     if solution.kkt_residual > tol:
         raise NetOptError(
@@ -554,15 +550,15 @@ def optimize_time_sharing(
     utility: UtilitySpec,
     tol: float = 1e-5,
     base_capacity: np.ndarray | None = None,
-    groups: list[tuple[np.ndarray, float]] | None = None,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
     Maximizes utility of the shared capacity ``base + rate_rows^T q`` in one
-    interior-point solve over shares and path flows.  ``groups`` partitions the
-    rows into duration groups, pairs of row indices and a total time ``t_h``
-    their shares sum to; without it the shares range over the probability
-    simplex.  The result is certified by the linearization gap
+    interior-point solve over shares and path flows.  ``groups`` labels each
+    row with its duration group (:func:`duration_groups`): the shares of each
+    of the H groups sum to ``t_h = 1/H``.  Without it the shares range over the
+    probability simplex.  The result is certified by the linearization gap
     ``sum_h t_h * max_{j in h} g_j - q.g`` of the share gradient
     ``g = rate_rows @ prices``; a gap above ``tol`` raises
     :class:`NetOptError`.  When every group is a single row the shares are
@@ -577,11 +573,12 @@ def optimize_time_sharing(
         base_capacity = np.zeros(graph.num_links)
     elif not np.all(np.isfinite(base_capacity)):
         raise ValueError("base capacities must be finite")
-    partition = _duration_groups(rate_rows.shape[0], groups)
-    if len(partition) == rate_rows.shape[0]:
-        shares = np.zeros(rate_rows.shape[0])
-        for idx, total in partition:
-            shares[idx] = total
+    labels = np.zeros(rate_rows.shape[0], dtype=int) if groups is None else np.asarray(groups)
+    if labels.shape != rate_rows.shape[:1]:
+        raise ValueError("need one duration group label per rate row")
+    partition = duration_groups(labels)
+    if len(partition) == rate_rows.shape[0]:  # every row its own group of 1/H
+        shares = np.full(rate_rows.shape[0], 1.0 / rate_rows.shape[0])
         return shares, solve_p1(graph, base_capacity + shares @ rate_rows, utility)
 
     shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, partition)

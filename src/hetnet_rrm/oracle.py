@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .netopt import FlowSolution, UtilitySpec, optimize_time_sharing
-from .phy import Pattern, enumerate_feasible_patterns
+from .phy import enumerate_feasible_patterns
 from .topology import TopologyGraph
 
 MAX_ORACLE_BS = 6
@@ -41,7 +41,7 @@ class OracleSolution:
     n_vertices: int
 
 
-def check_oracle_scale(graph: TopologyGraph, patterns: list[Pattern]) -> None:
+def check_oracle_scale(graph: TopologyGraph, patterns: np.ndarray) -> None:
     if graph.num_bs > MAX_ORACLE_BS:
         raise OracleScaleError(f"{graph.num_bs} base stations exceed oracle cap {MAX_ORACLE_BS}")
     n_wireless = len(graph.wireless_links)

@@ -1,9 +1,10 @@
 """DTX pattern enumeration and per-subband max-weight link scheduling.
 
-A DTX pattern is a boolean activity vector over base stations.  A pattern is
-admissible when its active set is independent in the interference graph, so
-active stations never interfere; the candidate set we optimize over is every
-maximal independent set plus the all-silent pattern.
+A DTX pattern is a boolean activity vector over base stations, one (B,) bool
+row.  A pattern is admissible when its active set is independent in the
+interference graph, so active stations never interfere; the candidate set we
+optimize over is every maximal independent set plus the all-silent pattern,
+held as one (J, B) bool array.
 
 Within a subframe each active station serves, on every subband, the outgoing
 wireless link maximizing ``weight * log(1 + |h|^2 p)``; ties go to the lowest
@@ -29,8 +30,6 @@ import numpy as np
 from .topology import TopologyGraph
 
 MAX_PATTERN_BS = 20
-
-Pattern = tuple[int, ...]
 
 
 class PatternEnumerationError(RuntimeError):
@@ -60,27 +59,28 @@ def _maximal_independent_sets(conflicts: np.ndarray) -> list[frozenset[int]]:
     return found
 
 
-def enumerate_feasible_patterns(interference: np.ndarray, max_bs: int = MAX_PATTERN_BS) -> list[Pattern]:
-    """All-silent plus every maximal independent set, in lexicographic order."""
+def enumerate_feasible_patterns(interference: np.ndarray, max_bs: int = MAX_PATTERN_BS) -> np.ndarray:
+    """All-silent plus every maximal independent set, as a read-only (J, B)
+    bool array with its rows in lexicographic order."""
     n = interference.shape[0]
     if n > max_bs:
         raise PatternEnumerationError(
             f"pattern enumeration over {n} base stations exceeds the cap of {max_bs}"
         )
-    patterns = {tuple(0 for _ in range(n))}
-    for s in _maximal_independent_sets(interference):
-        patterns.add(tuple(1 if v in s else 0 for v in range(n)))
-    return sorted(patterns)
+    sets = [frozenset(), *_maximal_independent_sets(interference)]
+    patterns = np.array(sorted({tuple(v in s for v in range(n)) for s in sets}), dtype=bool)
+    patterns.setflags(write=False)
+    return patterns
 
 
 def schedule_links(
     graph: TopologyGraph,
-    pattern: Pattern,
+    pattern: np.ndarray,
     weights: np.ndarray,
     subband_rates: np.ndarray,
 ) -> np.ndarray:
-    """One-subframe schedule: boolean (L, M) with at most one served link per
-    active station and subband.
+    """One-subframe schedule under the (B,) bool ``pattern``: boolean (L, M)
+    with at most one served link per active station and subband.
 
     ``subband_rates`` holds per-link per-subband rates ``log(1+|h|^2 p)``.
     This is the single-subframe reference for :func:`block_winners`.
@@ -93,7 +93,7 @@ def schedule_links(
         scores = weights[cand, None] * subband_rates[cand, :]
         winner = cand[np.argmax(scores, axis=0)]  # first max -> lowest link index
         rho[winner, np.arange(n_subbands)] = True
-    assert_block_feasible(graph, np.array(pattern, dtype=bool)[None], rho[None])
+    assert_block_feasible(graph, pattern[None], rho[None])
     return rho
 
 
@@ -236,12 +236,13 @@ def schedule_block(
     """
     rho = winners & active[:, graph.link_station, None]
     assert_block_feasible(graph, active, rho)
-    first = tuple(int(on) for on in active[0])
     reference = schedule_links(
-        graph, first, weights, rate_block[0] if winner_rates is None else winner_rates
+        graph, active[0], weights, rate_block[0] if winner_rates is None else winner_rates
     )
     if not np.array_equal(reference, rho[0]):
-        raise AssertionError(f"block schedule of subframe 0 disagrees with schedule_links under {first}")
+        raise AssertionError(
+            f"block schedule of subframe 0 disagrees with schedule_links under {active[0].astype(int)}"
+        )
     per_link = (rate_block * rho).sum(axis=2)  # (S, L); exact for finite non-negative rates
     # A plain sum over a single link's column switches to pairwise summation;
     # accumulating adds the subframes strictly in order, for every link count.

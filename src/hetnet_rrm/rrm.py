@@ -1,6 +1,6 @@
 """Two-timescale radio resource management loop.
 
-Long timescale (once per superframe): grow a set of scheduled patterns,
+Long timescale (once per superframe): grow a set of member patterns,
 re-optimize their time shares jointly with flow control and routing, and
 refresh link weights from capacity prices.  Short timescale (every subframe):
 sample a pattern from the current shares and schedule links per subband by the
@@ -10,40 +10,42 @@ each subframe keeps its sampled pattern's active stations, the feasibility
 assertions run on every subframe, and subframe 0 is cross-checked against the
 single-subframe reference ``phy.schedule_links``.
 
-Each superframe makes one kernel call (:func:`block_pass`) for a stack of
-weight vectors: row 0 holds the current weights, which the short timescale
-schedules with and pattern discovery ranks patterns under, and the other
-rows every distinct member weight vector (none on a deterministic channel
-after the first superframe).  The pass yields each row's (L,) link means,
-and a member's rate row is its stack row kept on the links of its pattern's
-active stations.  The loop evaluates that pass, decides (once
-the utility plateaus, the stopping certificate reduces the pass), and only
-then advances, so the certificate and the superframe it may let run read one
-pass.
+The optimization state holds the admissible patterns as one (J, B) bool
+array and its member set as arrays: member ``n`` is pattern
+``member_index[n]``, found under the link weights ``member_row[n]`` of a
+(K, L) weight stack.  Row 0 of the stack is the current weights, and every
+other row the weights some member was discovered under.
 
-The optimization state is a set of *scheduled patterns*: a DTX activity
-pattern bundled with the link weights under which it was discovered.  Each
-fading superframe re-estimates every member's conditional rate row under its
-own stored weights on fresh draws, so a member's row is a stationary target
-rather than drifting with the current weights.  On a deterministic channel
-it is exactly stationary: a block repeats one subframe, so the row a member
-was measured with is kept and only the current weights are stacked.  The
-share program then anneals over these rows.  Keeping the discovery weights
+Each superframe makes one kernel call (:func:`block_pass`) for that stack:
+row 0 is what the short timescale schedules with and pattern discovery ranks
+patterns under (on a deterministic channel after the first superframe it is
+the only row stacked).  The pass yields each row's (L,) link means, and a
+member's rate row is its stack row kept on the links of its pattern's active
+stations.  The loop evaluates that pass, decides (once the utility plateaus,
+the stopping certificate reduces the pass), and only then advances, so the
+certificate and the superframe it may let run read one pass.
+
+Each fading superframe re-estimates every member's conditional rate row
+under its own stored weights on fresh draws, so a member's row is a
+stationary target rather than drifting with the current weights.  On a
+deterministic channel it is exactly stationary: a block repeats one
+subframe, so the row a member was measured with is kept.  The share program then anneals over these rows.  Keeping the discovery weights
 pinned is what makes the ascent monotone: re-scheduling old patterns under
 new weights can lower their achieved rows and cycle.  A superframe whose
 share program (member patterns, rows, duration groups, utility and
 tolerance) equals the one the state's flow solved, as when no member joined
 or was pruned on a deterministic channel, reuses that solve.
 
-The shares obey *duration groups*, a partition of the admissible patterns
-whose members share a fixed total time: one group of total 1 (the whole
-simplex), or, under fixed pattern durations (fddsa), a group of total 1/J
-for each of the J patterns, so only time within a pattern is optimized.
+The shares obey *duration groups* (``netopt.duration_groups``), a partition
+of the members that share a fixed total time: one group of total 1 (the
+whole simplex), or, under fixed pattern durations (fddsa), a group of total
+1/J for each of the J patterns, so only time within a pattern is optimized.
 
 :func:`run_to_convergence` logs one ``INFO`` line per superframe to the
 ``hetnet_rrm.rrm`` logger, with the share solve's Newton iterations and
-refinement steps (0, and "share solve reused", when it was reused);
-:func:`stop_reason` says which convergence test a run that hit its
+refinement steps (0, and "share solve reused", when it was reused), and
+:func:`run_superframe` a ``WARNING`` when ``max_members`` cuts a member whose
+share the solve kept above ``q_prune``; :func:`stop_reason` says which convergence test a run that hit its
 superframe limit failed, and by how much.
 """
 
@@ -53,13 +55,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelModel
-from .netopt import FlowSolution, UtilitySpec, optimize_time_sharing
+from .netopt import FlowSolution, UtilitySpec, duration_groups, optimize_time_sharing
 from .phy import (
-    Pattern,
     enumerate_feasible_patterns,
     rate_table_for_patterns,
     schedule_block,
@@ -69,14 +71,8 @@ from .phy import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduledPattern:
-    """A DTX pattern, its position among the admissible patterns, and the
-    link weights that introduced it."""
-
-    pattern: Pattern
-    index: int
-    weights: np.ndarray = field(repr=False)
+#: One member's (B,) DTX pattern and the link weights it was found under.
+Member = NamedTuple("Member", [("pattern", np.ndarray), ("weights", np.ndarray)])
 
 
 @dataclass
@@ -114,10 +110,17 @@ class RrmConfig:
 
 @dataclass
 class RrmState:
-    members: list[ScheduledPattern]
+    """The (J, B) admissible ``patterns`` and N members with their ``shares``
+    and ``rate_rows``/``row_stderr`` (N, L).  Member ``n`` is pattern
+    ``member_index[n]``, found under the weights ``weight_stack[member_row[n]]``;
+    the (K, L) stack's row 0 is the current weights, and some member reads each
+    other row."""
+
+    patterns: np.ndarray
+    member_index: np.ndarray
+    member_row: np.ndarray
+    weight_stack: np.ndarray
     shares: np.ndarray
-    weights: np.ndarray
-    patterns: list[Pattern]
     rate_rows: np.ndarray
     row_stderr: np.ndarray
     flow: FlowSolution | None = None
@@ -129,6 +132,19 @@ class RrmState:
     # state, so it is a plain attribute and no field: comparisons, copies and
     # ``dataclasses.replace`` leave it out.
     solve = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The current link weights, row 0 of the stack."""
+        return self.weight_stack[0]
+
+    @property
+    def members(self) -> list[Member]:
+        """Each member's pattern and weights, read off the arrays.  It exists
+        for the benchmark's output check (``perfbench/checks.py``), which reads
+        ``m.pattern``; the package itself reads the arrays."""
+        rows = zip(self.member_index, self.member_row)
+        return [Member(self.patterns[j], self.weight_stack[k]) for j, k in rows]
 
 
 @dataclass(frozen=True)
@@ -157,22 +173,9 @@ class CertificateReport:
 
     gap: float
     tolerance: float
-    best_pattern: Pattern
+    best_pattern: np.ndarray
     pattern_values: np.ndarray
     policy_value: float
-
-
-def _duration_groups(
-    index: np.ndarray, n_patterns: int, fixed: bool
-) -> list[tuple[np.ndarray, float]]:
-    """Positions and total time of each duration group among rows whose
-    pattern indices are ``index``: one group of total 1, or under fixed
-    durations one group of total 1/J per pattern."""
-    if not fixed:
-        return [(np.arange(len(index)), 1.0)]
-    order = np.argsort(index, kind="stable")
-    bounds = np.searchsorted(index[order], np.arange(n_patterns + 1))
-    return [(order[a:b], 1.0 / n_patterns) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) -> RrmState:
@@ -181,15 +184,15 @@ def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) ->
     every pattern under fixed durations."""
     graph = model.graph
     patterns = enumerate_feasible_patterns(graph.interference)
-    starts = range(len(patterns)) if fixed_pattern_durations else [len(patterns) - 1]
-    weights = np.ones(graph.num_links)
+    starts = np.arange(len(patterns)) if fixed_pattern_durations else np.array([len(patterns) - 1])
     return RrmState(
-        members=[ScheduledPattern(pattern=patterns[j], index=j, weights=weights) for j in starts],
-        shares=np.full(len(starts), 1.0 / len(starts)),
-        weights=weights,
         patterns=patterns,
-        rate_rows=np.zeros((len(starts), graph.num_links)),
-        row_stderr=np.zeros((len(starts), graph.num_links)),
+        member_index=starts,
+        member_row=np.zeros(starts.size, dtype=int),
+        weight_stack=np.ones((1, graph.num_links)),
+        shares=np.full(starts.size, 1.0 / starts.size),
+        rate_rows=np.zeros((starts.size, graph.num_links)),
+        row_stderr=np.zeros((starts.size, graph.num_links)),
     )
 
 
@@ -204,18 +207,16 @@ class BlockPass:
     """One superframe's block of channel draws, its one kernel pass, and what
     the certificate and pattern discovery read off the pass.
 
-    ``patterns`` (J, B) holds the admissible patterns as a bool array, and
     ``winners`` (S, L, M) is row 0's, under the current weights.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
     weighted rate under row 0 and ``pattern_sem`` its weighted standard
-    error, ``group_best`` each duration group's argmax of those values, of
-    total time ``group_totals``, and ``best_rates``/``best_stderr`` the rate
+    error, ``group_best`` each duration group's argmax of those values (a
+    group of total 1/H each), and ``best_rates``/``best_stderr`` the rate
     rows of those argmax patterns under row 0.
     """
 
     t0: int
-    patterns: np.ndarray
     rate_block: np.ndarray
     winner_rates: np.ndarray | None
     winners: np.ndarray
@@ -224,7 +225,6 @@ class BlockPass:
     pattern_values: np.ndarray
     pattern_sem: np.ndarray
     group_best: np.ndarray
-    group_totals: np.ndarray
     best_rates: np.ndarray
     best_stderr: np.ndarray
 
@@ -233,50 +233,43 @@ def block_pass(
     model: ChannelModel, state: RrmState, config: RrmConfig, t0: int | None = None
 ) -> BlockPass:
     """Draw the block of subframes from ``t0`` on (by default the start of
-    ``state``'s superframe) and make its one kernel pass under the current
-    weights and every member's weights.
+    ``state``'s superframe) and make its one kernel pass under the state's
+    weight stack.
 
-    Members sharing a weight vector share its stack row, and members pinned
-    to the current weights read row 0, the pass the short timescale
-    schedules with; every member's rate row is masked from its stack row's
-    link means at once.  On a deterministic channel the rows ``state``
-    carries after its first superframe are kept instead and only row 0 is
-    stacked: the block repeats one subframe and a member's weights are
-    pinned, so re-stacking a member would give the same bits.
+    Row 0 of the stack, the current weights, is the pass the short timescale
+    schedules with; member ``n`` reads row ``member_row[n]``, and every
+    member's rate row is masked from its stack row's link means at once.  On
+    a deterministic channel the rows ``state`` carries after its first
+    superframe are kept instead and only row 0 is stacked: the block repeats
+    one subframe and a member's weights are pinned, so re-stacking a member
+    would give the same bits.  Each duration group's best pattern is the
+    argmax over all patterns, or under fixed durations each pattern itself.
     """
     if t0 is None:
         t0 = state.superframe * config.subframes_per_superframe
     graph = model.graph
     stationary = model.deterministic and state.superframe > 0
-    stack = {state.weights.tobytes(): state.weights}
-    for member in [] if stationary else state.members:
-        stack.setdefault(member.weights.tobytes(), member.weights)
     rate_block = model.rate_block(t0, config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
-    winners, mean, stderr = station_contributions(
-        graph, np.array(list(stack.values())), rate_block, winner_rates
-    )
+    stack = state.weight_stack[:1] if stationary else state.weight_stack
+    winners, mean, stderr = station_contributions(graph, stack, rate_block, winner_rates)
 
-    patterns = np.array(state.patterns, dtype=bool)
+    patterns, row = state.patterns, state.member_row
     if stationary:
         member_rates, member_stderr = state.rate_rows, state.row_stderr
     else:
-        keys = list(stack)
-        member_row = [keys.index(m.weights.tobytes()) for m in state.members]
         member_rates, member_stderr = rate_table_for_patterns(
-            graph, patterns[[m.index for m in state.members]], mean[member_row], stderr[member_row]
+            graph, patterns[state.member_index], mean[row], stderr[row]
         )
     # Each station's weighted sum over its links as a (B, L) block product:
     # a per-station reduction would sum in another order, to other bits.
     station = np.zeros((2, graph.num_bs, graph.num_links))
     station[:, graph.link_station, np.arange(graph.num_links)] = mean[0], stderr[0]
     values, value_sem = (patterns @ (rows @ state.weights) for rows in station)
-    groups = _duration_groups(np.arange(len(values)), len(values), config.fixed_pattern_durations)
-    best = np.array([idx[np.argmax(values[idx])] for idx, _ in groups])
+    best = np.arange(len(values)) if config.fixed_pattern_durations else np.argmax(values, keepdims=True)
     best_rates, best_stderr = rate_table_for_patterns(graph, patterns[best], mean[0], stderr[0])
     return BlockPass(
         t0=t0,
-        patterns=patterns,
         rate_block=rate_block,
         winner_rates=winner_rates,
         winners=winners,
@@ -285,7 +278,6 @@ def block_pass(
         pattern_values=values,
         pattern_sem=value_sem,
         group_best=best,
-        group_totals=np.array([total for _, total in groups]),
         best_rates=best_rates,
         best_stderr=best_stderr,
     )
@@ -316,23 +308,21 @@ def run_superframe(
     # run on every subframe in every mode, and subframe 0 is re-scheduled by
     # the reference schedule_links as a live cross-check.
     draws = model.pattern_draws(t0, config.subframes_per_superframe)
-    index = np.array([m.index for m in state.members])
-    active = block.patterns[index[_sample_member_indices(state.shares, draws)]]
+    index = state.member_index
+    active = state.patterns[index[_sample_member_indices(state.shares, draws)]]
     served = schedule_block(
         graph, active, state.weights, block.rate_block, block.winners, block.winner_rates
     )
 
     # Pattern discovery: each duration group's best pattern under the current
     # weights, scheduled under those same weights (row 0 of the pass), joins
-    # the set unless an existing member already realizes the same pattern
-    # with the same row.
-    members = list(state.members)
+    # the set, reading stack row 0, unless an existing member already
+    # realizes the same pattern with the same row.
     rows, row_stderr, best = block.member_rates, block.member_stderr, block.group_best
-    seen = {(m.index, rows[i].tobytes()) for i, m in enumerate(members)}
+    seen = {(j, rows[n].tobytes()) for n, j in enumerate(index)}
     new = [k for k, j in enumerate(best) if (j, block.best_rates[k].tobytes()) not in seen]
-    weights = state.weights.copy()
-    members += [ScheduledPattern(state.patterns[best[k]], int(best[k]), weights) for k in new]
     index = np.concatenate([index, best[new]])
+    member_row = np.concatenate([state.member_row, np.zeros(len(new), dtype=int)])
     rows = np.vstack([rows, block.best_rates[new]])
     row_stderr = np.vstack([row_stderr, block.best_stderr[new]])
 
@@ -340,7 +330,8 @@ def run_superframe(
     # embedded flow solution's prices become the next weights.  The program
     # the state's flow solved is reused when no member joined or was pruned
     # and the rows did not move; its shares are copied before pruning.
-    groups = _duration_groups(index, len(state.patterns), config.fixed_pattern_durations)
+    labels = index if config.fixed_pattern_durations else np.zeros(index.size, dtype=int)
+    groups = duration_groups(labels)
     program = (
         index.tobytes(), rows.tobytes(),
         config.utility, config.share_gap_tol, config.fixed_pattern_durations,
@@ -354,27 +345,35 @@ def run_superframe(
             config.utility,
             tol=config.share_gap_tol,
             base_capacity=graph.wired_base_capacity(),
-            groups=groups,
+            groups=labels,
         )
 
     # Prune small and surplus members in each group, which keeps its largest.
     shares = solved_shares.copy()
-    keep = np.zeros(len(members), dtype=bool)
+    keep = np.zeros(index.size, dtype=bool)
+    capped = 0.0
     for idx, total in groups:
         order = idx[np.argsort(shares[idx])[::-1]]
-        kept = np.sort(order[shares[order] >= config.q_prune * total][: config.max_members])
+        above = order[shares[order] >= config.q_prune * total]
+        kept = np.sort(above[: config.max_members])
+        capped = max(capped, float(shares[above[config.max_members :]].max(initial=0.0)))
         kept = kept if kept.size else order[:1]
         keep[kept] = True
         if kept.size < idx.size:
             shares[kept] = total * shares[kept] / shares[kept].sum()
-    members = [m for j, m in enumerate(members) if keep[j]]
+    if capped > 0.0:
+        log.warning("superframe %d: max_members = %d cut a member of share %.3g",
+                    state.superframe, config.max_members, capped)
+    # The next stack is the prices, then the old rows some kept member reads.
+    used = np.bincount(member_row[keep], minlength=len(state.weight_stack)) > 0
     rows, row_stderr, shares = rows[keep], row_stderr[keep], shares[keep]
 
     new_state = RrmState(
-        members=members,
-        shares=shares,
-        weights=flow.prices.copy(),
         patterns=state.patterns,
+        member_index=index[keep],
+        member_row=np.cumsum(used)[member_row[keep]],  # a used row's place after the prices
+        weight_stack=np.vstack([flow.prices, state.weight_stack[used]]),
+        shares=shares,
         rate_rows=rows,
         row_stderr=row_stderr,
         flow=flow,
@@ -385,7 +384,7 @@ def run_superframe(
     record = SuperframeRecord(
         index=state.superframe,
         utility=flow.utility,
-        n_members=len(members),
+        n_members=int(keep.sum()),
         shares=shares.copy(),
         flow_rates=flow.rates.copy(),
         served_rates=served,
@@ -416,7 +415,8 @@ def certificate(state: RrmState, config: RrmConfig, block: BlockPass) -> Certifi
     pass, with no kernel call of its own.  A pass from a later, unseen block
     of draws gives a certificate on fresh draws."""
     weights = state.weights
-    values, best, totals = block.pattern_values, block.group_best, block.group_totals
+    values, best = block.pattern_values, block.group_best
+    totals = np.full(best.size, 1.0 / best.size)
     policy_value = float(weights @ (state.shares @ block.member_rates))
     policy_sem = float(state.shares @ (block.member_stderr @ weights))
     tolerance = 3.0 * (float(totals @ block.pattern_sem[best]) + policy_sem) + 1e-9

@@ -10,7 +10,7 @@ import scipy.linalg
 from hetnet_rrm.channel import STREAM_FADING, STREAM_PATTERN, ChannelModel, keyed_generator
 from hetnet_rrm import netopt
 from hetnet_rrm.netopt import UtilitySpec, solve_p1
-from hetnet_rrm.phy import Pattern, rate_table_for_patterns, station_contributions
+from hetnet_rrm.phy import rate_table_for_patterns, station_contributions
 from hetnet_rrm.topology import TopologyGraph
 
 # The Cholesky factor and solve as two LAPACK calls, as cho_factor and
@@ -27,30 +27,30 @@ def build_incidence(graph: TopologyGraph) -> np.ndarray:
     return inc
 
 
-def is_feasible_pattern(interference: np.ndarray, pattern: Pattern) -> bool:
-    """True when no two active stations of the pattern interfere."""
-    active = np.flatnonzero(np.asarray(pattern, dtype=bool))
+def is_feasible_pattern(interference: np.ndarray, pattern: np.ndarray) -> bool:
+    """True when no two active stations of the (B,) bool pattern interfere."""
+    active = np.flatnonzero(pattern)
     sub = interference[np.ix_(active, active)]
     return not np.any(sub)
 
 
 def conditional_rate(
     graph: TopologyGraph,
-    pattern: Pattern,
+    pattern: np.ndarray,
     weights: np.ndarray,
     channel: ChannelModel,
     n_samples: int,
     t_start: int = 0,
     statistical_winners: bool = False,
 ) -> np.ndarray:
-    """Monte Carlo mean link rates for one pattern (exact when the channel is
-    deterministic and ``n_samples`` is 1)."""
+    """Monte Carlo mean link rates for one (B,) bool pattern (exact when the
+    channel is deterministic and ``n_samples`` is 1)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     block = channel.rate_block(t_start, n_samples)
     winner = channel.statistical_rates() if statistical_winners else None
     _, mean, stderr = station_contributions(graph, weights[None], block, winner)
-    rates, _ = rate_table_for_patterns(graph, np.array([pattern]), mean[0], stderr[0])
+    rates, _ = rate_table_for_patterns(graph, pattern[None], mean[0], stderr[0])
     return rates[0]
 
 

@@ -168,10 +168,10 @@ def test_certified_pattern_dominates_all_feasible_patterns(
         state = result.state
         block = model.rate_block(10_000, config.subframes_per_superframe)
         _, mean, stderr = station_contributions(graph, state.weights[None], block)
-        rates, row_stderr = rate_table_for_patterns(graph, np.array(state.patterns), mean[0], stderr[0])
+        rates, row_stderr = rate_table_for_patterns(graph, state.patterns, mean[0], stderr[0])
         values = rates @ state.weights
         sems = row_stderr @ state.weights
-        best = state.patterns.index(result.certificate.best_pattern)
+        best = np.flatnonzero((state.patterns == result.certificate.best_pattern).all(axis=1)).item()
         slack = (values[best] - values) + 3.0 * (sems[best] + sems) + 1e-9
         worst_slack = min(worst_slack, float(slack.min()))
     report(
@@ -278,7 +278,7 @@ def test_no_constraint_violations_across_runs(oracle_battery, stochastic_runs):
         if np.any(state.shares < -1e-12) or abs(state.shares.sum() - 1.0) > 1e-9:
             violations += 1
         if not all(
-            is_feasible_pattern(graph.interference, m.pattern) for m in state.members
+            is_feasible_pattern(graph.interference, p) for p in state.patterns[state.member_index]
         ):
             violations += 1
         caps = graph.wired_base_capacity() + state.shares @ state.rate_rows

@@ -171,11 +171,12 @@ def test_ttrsc_loses_multiuser_diversity_under_fading():
 
 
 def pattern_totals(state):
-    """Total share of each pattern's members."""
-    totals = {}
-    for member, share in zip(state.members, state.shares):
-        totals[member.pattern] = totals.get(member.pattern, 0.0) + share
-    return totals
+    """Total share of each admissible pattern's members, and how many it has."""
+    n_patterns = len(state.patterns)
+    return (
+        np.bincount(state.member_index, weights=state.shares, minlength=n_patterns),
+        np.bincount(state.member_index, minlength=n_patterns),
+    )
 
 
 def test_fddsa_uses_uniform_shares_over_all_patterns():
@@ -184,9 +185,9 @@ def test_fddsa_uses_uniform_shares_over_all_patterns():
     n_patterns = len(result.state.patterns)
     # every admissible pattern, the all-silent one included, holds 1/J of the
     # time, however its members split it
-    totals = pattern_totals(result.state)
-    assert sorted(totals) == result.state.patterns
-    assert all(abs(t - 1.0 / n_patterns) <= 1e-12 for t in totals.values())
+    totals, counts = pattern_totals(result.state)
+    assert np.all(counts >= 1)
+    assert np.all(np.abs(totals - 1.0 / n_patterns) <= 1e-12)
     # members keep their discovery weights, so the utility never falls back
     assert result.converged
     assert np.all(np.diff(result.utilities) >= -1e-9)

@@ -18,9 +18,13 @@ from hetnet_rrm.cli import (
     EXIT_ORACLE_SCALE,
     EXIT_SOLVER,
     main,
+    run_experiment,
 )
-from hetnet_rrm.scenario import MODES
+from hetnet_rrm.rrm import RrmConfig, run_to_convergence
+from hetnet_rrm.scenario import MODES, parse_scenario
 from hetnet_rrm.trace import parse_trace
+
+from conftest import det_model, diamond_graph
 
 TWO_USER_DET = """\
 hetnet-scenario v1
@@ -451,14 +455,20 @@ def test_sweep_rejects_values_the_parser_would(param, value, message, capsys):
     assert captured.out == ""
 
 
+def _perfbench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_and_runners_resolve(monkeypatch):
     """Every function the benchmark's tracer wraps, and every mode's runner,
     exists under its name: a traced benchmark run looks them up by name."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing", monkeypatch)
     assert len(tracing.TRACED) >= 16
     for _, module_name, attr in tracing.TRACED:
         owner = importlib.import_module(module_name)
@@ -469,3 +479,23 @@ def test_traced_functions_and_runners_resolve(monkeypatch):
     # fbc runs through run_fbc, which also returns its augmented model
     assert set(_RUNNERS) == set(MODES) - {"fbc"}
     assert all(callable(runner) for runner in _RUNNERS.values())
+
+
+def test_benchmark_output_check_passes_on_converged_runs(monkeypatch):
+    """The benchmark's own check of a converged point passes on a
+    deterministic run and on a fading ``fig7_like`` run, so a change to the
+    optimizer state that breaks the check fails here too.  A member pattern
+    that activates conflicting stations is caught."""
+    checks = _perfbench_module("checks", monkeypatch)
+    graph = diamond_graph()
+    deterministic = run_to_convergence(det_model(graph), RrmConfig(subframes_per_superframe=40))
+    fig7_path = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario")
+    fig7 = parse_scenario(fig7_path.read_text(), path="fig7_like.scenario")
+    fading, model = run_experiment(fig7, "proposed", fig7.seed)
+    assert deterministic.converged and fading.converged
+    assert checks.converged_point(graph, deterministic) == []
+    assert checks.converged_point(model.graph, fading) == []
+    state = deterministic.state
+    all_on = dataclasses.replace(state, patterns=np.ones_like(state.patterns))
+    problems = checks.converged_point(graph, dataclasses.replace(deterministic, state=all_on))
+    assert problems and all("activates conflicting stations" in p for p in problems)

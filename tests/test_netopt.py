@@ -256,21 +256,33 @@ def test_time_sharing_alpha2_closed_form():
     assert sol.rates[0] == pytest.approx(q_star * r, abs=1e-2)
 
 
+def test_duration_groups_from_labels():
+    """Row n sits in group labels[n], in row order, and each of the H groups
+    holds 1/H of the time."""
+    groups = netopt.duration_groups(np.array([1, 0, 1, 2, 0]))
+    assert [idx.tolist() for idx, _ in groups] == [[1, 4], [0, 2], [3]]
+    assert [total for _, total in groups] == [1.0 / 3.0] * 3
+    [(idx, total)] = netopt.duration_groups(np.zeros(4, dtype=int))
+    assert idx.tolist() == [0, 1, 2, 3] and total == 1.0
+    for labels in ([], [1, 1], [0, 2, 2]):
+        with pytest.raises(ValueError, match="every group 0..H-1"):
+            netopt.duration_groups(np.array(labels, dtype=int))
+
+
 def test_time_sharing_input_validation():
     g = _conflict_pair_graph()
     with pytest.raises(ValueError):
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
     rows = np.ones((3, 2))
-    # the groups must partition the rows, with no group empty
-    bad = ([[0], [1]], [[0, 1], [1, 2]], [[0, 1], [2], []], [[0, 1], [3]], [[0, 1], [-1, 2]])
-    for indices in bad:
-        groups = [(idx, 0.5) for idx in indices]
-        with pytest.raises(ValueError, match="partition"):
-            optimize_time_sharing(rows, g, LOG, groups=groups)
-    # and every total must be finite and positive
-    for total in (0.0, -0.5, np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
-            optimize_time_sharing(rows, g, LOG, groups=[([0, 1], 0.5), ([2], total)])
+    # one duration group label per row, every group 0..H-1 used
+    for labels in ([0, 1], [0, 1, 2, 0], [[0], [1], [2]]):
+        with pytest.raises(ValueError, match="one duration group label per rate row"):
+            optimize_time_sharing(rows, g, LOG, groups=np.array(labels))
+    for labels in ([0, 0, 2], [1, 1, 1], [0, 3, 1]):
+        with pytest.raises(ValueError, match="every group"):
+            optimize_time_sharing(rows, g, LOG, groups=np.array(labels))
+    with pytest.raises(ValueError):
+        optimize_time_sharing(rows, g, LOG, groups=np.array([0, -1, 1]))
     # non-finite rates or base capacities are bad inputs, refused up front
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -324,13 +336,12 @@ def test_time_sharing_gap_above_tolerance_raises(monkeypatch):
         optimize_time_sharing(rows, g, LOG)
 
 
-def _seeded_partition(n_rows, seed):
-    """Random partition of the rows into min(n_rows, 3) groups of total 1/G."""
+def _seeded_labels(n_rows, seed):
+    """Random duration group labels putting the rows in min(n_rows, 3) groups."""
     rng = np.random.default_rng(seed)
     n_groups = min(n_rows, 3)
     extra = rng.integers(0, n_groups, n_rows - n_groups)
-    labels = rng.permutation(np.concatenate([np.arange(n_groups), extra]))
-    return [(np.flatnonzero(labels == h), 1.0 / n_groups) for h in range(n_groups)]
+    return rng.permutation(np.concatenate([np.arange(n_groups), extra]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -346,10 +357,11 @@ def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grou
     rows = vertex_rate_rows(det_model(g))
     base = g.wired_base_capacity()
     if grouping == "one_group":
-        groups = [(np.arange(rows.shape[0]), 1.0)]
+        labels = np.zeros(rows.shape[0], dtype=int)
     else:
-        groups = _seeded_partition(rows.shape[0], seed)
-    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base, groups=groups)
+        labels = _seeded_labels(rows.shape[0], seed)
+    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base, groups=labels)
+    groups = [(np.flatnonzero(labels == h), 1.0 / (labels.max() + 1)) for h in range(labels.max() + 1)]
     assert q.shape == (rows.shape[0],)
     assert np.all(q >= 0.0)
     members, totals = [idx for idx, _ in groups], np.array([t for _, t in groups])

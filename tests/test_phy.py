@@ -61,7 +61,8 @@ def test_pattern_enumeration_matches_brute_force():
         m = np.triu(m, 1)
         m = m | m.T
         got = enumerate_feasible_patterns(m)
-        assert got == brute_force_patterns(m)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.array(brute_force_patterns(m), dtype=bool))
         assert all(is_feasible_pattern(m, p) for p in got)
 
 
@@ -72,9 +73,9 @@ def test_pattern_enumeration_cap():
 
 def test_is_feasible_pattern():
     m = np.array([[False, True], [True, False]])
-    assert is_feasible_pattern(m, (1, 0))
-    assert is_feasible_pattern(m, (0, 0))
-    assert not is_feasible_pattern(m, (1, 1))
+    assert is_feasible_pattern(m, np.array([True, False]))
+    assert is_feasible_pattern(m, np.array([False, False]))
+    assert not is_feasible_pattern(m, np.array([True, True]))
 
 
 def _two_station_graph():
@@ -90,22 +91,25 @@ def _two_station_graph():
     return build_graph(nodes, links, flows, {0, 1})
 
 
+BOTH_ON = np.array([True, True])
+
+
 def test_schedule_links_picks_weighted_winner():
     g = _two_station_graph()
     rates = np.array([[2.0, 1.0], [1.0, 3.0], [5.0, 5.0]])
-    rho = schedule_links(g, (1, 1), np.array([1.0, 1.0, 1.0]), rates)
+    rho = schedule_links(g, BOTH_ON, np.array([1.0, 1.0, 1.0]), rates)
     assert rho[0, 0] and not rho[1, 0]      # 2.0 beats 1.0 on subband 0
     assert rho[1, 1] and not rho[0, 1]      # 3.0 beats 1.0 on subband 1
     assert rho[2, 0] and rho[2, 1]
     # weights flip the first subband's winner
-    rho = schedule_links(g, (1, 1), np.array([1.0, 4.0, 1.0]), rates)
+    rho = schedule_links(g, BOTH_ON, np.array([1.0, 4.0, 1.0]), rates)
     assert rho[1, 0] and not rho[0, 0]
 
 
 def test_schedule_links_silences_inactive_stations():
     g = _two_station_graph()
     rates = np.ones((3, 2))
-    rho = schedule_links(g, (0, 1), np.ones(3), rates)
+    rho = schedule_links(g, np.array([False, True]), np.ones(3), rates)
     assert not rho[0].any() and not rho[1].any()
     assert rho[2].all()
 
@@ -113,7 +117,7 @@ def test_schedule_links_silences_inactive_stations():
 def test_schedule_links_tie_breaks_to_lowest_index():
     g = _two_station_graph()
     rates = np.ones((3, 4))
-    rho = schedule_links(g, (1, 1), np.ones(3), rates)
+    rho = schedule_links(g, BOTH_ON, np.ones(3), rates)
     assert rho[0].all() and not rho[1].any()
 
 
@@ -122,8 +126,8 @@ def test_schedule_links_weight_scale_invariance():
     rng = np.random.default_rng(3)
     rates = rng.random((3, 6))
     w = rng.random(3) + 0.1
-    a = schedule_links(g, (1, 1), w, rates)
-    b = schedule_links(g, (1, 1), 37.5 * w, rates)
+    a = schedule_links(g, BOTH_ON, w, rates)
+    b = schedule_links(g, BOTH_ON, 37.5 * w, rates)
     assert np.array_equal(a, b)
 
 
@@ -148,7 +152,7 @@ def _loop_reference(graph, active, weights, block, winner_rates):
     schedules, served = [], np.zeros(graph.num_links)
     for t in range(block.shape[0]):
         scores = block[t] if winner_rates is None else winner_rates
-        rho = schedule_links(graph, tuple(int(on) for on in active[t]), weights, scores)
+        rho = schedule_links(graph, active[t], weights, scores)
         schedules.append(rho)
         served += (rho * block[t]).sum(axis=1)
     return np.array(schedules), served / block.shape[0]
@@ -170,7 +174,7 @@ def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
             (fading, rng.uniform(0.2, 2.0, g.num_links), model.statistical_rates()),
             (ties, np.ones(g.num_links), None),
         ]:
-            active = np.array(patterns, dtype=bool)[rng.integers(len(patterns), size=n_sub)]
+            active = patterns[rng.integers(len(patterns), size=n_sub)]
             active[rng.random(n_sub) < 0.2] = False  # some all-silent subframes
             winners, rates = block_winners(g, weights[None], block, winner_rates)
             served = schedule_block(g, active, weights, block, winners, winner_rates)
@@ -320,14 +324,14 @@ def test_rate_table_rows_are_sums_of_station_rows():
     weights = np.linspace(0.5, 1.5, g.num_links)
     patterns = enumerate_feasible_patterns(g.interference)
     _, mean, stderr = station_contributions(g, weights[None], block)
-    rates, _ = rate_table_for_patterns(g, np.array(patterns), mean[0], stderr[0])
+    rates, _ = rate_table_for_patterns(g, patterns, mean[0], stderr[0])
     mean = mean[0]
     for j, p in enumerate(patterns):
         # station n's row holds the link means on its own links, zero elsewhere
         station_rows = [np.where(g.link_station == n, mean, 0.0) for n in range(g.num_bs)]
         assert np.array_equal(rates[j], sum(on * row for on, row in zip(p, station_rows)))
-    silent = patterns.index(tuple(0 for _ in g.bs_nodes))
-    assert np.all(rates[silent] == 0.0)
+    assert not patterns[0].any()  # the all-silent pattern sorts first
+    assert np.all(rates[0] == 0.0)
 
 
 def test_conditional_rate_matches_rayleigh_quadrature():
@@ -336,7 +340,7 @@ def test_conditional_rate_matches_rayleigh_quadrature():
     m = ChannelModel(g, 10, 40.0, 33.0, seed=21)
     a = m.tx_powers[0] * m.large_gains[0] ** 2
     exact, _ = integrate.quad(lambda x: np.log1p(a * x) * np.exp(-x), 0.0, np.inf)
-    mc = conditional_rate(g, (1,), np.ones(1), m, n_samples=4000)
+    mc = conditional_rate(g, np.ones(1, dtype=bool), np.ones(1), m, n_samples=4000)
     # rates are totals across the model's subbands, each an iid Rayleigh draw
     assert mc[0] == pytest.approx(m.num_subbands * exact, rel=0.02)
 
@@ -352,7 +356,7 @@ def test_two_link_winner_matches_order_statistic_quadrature():
     best_of_two, _ = integrate.quad(
         lambda z: np.log1p(a * z) * 2.0 * np.exp(-z) * (1.0 - np.exp(-z)), 0.0, np.inf
     )
-    row = conditional_rate(g, (1,), np.ones(2), m, n_samples=4000)
+    row = conditional_rate(g, np.ones(1, dtype=bool), np.ones(2), m, n_samples=4000)
     assert row.sum() == pytest.approx(m.num_subbands * best_of_two, rel=0.02)
     # both links are statistically identical, so service splits evenly
     assert row[0] == pytest.approx(row[1], rel=0.05)
@@ -362,7 +366,7 @@ def test_conditional_rate_monotone_in_power():
     g = random_instance(12)
     lo = ChannelModel(g, 4, 34.0, 27.0, seed=5)
     hi = ChannelModel(g, 4, 40.0, 33.0, seed=5)
-    pattern = tuple(1 for _ in g.bs_nodes)
+    pattern = np.ones(g.num_bs, dtype=bool)
     if not is_feasible_pattern(g.interference, pattern):
         pattern = enumerate_feasible_patterns(g.interference)[-1]
     w = np.ones(g.num_links)

@@ -1,3 +1,5 @@
+import logging
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -41,16 +43,16 @@ def fast_config(**kwargs):
 def test_initial_state_starts_from_densest_pattern():
     g = single_link_graph()
     state = initial_state(det_model(g))
-    assert state.members[0].pattern == (1,)
+    assert state.patterns[state.member_index].tolist() == [[True]]
     assert state.shares == pytest.approx([1.0])
     assert np.all(state.weights == 1.0)
 
     d = diamond_graph()
     state = initial_state(det_model(d))
     # the all-on pattern conflicts, so the start is the last admissible one
-    assert (1,) * d.num_bs not in state.patterns
-    assert state.members[0].pattern == state.patterns[-1]
-    assert sum(state.members[0].pattern) >= 1
+    assert not state.patterns.all(axis=1).any()
+    assert state.member_index.tolist() == [len(state.patterns) - 1]
+    assert state.patterns[-1].sum() >= 1
 
 
 def test_initial_state_starts_from_the_lexicographically_last_pattern():
@@ -67,9 +69,11 @@ def test_initial_state_starts_from_the_lexicographically_last_pattern():
     g = build_graph(nodes, links, [Flow(0, 0, 3), Flow(1, 0, 4)], {0})
     assert np.array_equal(g.interference, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     state = initial_state(det_model(g))
-    assert state.patterns == [(0, 0, 0), (0, 1, 1), (1, 0, 0)]
-    assert [m.pattern for m in state.members] == [(1, 0, 0)]
-    assert [m.index for m in state.members] == [2]
+    assert state.patterns.astype(int).tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
+    assert state.member_index.tolist() == [2]
+    # the start member reads row 0 of a one-row stack: the neutral weights
+    assert state.member_row.tolist() == [0]
+    assert np.array_equal(state.weight_stack, np.ones((1, g.num_links)))
 
 
 def test_config_validation():
@@ -161,7 +165,7 @@ def test_certificate_nonnegative_gap_deterministic():
     report = result.certificate
     assert report.gap >= -1e-9
     assert report.tolerance <= 1e-6  # no Monte Carlo noise in deterministic mode
-    assert report.best_pattern in result.state.patterns
+    assert (result.state.patterns == report.best_pattern).all(axis=1).any()
     assert report.pattern_values.shape == (len(result.state.patterns),)
     assert report.policy_value == pytest.approx(
         float(result.state.weights @ (result.state.shares @ result.state.rate_rows)),
@@ -182,8 +186,25 @@ def test_max_members_cap_is_enforced():
     model = det_model(random_instance(47))
     config = fast_config(max_members=2, max_superframes=6)
     result = run_to_convergence(model, config)
-    assert len(result.state.members) <= 2
+    assert result.state.member_index.size <= 2
     assert all(rec.n_members <= 2 for rec in result.records)
+
+
+def test_a_binding_max_members_cap_warns(caplog):
+    """multicell_graph needs more than two members: a cap of two cuts members
+    the share solve gave a share above q_prune, and the run says so once per
+    superframe it happens.  The default cap never binds there."""
+    model = det_model(multicell_graph())
+    with caplog.at_level(logging.WARNING, logger="hetnet_rrm.rrm"):
+        result = run_to_convergence(model, fast_config(max_members=2))
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert not result.converged and warned
+    assert all(re.fullmatch(r"superframe \d+: max_members = 2 cut a member of share \S+", w) for w in warned)
+    assert len({w.split(":")[0] for w in warned}) == len(warned)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="hetnet_rrm.rrm"):
+        assert run_to_convergence(model, fast_config()).converged
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_max_members_caps_each_duration_group():
@@ -204,7 +225,7 @@ def test_max_members_caps_each_duration_group():
     config = replace(config, q_prune=0.99)
     for _ in range(4):
         state, record = run_superframe(model, state, config, block_pass(model, state, config))
-        assert sorted(m.pattern for m in state.members) == state.patterns
+        assert sorted(state.member_index.tolist()) == [0, 1, 2]
         assert np.allclose(state.shares, 1.0 / 3.0, rtol=0.0, atol=1e-12)
 
 
@@ -321,26 +342,29 @@ def test_member_rows_equal_a_full_restack(monkeypatch, setup):
     """Every superframe's block pass gives each member the row a pass that
     stacks every member's weights gives, bit for bit.  A deterministic pass
     reads the rows the state carries in place of re-stacking them; a fading
-    one re-measures them on its fresh draws."""
+    one re-measures them on its fresh draws.  After every superframe each
+    stack row but row 0 is read by some member."""
     step = rrm.run_superframe
     pinned_elsewhere = []
 
     def checked_step(model, state, config, block):
         state, record = step(model, state, config, block)
         t0 = state.superframe * config.subframes_per_superframe
-        stack = np.array([state.weights] + [m.weights for m in state.members])
+        stack = np.vstack([state.weights, state.weight_stack[state.member_row]])
         winner_rates = model.statistical_rates() if config.statistical_scheduling else None
         _, mean, stderr = phy.station_contributions(
             model.graph, stack, model.rate_block(t0, config.subframes_per_superframe), winner_rates
         )
-        patterns = np.array([m.pattern for m in state.members], dtype=float)
+        patterns = state.patterns[state.member_index]
         rows, row_stderr = phy.rate_table_for_patterns(model.graph, patterns, mean[1:], stderr[1:])
         block = block_pass(model, state, config)
         assert rows.tobytes() == block.member_rates.tobytes()
         assert row_stderr.tobytes() == block.member_stderr.tobytes()
         if model.deterministic:
             assert block.member_rates is state.rate_rows and block.member_stderr is state.row_stderr
-        pinned_elsewhere.append(any(np.any(m.weights != state.weights) for m in state.members))
+        pinned_elsewhere.append(np.any(state.weight_stack[state.member_row] != state.weights))
+        # the stack keeps no row beyond the current weights that no member reads
+        assert np.all(np.bincount(state.member_row, minlength=len(state.weight_stack))[1:] > 0)
         return state, record
 
     monkeypatch.setattr(rrm, "run_superframe", checked_step)
@@ -376,14 +400,14 @@ def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
     assert len(solves) == len(result.records) - 1
 
     state = result.state
-    index = np.array([m.index for m in state.members])
+    labels = state.member_index if fixed else np.zeros(state.member_index.size, dtype=int)
     shares, flow = optimize_time_sharing(
         state.rate_rows,
         model.graph,
         config.utility,
         tol=config.share_gap_tol,
         base_capacity=model.graph.wired_base_capacity(),
-        groups=rrm._duration_groups(index, len(state.patterns), fixed),
+        groups=labels,
     )
     assert shares.tobytes() == state.shares.tobytes()
     assert flow.prices.tobytes() == state.flow.prices.tobytes() == state.weights.tobytes()
