@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (run converged), 2 run stopped at the superframe limit,
 3 configuration or scenario error (including a scenario with more than
-``phy.MAX_PATTERN_BS`` base stations), 4 oracle size caps exceeded, 5 the
+``phy.MAX_PATTERN_BS`` base stations or a link endpoint that is not a node, a
+``--scenario`` path that is missing, a directory or not UTF-8, an ``--out``
+path that cannot be written, and fbc on a network whose unwired pico has no
+macro to wire it from), 4 oracle size caps exceeded, 5 the
 flow solver failed (``NetOptError``) or a flow has too many simple paths to
 enumerate (``PathExplosionError``).  A run or sweep cell that stops at the
 superframe limit logs one WARNING line naming the convergence test it failed
@@ -192,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OracleScaleError as exc:

@@ -32,6 +32,7 @@ from .topology import TopologyGraph
 
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
+FLOW_TOL = 1e-6  # KKT residual a flow solve must reach
 
 # LAPACK Cholesky factor-and-solve, and solve with a kept factor, in double
 # precision (see _interior_point).
@@ -512,16 +513,12 @@ def _solve_joint(
     )
 
 
-def solve_p1(
-    graph: TopologyGraph,
-    capacities: np.ndarray,
-    utility: UtilitySpec,
-    tol: float = 1e-6,
-) -> FlowSolution:
+def solve_p1(graph: TopologyGraph, capacities: np.ndarray, utility: UtilitySpec) -> FlowSolution:
     """Utility-optimal flow control and routing for fixed link capacities.
 
     Returns per-flow rates, per-link flow splits, and capacity prices; the
     price vector is the gradient of the optimal utility in the capacities.
+    A KKT residual above :data:`FLOW_TOL` raises :class:`NetOptError`.
     Paths through starved (near-zero capacity) links are removed from the
     optimization, and those links get their marginal price patched in
     afterwards so they stay visible to capacity allocation.
@@ -535,11 +532,11 @@ def solve_p1(
         raise ValueError("capacities must be nonnegative")
     one_row = [(np.zeros(1, dtype=int), 1.0)]
     _, solution = _solve_joint(
-        graph, capacities, np.zeros((1, graph.num_links)), utility, one_row, mu_cap=tol * 1e-4
+        graph, capacities, np.zeros((1, graph.num_links)), utility, one_row, mu_cap=FLOW_TOL * 1e-4
     )
-    if solution.kkt_residual > tol:
+    if solution.kkt_residual > FLOW_TOL:
         raise NetOptError(
-            f"flow solver residual {solution.kkt_residual:.2e} exceeds tolerance {tol:.2e}"
+            f"flow solver residual {solution.kkt_residual:.2e} exceeds tolerance {FLOW_TOL:.2e}"
         )
     return solution
 
@@ -549,12 +546,12 @@ def optimize_time_sharing(
     graph: TopologyGraph,
     utility: UtilitySpec,
     tol: float = 1e-5,
-    base_capacity: np.ndarray | None = None,
     groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
-    Maximizes utility of the shared capacity ``base + rate_rows^T q`` in one
+    Maximizes utility of the shared capacity ``base + rate_rows^T q``, where
+    ``base`` is the graph's :meth:`~TopologyGraph.wired_base_capacity`, in one
     interior-point solve over shares and path flows.  ``groups`` labels each
     row with its duration group (:func:`duration_groups`): the shares of each
     of the H groups sum to ``t_h = 1/H``.  Without it the shares range over the
@@ -569,10 +566,9 @@ def optimize_time_sharing(
         raise ValueError("rate rows must have one column per link")
     if not np.all(np.isfinite(rate_rows)):
         raise ValueError("rate rows must be finite")
-    if base_capacity is None:
-        base_capacity = np.zeros(graph.num_links)
-    elif not np.all(np.isfinite(base_capacity)):
-        raise ValueError("base capacities must be finite")
+    base_capacity = graph.wired_base_capacity()
+    if not np.all(np.isfinite(base_capacity)):  # a graph built without validate
+        raise ValueError("wired base capacities must be finite")
     labels = np.zeros(rate_rows.shape[0], dtype=int) if groups is None else np.asarray(groups)
     if labels.shape != rate_rows.shape[:1]:
         raise ValueError("need one duration group label per rate row")

@@ -84,14 +84,7 @@ def vertex_rate_rows(model: ChannelModel) -> np.ndarray:
 def oracle_solve(model: ChannelModel, utility: UtilitySpec) -> OracleSolution:
     """Utility-optimal time sharing over the exhaustively enumerated vertices."""
     rows = vertex_rate_rows(model)
-    graph = model.graph
-    shares, flow = optimize_time_sharing(
-        rows,
-        graph,
-        utility,
-        tol=1e-7,
-        base_capacity=graph.wired_base_capacity(),
-    )
+    shares, flow = optimize_time_sharing(rows, model.graph, utility, tol=1e-7)
     return OracleSolution(
         utility=flow.utility,
         shares=shares,

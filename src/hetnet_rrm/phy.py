@@ -59,13 +59,13 @@ def _maximal_independent_sets(conflicts: np.ndarray) -> list[frozenset[int]]:
     return found
 
 
-def enumerate_feasible_patterns(interference: np.ndarray, max_bs: int = MAX_PATTERN_BS) -> np.ndarray:
+def enumerate_feasible_patterns(interference: np.ndarray) -> np.ndarray:
     """All-silent plus every maximal independent set, as a read-only (J, B)
     bool array with its rows in lexicographic order."""
     n = interference.shape[0]
-    if n > max_bs:
+    if n > MAX_PATTERN_BS:
         raise PatternEnumerationError(
-            f"pattern enumeration over {n} base stations exceeds the cap of {max_bs}"
+            f"pattern enumeration over {n} base stations exceeds the cap of {MAX_PATTERN_BS}"
         )
     sets = [frozenset(), *_maximal_independent_sets(interference)]
     patterns = np.array(sorted({tuple(v in s for v in range(n)) for s in sets}), dtype=bool)

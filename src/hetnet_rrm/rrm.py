@@ -344,7 +344,6 @@ def run_superframe(
             graph,
             config.utility,
             tol=config.share_gap_tol,
-            base_capacity=graph.wired_base_capacity(),
             groups=labels,
         )
 

@@ -13,14 +13,15 @@ Sections: ``[nodes]`` (``id kind x y [power_dbm]``), ``[links]``
 (``id source destination``), ``[radio]``, ``[pathloss]`` (optional, one
 ``exponent ref_gain_db shadow_sigma_db`` triple per link class) and ``[run]``.
 
-Each ``[radio]`` and ``[run]`` key is declared once, in :data:`_SETTINGS`, which
-the parser, :func:`dump_scenario` and :func:`with_param` all read.
+Each ``[radio]``, ``[pathloss]`` and ``[run]`` key is declared once, in
+:data:`_SETTINGS`, which the parser, :func:`dump_scenario` and
+:func:`with_param` all read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import NamedTuple
 
 from .channel import ChannelModel, LinkClassParams, PathlossParams
@@ -40,13 +41,13 @@ from .topology import (
 SCENARIO_HEADER = "hetnet-scenario v1"
 NATS_PER_BIT = math.log(2.0)
 
-_SECTIONS = ("nodes", "links", "backhaul", "flows", "radio", "pathloss", "run")
+#: The sections of ``key = value`` settings, in the order they are dumped.
+_SETTING_SECTIONS = ("radio", "pathloss", "run")
+_SECTIONS = ("nodes", "links", "backhaul", "flows", *_SETTING_SECTIONS)
 _REQUIRED_SECTIONS = ("nodes", "links", "backhaul", "flows", "radio", "run")
 
 #: Every scheme a scenario's ``mode`` or the command line may name.
 MODES = ("proposed", "fbc", "fddsa", "ttrsc")
-
-_PATHLOSS_KEYS = ("macro_macro", "bs_bs", "bs_user")
 
 #: Parameters the sweep command may vary without editing the file.
 SWEEPABLE_PARAMS = (
@@ -109,11 +110,12 @@ _NON_NEGATIVE = (0.0, math.inf, "be >= 0")
 
 
 class _Setting(NamedTuple):
-    """One ``[radio]`` or ``[run]`` key.  Its value sets field ``field`` (the
-    key when empty) of ``owner``; a file that leaves the key out keeps the
-    field's dataclass default.  ``limit`` is an ``int``'s least value, a
-    ``float``'s range or the words a ``bool`` or ``str`` allows (``utility``
-    allows one and sets nothing)."""
+    """One ``[radio]``, ``[pathloss]`` or ``[run]`` key.  Its value sets
+    field ``field`` (the key when empty) of ``owner``; a file that leaves the
+    key out keeps the field's dataclass default.  ``limit`` is an ``int``'s
+    least value, a ``float``'s range or the words a ``bool`` or ``str`` allows
+    (``utility`` allows one and sets nothing); a ``LinkClassParams`` is three
+    finite numbers and has none."""
 
     key: str
     section: str
@@ -135,6 +137,9 @@ _SETTINGS = {
         _Setting("deterministic", "radio", Scenario, bool, ("true", "false")),
         _Setting("macro_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
         _Setting("pico_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
+        _Setting("macro_macro", "pathloss", PathlossParams, LinkClassParams, None),
+        _Setting("bs_bs", "pathloss", PathlossParams, LinkClassParams, None),
+        _Setting("bs_user", "pathloss", PathlossParams, LinkClassParams, None),
         _Setting("seed", "run", Scenario, int, 0),
         _Setting("mode", "run", Scenario, str, MODES),
         _Setting("subframes_per_superframe", "run", RrmConfig, int, 1),
@@ -256,6 +261,13 @@ def _setting(cur: _Cursor, key: str, lineno: int, raw: str):
     row = _SETTINGS[key]
     if row.kind is float:
         return _bounded(cur, lineno, raw, row.limit, f"'{key}'")
+    if row.kind is LinkClassParams:
+        parts = raw.split()
+        if len(parts) == 3:
+            values = _finite(cur, lineno, parts, f"'{key}' needs three finite numbers")
+            return None if values is None else LinkClassParams(*values)
+        cur.error(lineno, f"'{key}' needs three numbers 'exponent ref_gain_db shadow_sigma_db', got '{raw}'")
+        return None
     if row.kind is int:
         try:
             value = int(raw)
@@ -383,22 +395,6 @@ def _parse_flows(cur: _Cursor, records: list[tuple[int, str]]) -> list[Flow]:
     return flows
 
 
-def _parse_pathloss(cur: _Cursor, records: list[tuple[int, str]]) -> PathlossParams:
-    classes = {}
-    for key, (lineno, raw) in _parse_settings(cur, records, "pathloss", _PATHLOSS_KEYS).items():
-        parts = raw.split()
-        if len(parts) != 3:
-            cur.error(
-                lineno,
-                f"'{key}' needs three numbers 'exponent ref_gain_db shadow_sigma_db', got '{raw}'",
-            )
-            continue
-        values = _finite(cur, lineno, parts, f"'{key}' needs three finite numbers")
-        if values is not None:
-            classes[key] = LinkClassParams(*values)
-    return PathlossParams(**classes)
-
-
 def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     """Parse and validate scenario text; raises :class:`ScenarioError` listing
     every problem found (never just the first one)."""
@@ -413,19 +409,19 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     flows = _parse_flows(cur, sections["flows"])
 
     given: dict[str, tuple[int, str]] = {}
-    for section in ("radio", "run"):
+    for section in _SETTING_SECTIONS:
         keys = tuple(key for key, row in _SETTINGS.items() if row.section == section)
-        given.update(_parse_settings(cur, sections[section], section, keys))
+        given.update(_parse_settings(cur, sections.get(section, []), section, keys))
     kwargs: dict = {row.owner: {} for row in _SETTINGS.values()}
     for key, (lineno, raw) in given.items():
         row, value = _SETTINGS[key], _setting(cur, key, lineno, raw)
         if value is not None:
             kwargs[row.owner][row.field or key] = value
-    pathloss = _parse_pathloss(cur, sections.get("pathloss", []))
     # Only values that met their rule reach the constructors, and the table's
     # rules are at least as strict as their checks, so none of them raises.
     # The graph follows once the topology is validated.
     rrm = RrmConfig(utility=UtilitySpec(**kwargs[UtilitySpec]), **kwargs[RrmConfig])
+    pathloss = PathlossParams(**kwargs[PathlossParams])
     scenario = Scenario(graph=None, power_overrides=overrides, pathloss=pathloss, rrm=rrm, **kwargs[Scenario])
     lead, length = scenario.control_lead_subframes, rrm.subframes_per_superframe
     if lead >= length:
@@ -451,7 +447,11 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read(), path=str(path))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
+    return parse_scenario(text, path=str(path))
 
 
 def _fmt(value: float) -> str:
@@ -460,13 +460,16 @@ def _fmt(value: float) -> str:
 
 def _dump_settings(scenario: Scenario, section: str) -> list[str]:
     """The ``[section]`` block of :func:`dump_scenario` in table order, a
-    bool written ``true`` or ``false``."""
-    owners = {Scenario: scenario, RrmConfig: scenario.rrm, UtilitySpec: scenario.rrm.utility}
+    bool written ``true`` or ``false`` and a link class as its three numbers."""
+    rrm = scenario.rrm
+    owners = {Scenario: scenario, RrmConfig: rrm, UtilitySpec: rrm.utility, PathlossParams: scenario.pathloss}
     out = ["", f"[{section}]"]
     for key, row in _SETTINGS.items():
         if row.section != section:
             continue
         value = getattr(owners[row.owner], row.field or key) if row.owner else row.limit[0]
+        if row.kind is LinkClassParams:
+            value = " ".join(map(_fmt, astuple(value)))
         out.append(f"{key} = {_fmt(value) if row.kind is float else str(value).lower()}")
     return out
 
@@ -493,12 +496,9 @@ def dump_scenario(scenario: Scenario) -> str:
     out += ["", "[flows]"]
     for flow in graph.flows:
         out.append(f"{flow.index} {flow.source} {flow.destination}")
-    out += _dump_settings(scenario, "radio") + ["", "[pathloss]"]
-    for key in _PATHLOSS_KEYS:
-        cls = getattr(scenario.pathloss, key)
-        out.append(f"{key} = {_fmt(cls.exponent)} {_fmt(cls.ref_gain_db)} {_fmt(cls.shadow_sigma_db)}")
-    out += _dump_settings(scenario, "run") + [""]
-    return "\n".join(out)
+    for section in _SETTING_SECTIONS:
+        out += _dump_settings(scenario, section)
+    return "\n".join(out + [""])
 
 
 def with_param(scenario: Scenario, name: str, value: float) -> Scenario:

@@ -174,7 +174,8 @@ def interference_from_positions(
 def _reachable(graph: TopologyGraph, source: int) -> set[int]:
     adj: dict[int, list[int]] = {n.index: [] for n in graph.nodes}
     for l in graph.links:
-        adj[l.head].append(l.tail)
+        if l.head in adj and l.tail in adj:  # validate reports the others
+            adj[l.head].append(l.tail)
     seen = {source}
     stack = [source]
     while stack:

@@ -128,6 +128,66 @@ def test_missing_file_exits_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", ["2 9 3", "2 1 -1"])
+def test_out_of_range_link_endpoint_exits_config(tmp_path, capsys, record):
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    assert "\n2   1   3\n" in demo
+    src = scenario_file(tmp_path, demo.replace("\n2   1   3\n", f"\n{record}\n"), "endpoint.scenario")
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {src}: link 2 endpoint out of range\n"
+            f"error: {src}: flow 1 destination 3 unreachable from source 0\n"
+        )
+
+
+def test_scenario_path_that_is_a_directory_exits_config(tmp_path, capsys):
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_scenario_that_is_not_utf8_exits_config(tmp_path, capsys):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(TWO_USER_DET.replace("[radio]", "# caf\xe9\n[radio]").encode("latin-1"))
+    assert main(["validate", "--scenario", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_out_that_is_a_directory_exits_config(tmp_path, capsys):
+    src = scenario_file(tmp_path)
+    assert main(["run", "--scenario", src, "--out", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_fbc_without_a_macro_exits_config(tmp_path, capsys):
+    # a pico at node 0 still holds the backhaul, so the scenario validates
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    assert "\n0   macro " in demo
+    src = scenario_file(tmp_path, demo.replace("\n0   macro ", "\n0   pico  "), "no_macro.scenario")
+    assert main(["validate", "--scenario", src]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (
+        ["run", "--mode", "fbc"],
+        ["sweep", "--param", "seed", "--values", "1", "--modes", "fbc"],
+    ):
+        assert main([*argv, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fbc cannot wire pico 1: the network has no macro node\n"
+
+
 def test_bad_scenario_reports_each_line_and_exits_config(tmp_path, capsys):
     text = TWO_USER_DET.replace("seed = 5", "seed = 5\nmode = psychic\nwarp = 1")
     src = scenario_file(tmp_path, text, "bad.scenario")

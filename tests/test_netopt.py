@@ -19,7 +19,7 @@ from hetnet_rrm.netopt import (
 from hetnet_rrm.oracle import oracle_solve, vertex_rate_rows
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.scenario import parse_scenario, with_param
-from hetnet_rrm.topology import Flow, Link, Node, NodeKind
+from hetnet_rrm.topology import Flow, Link, Node, NodeKind, TopologyGraph
 
 from conftest import (
     build_graph,
@@ -283,7 +283,7 @@ def test_time_sharing_input_validation():
             optimize_time_sharing(rows, g, LOG, groups=np.array(labels))
     with pytest.raises(ValueError):
         optimize_time_sharing(rows, g, LOG, groups=np.array([0, -1, 1]))
-    # non-finite rates or base capacities are bad inputs, refused up front
+    # non-finite rates or wired capacities are bad inputs, refused up front
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.nan, np.inf, -np.inf):
@@ -293,8 +293,12 @@ def test_time_sharing_input_validation():
                 optimize_time_sharing(bad_rows, g, LOG)
             with pytest.raises(ValueError, match="rate rows must be finite"):
                 optimize_time_sharing(bad_rows[2:], g, LOG)  # the single-row path
+            # a graph built without validate may carry any wired capacity
+            wired = TopologyGraph(
+                g.nodes, (Link(0, 0, 2, bad), g.links[1]), g.flows, g.backhaul, g.interference
+            )
             with pytest.raises(ValueError, match="base capacities must be finite"):
-                optimize_time_sharing(rows, g, LOG, base_capacity=np.array([bad, 0.0]))
+                optimize_time_sharing(rows, wired, LOG)
 
 
 def test_time_sharing_certifies_random_vertex_systems():
@@ -303,9 +307,7 @@ def test_time_sharing_certifies_random_vertex_systems():
     for seed in (1006, 1013, 1021):
         g = random_instance(seed)
         rows = vertex_rate_rows(det_model(g))
-        q, sol = optimize_time_sharing(
-            rows, g, LOG, tol=1e-5, base_capacity=g.wired_base_capacity()
-        )
+        q, sol = optimize_time_sharing(rows, g, LOG, tol=1e-5)
         assert q.shape == (rows.shape[0],)
         assert np.all(q >= -1e-12) and q.sum() == pytest.approx(1.0, abs=1e-9)
         gap = float(np.max(rows @ sol.prices) - q @ (rows @ sol.prices))
@@ -360,7 +362,7 @@ def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grou
         labels = np.zeros(rows.shape[0], dtype=int)
     else:
         labels = _seeded_labels(rows.shape[0], seed)
-    q, sol = optimize_time_sharing(rows, g, u, tol=tol, base_capacity=base, groups=labels)
+    q, sol = optimize_time_sharing(rows, g, u, tol=tol, groups=labels)
     groups = [(np.flatnonzero(labels == h), 1.0 / (labels.max() + 1)) for h in range(labels.max() + 1)]
     assert q.shape == (rows.shape[0],)
     assert np.all(q >= 0.0)

@@ -68,7 +68,7 @@ def test_pattern_enumeration_matches_brute_force():
 
 def test_pattern_enumeration_cap():
     with pytest.raises(PatternEnumerationError):
-        enumerate_feasible_patterns(np.zeros((25, 25), dtype=bool), max_bs=20)
+        enumerate_feasible_patterns(np.zeros((25, 25), dtype=bool))
 
 
 def test_is_feasible_pattern():

@@ -406,7 +406,6 @@ def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
         model.graph,
         config.utility,
         tol=config.share_gap_tol,
-        base_capacity=model.graph.wired_base_capacity(),
         groups=labels,
     )
     assert shares.tobytes() == state.shares.tobytes()

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetnet_rrm.channel import LinkClassParams
+from hetnet_rrm.channel import LinkClassParams, PathlossParams
 from hetnet_rrm.netopt import UtilitySpec
 from hetnet_rrm.rrm import RrmConfig
 from hetnet_rrm.scenario import (
@@ -417,6 +417,7 @@ def test_every_setting_survives_dump_and_parse():
     values = {
         "subbands": "5", "p_macro_dbm": "41.5", "p_pico_dbm": "30.25", "noise_dbm": "-95.5",
         "deterministic": "true", "macro_radius_m": "500.0", "pico_radius_m": "120.0",
+        "macro_macro": "1.5 -21.0 2.5", "bs_bs": "1.8 -17.5 3.25", "bs_user": "2.0 -15.0 4.5",
         "seed": "12", "mode": "fddsa", "subframes_per_superframe": "80",
         "control_lead_subframes": "5", "max_superframes": "9", "epsilon_converge": "2e-05",
         "gap_converge_rel": "0.001", "q_prune": "0.25", "max_members": "7",
@@ -424,13 +425,16 @@ def test_every_setting_survives_dump_and_parse():
         "utility_epsilon": "0.01",
     }
     assert list(values) == list(_SETTINGS)
-    blocks = {"radio": "", "run": ""}
+    blocks = {"radio": "", "pathloss": "", "run": ""}
     for key, value in values.items():
         blocks[_SETTINGS[key].section] += f"{key} = {value}\n"
     text = BASE.split("[radio]")[0] + "".join(f"[{name}]\n{lines}\n" for name, lines in blocks.items())
     s = parse_scenario(text)
-    defaults = {Scenario: Scenario(graph=s.graph), RrmConfig: RrmConfig(), UtilitySpec: UtilitySpec()}
-    parsed = {Scenario: s, RrmConfig: s.rrm, UtilitySpec: s.rrm.utility}
+    defaults = {
+        Scenario: Scenario(graph=s.graph), RrmConfig: RrmConfig(), UtilitySpec: UtilitySpec(),
+        PathlossParams: PathlossParams(),
+    }
+    parsed = {Scenario: s, RrmConfig: s.rrm, UtilitySpec: s.rrm.utility, PathlossParams: s.pathloss}
     for key, row in _SETTINGS.items():
         if row.owner is not None:
             name = row.field or key

@@ -116,6 +116,17 @@ def test_validate_flags_non_finite_wired_capacity(capacity):
     assert any("wired capacity must be finite and positive" in p for p in validate(augmented))
 
 
+@pytest.mark.parametrize("head, tail", [(0, 9), (0, -1), (-1, 1), (5, 1)])
+def test_validate_lists_an_out_of_range_endpoint(head, tail):
+    # the reachability walk skips the link instead of failing on it
+    nodes = [Node(0, MACRO, (0.0, 0.0)), Node(1, USER, (50.0, 0.0))]
+    bad = _raw(nodes, [Link(0, head, tail)], [Flow(0, 0, 1)], {0})
+    assert validate(bad) == [
+        "link 0 endpoint out of range",
+        "flow 0 destination 1 unreachable from source 0",
+    ]
+
+
 def test_validate_flags_backhaul_and_flows():
     nodes = [Node(0, MACRO, (0.0, 0.0)), Node(1, PICO, (200.0, 0.0)),
              Node(2, USER, (260.0, 0.0))]
