@@ -27,7 +27,6 @@ import numpy as np
 
 from .channel import ChannelModel
 from .rrm import RrmConfig, RrmResult, run_to_convergence
-from .scenario import ScenarioError
 from .topology import Link, NodeKind, TopologyGraph
 
 FBC_CAPACITY_MARGIN = 10.0
@@ -47,7 +46,7 @@ def run_fddsa(model: ChannelModel, config: RrmConfig) -> RrmResult:
 
 def nearest_macro(graph: TopologyGraph, pico_index: int) -> int:
     """Index of the closest macro node (lowest index wins ties).  Without a
-    macro, fbc cannot wire the pico: a :class:`ScenarioError`."""
+    macro, fbc cannot wire the pico: a ``ValueError``."""
     px, py = graph.nodes[pico_index].position
     best, best_dist = -1, np.inf
     for node in graph.nodes:
@@ -57,7 +56,7 @@ def nearest_macro(graph: TopologyGraph, pico_index: int) -> int:
         if dist < best_dist - 1e-12:
             best, best_dist = node.index, dist
     if best < 0:
-        raise ScenarioError([f"fbc cannot wire pico {pico_index}: the network has no macro node"])
+        raise ValueError(f"fbc cannot wire pico {pico_index}: the network has no macro node")
     return best
 
 

@@ -5,7 +5,8 @@ Exit codes: 0 success (run converged), 2 run stopped at the superframe limit,
 ``phy.MAX_PATTERN_BS`` base stations or a link endpoint that is not a node, a
 ``--scenario`` path that is missing, a directory or not UTF-8, an ``--out``
 path that cannot be written, and fbc on a network whose unwired pico has no
-macro to wire it from), 4 oracle size caps exceeded, 5 the
+macro to wire it from; an ``--out`` naming no file or in a missing directory
+and such an fbc are refused before any run), 4 oracle size caps exceeded, 5 the
 flow solver failed (``NetOptError``) or a flow has too many simple paths to
 enumerate (``PathExplosionError``).  A run or sweep cell that stops at the
 superframe limit logs one WARNING line naming the convergence test it failed
@@ -22,7 +23,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
+from .baselines import augment_with_wired_backhaul, run_fbc, run_fddsa, run_proposed, run_ttrsc
 from .channel import ChannelModel
 from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
@@ -57,6 +58,23 @@ def run_experiment(
     return result, model
 
 
+def _refuse_early(scenario: Scenario, modes, out: str | None) -> None:
+    """Raise before the first run what would otherwise fail at its end: an
+    ``--out`` naming no file or in a missing directory, and fbc where an
+    unwired pico has no macro.  :func:`_emit` writes ``--out`` last."""
+    if out not in (None, "-"):
+        parent = os.path.dirname(out) or "."
+        if not os.path.basename(out) or os.path.isdir(out):
+            raise ScenarioError([f"--out '{out}' does not name a file"])
+        if not os.path.isdir(parent):
+            raise ScenarioError([f"--out '{out}': '{parent}' is not a directory"])
+    if "fbc" in modes:
+        try:
+            augment_with_wired_backhaul(scenario.graph, 1.0)
+        except ValueError as exc:
+            raise ScenarioError([str(exc)]) from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -71,6 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = with_param(scenario, "seed", args.seed)
     scenario = replace(scenario, mode=args.mode or scenario.mode)
     mode, seed = scenario.mode, scenario.seed
+    _refuse_early(scenario, (mode,), args.out)
     log.info("running mode=%s seed=%d on %s", mode, seed, args.scenario)
     result, _ = run_experiment(scenario, mode, seed)
     if not result.converged:
@@ -85,6 +104,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ScenarioError(
             [f"{args.scenario}: the oracle needs 'deterministic = true' in [radio]"]
         )
+    _refuse_early(scenario, (), args.out)
     model = scenario.channel_model()
     solution = oracle_solve(model, scenario.rrm.utility)
     lines = [
@@ -125,6 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ScenarioError([f"unknown mode '{mode}' in --modes"])
     # Validate every value before the first run.
     sweeps = [(value, with_param(scenario, args.param, value)) for value in values]
+    _refuse_early(scenario, modes, args.out)
 
     lines = [
         "sweep-report v1",

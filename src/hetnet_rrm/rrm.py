@@ -32,9 +32,9 @@ deterministic channel it is exactly stationary: a block repeats one
 subframe, so the row a member was measured with is kept.  The share program then anneals over these rows.  Keeping the discovery weights
 pinned is what makes the ascent monotone: re-scheduling old patterns under
 new weights can lower their achieved rows and cycle.  A superframe whose
-share program (member patterns, rows, duration groups, utility and
-tolerance) equals the one the state's flow solved, as when no member joined
-or was pruned on a deterministic channel, reuses that solve.
+share program (member patterns, rows, duration groups and utility) equals
+the one the state's flow solved, as when no member joined or was pruned on a
+deterministic channel, reuses that solve.
 
 The shares obey *duration groups* (``netopt.duration_groups``), a partition
 of the members that share a fixed total time: one group of total 1 (the
@@ -88,7 +88,6 @@ class RrmConfig:
     gap_converge_rel: float = 1e-6
     q_prune: float = 1e-12
     max_members: int = 64
-    share_gap_tol: float = 1e-5
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     statistical_scheduling: bool = False
     fixed_pattern_durations: bool = False
@@ -102,8 +101,8 @@ class RrmConfig:
             raise ValueError("q_prune must lie in [0, 1)")
         if self.max_members < 2:
             raise ValueError("max_members must allow at least two members")
-        if not (self.epsilon_converge > 0.0 and self.share_gap_tol > 0.0):
-            raise ValueError("epsilon_converge and share_gap_tol must be positive")
+        if not self.epsilon_converge > 0.0:
+            raise ValueError("epsilon_converge must be positive")
         if not self.gap_converge_rel >= 0.0:
             raise ValueError("gap_converge_rel must be non-negative")
 
@@ -332,20 +331,11 @@ def run_superframe(
     # and the rows did not move; its shares are copied before pruning.
     labels = index if config.fixed_pattern_durations else np.zeros(index.size, dtype=int)
     groups = duration_groups(labels)
-    program = (
-        index.tobytes(), rows.tobytes(),
-        config.utility, config.share_gap_tol, config.fixed_pattern_durations,
-    )
+    program = (index.tobytes(), rows.tobytes(), config.utility, config.fixed_pattern_durations)
     if state.solve is not None and state.solve[0] == program:
         _, solved_shares, flow = state.solve
     else:
-        solved_shares, flow = optimize_time_sharing(
-            rows,
-            graph,
-            config.utility,
-            tol=config.share_gap_tol,
-            groups=labels,
-        )
+        solved_shares, flow = optimize_time_sharing(rows, graph, config.utility, groups=labels)
 
     # Prune small and surplus members in each group, which keeps its largest.
     shares = solved_shares.copy()
@@ -408,11 +398,11 @@ class RrmResult:
         return np.array([r.utility for r in self.records])
 
 
-def certificate(state: RrmState, config: RrmConfig, block: BlockPass) -> CertificateReport:
+def certificate(state: RrmState, block: BlockPass) -> CertificateReport:
     """Evaluate the stopping certificate of ``state`` on ``block``, a
-    :func:`block_pass` of ``state`` made under ``config``: a reduction of the
-    pass, with no kernel call of its own.  A pass from a later, unseen block
-    of draws gives a certificate on fresh draws."""
+    :func:`block_pass` of ``state``: a reduction of the pass, with no kernel
+    call of its own.  A pass from a later, unseen block of draws gives a
+    certificate on fresh draws."""
     weights = state.weights
     values, best = block.pattern_values, block.group_best
     totals = np.full(best.size, 1.0 / best.size)
@@ -448,7 +438,7 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
         budget_spent = len(records) == config.max_superframes
         plateau = _utility_step(records) < config.epsilon_converge
         if plateau or budget_spent:
-            report = certificate(state, config, block)
+            report = certificate(state, block)
             converged = plateau and report.gap <= report.tolerance + _gap_slack(report, config)
             if converged or budget_spent:
                 return RrmResult(state, records, converged, report)

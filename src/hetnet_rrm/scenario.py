@@ -85,7 +85,6 @@ class Scenario:
     pathloss: PathlossParams = field(default_factory=PathlossParams)
     seed: int = 0
     mode: str = "proposed"
-    control_lead_subframes: int = 2
     rrm: RrmConfig = field(default_factory=RrmConfig)
 
     def channel_model(self, seed: int | None = None) -> ChannelModel:
@@ -113,13 +112,12 @@ class _Setting(NamedTuple):
     """One ``[radio]``, ``[pathloss]`` or ``[run]`` key.  Its value sets
     field ``field`` (the key when empty) of ``owner``; a file that leaves the
     key out keeps the field's dataclass default.  ``limit`` is an ``int``'s
-    least value, a ``float``'s range or the words a ``bool`` or ``str`` allows
-    (``utility`` allows one and sets nothing); a ``LinkClassParams`` is three
-    finite numbers and has none."""
+    least value, a ``float``'s range or the words a ``bool`` or ``str`` allows;
+    a ``LinkClassParams`` is three finite numbers and has none."""
 
     key: str
     section: str
-    owner: type | None
+    owner: type
     kind: type
     limit: object
     field: str = ""
@@ -143,14 +141,11 @@ _SETTINGS = {
         _Setting("seed", "run", Scenario, int, 0),
         _Setting("mode", "run", Scenario, str, MODES),
         _Setting("subframes_per_superframe", "run", RrmConfig, int, 1),
-        _Setting("control_lead_subframes", "run", Scenario, int, 0),
         _Setting("max_superframes", "run", RrmConfig, int, 1),
         _Setting("epsilon_converge", "run", RrmConfig, float, _POSITIVE),
         _Setting("gap_converge_rel", "run", RrmConfig, float, _NON_NEGATIVE),
         _Setting("q_prune", "run", RrmConfig, float, (0.0, math.nextafter(1.0, 0.0), "lie in [0, 1)")),
         _Setting("max_members", "run", RrmConfig, int, 2),
-        _Setting("share_gap_tol", "run", RrmConfig, float, _POSITIVE),
-        _Setting("utility", "run", None, str, ("alpha_fair",)),
         _Setting("alpha", "run", UtilitySpec, float, _POSITIVE),
         _Setting("utility_epsilon", "run", UtilitySpec, float, _POSITIVE, "epsilon"),
     )
@@ -423,11 +418,6 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     rrm = RrmConfig(utility=UtilitySpec(**kwargs[UtilitySpec]), **kwargs[RrmConfig])
     pathloss = PathlossParams(**kwargs[PathlossParams])
     scenario = Scenario(graph=None, power_overrides=overrides, pathloss=pathloss, rrm=rrm, **kwargs[Scenario])
-    lead, length = scenario.control_lead_subframes, rrm.subframes_per_superframe
-    if lead >= length:
-        need = f"must be smaller than subframes_per_superframe ({length})"
-        where = given.get("control_lead_subframes") or given["subframes_per_superframe"]
-        cur.error(where[0], f"control_lead_subframes ({lead}) {need}")
     if cur.errors:
         raise ScenarioError(cur.errors)
 
@@ -467,7 +457,7 @@ def _dump_settings(scenario: Scenario, section: str) -> list[str]:
     for key, row in _SETTINGS.items():
         if row.section != section:
             continue
-        value = getattr(owners[row.owner], row.field or key) if row.owner else row.limit[0]
+        value = getattr(owners[row.owner], row.field or key)
         if row.kind is LinkClassParams:
             value = " ".join(map(_fmt, astuple(value)))
         out.append(f"{key} = {_fmt(value) if row.kind is float else str(value).lower()}")

@@ -12,9 +12,13 @@ traces line by line.  ``RrmState`` and ``CertificateReport`` are hashed
 through a projection that does not depend on how they store patterns and
 members: the admissible patterns, the member patterns and the best pattern
 as int8 arrays, and the members' weights as one (N, L) array.  Wall-clock
-fields (``wall_ms`` and the traces' ``wall_ms`` column) are left out.  It prints one digest per operation and a
-total over all of them; two checkouts that print the same total produced the
-same outputs.  For each workload and for the demo runs it also prints how
+fields (``wall_ms`` and the traces' ``wall_ms`` column) are left out.  It
+prints one digest per operation and a total over all of them; two checkouts
+that print the same total produced the same outputs.  It also prints an
+``echo-free total``, taken the same way with each trace's ``[config]`` echo
+left out: a change that only edits the settings a scenario echoes (a deleted
+key, a changed default) shows bit-identical numbers as an unchanged
+echo-free total.  For each workload and for the demo runs it also prints how
 hard the interior point worked: its calls, their Newton iterations and
 refinement steps, how many returned a banked iterate, and the most Newton
 iterations one call took.  These lines are not part of the total.  It is not
@@ -50,14 +54,17 @@ SEED = 1
 MODES = ("proposed", "fbc", "fddsa", "ttrsc")
 
 
-def _strip_wall(text: str) -> str:
-    """A trace without the last (``wall_ms``) column of its iteration rows."""
+def _strip_trace(text: str, echo: bool) -> str:
+    """A trace without the last (``wall_ms``) column of its iteration rows,
+    and without its ``[config]`` echo unless ``echo``."""
     lines, section = [], None
     for line in text.splitlines():
         if line.startswith("["):
             section = line
         elif section == "[iterations]" and line and not line.startswith("#"):
             line = line.rsplit(" ", 1)[0]
+        elif section == "[config]" and not echo:
+            continue
         lines.append(line)
     return "\n".join(lines)
 
@@ -83,18 +90,19 @@ def _fields(value) -> list[tuple[str, object]]:
     return pairs
 
 
-def _feed(h, value) -> None:
-    """Add ``value`` to the hash ``h``, tagged by its kind."""
+def _feed(h, value, echo: bool) -> None:
+    """Add ``value`` to the hash ``h``, tagged by its kind; a trace with its
+    ``[config]`` echo only if ``echo``."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         h.update(f"<{type(value).__name__}>".encode())
         for name, item in _fields(value):
             if name != "wall_ms":
                 h.update(name.encode())
-                _feed(h, item)
+                _feed(h, item, echo)
     elif isinstance(value, ChannelModel):
         h.update(b"<ChannelModel>")
         for part in (value.tx_powers, value.large_gains, value.statistical_rates()):
-            _feed(h, part)
+            _feed(h, part, echo)
     elif isinstance(value, np.ndarray):
         h.update(f"<array {value.dtype.str} {value.shape}>".encode())
         h.update(np.ascontiguousarray(value).tobytes())
@@ -103,30 +111,30 @@ def _feed(h, value) -> None:
     elif isinstance(value, (float, np.floating)):
         h.update(b"<float>" + struct.pack("<d", float(value)))
     elif isinstance(value, str):
-        text = _strip_wall(value) if value.startswith("hetnet-trace") else value
+        text = _strip_trace(value, echo) if value.startswith("hetnet-trace") else value
         h.update(f"<str {len(text)}>".encode() + text.encode())
     elif value is None:
         h.update(b"<None>")
     elif isinstance(value, (list, tuple)):
         h.update(f"<seq {len(value)}>".encode())
         for item in value:
-            _feed(h, item)
+            _feed(h, item, echo)
     elif isinstance(value, (set, frozenset)):
         h.update(f"<set {len(value)}>".encode())
         for item in sorted(value):
-            _feed(h, item)
+            _feed(h, item, echo)
     elif isinstance(value, dict):
         h.update(f"<dict {len(value)}>".encode())
         for key in sorted(value, key=repr):
-            _feed(h, key)
-            _feed(h, value[key])
+            _feed(h, key, echo)
+            _feed(h, value[key], echo)
     else:
         raise TypeError(f"no digest rule for {type(value).__name__}")
 
 
-def digest(value) -> str:
+def digest(value, echo: bool = True) -> str:
     h = hashlib.sha256()
-    _feed(h, value)
+    _feed(h, value, echo)
     return h.hexdigest()
 
 
@@ -168,8 +176,17 @@ def solver_line(name: str, results: list) -> str:
 
 
 def main() -> int:
-    total = hashlib.sha256()
+    total, echo_free = hashlib.sha256(), hashlib.sha256()
     count = 0
+
+    def add(label: str, output) -> None:
+        nonlocal count
+        line = f"{label} {digest(output)}"
+        print(line)
+        total.update(line.encode() + b"\n")
+        echo_free.update(f"{label} {digest(output, echo=False)}\n".encode())
+        count += 1
+
     results: list = []
     counted_interior_point(results)
     solver_lines = []
@@ -177,19 +194,14 @@ def main() -> int:
         operations = workload(SEED).operations()
         results.clear()  # set-up solves are not part of the round
         for label, operation in operations:
-            line = f"{name}/{label} {digest(operation())}"
-            print(line)
-            total.update(line.encode() + b"\n")
-            count += 1
+            add(f"{name}/{label}", operation())
         solver_lines.append(solver_line(name, results))
     results.clear()
     for label, text in two_hop_traces():
-        line = f"{label} {digest(text)}"
-        print(line)
-        total.update(line.encode() + b"\n")
-        count += 1
+        add(label, text)
     solver_lines.append(solver_line("two_hop_demo", results))
     print("\n".join(solver_lines))
+    print(f"echo-free total {echo_free.hexdigest()} over {count} outputs")
     print(f"total {total.hexdigest()} over {count} outputs")
     return 0
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetnet_rrm import netopt, rrm
+from hetnet_rrm import cli, netopt, rrm
 from hetnet_rrm.cli import (
     _RUNNERS,
     EXIT_CONFIG,
@@ -162,25 +162,72 @@ def test_scenario_that_is_not_utf8_exits_config(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_run_out_that_is_a_directory_exits_config(tmp_path, capsys):
+def _fail_runs(monkeypatch, error):
+    """Make running an experiment or the oracle raise ``error``."""
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.setattr(cli, "oracle_solve", fail)
+
+
+def test_run_out_that_is_a_directory_exits_config(tmp_path, capsys, monkeypatch):
+    # An --out that cannot be a file is refused before any run starts.
     src = scenario_file(tmp_path)
-    assert main(["run", "--scenario", src, "--out", str(tmp_path)]) == EXIT_CONFIG
+    _fail_runs(monkeypatch, AssertionError("a run started"))
+    sweep = ["sweep", "--param", "seed", "--values", "1,2"]
+    for command in (["run"], ["oracle"], sweep):
+        for out, message in [
+            (str(tmp_path), f"--out '{tmp_path}' does not name a file"),
+            ("", "--out '' does not name a file"),
+            (f"{tmp_path}/missing/", f"--out '{tmp_path}/missing/' does not name a file"),
+            (f"{tmp_path}/missing/x.out", f"--out '{tmp_path}/missing/x.out': '{tmp_path}/missing' is not a directory"),
+        ]:
+            assert main([*command, "--scenario", src, "--out", out]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+
+def test_a_failed_run_leaves_an_existing_out_alone(tmp_path, capsys, monkeypatch):
+    _fail_runs(monkeypatch, netopt.NetOptError("solver failed"))
+    src, out = scenario_file(tmp_path), tmp_path / "kept.out"
+    out.write_text("earlier output\n", encoding="utf-8")
+    for command in (["run"], ["oracle"], ["sweep", "--param", "seed", "--values", "1"]):
+        assert main([*command, "--scenario", src, "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "error: solver failed\n"
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("control_lead_subframes", "2"), ("utility", "alpha_fair"), ("share_gap_tol", "1e-5")],
+    ids=["control_lead_subframes", "utility", "share_gap_tol"],
+)
+def test_deleted_run_key_exits_config(tmp_path, capsys, key, value):
+    # These keys set nothing a run reads; a file that still carries one is refused.
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    text = demo.replace("max_superframes = 40", f"max_superframes = 40\n{key} = {value}", 1)
+    src = scenario_file(tmp_path, text, "old.scenario")
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    assert main(["validate", "--scenario", src]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {src}:{line}: unknown [run] key '{key}'\n"
 
 
-def test_fbc_without_a_macro_exits_config(tmp_path, capsys):
+def test_fbc_without_a_macro_exits_config(tmp_path, capsys, monkeypatch):
     # a pico at node 0 still holds the backhaul, so the scenario validates
     demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
     assert "\n0   macro " in demo
     src = scenario_file(tmp_path, demo.replace("\n0   macro ", "\n0   pico  "), "no_macro.scenario")
     assert main(["validate", "--scenario", src]) == EXIT_OK
     capsys.readouterr()
+    _fail_runs(monkeypatch, AssertionError("a run started"))  # fbc is refused before any cell
     for argv in (
         ["run", "--mode", "fbc"],
-        ["sweep", "--param", "seed", "--values", "1", "--modes", "fbc"],
+        ["sweep", "--param", "seed", "--values", "1", "--modes", "proposed,fbc"],
     ):
         assert main([*argv, "--scenario", src]) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -240,20 +287,19 @@ def test_non_finite_record_numbers_exit_config(tmp_path, capsys, raw, line, old,
         (32, "noise_dbm = -100.0", "noise_dbm = -1e308", "'noise_dbm' must lie in [-300, 300] dBm, got '-1e308'"),
         (32, "noise_dbm = -100.0", "noise_dbm = 1e308", "'noise_dbm' must lie in [-300, 300] dBm, got '1e308'"),
         (10, "1   pico   140.0    0.0", "1 pico 140.0 0.0 300.5", "node 1 power must lie in [-300, 300] dBm, got '300.5'"),
-        (43, "epsilon_converge = 1e-6", "epsilon_converge = -1.0", "'epsilon_converge' must be > 0, got '-1.0'"),
-        (43, "epsilon_converge = 1e-6", "epsilon_converge = 0", "'epsilon_converge' must be > 0, got '0'"),
-        (44, "gap_converge_rel = 1e-6", "gap_converge_rel = -1.0", "'gap_converge_rel' must be >= 0, got '-1.0'"),
-        (45, "utility = alpha_fair", "share_gap_tol = -1.0\nutility = alpha_fair", "'share_gap_tol' must be > 0, got '-1.0'"),
+        (42, "epsilon_converge = 1e-6", "epsilon_converge = -1.0", "'epsilon_converge' must be > 0, got '-1.0'"),
+        (42, "epsilon_converge = 1e-6", "epsilon_converge = 0", "'epsilon_converge' must be > 0, got '0'"),
+        (43, "gap_converge_rel = 1e-6", "gap_converge_rel = -1.0", "'gap_converge_rel' must be >= 0, got '-1.0'"),
         (34, "macro_radius_m = 150.0", "macro_radius_m = -150", "'macro_radius_m' must be >= 0, got '-150'"),
         (35, "pico_radius_m = 100.0", "pico_radius_m = -1e-9", "'pico_radius_m' must be >= 0, got '-1e-9'"),
-        (45, "utility = alpha_fair", "q_prune = 2\nutility = alpha_fair", "'q_prune' must lie in [0, 1), got '2'"),
-        (45, "utility = alpha_fair", "max_members = 1\nutility = alpha_fair", "'max_members' must be >= 2, got 1"),
-        (46, "alpha = 1.0", "alpha = -1", "'alpha' must be > 0, got '-1'"),
-        (47, "utility_epsilon = 0.001", "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
+        (44, "alpha = 1.0", "q_prune = 2\nalpha = 1.0", "'q_prune' must lie in [0, 1), got '2'"),
+        (44, "alpha = 1.0", "max_members = 1\nalpha = 1.0", "'max_members' must be >= 2, got 1"),
+        (44, "alpha = 1.0", "alpha = -1", "'alpha' must be > 0, got '-1'"),
+        (45, "utility_epsilon = 0.001", "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
     ],
     ids=[
         "p_macro", "p_pico", "noise_low", "noise_high", "power", "epsilon", "epsilon_zero", "gap_rel",
-        "share_gap", "macro_radius", "pico_radius", "q_prune", "max_members", "alpha", "utility_epsilon",
+        "macro_radius", "pico_radius", "q_prune", "max_members", "alpha", "utility_epsilon",
     ],
 )
 def test_out_of_range_numbers_exit_config(tmp_path, capsys, line, old, new, message):
@@ -467,8 +513,8 @@ def test_stop_reason_names_the_failed_test_and_its_margin(tmp_path, caplog, monk
     # A certificate one nat short of optimal never lets the run stop.
     certify = rrm.certificate
 
-    def short(state, config, block):
-        report = certify(state, config, block)
+    def short(state, block):
+        report = certify(state, block)
         return dataclasses.replace(report, gap=report.gap + 1.0)
 
     monkeypatch.setattr(rrm, "certificate", short)

@@ -1,6 +1,7 @@
 """Smoke test of ``tests/output_digest.py``, which certifies bit-identical
 changes: it must keep running against the benchmark workloads and the
-interior point's private names, and its solver effort lines must hold."""
+interior point's private names, its solver effort lines must hold, and it
+must print both totals."""
 
 import os
 import subprocess
@@ -26,4 +27,5 @@ def test_output_digest_runs_and_holds_its_solver_lines():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1].startswith("total ") and lines[-1].endswith(" over 240 outputs")
-    assert lines[-5:-1] == INTERIOR_POINT_LINES
+    assert lines[-2].startswith("echo-free total ") and lines[-2].endswith(" over 240 outputs")
+    assert lines[-6:-2] == INTERIOR_POINT_LINES

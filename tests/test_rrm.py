@@ -90,8 +90,8 @@ def test_config_validation():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="must be positive"):
             RrmConfig(epsilon_converge=bad)
-        with pytest.raises(ValueError, match="must be positive"):
-            RrmConfig(share_gap_tol=bad)
+    with pytest.raises(TypeError):  # the share solve's tolerance is fixed, not a setting
+        RrmConfig(share_gap_tol=1e-5)
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="must be non-negative"):
             RrmConfig(gap_converge_rel=bad)
@@ -177,7 +177,7 @@ def test_certificate_fresh_draws_consistency():
     model = det_model(diamond_graph())
     config = fast_config()
     result = run_to_convergence(model, config)
-    again = certificate(result.state, config, block_pass(model, result.state, config, t0=10_000))
+    again = certificate(result.state, block_pass(model, result.state, config, t0=10_000))
     # deterministic channels make the certificate independent of the block
     assert again.gap == pytest.approx(result.certificate.gap, abs=1e-12)
 
@@ -289,9 +289,9 @@ def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
         passes.append(None)
         return kernel(*args, **kwargs)
 
-    def counted_certificate(state, config, block):
+    def counted_certificate(state, block):
         made = len(passes)
-        report = cert(state, config, block)
+        report = cert(state, block)
         assert len(passes) == made
         certified.append(block.t0)
         return report
@@ -313,7 +313,7 @@ def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
         assert len(passes) == len(result.records) + 1
         assert certified[-1] == len(result.records) * config.subframes_per_superframe
         failed += len(certified) - result.converged
-        again = cert(result.state, config, block_pass(model, result.state, config))
+        again = cert(result.state, block_pass(model, result.state, config))
         assert (again.gap, again.tolerance) == (result.certificate.gap, result.certificate.tolerance)
         assert np.array_equal(again.pattern_values, result.certificate.pattern_values)
     assert failed >= 2  # random_instance(1) fails two certificates before converging
@@ -401,13 +401,7 @@ def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
 
     state = result.state
     labels = state.member_index if fixed else np.zeros(state.member_index.size, dtype=int)
-    shares, flow = optimize_time_sharing(
-        state.rate_rows,
-        model.graph,
-        config.utility,
-        tol=config.share_gap_tol,
-        groups=labels,
-    )
+    shares, flow = optimize_time_sharing(state.rate_rows, model.graph, config.utility, groups=labels)
     assert shares.tobytes() == state.shares.tobytes()
     assert flow.prices.tobytes() == state.flow.prices.tobytes() == state.weights.tobytes()
 

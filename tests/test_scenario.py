@@ -57,7 +57,6 @@ def test_parse_minimal_scenario_and_defaults():
     assert s.p_macro_dbm == 40.0 and s.p_pico_dbm == 33.0
     assert s.noise_dbm == -100.0
     assert s.macro_radius_m == 420.0 and s.pico_radius_m == 260.0
-    assert s.control_lead_subframes == 2
     assert s.rrm.subframes_per_superframe == 200
     assert s.rrm.utility.alpha == 1.0 and s.rrm.utility.epsilon == 1e-3
     assert s.power_overrides == {}
@@ -209,40 +208,11 @@ def test_pathloss_section_overrides_one_class():
     assert "needs three numbers" in "\n".join(err.value.errors)
 
 
-def test_control_lead_must_stay_inside_superframe():
-    text = BASE.replace(
-        "seed = 3", "seed = 3\nsubframes_per_superframe = 50\ncontrol_lead_subframes = 50"
-    )
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(text)
-    assert "must be smaller than subframes_per_superframe" in "\n".join(err.value.errors)
-    ok = parse_scenario(
-        BASE.replace("seed = 3", "seed = 3\nsubframes_per_superframe = 50\ncontrol_lead_subframes = 49")
-    )
-    assert ok.control_lead_subframes == 49
-    # Without a lead key the default lead is blamed on the superframe length's line.
-    text = BASE.replace("seed = 3", "seed = 3\nsubframes_per_superframe = 2")
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(text, path="x.scenario")
-    line = text.splitlines().index("subframes_per_superframe = 2") + 1
-    assert err.value.errors == [
-        f"x.scenario:{line}: control_lead_subframes (2) must be smaller than subframes_per_superframe (2)"
-    ]
-
-
 def test_removed_flow_tol_key_is_an_error_not_ignored():
     # No runtime code reads a flow tolerance, so the key is refused.
     with pytest.raises(ScenarioError) as err:
         parse_scenario(BASE.replace("seed = 3", "seed = 3\nflow_tol = 1e-6"))
     assert "unknown [run] key 'flow_tol'" in "\n".join(err.value.errors)
-
-
-def test_utility_family_is_validated():
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(BASE.replace("seed = 3", "seed = 3\nutility = max_min"))
-    assert "alpha_fair" in "\n".join(err.value.errors)
-    s = parse_scenario(BASE.replace("seed = 3", "seed = 3\nutility = alpha_fair\nalpha = 2.0"))
-    assert s.rrm.utility.alpha == 2.0
 
 
 def test_topology_validation_failures_become_scenario_errors():
@@ -306,7 +276,6 @@ def test_float_ranges_hold_their_edges_and_nothing_past_them():
     assert with_param(s, "p_macro_dbm", -300.0).p_macro_dbm == -300.0
     for anchor, line, message in [
         (radio, "p_macro_dbm = 300.0001", "'p_macro_dbm' must lie in [-300, 300] dBm, got '300.0001'"),
-        (run, "share_gap_tol = 0.0", "'share_gap_tol' must be > 0, got '0.0'"),
         (run, "epsilon_converge = -0.0", "'epsilon_converge' must be > 0, got '-0.0'"),
         (run, "gap_converge_rel = -1e-300", "'gap_converge_rel' must be >= 0, got '-1e-300'"),
         (radio, "macro_radius_m = -150.0", "'macro_radius_m' must be >= 0, got '-150.0'"),
@@ -337,15 +306,13 @@ def test_with_param_applies_the_parser_rules():
         ("seed", math.inf, "'seed' must be an integer, got 'inf'"),
         ("max_superframes", 0.0, "'max_superframes' must be >= 1, got 0"),
         ("noise_dbm", math.nan, "'noise_dbm' must be a finite number, got 'nan'"),
-        (
-            "subframes_per_superframe",
-            2.0,
-            "control_lead_subframes (2) must be smaller than subframes_per_superframe (2)",
-        ),
+        ("subframes_per_superframe", 0, "'subframes_per_superframe' must be >= 1, got 0"),
     ]:
         with pytest.raises(ScenarioError) as err:
             with_param(s, name, value)
         assert err.value.errors == [f"--param {name}: {message}"]
+    # No other setting bounds the superframe length: one subframe is a superframe.
+    assert with_param(s, "subframes_per_superframe", 1).rrm.subframes_per_superframe == 1
 
 
 def test_bundled_scenarios_parse_and_describe_themselves():
@@ -381,12 +348,12 @@ BUNDLED = [
 ]
 
 
-def _in_range(name: str, floor: int = 0):
-    """Values of a sweepable parameter the parser accepts (an integer one at
-    least ``floor``), as ``with_param`` takes them."""
+def _in_range(name: str):
+    """Values of a sweepable parameter the parser accepts, as ``with_param``
+    takes them."""
     row = _SETTINGS[name]
     if row.kind is int:
-        return st.integers(max(row.limit, floor), 2**53).map(float)
+        return st.integers(row.limit, 2**53).map(float)
     low, high, _ = row.limit
     return st.floats(low, high)
 
@@ -397,8 +364,7 @@ def test_swept_values_survive_dump_and_parse(data):
     for base in BUNDLED:
         swept = base
         for name in SWEEPABLE_PARAMS:
-            floor = base.control_lead_subframes + 1 if name == "subframes_per_superframe" else 0
-            swept = with_param(swept, name, data.draw(_in_range(name, floor), label=name))
+            swept = with_param(swept, name, data.draw(_in_range(name), label=name))
         text = dump_scenario(swept)
         again = parse_scenario(text)
         assert dump_scenario(again) == text
@@ -407,21 +373,20 @@ def test_swept_values_survive_dump_and_parse(data):
         for key in (
             "subbands", "p_macro_dbm", "p_pico_dbm", "noise_dbm", "deterministic",
             "macro_radius_m", "pico_radius_m", "pathloss", "power_overrides", "seed",
-            "control_lead_subframes",
         ):
             assert getattr(again, key) == getattr(swept, key), key
 
 
 def test_every_setting_survives_dump_and_parse():
-    # One value per row of the table, each off its default (utility has one word).
+    # One value per row of the table, each off its default.
     values = {
         "subbands": "5", "p_macro_dbm": "41.5", "p_pico_dbm": "30.25", "noise_dbm": "-95.5",
         "deterministic": "true", "macro_radius_m": "500.0", "pico_radius_m": "120.0",
         "macro_macro": "1.5 -21.0 2.5", "bs_bs": "1.8 -17.5 3.25", "bs_user": "2.0 -15.0 4.5",
         "seed": "12", "mode": "fddsa", "subframes_per_superframe": "80",
-        "control_lead_subframes": "5", "max_superframes": "9", "epsilon_converge": "2e-05",
+        "max_superframes": "9", "epsilon_converge": "2e-05",
         "gap_converge_rel": "0.001", "q_prune": "0.25", "max_members": "7",
-        "share_gap_tol": "0.0003", "utility": "alpha_fair", "alpha": "2.5",
+        "alpha": "2.5",
         "utility_epsilon": "0.01",
     }
     assert list(values) == list(_SETTINGS)
@@ -436,9 +401,8 @@ def test_every_setting_survives_dump_and_parse():
     }
     parsed = {Scenario: s, RrmConfig: s.rrm, UtilitySpec: s.rrm.utility, PathlossParams: s.pathloss}
     for key, row in _SETTINGS.items():
-        if row.owner is not None:
-            name = row.field or key
-            assert getattr(parsed[row.owner], name) != getattr(defaults[row.owner], name), key
+        name = row.field or key
+        assert getattr(parsed[row.owner], name) != getattr(defaults[row.owner], name), key
 
     dumped = dump_scenario(s)
     assert [line for line in dumped.splitlines() if line.split(" = ")[0] in values] == [
