@@ -7,11 +7,11 @@ link's capacity is a fixed base plus the share-weighted average of pattern
 rate rows.  Flows live on explicit path sets (every simple source-to-
 destination path), which makes conservation structural; with the shares as
 extra variables the program stays concave with only inequality constraints.
-One primal-dual interior-point method solves it, for fixed capacities
-(:func:`solve_p1`) and jointly over shares and flows
-(:func:`optimize_time_sharing`).  Its capacity multipliers are the gradient of
-the achieved utility with respect to capacities and drive both the
-time-sharing certificate and pattern discovery upstream.
+Every program takes one path, :func:`_solve_joint` and its primal-dual
+interior point: jointly over shares and flows (:func:`optimize_time_sharing`)
+and for fixed capacities (:func:`solve_p1`).  Its capacity multipliers are the
+gradient of the achieved utility with respect to capacities and drive both
+the time-sharing certificate and pattern discovery upstream.
 
 Links no share can lift above a tiny capacity floor are starved: the paths
 through them leave the program, and their prices are patched in afterwards as
@@ -428,19 +428,19 @@ def _solve_joint(
     rate_rows: np.ndarray,
     utility: UtilitySpec,
     groups: list[tuple[np.ndarray, float]],
-    mu_cap: float = np.inf,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Jointly optimal shares and flows for capacities ``base + rate_rows^T q``.
 
     Each duration group's shares (``groups`` is :func:`duration_groups`'
-    partition) sum to its total.  Variables are path flows
-    plus every share but each group's last, eliminated through its group's
-    equality; without free shares this is the plain flow problem.  The
+    partition) sum to its total.  Variables are path flows plus every share
+    but each group's last, eliminated through its group's equality; without
+    free shares this is the flow problem, and the shares are the totals.  The
     capacity prices come from the joint problem, so at a degenerate optimum
     they are already share-stationary; re-pricing the same shares through the
     flow problem alone can split prices across tied constraints in a way that
-    wrecks the gap certificate.  The complementarity floor is
-    ``1e-12 * max(1, max rhs)``, capped at ``mu_cap``.
+    wrecks the gap certificate.  The program sets the complementarity floor,
+    ``1e-12 * max(1, max rhs)`` capped at ``FLOW_TOL * 1e-4`` without free
+    shares; a KKT residual above :data:`FLOW_TOL` raises :class:`NetOptError`.
     """
     problem = _path_problem(graph)
     totals = np.array([t for _, t in groups])
@@ -485,12 +485,13 @@ def _solve_joint(
             flow_matrix = np.zeros((graph.num_flows, n_paths + free.size))
             flow_matrix[:, :n_paths] = path_flows
 
-        mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), mu_cap)
+        mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), np.inf if free.size else FLOW_TOL * 1e-4)
         ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
-        shares[free] = ip.v[n_paths:]
-        for idx, total in groups:
-            shares[idx[-1]] = max(0.0, total - shares[idx[:-1]].sum())
-            shares[idx] = total * shares[idx] / shares[idx].sum()
+        if free.size:
+            shares[free] = ip.v[n_paths:]
+            for idx, total in groups:
+                shares[idx[-1]] = max(0.0, total - shares[idx[:-1]].sum())
+                shares[idx] = total * shares[idx] / shares[idx].sum()
         rates = flow_matrix @ ip.v
         link_flows[:, ~dead] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
         prices[~dead] = ip.multipliers[:n_caps]
@@ -499,6 +500,8 @@ def _solve_joint(
 
     value = utility.total(rates)
     kkt = max(kkt, complementarity / max(1.0, abs(value)))
+    if kkt > FLOW_TOL:
+        raise NetOptError(f"flow solver residual {kkt:.2e} exceeds tolerance {FLOW_TOL:.2e}")
     if np.any(dead):
         _starved_link_prices(problem, dead, prices, utility.gradient(rates))
     return shares, FlowSolution(
@@ -531,14 +534,7 @@ def solve_p1(graph: TopologyGraph, capacities: np.ndarray, utility: UtilitySpec)
     if np.any(capacities < -1e-12):
         raise ValueError("capacities must be nonnegative")
     one_row = [(np.zeros(1, dtype=int), 1.0)]
-    _, solution = _solve_joint(
-        graph, capacities, np.zeros((1, graph.num_links)), utility, one_row, mu_cap=FLOW_TOL * 1e-4
-    )
-    if solution.kkt_residual > FLOW_TOL:
-        raise NetOptError(
-            f"flow solver residual {solution.kkt_residual:.2e} exceeds tolerance {FLOW_TOL:.2e}"
-        )
-    return solution
+    return _solve_joint(graph, capacities, np.zeros((1, graph.num_links)), utility, one_row)[1]
 
 
 def optimize_time_sharing(
@@ -546,20 +542,19 @@ def optimize_time_sharing(
     graph: TopologyGraph,
     utility: UtilitySpec,
     tol: float = 1e-5,
-    groups: np.ndarray | None = None,
+    groups: list[tuple[np.ndarray, float]] | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
     Maximizes utility of the shared capacity ``base + rate_rows^T q``, where
     ``base`` is the graph's :meth:`~TopologyGraph.wired_base_capacity`, in one
-    interior-point solve over shares and path flows.  ``groups`` labels each
-    row with its duration group (:func:`duration_groups`): the shares of each
-    of the H groups sum to ``t_h = 1/H``.  Without it the shares range over the
-    probability simplex.  The result is certified by the linearization gap
-    ``sum_h t_h * max_{j in h} g_j - q.g`` of the share gradient
-    ``g = rate_rows @ prices``; a gap above ``tol`` raises
-    :class:`NetOptError`.  When every group is a single row the shares are
-    the totals, and :func:`solve_p1` prices their capacities.
+    :func:`_solve_joint` call, whatever the groups.  ``groups`` is the
+    partition :func:`duration_groups` builds, ``(rows, t_h)`` per group, and
+    must hold every row exactly once (else ValueError); without it the shares
+    range over the probability simplex.  Two post-conditions raise
+    :class:`NetOptError`: a KKT residual above :data:`FLOW_TOL`, and a
+    linearization gap ``sum_h t_h * max_{j in h} g_j - q.g`` in the share
+    gradient ``g = rate_rows @ prices`` above ``tol``.
     """
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
     if rate_rows.shape[1] != graph.num_links:
@@ -569,17 +564,13 @@ def optimize_time_sharing(
     base_capacity = graph.wired_base_capacity()
     if not np.all(np.isfinite(base_capacity)):  # a graph built without validate
         raise ValueError("wired base capacities must be finite")
-    labels = np.zeros(rate_rows.shape[0], dtype=int) if groups is None else np.asarray(groups)
-    if labels.shape != rate_rows.shape[:1]:
-        raise ValueError("need one duration group label per rate row")
-    partition = duration_groups(labels)
-    if len(partition) == rate_rows.shape[0]:  # every row its own group of 1/H
-        shares = np.full(rate_rows.shape[0], 1.0 / rate_rows.shape[0])
-        return shares, solve_p1(graph, base_capacity + shares @ rate_rows, utility)
+    groups = [(np.arange(len(rate_rows)), 1.0)] if groups is None else groups
+    if not np.array_equal(np.sort(np.concatenate([idx for idx, _ in groups])), np.arange(len(rate_rows))):
+        raise ValueError("duration groups must hold every rate row exactly once")
 
-    shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, partition)
+    shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, groups)
     g = rate_rows @ solution.prices
-    gap = float(sum(total * float(np.max(g[idx])) for idx, total in partition) - shares @ g)
+    gap = float(sum(total * float(np.max(g[idx])) for idx, total in groups) - shares @ g)
     if not gap <= tol:
         raise NetOptError(f"joint share solve left linearization gap {gap:.3e} above tol {tol:.1e}")
     return shares, solution

@@ -335,7 +335,7 @@ def run_superframe(
     if state.solve is not None and state.solve[0] == program:
         _, solved_shares, flow = state.solve
     else:
-        solved_shares, flow = optimize_time_sharing(rows, graph, config.utility, groups=labels)
+        solved_shares, flow = optimize_time_sharing(rows, graph, config.utility, groups=groups)
 
     # Prune small and surplus members in each group, which keeps its largest.
     shares = solved_shares.copy()

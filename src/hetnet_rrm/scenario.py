@@ -106,13 +106,14 @@ class Scenario:
 _DBM = (-300.0, 300.0, "lie in [-300, 300] dBm")
 _POSITIVE = (math.ulp(0.0), math.inf, "be > 0")  # the least float above zero
 _NON_NEGATIVE = (0.0, math.inf, "be >= 0")
+MAX_BLOCK_ENTRIES = 2**24  # float64 subframes x links x subbands of a superframe block, 128 MiB
 
 
 class _Setting(NamedTuple):
     """One ``[radio]``, ``[pathloss]`` or ``[run]`` key.  Its value sets
     field ``field`` (the key when empty) of ``owner``; a file that leaves the
     key out keeps the field's dataclass default.  ``limit`` is an ``int``'s
-    least value, a ``float``'s range or the words a ``bool`` or ``str`` allows;
+    closed range, a ``float``'s range or the words a ``bool`` or ``str`` allows;
     a ``LinkClassParams`` is three finite numbers and has none."""
 
     key: str
@@ -128,7 +129,7 @@ class _Setting(NamedTuple):
 _SETTINGS = {
     row.key: row
     for row in (
-        _Setting("subbands", "radio", Scenario, int, 1),
+        _Setting("subbands", "radio", Scenario, int, (1, math.inf)),
         _Setting("p_macro_dbm", "radio", Scenario, float, _DBM),
         _Setting("p_pico_dbm", "radio", Scenario, float, _DBM),
         _Setting("noise_dbm", "radio", Scenario, float, _DBM),
@@ -138,14 +139,14 @@ _SETTINGS = {
         _Setting("macro_macro", "pathloss", PathlossParams, LinkClassParams, None),
         _Setting("bs_bs", "pathloss", PathlossParams, LinkClassParams, None),
         _Setting("bs_user", "pathloss", PathlossParams, LinkClassParams, None),
-        _Setting("seed", "run", Scenario, int, 0),
+        _Setting("seed", "run", Scenario, int, (0, 2**64 - 1)),  # one Philox key word
         _Setting("mode", "run", Scenario, str, MODES),
-        _Setting("subframes_per_superframe", "run", RrmConfig, int, 1),
-        _Setting("max_superframes", "run", RrmConfig, int, 1),
+        _Setting("subframes_per_superframe", "run", RrmConfig, int, (1, math.inf)),
+        _Setting("max_superframes", "run", RrmConfig, int, (1, math.inf)),
         _Setting("epsilon_converge", "run", RrmConfig, float, _POSITIVE),
         _Setting("gap_converge_rel", "run", RrmConfig, float, _NON_NEGATIVE),
         _Setting("q_prune", "run", RrmConfig, float, (0.0, math.nextafter(1.0, 0.0), "lie in [0, 1)")),
-        _Setting("max_members", "run", RrmConfig, int, 2),
+        _Setting("max_members", "run", RrmConfig, int, (2, math.inf)),
         _Setting("alpha", "run", UtilitySpec, float, _POSITIVE),
         _Setting("utility_epsilon", "run", UtilitySpec, float, _POSITIVE, "epsilon"),
     )
@@ -269,9 +270,10 @@ def _setting(cur: _Cursor, key: str, lineno: int, raw: str):
         except ValueError:
             cur.error(lineno, f"'{key}' must be an integer, got '{raw}'")
             return None
-        if value >= row.limit:
+        low, high = row.limit
+        if low <= value <= high:
             return value
-        cur.error(lineno, f"'{key}' must be >= {row.limit}, got {value}")
+        cur.error(lineno, f"'{key}' must be {f'>= {low}' if value < low else f'<= {high}'}, got {value}")
     elif raw in row.limit:
         return raw == "true" if row.kind is bool else raw
     else:
@@ -418,6 +420,11 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     rrm = RrmConfig(utility=UtilitySpec(**kwargs[UtilitySpec]), **kwargs[RrmConfig])
     pathloss = PathlossParams(**kwargs[PathlossParams])
     scenario = Scenario(graph=None, power_overrides=overrides, pathloss=pathloss, rrm=rrm, **kwargs[Scenario])
+    shape = (rrm.subframes_per_superframe, len(links), scenario.subbands)
+    if math.prod(shape) > MAX_BLOCK_ENTRIES:  # at the later of the two keys the file sets
+        lineno = max((given[k][0] for k in ("subbands", "subframes_per_superframe") if k in given), default=0)
+        cur.error(lineno, "a superframe block of %d subframes x %d links x %d subbands is %d entries, above the "
+                  "%d allowed" % (*shape, math.prod(shape), MAX_BLOCK_ENTRIES))
     if cur.errors:
         raise ScenarioError(cur.errors)
 

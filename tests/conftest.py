@@ -185,6 +185,14 @@ def det_model(graph, num_subbands=4, seed=0, **kwargs):
     )
 
 
+def assert_same_flow_bits(sol, ref):
+    """Two flow solutions hold the same bits, field by field."""
+    for name in ("rates", "link_flows", "prices"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("utility", "kkt_residual", "newton_iters", "banked", "refinements"):
+        assert getattr(sol, name) == getattr(ref, name), name
+
+
 @pytest.fixture
 def multicell():
     return multicell_graph()

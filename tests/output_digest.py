@@ -77,11 +77,10 @@ def _fields(value) -> list[tuple[str, object]]:
     for the optimizer state and its certificate a projection that reads the
     same whatever form their patterns and member set are stored in."""
     if isinstance(value, RrmState):
-        members = value.members
         return [
             ("patterns", np.array(value.patterns, dtype=np.int8)),
-            ("member_patterns", np.array([m.pattern for m in members], dtype=np.int8)),
-            ("member_weights", np.array([m.weights for m in members])),
+            ("member_patterns", np.array(value.patterns[value.member_index], dtype=np.int8)),
+            ("member_weights", value.weight_stack[value.member_row]),
             *((name, getattr(value, name)) for name in _STATE_FIELDS),
         ]
     pairs = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]

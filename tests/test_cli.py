@@ -21,7 +21,7 @@ from hetnet_rrm.cli import (
     run_experiment,
 )
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
-from hetnet_rrm.scenario import MODES, parse_scenario
+from hetnet_rrm.scenario import MAX_BLOCK_ENTRIES, MODES, parse_scenario
 from hetnet_rrm.trace import parse_trace
 
 from conftest import det_model, diamond_graph
@@ -115,6 +115,42 @@ def test_run_seed_obeys_the_parser(tmp_path, capsys):
     assert captured.err == "error: --param seed: 'seed' must be >= 0, got -1\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_run_seed_past_one_philox_key_word_exits_config(tmp_path, capsys, monkeypatch):
+    # 2**64 would be keyed as seed 0 and rerun its draws under another name.
+    _fail_runs(monkeypatch, AssertionError("a run started"))
+    src = scenario_file(tmp_path)
+    assert main(["run", "--scenario", src, "--seed", str(2**64)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --param seed: 'seed' must be <= {2**64 - 1}, got {2**64}\n"
+    assert captured.out == ""
+    src = scenario_file(tmp_path, TWO_USER_DET.replace("seed = 5", f"seed = {2**64}"))
+    assert main(["validate", "--scenario", src]) == EXIT_CONFIG
+    line = TWO_USER_DET.splitlines().index("seed = 5") + 1
+    assert capsys.readouterr().err == f"error: {src}:{line}: 'seed' must be <= {2**64 - 1}, got {2**64}\n"
+
+
+def test_oversized_superframe_block_exits_config(tmp_path, capsys, monkeypatch):
+    """A block past the budget is refused by the parser, never allocated."""
+    _fail_runs(monkeypatch, AssertionError("a run started"))
+    demo = str(resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario"))
+    for param, value, shape in [
+        ("subbands", "1e12", "200 subframes x 3 links x 1000000000000 subbands"),
+        ("subbands", "1e30", f"200 subframes x 3 links x {int(1e30)} subbands"),
+        ("subframes_per_superframe", "1e13", "10000000000000 subframes x 3 links x 4 subbands"),
+    ]:
+        assert main(["sweep", "--scenario", demo, "--param", param, "--values", value]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --param {param}: a superframe block of {shape} is ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    src = scenario_file(tmp_path, TWO_USER_DET.replace("subbands = 4", "subbands = 1000000"))
+    assert main(["validate", "--scenario", src]) == EXIT_CONFIG
+    line = TWO_USER_DET.splitlines().index("subframes_per_superframe = 30") + 1
+    assert capsys.readouterr().err == (
+        f"error: {src}:{line}: a superframe block of 30 subframes x 2 links x 1000000 subbands "
+        f"is 60000000 entries, above the {MAX_BLOCK_ENTRIES} allowed\n"
+    )
 
 
 def test_validate_reports_counts(tmp_path, capsys):
@@ -550,6 +586,7 @@ def test_sweep_argument_validation(tmp_path, capsys):
         ("p_pico_dbm", "nan", "'p_pico_dbm' must be a finite number, got 'nan'"),
         ("p_pico_dbm", "1e308", "'p_pico_dbm' must lie in [-300, 300] dBm, got '1e+308'"),
         ("seed", "-1", "'seed' must be >= 0, got -1"),
+        ("seed", "18446744073709551616", "'seed' must be <= 18446744073709551615, got 18446744073709551616"),
     ],
 )
 def test_sweep_rejects_values_the_parser_would(param, value, message, capsys):

@@ -22,6 +22,7 @@ from hetnet_rrm.scenario import parse_scenario, with_param
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind, TopologyGraph
 
 from conftest import (
+    assert_same_flow_bits,
     build_graph,
     det_model,
     diamond_graph,
@@ -274,15 +275,20 @@ def test_time_sharing_input_validation():
     with pytest.raises(ValueError):
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
     rows = np.ones((3, 2))
-    # one duration group label per row, every group 0..H-1 used
-    for labels in ([0, 1], [0, 1, 2, 0], [[0], [1], [2]]):
-        with pytest.raises(ValueError, match="one duration group label per rate row"):
-            optimize_time_sharing(rows, g, LOG, groups=np.array(labels))
+    # the duration groups hold every row exactly once, every group 0..H-1 used
+    half, third = 1.0 / 2.0, 1.0 / 3.0
+    for groups in (
+        [(np.array([0]), half), (np.array([1]), half)],
+        [(np.array([0, 3]), third), (np.array([1]), third), (np.array([2]), third)],
+        [(np.array([[0], [1], [2]]), 1.0)],
+    ):
+        with pytest.raises(ValueError, match="every rate row exactly once"):
+            optimize_time_sharing(rows, g, LOG, groups=groups)
     for labels in ([0, 0, 2], [1, 1, 1], [0, 3, 1]):
         with pytest.raises(ValueError, match="every group"):
-            optimize_time_sharing(rows, g, LOG, groups=np.array(labels))
+            optimize_time_sharing(rows, g, LOG, groups=netopt.duration_groups(np.array(labels)))
     with pytest.raises(ValueError):
-        optimize_time_sharing(rows, g, LOG, groups=np.array([0, -1, 1]))
+        optimize_time_sharing(rows, g, LOG, groups=netopt.duration_groups(np.array([0, -1, 1])))
     # non-finite rates or wired capacities are bad inputs, refused up front
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -292,7 +298,7 @@ def test_time_sharing_input_validation():
             with pytest.raises(ValueError, match="rate rows must be finite"):
                 optimize_time_sharing(bad_rows, g, LOG)
             with pytest.raises(ValueError, match="rate rows must be finite"):
-                optimize_time_sharing(bad_rows[2:], g, LOG)  # the single-row path
+                optimize_time_sharing(bad_rows[2:], g, LOG)  # a one-row program
             # a graph built without validate may carry any wired capacity
             wired = TopologyGraph(
                 g.nodes, (Link(0, 0, 2, bad), g.links[1]), g.flows, g.backhaul, g.interference
@@ -338,6 +344,38 @@ def test_time_sharing_gap_above_tolerance_raises(monkeypatch):
         optimize_time_sharing(rows, g, LOG)
 
 
+def test_share_solve_above_the_kkt_bound_raises(monkeypatch):
+    # Every program meets the flow solve's KKT bound, a share solve with
+    # free shares included.
+    g = _conflict_pair_graph()
+    rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
+    solve = netopt._interior_point
+    loose = lambda *args: solve(*args)._replace(residual=10.0 * netopt.FLOW_TOL)  # noqa: E731
+    monkeypatch.setattr(netopt, "_interior_point", loose)
+    with pytest.raises(NetOptError, match="exceeds tolerance"):
+        optimize_time_sharing(rows, g, LOG)
+
+
+def test_one_row_groups_take_the_joint_path_with_flow_solve_bits(monkeypatch):
+    """A one-row program and J one-row groups (fddsa's first superframe) are
+    solved by the joint path, never by ``solve_p1``, yet return its bits for
+    the capacities their shares give."""
+    g = _conflict_pair_graph()
+    rows = np.array([[0.0, 0.0], [0.0, 0.5], [2.0, 0.0], [1.0, 0.0], [0.0, 0.25]])
+    direct = netopt.solve_p1
+
+    def refused(*args):
+        raise AssertionError("solve_p1 called")
+
+    monkeypatch.setattr(netopt, "solve_p1", refused)
+    one_row = optimize_time_sharing(rows[2:3], g, LOG)
+    # five groups of 1/5, whose shares must not be renormalized to other bits
+    each_row = optimize_time_sharing(rows, g, LOG, groups=netopt.duration_groups(np.arange(5)))
+    for program, (shares, sol) in ((rows[2:3], one_row), (rows, each_row)):
+        assert shares.tobytes() == np.full(len(program), 1.0 / len(program)).tobytes()
+        assert_same_flow_bits(sol, direct(g, g.wired_base_capacity() + shares @ program, LOG))
+
+
 def _seeded_labels(n_rows, seed):
     """Random duration group labels putting the rows in min(n_rows, 3) groups."""
     rng = np.random.default_rng(seed)
@@ -362,7 +400,7 @@ def test_time_sharing_properties_on_random_vertex_systems(seed, alpha, tol, grou
         labels = np.zeros(rows.shape[0], dtype=int)
     else:
         labels = _seeded_labels(rows.shape[0], seed)
-    q, sol = optimize_time_sharing(rows, g, u, tol=tol, groups=labels)
+    q, sol = optimize_time_sharing(rows, g, u, tol=tol, groups=netopt.duration_groups(labels))
     groups = [(np.flatnonzero(labels == h), 1.0 / (labels.max() + 1)) for h in range(labels.max() + 1)]
     assert q.shape == (rows.shape[0],)
     assert np.all(q >= 0.0)

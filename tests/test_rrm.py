@@ -22,6 +22,7 @@ from hetnet_rrm.scenario import parse_scenario, with_param
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
+    assert_same_flow_bits,
     build_graph,
     det_model,
     diamond_graph,
@@ -388,6 +389,46 @@ def _count_share_solves(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("fixed", [False, True])
+def test_each_superframe_builds_its_duration_groups_once(monkeypatch, fixed):
+    """The partition a superframe prunes with is the one its share solve
+    takes, built once."""
+    builds, build = [], netopt.duration_groups
+
+    def counted(labels):
+        builds.append(None)
+        return build(labels)
+
+    monkeypatch.setattr(netopt, "duration_groups", counted)
+    monkeypatch.setattr(rrm, "duration_groups", counted)
+    result = run_to_convergence(det_model(relay_grid_graph()), fast_config(fixed_pattern_durations=fixed))
+    assert len(result.records) >= 2
+    assert len(builds) == len(result.records)
+
+
+def test_fddsa_first_superframe_solves_its_one_row_groups_jointly(monkeypatch):
+    """fddsa starts with one member per pattern, each in its own duration
+    group; that program goes through the joint path, not ``solve_p1``, and
+    its flow is ``solve_p1``'s for the capacities its shares give."""
+    direct = netopt.solve_p1
+
+    def refused(*args):
+        raise AssertionError("solve_p1 called")
+
+    monkeypatch.setattr(netopt, "solve_p1", refused)
+    fig7 = _fig7_like()
+    model, config = fig7.channel_model(seed=1), replace(fig7.rrm, fixed_pattern_durations=True)
+    state = initial_state(model, fixed_pattern_durations=True)
+    block = block_pass(model, state, config)
+    new_state, _ = run_superframe(model, state, config, block)
+    n_patterns = len(state.patterns)
+    assert new_state.member_index.tolist() == list(range(n_patterns))
+    _, shares, flow = new_state.solve
+    assert shares.tobytes() == np.full(n_patterns, 1.0 / n_patterns).tobytes()
+    capacities = model.graph.wired_base_capacity() + shares @ block.member_rates
+    assert_same_flow_bits(flow, direct(model.graph, capacities, config.utility))
+
+
+@pytest.mark.parametrize("fixed", [False, True])
 def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
     """A deterministic run's last superframe adds no member and poses the
     program the one before it solved, so it makes no share solve of its own;
@@ -401,7 +442,9 @@ def test_an_unchanged_share_program_reuses_its_solve(monkeypatch, fixed):
 
     state = result.state
     labels = state.member_index if fixed else np.zeros(state.member_index.size, dtype=int)
-    shares, flow = optimize_time_sharing(state.rate_rows, model.graph, config.utility, groups=labels)
+    shares, flow = optimize_time_sharing(
+        state.rate_rows, model.graph, config.utility, groups=netopt.duration_groups(labels)
+    )
     assert shares.tobytes() == state.shares.tobytes()
     assert flow.prices.tobytes() == state.flow.prices.tobytes() == state.weights.tobytes()
 

@@ -10,6 +10,7 @@ from hetnet_rrm.netopt import UtilitySpec
 from hetnet_rrm.rrm import RrmConfig
 from hetnet_rrm.scenario import (
     _SETTINGS,
+    MAX_BLOCK_ENTRIES,
     NATS_PER_BIT,
     SWEEPABLE_PARAMS,
     Scenario,
@@ -315,6 +316,48 @@ def test_with_param_applies_the_parser_rules():
     assert with_param(s, "subframes_per_superframe", 1).rrm.subframes_per_superframe == 1
 
 
+def test_seed_must_fit_one_philox_key_word():
+    # A larger seed would be keyed modulo 2**64: another seed's run.
+    largest = 2**64 - 1
+    assert parse_scenario(BASE.replace("seed = 3", f"seed = {largest}")).seed == largest
+    text = BASE.replace("seed = 3", f"seed = {largest + 1}")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, path="r.scenario")
+    message = f"'seed' must be <= {largest}, got {largest + 1}"
+    assert err.value.errors == [f"r.scenario:{text.splitlines().index(f'seed = {largest + 1}') + 1}: {message}"]
+    with pytest.raises(ScenarioError) as err:
+        with_param(parse_scenario(BASE), "seed", 2.0**64)
+    assert err.value.errors == [f"--param seed: {message}"]
+
+
+def test_superframe_block_must_fit_its_budget():
+    """subframes x links x subbands float64 entries past MAX_BLOCK_ENTRIES are
+    refused at the later of the two keys the file sets; these values are only
+    parsed, never run."""
+    s = parse_scenario(BASE)  # 2 links, 200 subframes by default
+    fits = MAX_BLOCK_ENTRIES // (2 * 200)
+    assert with_param(s, "subbands", fits).subbands == fits
+    run = "seed = 3\nsubframes_per_superframe = 200"
+    for radio, run_lines, at in [
+        (f"subbands = {fits + 1}", "seed = 3", f"subbands = {fits + 1}"),
+        (f"subbands = {fits + 1}", run, "subframes_per_superframe = 200"),
+    ]:
+        text = BASE.replace("subbands = 4", radio).replace("seed = 3", run_lines)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, path="r.scenario")
+        entries = 200 * 2 * (fits + 1)
+        assert err.value.errors == [
+            f"r.scenario:{text.splitlines().index(at) + 1}: a superframe block of 200 subframes x 2 links x "
+            f"{fits + 1} subbands is {entries} entries, above the {MAX_BLOCK_ENTRIES} allowed"
+        ]
+    for name, value in [("subbands", 1e12), ("subbands", 1e30), ("subframes_per_superframe", 1e13)]:
+        with pytest.raises(ScenarioError) as err:
+            with_param(s, name, value)
+        [error] = err.value.errors
+        assert error.startswith(f"--param {name}: a superframe block of ")
+        assert error.endswith(f"entries, above the {MAX_BLOCK_ENTRIES} allowed")
+
+
 def test_bundled_scenarios_parse_and_describe_themselves():
     root = resources.files("hetnet_rrm").joinpath("scenarios")
     demo = parse_scenario(root.joinpath("two_hop_demo.scenario").read_text())
@@ -348,12 +391,16 @@ BUNDLED = [
 ]
 
 
-def _in_range(name: str):
-    """Values of a sweepable parameter the parser accepts, as ``with_param``
-    takes them."""
+def _in_range(name: str, scenario: Scenario):
+    """Values of a sweepable parameter the parser accepts in ``scenario``, as
+    ``with_param`` takes them: a block length stays within the block budget."""
     row = _SETTINGS[name]
     if row.kind is int:
-        return st.integers(row.limit, 2**53).map(float)
+        low, high = row.limit
+        others = {"subbands": scenario.rrm.subframes_per_superframe, "subframes_per_superframe": scenario.subbands}
+        if name in others:
+            high = MAX_BLOCK_ENTRIES // (others[name] * scenario.graph.num_links)
+        return st.integers(low, min(high, 2**53)).map(float)
     low, high, _ = row.limit
     return st.floats(low, high)
 
@@ -364,7 +411,7 @@ def test_swept_values_survive_dump_and_parse(data):
     for base in BUNDLED:
         swept = base
         for name in SWEEPABLE_PARAMS:
-            swept = with_param(swept, name, data.draw(_in_range(name), label=name))
+            swept = with_param(swept, name, data.draw(_in_range(name, swept), label=name))
         text = dump_scenario(swept)
         again = parse_scenario(text)
         assert dump_scenario(again) == text
