@@ -1,6 +1,6 @@
 """Two-timescale radio resource management for HetNets with wireless flexible backhaul."""
 
-from .baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
+from .baselines import fbc_graph, run_fddsa, run_ttrsc
 from .channel import ChannelModel, LinkClassParams, PathlossParams
 from .netopt import (
     FlowSolution,
@@ -75,6 +75,7 @@ __all__ = [
     "certificate",
     "dump_scenario",
     "enumerate_feasible_patterns",
+    "fbc_graph",
     "format_trace",
     "initial_state",
     "interference_from_positions",
@@ -85,9 +86,7 @@ __all__ = [
     "parse_trace",
     "rate_table_for_patterns",
     "read_trace",
-    "run_fbc",
     "run_fddsa",
-    "run_proposed",
     "run_to_convergence",
     "run_ttrsc",
     "schedule_links",

@@ -3,10 +3,11 @@
 Three baselines share the proposed scheme's trace shape so sweeps can plot
 them side by side:
 
-* fixed backhaul connection (FBC): every pico lacking wired backhaul gets a
-  generous wired link from its nearest macro, then the full adaptive scheme
-  runs on the augmented network.  An upper-reference since wireless relay
-  traffic moves onto wires.
+* fixed backhaul connection (FBC): a change of network, not of scheme.
+  :func:`fbc_graph` gives every pico lacking backhaul a generous wired link
+  from its nearest macro (its wireless relay links stay), and the full
+  adaptive scheme runs on a model built from that graph.  An upper reference,
+  since relay traffic can move onto wires.
 * fixed-duration dynamic spectrum allocation (FDDSA): every admissible
   pattern, the all-silent one included, is on for a fixed 1/J of the time
   (J patterns).  It runs the adaptive loop with each pattern in its own
@@ -30,10 +31,6 @@ from .rrm import RrmConfig, RrmResult, run_to_convergence
 from .topology import Link, NodeKind, TopologyGraph
 
 FBC_CAPACITY_MARGIN = 10.0
-
-
-def run_proposed(model: ChannelModel, config: RrmConfig) -> RrmResult:
-    return run_to_convergence(model, config)
 
 
 def run_ttrsc(model: ChannelModel, config: RrmConfig) -> RrmResult:
@@ -95,27 +92,12 @@ def augment_with_wired_backhaul(
     )
 
 
-def run_fbc(model: ChannelModel, config: RrmConfig) -> tuple[RrmResult, ChannelModel]:
-    """Adaptive scheme on the wired-backhaul-augmented network.
+def fbc_graph(model: ChannelModel) -> TopologyGraph:
+    """The network fbc runs on: ``model.graph`` with wired backhaul added.
 
     The wired capacity is a wide margin above the best single-link wireless
-    rate, so the added backhaul never bottlenecks.  Returns the result
-    together with the augmented network's channel model (the original model
-    when nothing needed wiring).
+    rate, so the added backhaul never bottlenecks.  Returns ``model.graph``
+    itself when nothing needs wiring.
     """
     peak = float(model.statistical_rates().sum(axis=1).max())
-    augmented = augment_with_wired_backhaul(model.graph, FBC_CAPACITY_MARGIN * max(peak, 1.0))
-    if augmented is model.graph:
-        return run_to_convergence(model, config), model
-    fbc_model = ChannelModel(
-        augmented,
-        num_subbands=model.num_subbands,
-        p_macro_dbm=model.p_macro_dbm,
-        p_pico_dbm=model.p_pico_dbm,
-        seed=model.seed,
-        deterministic=model.deterministic,
-        pathloss=model.pathloss,
-        noise_dbm=model.noise_dbm,
-        power_overrides=model.power_overrides,
-    )
-    return run_to_convergence(fbc_model, config), fbc_model
+    return augment_with_wired_backhaul(model.graph, FBC_CAPACITY_MARGIN * max(peak, 1.0))

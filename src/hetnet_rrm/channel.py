@@ -77,7 +77,11 @@ class PathlossParams:
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    """A seed outside ``[0, 2**64)`` raises ``ValueError``; it never wraps
+    onto another seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.array([seed, stream], dtype=np.uint64)
 
 
 def keyed_generator(seed: int, stream: int, t: int = 0) -> Generator:
@@ -218,7 +222,6 @@ class ChannelModel:
         deterministic: bool = False,
         pathloss: PathlossParams | None = None,
         noise_dbm: float = -100.0,
-        large_gains: np.ndarray | None = None,
         power_overrides: dict[int, float] | None = None,
     ):
         if num_subbands < 1:
@@ -227,30 +230,16 @@ class ChannelModel:
         self.num_subbands = num_subbands
         self.seed = int(seed)
         self.deterministic = bool(deterministic)
-        self.p_macro_dbm = float(p_macro_dbm)
-        self.p_pico_dbm = float(p_pico_dbm)
-        self.noise_dbm = float(noise_dbm)
-        self.pathloss = pathloss or PathlossParams()
-        self.power_overrides = dict(power_overrides or {})
-        if large_gains is None:
-            self.large_gains = large_scale_gains(graph, self.pathloss, seed)
-        else:
-            if large_gains.shape != (graph.num_links,):
-                raise ValueError("large_gains must have one entry per link")
-            wireless_gains = large_gains[list(graph.wireless_links)]
-            if not np.all(np.isfinite(wireless_gains) & (wireless_gains > 0)):
-                raise ValueError("large-scale gains must be finite and positive")
-            self.large_gains = np.asarray(large_gains, dtype=float)
+        self.large_gains = large_scale_gains(graph, pathloss or PathlossParams(), self.seed)
 
         noise_watts = dbm_to_watts(noise_dbm)
+        overrides = power_overrides or {}
         self.tx_powers = np.zeros(graph.num_links)
         for l in graph.links:
             if l.is_wired:
                 continue
             kind = graph.nodes[l.head].kind
-            dbm = self.power_overrides.get(
-                l.head, p_macro_dbm if kind is NodeKind.MACRO else p_pico_dbm
-            )
+            dbm = overrides.get(l.head, p_macro_dbm if kind is NodeKind.MACRO else p_pico_dbm)
             self.tx_powers[l.index] = dbm_to_watts(dbm) / noise_watts
 
         self._wireless = np.array(graph.wireless_links, dtype=int)

@@ -1,7 +1,9 @@
 """Command-line entry points: run, oracle, validate and sweep.
 
-Exit codes: 0 success (run converged), 2 run stopped at the superframe limit,
-3 configuration or scenario error (including a scenario with more than
+Exit codes: 0 success (run converged, or ``--help``), 2 run stopped at the
+superframe limit, 3 configuration or scenario error (including a command-line
+argument error, a sub-command's too, with the usage line; a
+``HETNET_RRM_LOG`` that is not a logging level name; a scenario with more than
 ``phy.MAX_PATTERN_BS`` base stations or a link endpoint that is not a node, a
 ``--scenario`` path that is missing, a directory or not UTF-8, an ``--out``
 path that cannot be written, and fbc on a network whose unwired pico has no
@@ -23,11 +25,11 @@ import os
 import sys
 from dataclasses import replace
 
-from .baselines import augment_with_wired_backhaul, run_fbc, run_fddsa, run_proposed, run_ttrsc
+from .baselines import augment_with_wired_backhaul, fbc_graph, run_fddsa, run_ttrsc
 from .channel import ChannelModel
 from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
-from .rrm import RrmResult, stop_reason
+from .rrm import RrmResult, run_to_convergence, stop_reason
 from .scenario import MODES, Scenario, ScenarioError, load_scenario, with_param
 from .trace import BITS_PER_NAT, format_trace
 
@@ -37,8 +39,10 @@ EXIT_CONFIG = 3
 EXIT_ORACLE_SCALE = 4
 EXIT_SOLVER = 5
 
+#: One row per mode; fbc is the proposed scheme on :func:`fbc_graph`'s network.
 _RUNNERS = {
-    "proposed": run_proposed,
+    "proposed": run_to_convergence,
+    "fbc": run_to_convergence,
     "fddsa": run_fddsa,
     "ttrsc": run_ttrsc,
 }
@@ -53,9 +57,8 @@ def run_experiment(
     (the backhaul-augmented one for fbc)."""
     model = scenario.channel_model(seed=seed)
     if mode == "fbc":
-        return run_fbc(model, scenario.rrm)
-    result = _RUNNERS[mode](model, scenario.rrm)
-    return result, model
+        model = replace(scenario, graph=fbc_graph(model)).channel_model(seed=seed)
+    return _RUNNERS[mode](model, scenario.rrm), model
 
 
 def _refuse_early(scenario: Scenario, modes, out: str | None) -> None:
@@ -173,8 +176,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if all_converged else EXIT_MAX_ITERS
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error, a sub-command's too, exits 3 like any other
+    configuration error: argparse's own exit code, 2, means here that a run
+    stopped at its superframe limit."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ScenarioError([f"{self.prog}: {message}"])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hetnet-rrm",
         description="Two-timescale radio resource management experiments",
     )
@@ -207,10 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("HETNET_RRM_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    level = os.environ.get("HETNET_RRM_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: HETNET_RRM_LOG: unknown logging level '{level}'", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper())
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         for line in exc.errors:

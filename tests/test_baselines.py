@@ -1,18 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hetnet_rrm.baselines import (
     FBC_CAPACITY_MARGIN,
     augment_with_wired_backhaul,
+    fbc_graph,
     nearest_macro,
-    run_fbc,
     run_fddsa,
-    run_proposed,
     run_ttrsc,
 )
 from hetnet_rrm.channel import ChannelModel
+from hetnet_rrm.cli import run_experiment
 from hetnet_rrm.netopt import UtilitySpec
-from hetnet_rrm.rrm import RrmConfig
+from hetnet_rrm.rrm import RrmConfig, run_to_convergence
+from hetnet_rrm.scenario import Scenario
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
@@ -31,6 +34,11 @@ def fast_config(**kwargs):
     defaults = dict(subframes_per_superframe=40, max_superframes=30, utility=LOG)
     defaults.update(kwargs)
     return RrmConfig(**defaults)
+
+
+def det_scenario(graph):
+    """The scenario whose ``channel_model(seed=0)`` is ``det_model(graph)``."""
+    return Scenario(graph=graph, subbands=4, deterministic=True, rrm=fast_config())
 
 
 def test_augmentation_wires_unbackhauled_pico_to_nearest_macro():
@@ -85,24 +93,31 @@ def test_nearest_macro_tie_breaks_to_lowest_index():
 
 def test_fbc_default_wired_capacity_margin():
     g = multicell_graph()
-    model = det_model(g)
-    result, fbc_model = run_fbc(model, fast_config())
-    assert fbc_model is not model
-    peak = float(model.statistical_rates().sum(axis=1).max())
+    s = det_scenario(g)
+    base = s.channel_model(seed=0)
+    assert base.tx_powers.tobytes() == det_model(g).tx_powers.tobytes()
+    result, fbc_model = run_experiment(s, "fbc", 0)
+    # the model fbc runs on is the scenario's own builder on fbc_graph's network
+    expected = replace(s, graph=fbc_graph(base)).channel_model(seed=0)
+    assert fbc_model.graph.links == expected.graph.links
+    assert fbc_model.tx_powers.tobytes() == expected.tx_powers.tobytes()
+    assert fbc_model.large_gains.tobytes() == expected.large_gains.tobytes()
+    peak = float(base.statistical_rates().sum(axis=1).max())
     wire = fbc_model.graph.links[-1]
+    assert fbc_model.graph.num_links == g.num_links + 1
     assert wire.wired_capacity == pytest.approx(FBC_CAPACITY_MARGIN * max(peak, 1.0))
     # channel draws on pre-existing links are untouched by the augmentation
-    assert np.array_equal(fbc_model.large_gains[: g.num_links], model.large_gains)
-    assert fbc_model.seed == model.seed
+    assert np.array_equal(fbc_model.large_gains[: g.num_links], base.large_gains)
+    assert np.array_equal(fbc_model.tx_powers[: g.num_links], base.tx_powers)
+    assert fbc_model.seed == base.seed
     assert fbc_model.tx_powers[wire.index] == 0.0
     assert result.state.flow is not None
 
 
-def test_fbc_returns_original_model_when_nothing_to_wire():
+def test_fbc_graph_is_the_model_graph_when_nothing_to_wire():
     g = relay_grid_graph()
     # relay pico 1 has no backhaul here, so first check the wired path exists
-    result, fbc_model = run_fbc(det_model(g), fast_config())
-    assert fbc_model.graph.num_links == g.num_links + 1
+    assert fbc_graph(det_model(g)).num_links == g.num_links + 1
 
     nodes = [
         Node(0, NodeKind.MACRO, (0.0, 0.0)),
@@ -110,15 +125,16 @@ def test_fbc_returns_original_model_when_nothing_to_wire():
     ]
     solo = build_graph(nodes, [Link(0, 0, 1)], [Flow(0, 0, 1)], {0})
     model = det_model(solo)
-    result, same = run_fbc(model, fast_config())
-    assert same is model
+    assert fbc_graph(model) is model.graph
+    result, fbc_model = run_experiment(det_scenario(solo), "fbc", 0)
+    assert fbc_model.graph is solo
+    assert result.utility == run_to_convergence(model, fast_config()).utility
 
 
 def test_fbc_dominates_proposed_on_relay_network():
-    g = multicell_graph()
-    config = fast_config()
-    prop = run_proposed(det_model(g), config)
-    fbc, _ = run_fbc(det_model(g), config)
+    s = det_scenario(multicell_graph())
+    prop, _ = run_experiment(s, "proposed", 0)
+    fbc, _ = run_experiment(s, "fbc", 0)
     assert prop.converged and fbc.converged
     # moving relay traffic onto wires can only enlarge the rate region
     assert fbc.utility >= prop.utility - 1e-6
@@ -128,7 +144,7 @@ def test_fbc_dominates_proposed_on_relay_network():
 def test_ttrsc_identical_to_proposed_when_deterministic():
     for g in (relay_grid_graph(), diamond_graph()):
         config = fast_config()
-        prop = run_proposed(det_model(g), config)
+        prop = run_to_convergence(det_model(g), config)
         ttrsc = run_ttrsc(det_model(g), config)
         assert ttrsc.converged == prop.converged
         assert ttrsc.utilities == pytest.approx(prop.utilities, abs=1e-12)
@@ -158,11 +174,11 @@ def test_ttrsc_loses_multiuser_diversity_under_fading():
     )
 
     def model():
-        return ChannelModel(
-            g, 8, p_macro_dbm=40.0, p_pico_dbm=33.0, seed=11, large_gains=gains.copy()
-        )
+        m = ChannelModel(g, 8, p_macro_dbm=40.0, p_pico_dbm=33.0, seed=11)
+        m.large_gains = gains.copy()
+        return m
 
-    prop = run_proposed(model(), config)
+    prop = run_to_convergence(model(), config)
     ttrsc = run_ttrsc(model(), config)
     assert prop.converged and ttrsc.converged
     # scheduling on fading-averaged rates forfeits the per-subband pick of the
@@ -211,7 +227,7 @@ def test_fddsa_converges_when_winners_cannot_flip():
 def test_fddsa_lags_proposed_without_share_optimization():
     g = diamond_graph()
     config = fast_config()
-    prop = run_proposed(det_model(g), config)
+    prop = run_to_convergence(det_model(g), config)
     fddsa = run_fddsa(det_model(g), config)
     assert prop.utility > fddsa.utility + 0.1
 
@@ -224,7 +240,7 @@ def test_fddsa_never_beats_proposed_beyond_its_certified_gap():
     graphs = [multicell_graph(), relay_grid_graph(), diamond_graph()]
     graphs += [random_instance(seed) for seed in range(1, 40)]
     for g in graphs:
-        prop = run_proposed(det_model(g), config)
+        prop = run_to_convergence(det_model(g), config)
         fddsa = run_fddsa(det_model(g), config)
         assert prop.converged
         assert fddsa.utility <= prop.utility + prop.certificate.gap

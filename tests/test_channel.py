@@ -202,17 +202,24 @@ def test_wired_augmentation_keeps_wireless_draws():
         assert np.array_equal(base.large_gains, wired.large_gains[: g.num_links])
 
 
-def test_large_gains_override_validation():
+def test_zero_subbands_is_refused():
+    with pytest.raises(ValueError, match="at least one subband"):
+        ChannelModel(single_link_graph(), 0, 40.0, 33.0, seed=0)
+
+
+def test_seeds_outside_64_bits_are_refused_not_wrapped():
+    # Masked to 64 bits, 2**64 + 5 would rerun seed 5 and -1 seed 2**64 - 1.
     g = single_link_graph()
-    with pytest.raises(ValueError):
-        ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.ones(3))
-    with pytest.raises(ValueError):
-        ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.zeros(1))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            ChannelModel(g, 2, 40.0, 33.0, seed=0, large_gains=np.array([bad]))
-    with pytest.raises(ValueError):
-        ChannelModel(g, 0, 40.0, 33.0, seed=0)
+    for seed in (-1, -(2**64) + 5, 2**64, 2**64 + 5):
+        for call in (
+            lambda: keyed_generator(seed, 0),
+            lambda: ChannelModel(g, 2, 40.0, 33.0, seed=seed),
+            lambda: ChannelModel(g, 2, 40.0, 33.0, seed=seed, deterministic=True),
+        ):
+            with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+                call()
+    top = ChannelModel(g, 2, 40.0, 33.0, seed=2**64 - 1)
+    assert top.draw_block(0, 2).shape == (2, 1, 2)
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import importlib.util
 import logging
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hetnet_rrm
 from hetnet_rrm import cli, netopt, rrm
 from hetnet_rrm.cli import (
     _RUNNERS,
@@ -60,6 +63,60 @@ def scenario_file(tmp_path, text=TWO_USER_DET, name="case.scenario"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scenario", "x.scenario", "--seed", "abc"],
+         "hetnet-rrm run: argument --seed: invalid int value: 'abc'"),
+        (["run", "--scenario", "x.scenario", "--bogus"], "hetnet-rrm: unrecognized arguments: --bogus"),
+        ([], "hetnet-rrm: the following arguments are required: command"),
+        (["sweep", "--scenario", "x.scenario"],
+         "hetnet-rrm sweep: the following arguments are required: --param, --values"),
+    ],
+    ids=["bad-seed", "unknown-flag", "no-command", "sub-command-missing-flags"],
+)
+def test_argument_errors_exit_config_not_the_superframe_limit_code(argv, message, capsys, monkeypatch):
+    # argparse's own exit 2 would read as "superframe budget exhausted"
+    _fail_runs(monkeypatch, AssertionError("a run started"))
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage: hetnet-rrm")
+    assert err[-1] == f"error: {message}"
+    assert captured.out == ""
+
+
+def test_argument_error_is_the_process_exit_code_and_help_stays_ok():
+    src = str(Path(hetnet_rrm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, "-m", "hetnet_rrm.cli"]
+    done = subprocess.run(run + ["run", "--seed", "abc"], capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.splitlines()[-1].startswith("error: hetnet-rrm run: ")
+    for argv in (["--help"], ["run", "--help"]):
+        done = subprocess.run(run + argv, capture_output=True, text=True, env=env)
+        assert done.returncode == EXIT_OK and done.stderr == ""
+        assert done.stdout.startswith("usage: hetnet-rrm")
+
+
+@pytest.mark.parametrize("level", ["bogus", "5", ""])
+def test_unknown_log_level_exits_config(level, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HETNET_RRM_LOG", level)
+    assert main(["validate", "--scenario", scenario_file(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: HETNET_RRM_LOG: unknown logging level '{level}'\n"
+    assert captured.out == ""
+    monkeypatch.setenv("HETNET_RRM_LOG", "debug")  # a level name in any case
+    assert main(["validate", "--scenario", scenario_file(tmp_path)]) == EXIT_OK
+
+
+def test_every_package_export_resolves():
+    exports = hetnet_rrm.__all__
+    assert len(set(exports)) == len(exports)
+    assert [name for name in exports if not hasattr(hetnet_rrm, name)] == []
+    assert "fbc_graph" in exports and not {"run_fbc", "run_proposed"} & set(exports)
 
 
 def test_run_converged_trace_exit_zero(tmp_path):
@@ -619,8 +676,7 @@ def test_traced_functions_and_runners_resolve(monkeypatch):
             assert hasattr(owner, part), f"{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr}"
-    # fbc runs through run_fbc, which also returns its augmented model
-    assert set(_RUNNERS) == set(MODES) - {"fbc"}
+    assert set(_RUNNERS) == set(MODES)
     assert all(callable(runner) for runner in _RUNNERS.values())
 
 

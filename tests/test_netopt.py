@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnet_rrm import netopt
-from hetnet_rrm.baselines import run_fbc
+from hetnet_rrm.cli import run_experiment
 from hetnet_rrm.netopt import (
     NetOptError,
     UtilitySpec,
@@ -588,7 +588,7 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     # residual's H_obj dv sums over more than one column per flow.
     text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
     fig7 = with_param(parse_scenario(text, path="fig7_like.scenario"), "p_pico_dbm", 33.0)
-    run_fbc(fig7.channel_model(seed=fig7.seed), fig7.rrm)
+    run_experiment(fig7, "fbc", fig7.seed)
     n_runs = len(calls)
     # The oracle's share programs over every vertex row; on random_instance(158)
     # and (1748) they stall after their last accurate iterate and return it banked.

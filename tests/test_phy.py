@@ -351,7 +351,8 @@ def test_two_link_winner_matches_order_statistic_quadrature():
     links = [Link(0, 0, 1), Link(1, 0, 2)]
     g = build_graph(nodes, links, [Flow(0, 0, 1), Flow(1, 0, 2)], {0})
     gains = np.full(2, 1e-5)
-    m = ChannelModel(g, 10, 40.0, 33.0, seed=22, large_gains=gains)
+    m = ChannelModel(g, 10, 40.0, 33.0, seed=22)
+    m.large_gains = gains
     a = m.tx_powers[0] * gains[0] ** 2
     best_of_two, _ = integrate.quad(
         lambda z: np.log1p(a * z) * 2.0 * np.exp(-z) * (1.0 - np.exp(-z)), 0.0, np.inf

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hetnet_rrm import netopt, phy, rrm
-from hetnet_rrm.baselines import run_fbc, run_fddsa, run_proposed, run_ttrsc
+from hetnet_rrm.baselines import run_fddsa
+from hetnet_rrm.cli import run_experiment
 from hetnet_rrm.netopt import UtilitySpec, optimize_time_sharing, solve_p1
 from hetnet_rrm.rrm import (
     RrmConfig,
@@ -18,7 +19,7 @@ from hetnet_rrm.rrm import (
     run_superframe,
     run_to_convergence,
 )
-from hetnet_rrm.scenario import parse_scenario, with_param
+from hetnet_rrm.scenario import MODES, Scenario, parse_scenario, with_param
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import (
@@ -333,9 +334,9 @@ def test_a_block_pass_from_another_block_is_refused():
 @pytest.mark.parametrize(
     "setup",
     [
-        lambda: (det_model(diamond_graph()), fast_config()),
-        lambda: (det_model(multicell_graph()), fast_config()),
-        lambda: (_fig7_like().channel_model(seed=1), _fig7_like().rrm),
+        lambda: (Scenario(graph=diamond_graph(), subbands=4, deterministic=True, rrm=fast_config()), 0),
+        lambda: (Scenario(graph=multicell_graph(), subbands=4, deterministic=True, rrm=fast_config()), 0),
+        lambda: (_fig7_like(), 1),
     ],
     ids=["diamond", "multicell", "fig7_like"],
 )
@@ -369,10 +370,10 @@ def test_member_rows_equal_a_full_restack(monkeypatch, setup):
         return state, record
 
     monkeypatch.setattr(rrm, "run_superframe", checked_step)
-    model, config = setup()
-    for run in (run_proposed, run_fddsa, run_ttrsc, lambda m, c: run_fbc(m, c)[0]):
+    scenario, seed = setup()
+    for mode in MODES:
         pinned_elsewhere.clear()
-        result = run(model, config)
+        result, _ = run_experiment(scenario, mode, seed)
         assert len(pinned_elsewhere) == len(result.records)
         assert any(pinned_elsewhere)  # some member is re-measured under other weights
 
@@ -483,7 +484,7 @@ def test_fig7_like_fbc_share_solves_end_near_the_floor_without_a_stall(monkeypat
     for power in (31.0, 33.0, 35.0):
         swept = with_param(fig7, "p_pico_dbm", power)
         n_before = len(results)
-        result, _ = run_fbc(swept.channel_model(seed=swept.seed), swept.rrm)
+        result, _ = run_experiment(swept, "fbc", swept.seed)
         assert result.converged
         assert len(results) - n_before == len(result.records)
     assert all(not r.banked and r.newton_iters <= 25 for r in results)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetnet_rrm.baselines import run_proposed
+from hetnet_rrm.rrm import run_to_convergence
 from hetnet_rrm.scenario import dump_scenario, parse_scenario
 from hetnet_rrm.trace import (
     BITS_PER_NAT,
@@ -45,7 +45,7 @@ max_superframes = 20
 
 def _run(text=SCENARIO):
     scenario = parse_scenario(text)
-    result = run_proposed(scenario.channel_model(), scenario.rrm)
+    result = run_to_convergence(scenario.channel_model(), scenario.rrm)
     return scenario, result
 
 
