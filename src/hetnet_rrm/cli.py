@@ -30,7 +30,7 @@ from .channel import ChannelModel
 from .netopt import NetOptError, PathExplosionError
 from .oracle import OracleScaleError, oracle_solve
 from .rrm import RrmResult, run_to_convergence, stop_reason
-from .scenario import MODES, Scenario, ScenarioError, load_scenario, with_param
+from .scenario import MODES, Scenario, ScenarioError, load_scenario, sweep_value, with_param
 from .trace import BITS_PER_NAT, format_trace
 
 EXIT_OK = 0
@@ -137,7 +137,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [sweep_value(args.param, v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ScenarioError([f"--values must be comma-separated numbers: {exc}"]) from exc
     if not values:

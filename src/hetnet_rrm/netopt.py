@@ -409,17 +409,18 @@ def _starved_link_prices(
         prices[l] = best
 
 
-def duration_groups(labels: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """The rows and total time of each duration group: row ``n`` sits in group
-    ``labels[n]``, and each of the H groups has total 1/H.  Every label
-    0..H-1 must be used."""
+def duration_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """The rows of each duration group, as one index array per group: row
+    ``n`` sits in group ``labels[n]``.  Each of the H groups shares a total
+    time of 1/H, which every reader derives as ``1.0 / len(groups)``.  Every
+    label 0..H-1 must be used."""
     labels = np.asarray(labels, dtype=int)
     counts = np.bincount(labels)  # refuses negative labels
     if counts.size == 0 or not counts.all():
         raise ValueError("duration group labels must use every group 0..H-1")
     order = np.argsort(labels, kind="stable")
     bounds = np.cumsum(counts)
-    return [(order[b - c : b], 1.0 / counts.size) for b, c in zip(bounds, counts)]
+    return [order[b - c : b] for b, c in zip(bounds, counts)]
 
 
 def _solve_joint(
@@ -427,12 +428,13 @@ def _solve_joint(
     base_capacity: np.ndarray,
     rate_rows: np.ndarray,
     utility: UtilitySpec,
-    groups: list[tuple[np.ndarray, float]],
+    groups: list[np.ndarray],
 ) -> tuple[np.ndarray, FlowSolution]:
     """Jointly optimal shares and flows for capacities ``base + rate_rows^T q``.
 
-    Each duration group's shares (``groups`` is :func:`duration_groups`'
-    partition) sum to its total.  Variables are path flows plus every share
+    Each of the H duration groups' shares (``groups`` is a partition of the
+    rows into non-empty index arrays, as :func:`duration_groups` builds) sum
+    to its total, 1/H.  Variables are path flows plus every share
     but each group's last, eliminated through its group's equality; without
     free shares this is the flow problem, and the shares are the totals.  The
     capacity prices come from the joint problem, so at a degenerate optimum
@@ -443,20 +445,21 @@ def _solve_joint(
     shares; a KKT residual above :data:`FLOW_TOL` raises :class:`NetOptError`.
     """
     problem = _path_problem(graph)
-    totals = np.array([t for _, t in groups])
-    lasts = np.array([idx[-1] for idx, _ in groups])
-    n_free = np.array([len(idx) - 1 for idx, _ in groups])
-    free = np.concatenate([idx[:-1] for idx, _ in groups])
+    total = 1.0 / len(groups)
+    totals = np.full(len(groups), total)
+    lasts = np.array([idx[-1] for idx in groups])
+    n_free = np.array([len(idx) - 1 for idx in groups])
+    free = np.concatenate([idx[:-1] for idx in groups])
 
     # A link no share vector can lift above the floor stays dead; drop the
     # paths through it so the solver never chases near-boundary variables.
-    group_best = np.array([rate_rows[idx].max(axis=0) for idx, _ in groups])
+    group_best = np.array([rate_rows[idx].max(axis=0) for idx in groups])
     best_caps = np.maximum(base_capacity + totals @ group_best, CAPACITY_FLOOR)
     dead = best_caps <= CAPACITY_FLOOR
     alive = problem.link_matrix[dead].sum(axis=0) == 0
 
     shares = np.zeros(rate_rows.shape[0])
-    for idx, total in groups:
+    for idx in groups:
         shares[idx] = total / len(idx)
     rates = np.zeros(graph.num_flows)
     link_flows = np.zeros((graph.num_flows, graph.num_links))
@@ -489,7 +492,7 @@ def _solve_joint(
         ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
         if free.size:
             shares[free] = ip.v[n_paths:]
-            for idx, total in groups:
+            for idx in groups:
                 shares[idx[-1]] = max(0.0, total - shares[idx[:-1]].sum())
                 shares[idx] = total * shares[idx] / shares[idx].sum()
         rates = flow_matrix @ ip.v
@@ -533,7 +536,7 @@ def solve_p1(graph: TopologyGraph, capacities: np.ndarray, utility: UtilitySpec)
         raise ValueError("capacities must be finite")
     if np.any(capacities < -1e-12):
         raise ValueError("capacities must be nonnegative")
-    one_row = [(np.zeros(1, dtype=int), 1.0)]
+    one_row = [np.zeros(1, dtype=int)]
     return _solve_joint(graph, capacities, np.zeros((1, graph.num_links)), utility, one_row)[1]
 
 
@@ -542,18 +545,19 @@ def optimize_time_sharing(
     graph: TopologyGraph,
     utility: UtilitySpec,
     tol: float = 1e-5,
-    groups: list[tuple[np.ndarray, float]] | None = None,
+    groups: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, FlowSolution]:
     """Optimal time-sharing over pattern rate rows, jointly with the flows.
 
     Maximizes utility of the shared capacity ``base + rate_rows^T q``, where
     ``base`` is the graph's :meth:`~TopologyGraph.wired_base_capacity`, in one
     :func:`_solve_joint` call, whatever the groups.  ``groups`` is the
-    partition :func:`duration_groups` builds, ``(rows, t_h)`` per group, and
-    must hold every row exactly once (else ValueError); without it the shares
-    range over the probability simplex.  Two post-conditions raise
+    partition :func:`duration_groups` builds, one index array of rows per
+    group, each of the H groups sharing a total time of 1/H; it must hold
+    every row exactly once, in non-empty groups (else ValueError).  Without it
+    the shares range over the probability simplex.  Two post-conditions raise
     :class:`NetOptError`: a KKT residual above :data:`FLOW_TOL`, and a
-    linearization gap ``sum_h t_h * max_{j in h} g_j - q.g`` in the share
+    linearization gap ``sum_h max_{j in h} g_j / H - q.g`` in the share
     gradient ``g = rate_rows @ prices`` above ``tol``.
     """
     rate_rows = np.atleast_2d(np.asarray(rate_rows, dtype=float))
@@ -564,13 +568,16 @@ def optimize_time_sharing(
     base_capacity = graph.wired_base_capacity()
     if not np.all(np.isfinite(base_capacity)):  # a graph built without validate
         raise ValueError("wired base capacities must be finite")
-    groups = [(np.arange(len(rate_rows)), 1.0)] if groups is None else groups
-    if not np.array_equal(np.sort(np.concatenate([idx for idx, _ in groups])), np.arange(len(rate_rows))):
+    groups = [np.arange(len(rate_rows))] if groups is None else groups
+    if not np.array_equal(np.sort(np.concatenate(groups)), np.arange(len(rate_rows))):
         raise ValueError("duration groups must hold every rate row exactly once")
+    if not all(len(idx) for idx in groups):
+        raise ValueError("a duration group must hold at least one rate row")
 
     shares, solution = _solve_joint(graph, base_capacity, rate_rows, utility, groups)
     g = rate_rows @ solution.prices
-    gap = float(sum(total * float(np.max(g[idx])) for idx, total in groups) - shares @ g)
+    total = 1.0 / len(groups)
+    gap = float(sum(total * float(np.max(g[idx])) for idx in groups) - shares @ g)
     if not gap <= tol:
         raise NetOptError(f"joint share solve left linearization gap {gap:.3e} above tol {tol:.1e}")
     return shares, solution

@@ -37,16 +37,19 @@ the one the state's flow solved, as when no member joined or was pruned on a
 deterministic channel, reuses that solve.
 
 The shares obey *duration groups* (``netopt.duration_groups``), a partition
-of the members that share a fixed total time: one group of total 1 (the
-whole simplex), or, under fixed pattern durations (fddsa), a group of total
-1/J for each of the J patterns, so only time within a pattern is optimized.
+of the members into H index arrays, each sharing a fixed total time of 1/H:
+one group (the whole simplex), or, under fixed pattern durations (fddsa), a
+group for each of the J patterns, so only time within a pattern is optimized.
+After each share solve every group is pruned by the fixed :data:`Q_PRUNE`
+and :data:`MAX_MEMBERS`.
 
 :func:`run_to_convergence` logs one ``INFO`` line per superframe to the
 ``hetnet_rrm.rrm`` logger, with the share solve's Newton iterations and
 refinement steps (0, and "share solve reused", when it was reused), and
-:func:`run_superframe` a ``WARNING`` when ``max_members`` cuts a member whose
-share the solve kept above ``q_prune``; :func:`stop_reason` says which convergence test a run that hit its
-superframe limit failed, and by how much.
+:func:`run_superframe` a ``WARNING`` when :data:`MAX_MEMBERS` cuts a member
+whose share the solve kept above :data:`Q_PRUNE`; :func:`stop_reason` says
+which convergence test a run that hit its superframe limit failed, and by how
+much.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ from .phy import (
 
 log = logging.getLogger(__name__)
 
+#: After each share solve a member whose share is below ``Q_PRUNE`` times its
+#: duration group's total leaves the set, and each group keeps at most
+#: ``MAX_MEMBERS`` of its largest; a group is never emptied, but keeps at
+#: least its largest-share member.
+Q_PRUNE = 1e-12
+MAX_MEMBERS = 64
+
 
 #: One member's (B,) DTX pattern and the link weights it was found under.
 Member = NamedTuple("Member", [("pattern", np.ndarray), ("weights", np.ndarray)])
@@ -77,17 +87,13 @@ Member = NamedTuple("Member", [("pattern", np.ndarray), ("weights", np.ndarray)]
 
 @dataclass
 class RrmConfig:
-    """``q_prune`` (a fraction of the group's total) and ``max_members`` prune
-    each duration group separately, and never empty one: a group keeps at
-    least its largest-share member.  ``fixed_pattern_durations`` gives each of
-    the J admissible patterns its own duration group of total 1/J (fddsa)."""
+    """The settings of one run.  ``fixed_pattern_durations`` gives each of the
+    J admissible patterns its own duration group of total 1/J (fddsa)."""
 
     subframes_per_superframe: int = 200
     max_superframes: int = 60
     epsilon_converge: float = 1e-6
     gap_converge_rel: float = 1e-6
-    q_prune: float = 1e-12
-    max_members: int = 64
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     statistical_scheduling: bool = False
     fixed_pattern_durations: bool = False
@@ -97,10 +103,6 @@ class RrmConfig:
             raise ValueError("need at least one subframe per superframe")
         if self.max_superframes < 1:
             raise ValueError("need at least one superframe")
-        if not 0.0 <= self.q_prune < 1.0:
-            raise ValueError("q_prune must lie in [0, 1)")
-        if self.max_members < 2:
-            raise ValueError("max_members must allow at least two members")
         if not self.epsilon_converge > 0.0:
             raise ValueError("epsilon_converge must be positive")
         if not self.gap_converge_rel >= 0.0:
@@ -206,7 +208,9 @@ class BlockPass:
     """One superframe's block of channel draws, its one kernel pass, and what
     the certificate and pattern discovery read off the pass.
 
-    ``winners`` (S, L, M) is row 0's, under the current weights.
+    ``started`` is the ``time.perf_counter()`` reading the pass began at,
+    which the superframe run on it is timed from.  ``winners`` (S, L, M) is
+    row 0's, under the current weights.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
     weighted rate under row 0 and ``pattern_sem`` its weighted standard
@@ -215,6 +219,7 @@ class BlockPass:
     rows of those argmax patterns under row 0.
     """
 
+    started: float
     t0: int
     rate_block: np.ndarray
     winner_rates: np.ndarray | None
@@ -244,6 +249,7 @@ def block_pass(
     would give the same bits.  Each duration group's best pattern is the
     argmax over all patterns, or under fixed durations each pattern itself.
     """
+    started = time.perf_counter()
     if t0 is None:
         t0 = state.superframe * config.subframes_per_superframe
     graph = model.graph
@@ -268,6 +274,7 @@ def block_pass(
     best = np.arange(len(values)) if config.fixed_pattern_durations else np.argmax(values, keepdims=True)
     best_rates, best_stderr = rate_table_for_patterns(graph, patterns[best], mean[0], stderr[0])
     return BlockPass(
+        started=started,
         t0=t0,
         rate_block=rate_block,
         winner_rates=winner_rates,
@@ -293,9 +300,9 @@ def run_superframe(
     weights, then refreshes the scheduled-pattern set (greedy max-weight
     pattern discovery in every duration group), re-optimizes time shares
     jointly with flow control, and adopts the resulting capacity prices as
-    the next weights.
+    the next weights.  Its record's ``wall_ms`` counts from the start of
+    ``block``, so it includes the pass and a certificate evaluated on it.
     """
-    started = time.perf_counter()
     graph = model.graph
     t0 = state.superframe * config.subframes_per_superframe
     if block.t0 != t0:
@@ -341,18 +348,19 @@ def run_superframe(
     shares = solved_shares.copy()
     keep = np.zeros(index.size, dtype=bool)
     capped = 0.0
-    for idx, total in groups:
+    total = 1.0 / len(groups)
+    for idx in groups:
         order = idx[np.argsort(shares[idx])[::-1]]
-        above = order[shares[order] >= config.q_prune * total]
-        kept = np.sort(above[: config.max_members])
-        capped = max(capped, float(shares[above[config.max_members :]].max(initial=0.0)))
+        above = order[shares[order] >= Q_PRUNE * total]
+        kept = np.sort(above[:MAX_MEMBERS])
+        capped = max(capped, float(shares[above[MAX_MEMBERS:]].max(initial=0.0)))
         kept = kept if kept.size else order[:1]
         keep[kept] = True
         if kept.size < idx.size:
             shares[kept] = total * shares[kept] / shares[kept].sum()
     if capped > 0.0:
-        log.warning("superframe %d: max_members = %d cut a member of share %.3g",
-                    state.superframe, config.max_members, capped)
+        log.warning("superframe %d: MAX_MEMBERS = %d cut a member of share %.3g",
+                    state.superframe, MAX_MEMBERS, capped)
     # The next stack is the prices, then the old rows some kept member reads.
     used = np.bincount(member_row[keep], minlength=len(state.weight_stack)) > 0
     rows, row_stderr, shares = rows[keep], row_stderr[keep], shares[keep]
@@ -377,7 +385,7 @@ def run_superframe(
         shares=shares.copy(),
         flow_rates=flow.rates.copy(),
         served_rates=served,
-        wall_ms=(time.perf_counter() - started) * 1e3,
+        wall_ms=(time.perf_counter() - block.started) * 1e3,
     )
     return new_state, record
 

@@ -145,8 +145,6 @@ _SETTINGS = {
         _Setting("max_superframes", "run", RrmConfig, int, (1, math.inf)),
         _Setting("epsilon_converge", "run", RrmConfig, float, _POSITIVE),
         _Setting("gap_converge_rel", "run", RrmConfig, float, _NON_NEGATIVE),
-        _Setting("q_prune", "run", RrmConfig, float, (0.0, math.nextafter(1.0, 0.0), "lie in [0, 1)")),
-        _Setting("max_members", "run", RrmConfig, int, (2, math.inf)),
         _Setting("alpha", "run", UtilitySpec, float, _POSITIVE),
         _Setting("utility_epsilon", "run", UtilitySpec, float, _POSITIVE, "epsilon"),
     )
@@ -496,6 +494,20 @@ def dump_scenario(scenario: Scenario) -> str:
     for section in _SETTING_SECTIONS:
         out += _dump_settings(scenario, section)
     return "\n".join(out + [""])
+
+
+def sweep_value(name: str, text: str) -> int | float:
+    """One ``sweep --values`` entry for parameter ``name``: an integral value
+    of an integer setting as an exact ``int`` (``9007199254740993`` keeps
+    every digit, ``9.0`` is 9), anything else as a float.  Text that is not
+    a number raises ValueError."""
+    if name in _SETTINGS and _SETTINGS[name].kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            value = float(text)
+            return int(value) if value.is_integer() else value
+    return float(text)
 
 
 def with_param(scenario: Scenario, name: str, value: float) -> Scenario:

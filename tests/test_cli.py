@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hetnet_rrm
 from hetnet_rrm import cli, netopt, rrm
 from hetnet_rrm.cli import (
     _RUNNERS,
@@ -89,7 +88,7 @@ def test_argument_errors_exit_config_not_the_superframe_limit_code(argv, message
 
 
 def test_argument_error_is_the_process_exit_code_and_help_stays_ok():
-    src = str(Path(hetnet_rrm.__file__).resolve().parent.parent)
+    src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = [sys.executable, "-m", "hetnet_rrm.cli"]
     done = subprocess.run(run + ["run", "--seed", "abc"], capture_output=True, text=True, env=env)
@@ -110,13 +109,6 @@ def test_unknown_log_level_exits_config(level, tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     monkeypatch.setenv("HETNET_RRM_LOG", "debug")  # a level name in any case
     assert main(["validate", "--scenario", scenario_file(tmp_path)]) == EXIT_OK
-
-
-def test_every_package_export_resolves():
-    exports = hetnet_rrm.__all__
-    assert len(set(exports)) == len(exports)
-    assert [name for name in exports if not hasattr(hetnet_rrm, name)] == []
-    assert "fbc_graph" in exports and not {"run_fbc", "run_proposed"} & set(exports)
 
 
 def test_run_converged_trace_exit_zero(tmp_path):
@@ -295,11 +287,15 @@ def test_a_failed_run_leaves_an_existing_out_alone(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "key, value",
-    [("control_lead_subframes", "2"), ("utility", "alpha_fair"), ("share_gap_tol", "1e-5")],
-    ids=["control_lead_subframes", "utility", "share_gap_tol"],
+    [
+        ("control_lead_subframes", "2"), ("utility", "alpha_fair"), ("share_gap_tol", "1e-5"),
+        ("q_prune", "1e-12"), ("max_members", "64"),
+    ],
+    ids=["control_lead_subframes", "utility", "share_gap_tol", "q_prune", "max_members"],
 )
 def test_deleted_run_key_exits_config(tmp_path, capsys, key, value):
-    # These keys set nothing a run reads; a file that still carries one is refused.
+    # These keys set nothing a run reads, or are fixed constants now
+    # (rrm.Q_PRUNE, rrm.MAX_MEMBERS); a file that still carries one is refused.
     demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
     text = demo.replace("max_superframes = 40", f"max_superframes = 40\n{key} = {value}", 1)
     src = scenario_file(tmp_path, text, "old.scenario")
@@ -385,14 +381,12 @@ def test_non_finite_record_numbers_exit_config(tmp_path, capsys, raw, line, old,
         (43, "gap_converge_rel = 1e-6", "gap_converge_rel = -1.0", "'gap_converge_rel' must be >= 0, got '-1.0'"),
         (34, "macro_radius_m = 150.0", "macro_radius_m = -150", "'macro_radius_m' must be >= 0, got '-150'"),
         (35, "pico_radius_m = 100.0", "pico_radius_m = -1e-9", "'pico_radius_m' must be >= 0, got '-1e-9'"),
-        (44, "alpha = 1.0", "q_prune = 2\nalpha = 1.0", "'q_prune' must lie in [0, 1), got '2'"),
-        (44, "alpha = 1.0", "max_members = 1\nalpha = 1.0", "'max_members' must be >= 2, got 1"),
         (44, "alpha = 1.0", "alpha = -1", "'alpha' must be > 0, got '-1'"),
         (45, "utility_epsilon = 0.001", "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
     ],
     ids=[
         "p_macro", "p_pico", "noise_low", "noise_high", "power", "epsilon", "epsilon_zero", "gap_rel",
-        "macro_radius", "pico_radius", "q_prune", "max_members", "alpha", "utility_epsilon",
+        "macro_radius", "pico_radius", "alpha", "utility_epsilon",
     ],
 )
 def test_out_of_range_numbers_exit_config(tmp_path, capsys, line, old, new, message):
@@ -579,7 +573,7 @@ def test_sweep_cell_at_superframe_limit_warns_why(tmp_path, caplog):
     )
     assert code == EXIT_MAX_ITERS
     assert _messages(caplog, "hetnet_rrm", logging.WARNING) == [
-        "sweep max_superframes=1.0 mode=proposed stopped at the superframe limit: "
+        "sweep max_superframes=1 mode=proposed stopped at the superframe limit: "
         "1 superframe(s) ran; the utility step test needs two"
     ]
 
@@ -618,6 +612,29 @@ def test_stop_reason_names_the_failed_test_and_its_margin(tmp_path, caplog, monk
     assert " + gap_converge_rel slack " in warning and warning.endswith(")")
     by = float(warning.rsplit("(by ", 1)[1][:-1])
     assert 0.99 < by <= 1.0
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_sweep_runs_an_integer_value_with_every_digit(seed, tmp_path, caplog, monkeypatch):
+    """A seed past 2^53 is not rounded through a float: the cell runs with
+    the seed given, and the report and the WARNING name it as given."""
+    demo = str(resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario"))
+    seeds = []
+
+    def recorded(scenario, mode, seed):  # one superframe, so the cell warns
+        seeds.append((scenario.seed, seed))
+        one = dataclasses.replace(scenario.rrm, max_superframes=1)
+        return run_experiment(dataclasses.replace(scenario, rrm=one), mode, seed)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    out = tmp_path / "sweep.report"
+    argv = ["sweep", "--scenario", demo, "--param", "seed", "--values", str(seed), "--modes", "proposed"]
+    assert main([*argv, "--out", str(out)]) == EXIT_MAX_ITERS
+    assert seeds == [(seed, seed)]
+    rows = [l.split() for l in out.read_text(encoding="utf-8").splitlines()[4:] if l]
+    assert [(r[0], r[1]) for r in rows] == [(str(seed), "proposed")]
+    (warning,) = _messages(caplog, "hetnet_rrm", logging.WARNING)
+    assert warning.startswith(f"sweep seed={seed} mode=proposed stopped at the superframe limit: ")
 
 
 def test_sweep_argument_validation(tmp_path, capsys):

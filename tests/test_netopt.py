@@ -261,10 +261,9 @@ def test_duration_groups_from_labels():
     """Row n sits in group labels[n], in row order, and each of the H groups
     holds 1/H of the time."""
     groups = netopt.duration_groups(np.array([1, 0, 1, 2, 0]))
-    assert [idx.tolist() for idx, _ in groups] == [[1, 4], [0, 2], [3]]
-    assert [total for _, total in groups] == [1.0 / 3.0] * 3
-    [(idx, total)] = netopt.duration_groups(np.zeros(4, dtype=int))
-    assert idx.tolist() == [0, 1, 2, 3] and total == 1.0
+    assert [idx.tolist() for idx in groups] == [[1, 4], [0, 2], [3]]
+    [idx] = netopt.duration_groups(np.zeros(4, dtype=int))
+    assert idx.tolist() == [0, 1, 2, 3]
     for labels in ([], [1, 1], [0, 2, 2]):
         with pytest.raises(ValueError, match="every group 0..H-1"):
             netopt.duration_groups(np.array(labels, dtype=int))
@@ -276,11 +275,10 @@ def test_time_sharing_input_validation():
         optimize_time_sharing(np.ones((2, 3)), g, LOG)
     rows = np.ones((3, 2))
     # the duration groups hold every row exactly once, every group 0..H-1 used
-    half, third = 1.0 / 2.0, 1.0 / 3.0
     for groups in (
-        [(np.array([0]), half), (np.array([1]), half)],
-        [(np.array([0, 3]), third), (np.array([1]), third), (np.array([2]), third)],
-        [(np.array([[0], [1], [2]]), 1.0)],
+        [np.array([0]), np.array([1])],
+        [np.array([0, 3]), np.array([1]), np.array([2])],
+        [np.array([[0], [1], [2]])],
     ):
         with pytest.raises(ValueError, match="every rate row exactly once"):
             optimize_time_sharing(rows, g, LOG, groups=groups)
@@ -305,6 +303,22 @@ def test_time_sharing_input_validation():
             )
             with pytest.raises(ValueError, match="base capacities must be finite"):
                 optimize_time_sharing(rows, wired, LOG)
+
+
+def test_time_sharing_refuses_an_empty_duration_group():
+    """Each of the H groups holds 1/H of the time, so an empty group is a
+    partition the solve cannot honour; it is refused up front."""
+    g = diamond_graph()
+    rows = np.random.default_rng(7).uniform(0.1, 1.0, (2, g.num_links))
+    for groups in (
+        [np.array([0, 1]), np.array([], dtype=int)],
+        [np.array([], dtype=int), np.array([1]), np.array([0])],
+    ):
+        with pytest.raises(ValueError, match="at least one rate row"):
+            optimize_time_sharing(rows, g, LOG, groups=groups)
+    # the same rows in one non-empty group per row solve, each share 1/2
+    shares, _ = optimize_time_sharing(rows, g, LOG, groups=[np.array([0]), np.array([1])])
+    assert shares.tolist() == [0.5, 0.5]
 
 
 def test_time_sharing_certifies_random_vertex_systems():

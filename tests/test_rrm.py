@@ -1,5 +1,6 @@
 import logging
 import re
+import time
 from dataclasses import replace
 from importlib import resources
 
@@ -83,17 +84,13 @@ def test_config_validation():
         RrmConfig(subframes_per_superframe=0)
     with pytest.raises(ValueError):
         RrmConfig(max_superframes=0)
-    with pytest.raises(ValueError):
-        RrmConfig(q_prune=1.0)
-    with pytest.raises(ValueError):
-        RrmConfig(q_prune=-0.1)
-    with pytest.raises(ValueError):
-        RrmConfig(max_members=1)
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="must be positive"):
             RrmConfig(epsilon_converge=bad)
-    with pytest.raises(TypeError):  # the share solve's tolerance is fixed, not a setting
-        RrmConfig(share_gap_tol=1e-5)
+    # the share solve's tolerance and the prune threshold and cap are fixed, not settings
+    for old in ("share_gap_tol", "q_prune", "max_members"):
+        with pytest.raises(TypeError):
+            RrmConfig(**{old: 1})
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="must be non-negative"):
             RrmConfig(gap_converge_rel=bad)
@@ -184,24 +181,26 @@ def test_certificate_fresh_draws_consistency():
     assert again.gap == pytest.approx(result.certificate.gap, abs=1e-12)
 
 
-def test_max_members_cap_is_enforced():
+def test_max_members_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(rrm, "MAX_MEMBERS", 2)
     model = det_model(random_instance(47))
-    config = fast_config(max_members=2, max_superframes=6)
+    config = fast_config(max_superframes=6)
     result = run_to_convergence(model, config)
     assert result.state.member_index.size <= 2
     assert all(rec.n_members <= 2 for rec in result.records)
 
 
-def test_a_binding_max_members_cap_warns(caplog):
+def test_a_binding_max_members_cap_warns(caplog, monkeypatch):
     """multicell_graph needs more than two members: a cap of two cuts members
-    the share solve gave a share above q_prune, and the run says so once per
+    the share solve gave a share above Q_PRUNE, and the run says so once per
     superframe it happens.  The default cap never binds there."""
     model = det_model(multicell_graph())
-    with caplog.at_level(logging.WARNING, logger="hetnet_rrm.rrm"):
-        result = run_to_convergence(model, fast_config(max_members=2))
+    with monkeypatch.context() as patch, caplog.at_level(logging.WARNING, logger="hetnet_rrm.rrm"):
+        patch.setattr(rrm, "MAX_MEMBERS", 2)
+        result = run_to_convergence(model, fast_config())
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert not result.converged and warned
-    assert all(re.fullmatch(r"superframe \d+: max_members = 2 cut a member of share \S+", w) for w in warned)
+    assert all(re.fullmatch(r"superframe \d+: MAX_MEMBERS = 2 cut a member of share \S+", w) for w in warned)
     assert len({w.split(":")[0] for w in warned}) == len(warned)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="hetnet_rrm.rrm"):
@@ -209,26 +208,43 @@ def test_a_binding_max_members_cap_warns(caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
-def test_max_members_caps_each_duration_group():
+def test_max_members_caps_each_duration_group(monkeypatch):
     # fddsa on the relay grid: J = 3 patterns, each its own group of 1/3.
     # A cap of two applies per group, so every pattern keeps its incumbent
     # and its newcomer and the ascent stays monotone.
+    monkeypatch.setattr(rrm, "MAX_MEMBERS", 2)
     model = det_model(relay_grid_graph())
-    config = fast_config(max_members=2, fixed_pattern_durations=True)
+    config = fast_config(fixed_pattern_durations=True)
     result = run_fddsa(model, config)
     assert len(result.state.patterns) == 3
     assert result.converged
     assert np.all(np.diff(result.utilities) >= -1e-9)
     for record in result.records:
         assert 3 <= record.n_members <= 6
-    # q_prune is a fraction of the group total; pruning every member of a
+    # Q_PRUNE is a fraction of the group total; pruning every member of a
     # group still keeps its largest, so no pattern loses its 1/3.
+    monkeypatch.setattr(rrm, "Q_PRUNE", 0.99)
     state = initial_state(model, fixed_pattern_durations=True)
-    config = replace(config, q_prune=0.99)
     for _ in range(4):
         state, record = run_superframe(model, state, config, block_pass(model, state, config))
         assert sorted(state.member_index.tolist()) == [0, 1, 2]
         assert np.allclose(state.shares, 1.0 / 3.0, rtol=0.0, atol=1e-12)
+
+
+def test_wall_ms_counts_the_block_pass(monkeypatch):
+    """Each superframe is timed from the start of its block pass, so a slow
+    pass shows in every record's wall_ms."""
+    delay_s, slow = 0.02, rrm.block_pass
+
+    def slowed(*args, **kwargs):
+        block = slow(*args, **kwargs)
+        time.sleep(delay_s)
+        return block
+
+    monkeypatch.setattr(rrm, "block_pass", slowed)
+    result = run_to_convergence(det_model(diamond_graph()), fast_config())
+    assert len(result.records) >= 2
+    assert all(record.wall_ms >= 1e3 * delay_s for record in result.records)
 
 
 def test_budget_exhaustion_reports_not_converged():

@@ -265,14 +265,14 @@ def test_float_ranges_hold_their_edges_and_nothing_past_them():
     radio, run = "deterministic = true", "seed = 3"
     edges = {
         radio: "p_pico_dbm = 300\nnoise_dbm = -300\nmacro_radius_m = 0\npico_radius_m = 0",
-        run: "gap_converge_rel = 0\nq_prune = 0\nmax_members = 2",
+        run: "gap_converge_rel = 0",
     }
     text = BASE
     for anchor, lines in edges.items():
         text = text.replace(anchor, f"{anchor}\n{lines}")
     s = parse_scenario(text)
     assert (s.p_pico_dbm, s.noise_dbm, s.rrm.gap_converge_rel) == (300.0, -300.0, 0.0)
-    assert (s.macro_radius_m, s.pico_radius_m, s.rrm.q_prune, s.rrm.max_members) == (0.0, 0.0, 0.0, 2)
+    assert (s.macro_radius_m, s.pico_radius_m) == (0.0, 0.0)
     assert parse_scenario(BASE.replace("1 pico 300.0 0.0", "1 pico 300.0 0.0 -300")).power_overrides == {1: -300.0}
     assert with_param(s, "p_macro_dbm", -300.0).p_macro_dbm == -300.0
     for anchor, line, message in [
@@ -280,8 +280,6 @@ def test_float_ranges_hold_their_edges_and_nothing_past_them():
         (run, "epsilon_converge = -0.0", "'epsilon_converge' must be > 0, got '-0.0'"),
         (run, "gap_converge_rel = -1e-300", "'gap_converge_rel' must be >= 0, got '-1e-300'"),
         (radio, "macro_radius_m = -150.0", "'macro_radius_m' must be >= 0, got '-150.0'"),
-        (run, "q_prune = 1.0", "'q_prune' must lie in [0, 1), got '1.0'"),
-        (run, "max_members = 1", "'max_members' must be >= 2, got 1"),
         (run, "alpha = 0", "'alpha' must be > 0, got '0'"),
         (run, "utility_epsilon = 0", "'utility_epsilon' must be > 0, got '0'"),
     ]:
@@ -291,7 +289,7 @@ def test_float_ranges_hold_their_edges_and_nothing_past_them():
         assert err.value.errors == [f"r.scenario:{text.splitlines().index(line) + 1}: {message}"]
     # The rules RrmConfig and UtilitySpec also check: each bad value is reported
     # at its own line, all four at once.
-    bad = ["q_prune = 2", "max_members = 1", "alpha = -1", "utility_epsilon = 0"]
+    bad = ["max_superframes = 0", "epsilon_converge = 0", "alpha = -1", "utility_epsilon = 0"]
     text = BASE.replace(run, "\n".join([run, *bad]))
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text, path="r.scenario")
@@ -431,10 +429,8 @@ def test_every_setting_survives_dump_and_parse():
         "deterministic": "true", "macro_radius_m": "500.0", "pico_radius_m": "120.0",
         "macro_macro": "1.5 -21.0 2.5", "bs_bs": "1.8 -17.5 3.25", "bs_user": "2.0 -15.0 4.5",
         "seed": "12", "mode": "fddsa", "subframes_per_superframe": "80",
-        "max_superframes": "9", "epsilon_converge": "2e-05",
-        "gap_converge_rel": "0.001", "q_prune": "0.25", "max_members": "7",
-        "alpha": "2.5",
-        "utility_epsilon": "0.01",
+        "max_superframes": "9", "epsilon_converge": "2e-05", "gap_converge_rel": "0.001",
+        "alpha": "2.5", "utility_epsilon": "0.01",
     }
     assert list(values) == list(_SETTINGS)
     blocks = {"radio": "", "pathloss": "", "run": ""}
