@@ -8,13 +8,13 @@ argument error, a sub-command's too, with the usage line; a
 ``--scenario`` path that is missing, a directory or not UTF-8, an ``--out``
 path that cannot be written, and fbc on a network whose unwired pico has no
 macro to wire it from; an ``--out`` naming no file or in a missing directory
-and such an fbc are refused before any run), 4 oracle size caps exceeded, 5 the
-flow solver failed (``NetOptError``) or a flow has too many simple paths to
-enumerate (``PathExplosionError``).  A run or sweep cell that stops at the
-superframe limit logs one WARNING line naming the convergence test it failed
-and by how much (:func:`rrm.stop_reason`).  Log verbosity
-comes from the ``HETNET_RRM_LOG`` environment variable (a standard logging
-level name); everything else is flags and files.
+and such an fbc are refused before any run, the fbc by validate too), 4 oracle
+size caps exceeded, 5 the flow solver failed (``NetOptError``) or a flow has
+too many simple paths to enumerate (``PathExplosionError``).  A run or sweep
+cell that stops at the superframe limit logs one WARNING line naming the
+convergence test it failed and by how much (:func:`rrm.stop_reason`).  Log
+verbosity comes from the ``HETNET_RRM_LOG`` environment variable (a standard
+logging level name); everything else is flags and files.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    _refuse_early(scenario, (scenario.mode,), None)
     graph = scenario.graph
     sys.stdout.write(
         f"ok: {graph.num_nodes} nodes, {graph.num_links} links, "

@@ -33,6 +33,7 @@ from .topology import TopologyGraph
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
 FLOW_TOL = 1e-6  # KKT residual a flow solve must reach
+MAX_NEWTON_ITERS = 300  # Newton steps an interior point takes before it banks or fails
 
 # LAPACK Cholesky factor-and-solve, and solve with a kept factor, in double
 # precision (see _interior_point).
@@ -76,7 +77,7 @@ class UtilitySpec:
         return (d + self.epsilon) ** (1.0 - self.alpha) / (1.0 - self.alpha)
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
-        return self.derivatives(d)[0]
+        return (np.asarray(d, dtype=float) + self.epsilon) ** (-self.alpha)
 
     def derivatives(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient ``(d + eps)^(-alpha)`` and negative second derivative
@@ -197,17 +198,16 @@ def _interior_point(
     ineq_rhs: np.ndarray,
     utility: UtilitySpec,
     mu_floor: float,
-    max_iters: int = 300,
 ) -> _InteriorPointResult:
     """Minimize ``-sum U(flow_matrix @ v)`` s.t. ``ineq_matrix @ v <= rhs, v >= 0``.
 
     Infeasible-start primal-dual Newton iteration; returns the primal point,
     the inequality multipliers, the complementarity and the scaled residual,
     plus the number of Newton steps taken and whether the point is a banked
-    iterate (returned after a breakdown or after ``max_iters``) rather than
-    one that reached ``mu_floor``.  Multipliers converge as independent
-    variables, so prices stay accurate even when slacks shrink to ~1e-12.
-    The start is centered (``lam = mu0/s``, ``z = mu0/v``) so no
+    iterate (returned after a breakdown or after :data:`MAX_NEWTON_ITERS`
+    steps) rather than one that reached ``mu_floor``.  Multipliers converge
+    as independent variables, so prices stay accurate even when slacks shrink
+    to ~1e-12.  The start is centered (``lam = mu0/s``, ``z = mu0/v``) so no
     complementarity pair begins orders of magnitude off the central path.
 
     Every column of ``flow_matrix`` holds a single 1 (a path's flow) or no
@@ -246,7 +246,7 @@ def _interior_point(
     result counts these steps.  The step is sensitive to rounding: forming
     ``H_obj dv`` as ``F^T (c * (F dv))``, or skipping the step when the
     residual test already passes, is equal in exact arithmetic but left a
-    ``fig7_like`` share solve to run to ``max_iters``.
+    ``fig7_like`` share solve to run to :data:`MAX_NEWTON_ITERS`.
 
     The iteration is bound by per-call overhead, not arithmetic, so each
     step works in preallocated buffers, the refinement's included: the
@@ -313,7 +313,7 @@ def _interior_point(
         return _InteriorPointResult(*banked, iters, True, refinements)
 
     with np.errstate(all="ignore"):
-        for it in range(max_iters):
+        for it in range(MAX_NEWTON_ITERS):
             d = flow_matrix @ v
             gradient, curvature = utility.derivatives(d)
             np.matmul(neg_flow_t, gradient, out=grad_obj)
@@ -383,7 +383,7 @@ def _interior_point(
             x += alpha_p * dx
             y += alpha_d * dy
 
-    return breakdown(f"interior point did not converge in {max_iters} iterations", max_iters)
+    return breakdown(f"interior point did not converge in {MAX_NEWTON_ITERS} iterations", MAX_NEWTON_ITERS)
 
 
 def _starved_link_prices(
@@ -442,7 +442,8 @@ def _solve_joint(
     flow problem alone can split prices across tied constraints in a way that
     wrecks the gap certificate.  The program sets the complementarity floor,
     ``1e-12 * max(1, max rhs)`` capped at ``FLOW_TOL * 1e-4`` without free
-    shares; a KKT residual above :data:`FLOW_TOL` raises :class:`NetOptError`.
+    shares; a KKT residual above :data:`FLOW_TOL` (NaN included) or a utility
+    or price that is not finite raises :class:`NetOptError`.
     """
     problem = _path_problem(graph)
     total = 1.0 / len(groups)
@@ -501,12 +502,22 @@ def _solve_joint(
         kkt, complementarity = ip.residual, ip.complementarity
         newton_iters, banked, refinements = ip.newton_iters, ip.banked, ip.refinements
 
-    value = utility.total(rates)
-    kkt = max(kkt, complementarity / max(1.0, abs(value)))
-    if kkt > FLOW_TOL:
-        raise NetOptError(f"flow solver residual {kkt:.2e} exceeds tolerance {FLOW_TOL:.2e}")
-    if np.any(dead):
-        _starved_link_prices(problem, dead, prices, utility.gradient(rates))
+    with np.errstate(all="ignore"):  # overflow is tested for explicitly
+        value = utility.total(rates)
+        if np.any(dead):
+            _starved_link_prices(problem, dead, prices, utility.gradient(rates))
+        if not (math.isfinite(value) and _all(_isfinite(prices))):
+            k = int(np.argmin(rates))  # the largest marginal utility
+            raise NetOptError(
+                f"flow {k}'s marginal utility ({float(rates[k])!r} + {utility.epsilon!r}) ** -{utility.alpha!r}"
+                f" = {float(utility.gradient(rates[k]))!r} overflows: the utility or a capacity price is not finite"
+            )
+    comp = complementarity / max(1.0, abs(value))
+    if not (kkt <= FLOW_TOL and comp <= FLOW_TOL):
+        raise NetOptError(
+            f"flow solver residual {kkt:.2e} or complementarity {comp:.2e} exceeds tolerance {FLOW_TOL:.2e}"
+        )
+    kkt = max(kkt, comp)
     return shares, FlowSolution(
         rates=rates,
         link_flows=link_flows,
@@ -524,10 +535,11 @@ def solve_p1(graph: TopologyGraph, capacities: np.ndarray, utility: UtilitySpec)
 
     Returns per-flow rates, per-link flow splits, and capacity prices; the
     price vector is the gradient of the optimal utility in the capacities.
-    A KKT residual above :data:`FLOW_TOL` raises :class:`NetOptError`.
-    Paths through starved (near-zero capacity) links are removed from the
-    optimization, and those links get their marginal price patched in
-    afterwards so they stay visible to capacity allocation.
+    A KKT residual above :data:`FLOW_TOL`, or a marginal utility that
+    overflows, raises :class:`NetOptError`.  Paths through starved (near-zero
+    capacity) links are removed from the optimization, and those links get
+    their marginal price patched in afterwards so they stay visible to
+    capacity allocation.
     """
     capacities = np.asarray(capacities, dtype=float)
     if capacities.shape != (graph.num_links,):

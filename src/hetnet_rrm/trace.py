@@ -1,4 +1,5 @@
-"""Run traces: the line-oriented record of one experiment run.
+"""Run traces: the line-oriented record of one experiment run.  The package
+writes them (:func:`format_trace`); only the tests read them back (``tests/trace_reader.py``).
 
 A trace (header ``hetnet-trace v1``) carries a verbatim echo of the scenario
 that produced it (every config line prefixed with ``> `` so the echo cannot
@@ -12,36 +13,12 @@ reruns of the same scenario and seed are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .rrm import RrmResult
 from .scenario import Scenario, dump_scenario
 
 TRACE_HEADER = "hetnet-trace v1"
 BITS_PER_NAT = 1.0 / math.log(2.0)
-
-
-@dataclass(frozen=True)
-class IterationRow:
-    index: int
-    utility: float
-    members: int
-    shares: tuple[float, ...]
-    flow_rates_bits: tuple[float, ...]
-    served_rates_bits: tuple[float, ...]
-    wall_ms: float
-
-
-@dataclass(frozen=True)
-class TraceData:
-    config_text: str
-    meta: dict[str, str]
-    iterations: list[IterationRow]
-    summary: dict[str, str]
-
-    @property
-    def utilities(self) -> list[float]:
-        return [row.utility for row in self.iterations]
 
 
 def _fmt(value: float) -> str:
@@ -95,71 +72,3 @@ def format_trace(scenario: Scenario, mode: str, seed: int, result: RrmResult) ->
         "",
     ]
     return "\n".join(out)
-
-
-def write_trace(path: str, scenario: Scenario, mode: str, seed: int, result: RrmResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_trace(scenario, mode, seed, result))
-
-
-def _parse_vec(token: str) -> tuple[float, ...]:
-    if token == "-":
-        return ()
-    return tuple(float(part) for part in token.split(","))
-
-
-def parse_trace(text: str) -> TraceData:
-    """Read a trace back; raises ``ValueError`` on schema problems."""
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"not a trace file: expected header '{TRACE_HEADER}'")
-    config: list[str] = []
-    meta: dict[str, str] = {}
-    iterations: list[IterationRow] = []
-    summary: dict[str, str] = {}
-    section = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if section == "config" and (raw.startswith("> ") or raw == ">"):
-            config.append(raw[2:])
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section not in ("config", "meta", "iterations", "summary"):
-                raise ValueError(f"line {lineno}: unknown trace section [{section}]")
-            continue
-        if section in ("meta", "summary"):
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value', got '{line}'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            (meta if section == "meta" else summary)[key] = value
-        elif section == "iterations":
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValueError(f"line {lineno}: iteration row needs 7 fields, got {len(parts)}")
-            iterations.append(
-                IterationRow(
-                    index=int(parts[0]),
-                    utility=float(parts[1]),
-                    members=int(parts[2]),
-                    shares=_parse_vec(parts[3]),
-                    flow_rates_bits=_parse_vec(parts[4]),
-                    served_rates_bits=_parse_vec(parts[5]),
-                    wall_ms=float(parts[6]),
-                )
-            )
-        else:
-            raise ValueError(f"line {lineno}: content outside any section: '{line}'")
-    return TraceData(
-        config_text="\n".join(config),
-        meta=meta,
-        iterations=iterations,
-        summary=summary,
-    )
-
-
-def read_trace(path: str) -> TraceData:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle.read())

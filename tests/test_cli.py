@@ -24,9 +24,8 @@ from hetnet_rrm.cli import (
 )
 from hetnet_rrm.rrm import RrmConfig, run_to_convergence
 from hetnet_rrm.scenario import MAX_BLOCK_ENTRIES, MODES, parse_scenario
-from hetnet_rrm.trace import parse_trace
-
 from conftest import det_model, diamond_graph
+from trace_reader import parse_trace
 
 TWO_USER_DET = """\
 hetnet-scenario v1
@@ -324,6 +323,17 @@ def test_fbc_without_a_macro_exits_config(tmp_path, capsys, monkeypatch):
         assert captured.err == "error: fbc cannot wire pico 1: the network has no macro node\n"
 
 
+def test_validate_refuses_an_fbc_file_that_run_refuses(tmp_path, capsys):
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    text = demo.replace("\n0   macro ", "\n0   pico  ").replace("mode = proposed", "mode = fbc")
+    src = scenario_file(tmp_path, text, "no_macro_fbc.scenario")
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fbc cannot wire pico 1: the network has no macro node\n"
+
+
 def test_bad_scenario_reports_each_line_and_exits_config(tmp_path, capsys):
     text = TWO_USER_DET.replace("seed = 5", "seed = 5\nmode = psychic\nwarp = 1")
     src = scenario_file(tmp_path, text, "bad.scenario")
@@ -493,6 +503,20 @@ def test_flow_solver_failure_exits_solver(tmp_path, capsys, monkeypatch):
     assert main(["run", "--scenario", src]) == EXIT_SOLVER
     captured = capsys.readouterr()
     assert captured.err == "error: interior-point Newton system not positive definite\n"
+    assert captured.out == ""
+
+
+def test_overflowing_starved_flow_price_exits_solver(tmp_path, capsys):
+    # The first superframe starves flow 0, priced at utility_epsilon ** -alpha,
+    # which overflows at alpha = 150: a solver error naming it, with no warning.
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    src = scenario_file(tmp_path, demo.replace("alpha = 1.0", "alpha = 150"), "steep.scenario")
+    assert main(["run", "--scenario", src]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: flow 0's marginal utility (0.0 + 0.001) ** -150.0 = inf overflows: "
+        "the utility or a capacity price is not finite\n"
+    )
     assert captured.out == ""
 
 

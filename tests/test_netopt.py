@@ -370,6 +370,30 @@ def test_share_solve_above_the_kkt_bound_raises(monkeypatch):
         optimize_time_sharing(rows, g, LOG)
 
 
+@pytest.mark.parametrize("field", ["residual", "complementarity"])
+def test_a_nan_kkt_measure_raises(monkeypatch, field):
+    # NaN compares false with everything, so it cannot pass as within tolerance.
+    g = _conflict_pair_graph()
+    solve = netopt._interior_point
+    monkeypatch.setattr(netopt, "_interior_point", lambda *args: solve(*args)._replace(**{field: np.nan}))
+    with pytest.raises(NetOptError, match=f"{field} nan.* exceeds tolerance"):
+        solve_p1(g, np.ones(g.num_links), LOG)
+
+
+def test_overflowing_marginal_utility_raises_naming_it():
+    # (0.5 + eps) ** -1e300 overflows: the utility is -inf and the interior
+    # point banks a NaN residual; neither may pass as a solve, nor warn.
+    g = diamond_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetOptError) as raised:
+            solve_p1(g, np.ones(g.num_links), UtilitySpec(alpha=1e300))
+    assert str(raised.value) == (
+        "flow 0's marginal utility (0.5 + 0.001) ** -1e+300 = inf overflows: "
+        "the utility or a capacity price is not finite"
+    )
+
+
 def test_one_row_groups_take_the_joint_path_with_flow_solve_bits(monkeypatch):
     """A one-row program and J one-row groups (fddsa's first superframe) are
     solved by the joint path, never by ``solve_p1``, yet return its bits for
@@ -457,17 +481,19 @@ def _relay_grid_program():
     return problem.flow_matrix, problem.link_matrix, caps
 
 
-def test_interior_point_raises_when_out_of_iterations():
+def test_interior_point_raises_when_out_of_iterations(monkeypatch):
     flow_matrix, link_matrix, caps = _relay_grid_program()
-    with pytest.raises(NetOptError, match="did not converge"):
-        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, max_iters=1)
+    monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 1)
+    with pytest.raises(NetOptError, match="did not converge in 1 iterations"):
+        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
 
 
-def test_interior_point_returns_banked_iterate_below_reachable_floor():
-    # mu never reaches 0, so the run ends in breakdown or at max_iters; both
-    # must hand back the last iterate that passed the residual tests.
+def test_interior_point_returns_banked_iterate_below_reachable_floor(monkeypatch):
+    # mu never reaches 0, so the run ends in breakdown or at MAX_NEWTON_ITERS;
+    # both must hand back the last iterate that passed the residual tests.
     flow_matrix, link_matrix, caps = _relay_grid_program()
-    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 0.0, max_iters=120)
+    monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 120)
+    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 0.0)
     assert ip.banked
     assert 0 < ip.newton_iters <= 120
     assert ip.residual <= 1e-9
@@ -626,10 +652,7 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     assert all(np.any(args[0].sum(axis=0) == 0.0) for args in calls[n_runs:n_oracle])
     assert len(calls) >= n_oracle + 6
     flow_matrix, link_matrix, caps = _relay_grid_program()
-    calls += [
-        (flow_matrix, link_matrix, caps, LOG, 0.0),  # banked
-        (flow_matrix, link_matrix, caps, LOG, 1e-12, 1),  # out of iterations
-    ]
+    calls.append((flow_matrix, link_matrix, caps, LOG, 0.0))  # banked
     outcomes = []
     for args in calls:
         with np.errstate(all="ignore"):
@@ -637,6 +660,12 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
         assert _outcome(netopt._interior_point, args) == outcomes[-1]
     banked = [not isinstance(o, str) and o[-1] for o in outcomes]
     assert sum(banked) >= 3 and sum(banked[n_runs:n_oracle]) >= 2
+    # Out of iterations: the reference takes its cap as an argument.
+    args = (flow_matrix, link_matrix, caps, LOG, 1e-12)
+    monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 1)
+    out_of_iters = _outcome(unstacked_interior_point, (*args, 1))
+    assert out_of_iters == "interior point did not converge in 1 iterations"
+    assert _outcome(netopt._interior_point, args) == out_of_iters
 
 
 @pytest.mark.parametrize("seed", [1748, 2060])

@@ -5,13 +5,9 @@ import pytest
 
 from hetnet_rrm.rrm import run_to_convergence
 from hetnet_rrm.scenario import dump_scenario, parse_scenario
-from hetnet_rrm.trace import (
-    BITS_PER_NAT,
-    format_trace,
-    parse_trace,
-    read_trace,
-    write_trace,
-)
+from hetnet_rrm.trace import BITS_PER_NAT, format_trace
+
+from trace_reader import parse_trace
 
 SCENARIO = """\
 hetnet-scenario v1
@@ -73,7 +69,9 @@ def test_trace_roundtrip_preserves_everything():
         assert np.asarray(row.served_rates_bits) == pytest.approx(
             rec.served_rates * BITS_PER_NAT, abs=1e-9
         )
-    assert data.utilities == pytest.approx([r.utility for r in result.records])
+    assert [row.utility for row in data.iterations] == pytest.approx(
+        [r.utility for r in result.records]
+    )
 
 
 def test_rates_are_written_in_bits():
@@ -115,42 +113,12 @@ def test_config_echo_reproduces_the_scenario():
     assert len(config_lines) == len(dump_scenario(scenario).splitlines())
 
 
-def test_trace_write_read_files(tmp_path):
-    scenario, result = _run()
-    path = tmp_path / "run.trace"
-    write_trace(str(path), scenario, "proposed", scenario.seed, result)
-    data = read_trace(str(path))
-    assert data.summary["utility"] == repr(float(result.utility))
-
-
-def test_parse_trace_rejects_schema_problems():
-    scenario, result = _run()
-    good = format_trace(scenario, "proposed", 5, result)
-
-    with pytest.raises(ValueError, match="expected header"):
-        parse_trace("not-a-trace\n")
-    with pytest.raises(ValueError, match="unknown trace section"):
-        parse_trace(good + "\n[extras]\nx = 1\n")
-    with pytest.raises(ValueError, match="content outside any section"):
-        parse_trace(TRACE_TEXT_OUTSIDE)
-    with pytest.raises(ValueError, match="needs 7 fields"):
-        bad_row = good.replace("\n0 ", "\n0 0 ", 1)
-        parse_trace(bad_row)
-    with pytest.raises(ValueError, match="key = value"):
-        parse_trace(good.replace("converged = ", "converged ", 1))
-
-
-TRACE_TEXT_OUTSIDE = """\
-hetnet-trace v1
-stray content
-[meta]
-mode = proposed
-"""
-
-
 def test_empty_vectors_roundtrip_as_dash():
-    row = "0 1.0 1 - - - 0.0"
-    text = "\n".join(["hetnet-trace v1", "[iterations]", row, ""])
-    data = parse_trace(text)
-    assert data.iterations[0].shares == ()
-    assert data.iterations[0].flow_rates_bits == ()
+    # A network with an empty [flows] runs, at utility 0.0, and writes no flow rate.
+    scenario, result = _run(SCENARIO.replace("[flows]\n0 0 1\n1 0 2\n", "[flows]\n"))
+    assert scenario.graph.num_flows == 0 and result.converged and result.utility == 0.0
+    trace = format_trace(scenario, "proposed", scenario.seed, result)
+    rows = trace.split("[iterations]\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    assert len(rows) == len(result.records)
+    assert all(row.split()[4] == "-" for row in rows)
+    assert all(row.flow_rates_bits == () for row in parse_trace(trace).iterations)
