@@ -10,7 +10,8 @@ path that cannot be written, and fbc on a network whose unwired pico has no
 macro to wire it from; an ``--out`` naming no file or in a missing directory
 and such an fbc are refused before any run, the fbc by validate too), 4 oracle
 size caps exceeded, 5 the flow solver failed (``NetOptError``) or a flow has
-too many simple paths to enumerate (``PathExplosionError``).  A run or sweep
+too many simple paths to enumerate (``PathExplosionError``, which validate
+checks too, on the network the scenario's mode runs on).  A run or sweep
 cell that stops at the superframe limit logs one WARNING line naming the
 convergence test it failed and by how much (:func:`rrm.stop_reason`).  Log
 verbosity comes from the ``HETNET_RRM_LOG`` environment variable (a standard
@@ -27,7 +28,7 @@ from dataclasses import replace
 
 from .baselines import augment_with_wired_backhaul, fbc_graph, run_fddsa, run_ttrsc
 from .channel import ChannelModel
-from .netopt import NetOptError, PathExplosionError
+from .netopt import NetOptError, PathExplosionError, check_path_sets
 from .oracle import OracleScaleError, oracle_solve
 from .rrm import RrmResult, run_to_convergence, stop_reason
 from .scenario import MODES, Scenario, ScenarioError, load_scenario, sweep_value, with_param
@@ -128,6 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     _refuse_early(scenario, (scenario.mode,), None)
     graph = scenario.graph
+    check_path_sets(fbc_graph(scenario.channel_model()) if scenario.mode == "fbc" else graph)
     sys.stdout.write(
         f"ok: {graph.num_nodes} nodes, {graph.num_links} links, "
         f"{graph.num_flows} flows, {scenario.subbands} subbands\n"

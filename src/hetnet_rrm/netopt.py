@@ -182,6 +182,23 @@ def _path_problem(graph: TopologyGraph) -> _PathProblem:
     return problem
 
 
+def check_path_sets(graph: TopologyGraph) -> None:
+    """Enumerate every flow's simple paths on ``graph`` as its first solve
+    does: :class:`PathExplosionError` when a flow has more than
+    :data:`MAX_PATHS_PER_FLOW`."""
+    _path_problem(graph)
+
+
+def _overflow_message(rates: np.ndarray, utility: UtilitySpec) -> str:
+    """Names the flow with the largest marginal utility (the lowest rate),
+    whose overflow makes the utility or a price not finite."""
+    k = int(np.argmin(rates))
+    return (
+        f"flow {k}'s marginal utility ({float(rates[k])!r} + {utility.epsilon!r}) ** -{utility.alpha!r}"
+        f" = {float(utility.gradient(rates[k]))!r} overflows: the utility or a capacity price is not finite"
+    )
+
+
 class _InteriorPointResult(NamedTuple):
     v: np.ndarray
     multipliers: np.ndarray
@@ -201,60 +218,93 @@ def _interior_point(
 ) -> _InteriorPointResult:
     """Minimize ``-sum U(flow_matrix @ v)`` s.t. ``ineq_matrix @ v <= rhs, v >= 0``.
 
-    Infeasible-start primal-dual Newton iteration; returns the primal point,
-    the inequality multipliers, the complementarity and the scaled residual,
-    plus the number of Newton steps taken and whether the point is a banked
-    iterate (returned after a breakdown or after :data:`MAX_NEWTON_ITERS`
-    steps) rather than one that reached ``mu_floor``.  Multipliers converge
-    as independent variables, so prices stay accurate even when slacks shrink
-    to ~1e-12.  The start is centered (``lam = mu0/s``, ``z = mu0/v``) so no
-    complementarity pair begins orders of magnitude off the central path.
+    Infeasible-start primal-dual interior point with Mehrotra's
+    predictor-corrector step (Mehrotra, SIAM J. Optim., 1992; Wright,
+    *Primal-Dual Interior-Point Methods*, 1997, ch. 10).  Returns the primal
+    point, the inequality multipliers, the complementarity and the scaled
+    residual, plus the number of Newton steps taken and whether the point is
+    a banked iterate (returned after a breakdown or after
+    :data:`MAX_NEWTON_ITERS` steps) rather than one that reached
+    ``mu_floor``.  Multipliers converge as independent variables, so prices
+    stay accurate even when slacks shrink to ~1e-12.  The start is centered
+    (``lam = mu0/s``, ``z = mu0/v``) so no complementarity pair begins orders
+    of magnitude off the central path.
 
     Every column of ``flow_matrix`` holds a single 1 (a path's flow) or no
     nonzero (a share); anything else raises ValueError.  The flow part of the
     Hessian, ``F^T diag(c) F``, is therefore ``c[k]`` wherever two columns
     carry the same flow k and zero elsewhere, and is added as such.
 
+    Each step factors its Newton matrix once and solves two directions on
+    the factor.  The predictor is the affine direction, centering target 0.
+    Its step lengths to the boundary, ``alpha_p`` and ``alpha_d`` (at most
+    1), give the complementarity ``mu_aff`` it would reach, and the
+    centering parameter ``sigma = (mu_aff / mu)^3``.  The corrector aims at
+    ``target = max(sigma * mu, floor)``, less the predictor's second-order
+    terms ``alpha_p * alpha_d * ds * dlam`` and ``alpha_p * alpha_d * dv *
+    dz``; the step then goes 0.995 of the way to the boundary along it.  A
+    fixed ``sigma = 0.2`` took 18-20 steps a solve; this takes about half.
+    Three safeguards, each found by the failure it prevents:
+
+    * ``floor`` is ``mu_floor`` while the iterate fails the residual test
+      and ``0.1 * mu_floor`` once it passes.  Without it, mu dives below the
+      floor while the scaled stationarity residual is still ~1e-8, and at
+      that mu the Newton system is too ill-conditioned to cut it: three
+      fbc share solves of a ``fig7_like`` sweep break down or run out of
+      steps, and so do 6 of 2,000 oracle share programs.
+    * ``sigma >= 0.01``.  Without it, programs the test suite poses fail,
+      one of them in the fddsa-against-proposed certificate test.
+    * The cross terms are weighted by ``alpha_p * alpha_d``.  At full weight
+      short affine dual steps push complementarity back up, and 141 of the
+      8,000 oracle share programs on ``random_instance`` seeds 0-7999 (46
+      the first) run out of steps.
+
+    Each program brings its own ``mu_floor`` (:func:`_solve_joint` sets one
+    with free shares and one for fixed capacities), so the safeguards add no
+    setting.
+
     Near the end of the path the Newton matrix conditions like
     ``max(lam/s, z/v)``, which can break Cholesky a few iterations before
     ``mu_floor`` is reached even though the iterate is already stationary and
-    feasible to full precision.  Every iterate that passes the residual tests
+    feasible to full precision.  Every iterate that passes the residual test
     is therefore banked, and numerical breakdown returns the banked iterate
     instead of failing; NetOptError is raised only when breakdown strikes
-    before any accurate iterate exists.  Overflow and invalid values are
-    tested for explicitly, so floating-point warnings are silenced.
+    before any accurate iterate exists.  The test needs a finite objective
+    gradient, which scales it: an overflowing marginal utility is a
+    breakdown that names the flow.  Overflow and invalid values are tested
+    for explicitly, so floating-point warnings are silenced.
 
-    The Newton system is factored and solved by one LAPACK ``posv`` call,
-    which runs ``potrf`` and then ``potrs``: the routines
+    The predictor's system is factored and solved by one LAPACK ``posv``
+    call, which runs ``potrf`` and then ``potrs``: the routines
     ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, with the same
     arguments, so the iterates are the wrappers' bit for bit.  The wrappers'
-    finiteness check is kept, once per Newton system: a non-finite matrix or
-    right-hand side counts as a failed factorization and is not retried with
-    jitter.
+    finiteness check is kept: a non-finite matrix or right-hand side counts
+    as a failed factorization and is not retried with jitter, and a
+    non-finite corrector right-hand side is a breakdown too.  The corrector
+    is one ``potrs`` call on the factor ``posv`` returned.
 
     Near the floor the reduced Newton system is solved too coarsely: the
     scaled stationarity residual can rise just as complementarity reaches
     ``mu_floor``, so no later iterate passes the residual test and the solve
-    stalls until it banks.  Once ``mu_now <= 100 * mu_floor`` each Newton
-    direction therefore takes one step of iterative refinement (Wright,
-    *Primal-Dual Interior-Point Methods*, 1997): the residual of the
-    unreduced stationarity equation, ``r1 = f1 + H_obj dv + A^T dlam - dz``
-    with the objective Hessian ``H_obj = F^T diag(c) F`` as a matrix, is
-    solved as ``hess corr = -r1`` by one LAPACK ``potrs`` call on the
-    factor ``posv`` returned, with no second factorization; ``dv += corr``,
-    and ``ds``, ``dlam`` and ``dz`` follow from the corrected ``dv``.  The
-    result counts these steps.  The step is sensitive to rounding: forming
-    ``H_obj dv`` as ``F^T (c * (F dv))``, or skipping the step when the
-    residual test already passes, is equal in exact arithmetic but left a
-    ``fig7_like`` share solve to run to :data:`MAX_NEWTON_ITERS`.
+    stalls until it banks.  Once ``mu_now <= 100 * mu_floor`` the corrector
+    therefore takes one step of iterative refinement (Wright, 1997): the
+    residual of the unreduced stationarity equation, ``r1 = f1 + H_obj dv +
+    A^T dlam - dz`` with the objective Hessian ``H_obj = F^T diag(c) F`` as a
+    matrix, is solved as ``hess corr = -r1`` by one more ``potrs`` call on
+    the same factor; ``dv += corr``, and ``ds``, ``dlam`` and ``dz`` follow
+    from the corrected ``dv``.  The result counts these steps.  The step is
+    sensitive to rounding: forming ``H_obj dv`` as ``F^T (c * (F dv))``, or
+    skipping the step when the residual test already passes, is equal in
+    exact arithmetic but left a ``fig7_like`` share solve to run to
+    :data:`MAX_NEWTON_ITERS` under the fixed-sigma step.
 
     The iteration is bound by per-call overhead, not arithmetic, so each
-    step works in preallocated buffers, the refinement's included: the
-    objective gradient and both residuals are views of one stacked vector
-    whose three max-norms come from one segmented reduction, and so are the
-    two step lengths.  Each sum and product is still formed in the same
-    order as a plain transcription of the iteration (``tests/reference.py``),
-    which it matches bit for bit.
+    step works in preallocated buffers, the corrector's and the
+    refinement's included: the objective gradient and both residuals are
+    views of one stacked vector whose three max-norms come from one
+    segmented reduction, and so are the two step lengths.  Each sum and
+    product is still formed in the same order as a plain transcription of
+    the iteration (``tests/reference.py``), which it matches bit for bit.
     """
     not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
     if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
@@ -273,13 +323,18 @@ def _interior_point(
     ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
     # Primal x = [s; v] and dual y = [lam; z] share one buffer, and so do
-    # their Newton directions, so one division gives both step lengths.
+    # their Newton directions, so one division gives both step lengths; the
+    # predictor's trial point is laid out the same way.
     xy = np.empty(2 * n)
     x, y = xy[:n], xy[n:]
     s, v, lam, z = x[:n_rows], x[n_rows:], y[:n_rows], y[n_rows:]
     dxy = np.empty(2 * n)
     dx, dy = dxy[:n], dxy[n:]
     ds, dv, dlam, dz = dx[:n_rows], dx[n_rows:], dy[:n_rows], dy[n_rows:]
+    trial = np.empty(2 * n)
+    trial_x, trial_y = trial[:n], trial[n:]
+    trial_s, trial_v = trial_x[:n_rows], trial_x[n_rows:]
+    trial_lam, trial_z = trial_y[:n_rows], trial_y[n_rows:]
     ratio = np.empty(2 * n)
     halves = np.array([0, n])
     # The objective gradient and both residuals share one buffer too, so one
@@ -291,8 +346,9 @@ def _interior_point(
     weights = np.empty(n)  # [lam / s; z / v]
     w_cap, diag_bar = weights[:n_rows], weights[n_rows:]
     w_col = w_cap[:, None]
-    centering = np.empty(n)  # [mu / s - lam; mu / v - z]
+    centering = np.empty(n)  # [(target - cross_s) / s - lam; (target - cross_v) / v - z]
     center_s, center_v = centering[:n_rows], centering[n_rows:]
+    cross = np.empty(n)  # the affine step's second-order term [ds * dlam; dv * dz]
     # The refinement residual's buffers: the objective Hessian F^T diag(c) F
     # as a matrix (nonzero only at the same-flow pairs) and the residual.
     h_obj = np.zeros((n_vars, n_vars))
@@ -312,6 +368,25 @@ def _interior_point(
             raise NetOptError(reason)
         return _InteriorPointResult(*banked, iters, True, refinements)
 
+    def newton_rhs() -> np.ndarray:
+        return -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
+
+    def take_direction(step: np.ndarray) -> None:
+        # ds = -(f2 + A dv), so dlam = center_s + w_cap * (f2 + A dv) and
+        # dz = center_v - diag_bar * dv are both centering - weights * dx.
+        dv[:] = step
+        np.subtract(-f2, ineq_matrix @ dv, out=ds)
+        np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
+
+    def step_lengths(fraction: float) -> tuple[float, float]:
+        # Largest steps in (0, 1] that keep x and y nonnegative, times
+        # ``fraction`` of the way to the boundary: -fraction * max(val /
+        # step) over the negative steps.  A NaN step counts as not negative.
+        np.divide(xy, dxy, out=ratio)
+        ratio[~(dxy < 0.0)] = -np.inf
+        ratio_p, ratio_d = _segment_max(ratio, halves)
+        return min(1.0, -fraction * float(ratio_p)), min(1.0, -fraction * float(ratio_d))
+
     with np.errstate(all="ignore"):
         for it in range(MAX_NEWTON_ITERS):
             d = flow_matrix @ v
@@ -322,15 +397,19 @@ def _interior_point(
             mu_now = (lam @ s + z @ v) / n
             grad_max, f1_max, f2_max = _segment_max(np.abs(resid, out=abs_resid), resid_starts)
             stat_scale = 1.0 + float(grad_max)
-            if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
+            passed = (
+                math.isfinite(stat_scale) and f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale
+            )
+            if passed:
                 residual = max(f1_max / stat_scale, f2_max / feas_scale)
                 banked = (v.copy(), lam.copy(), mu_now, residual)
                 if mu_now <= mu_floor:
                     return _InteriorPointResult(*banked, it, False, refinements)
 
+            if grad_max == math.inf:
+                return breakdown(_overflow_message(d, utility), it)
             if not (math.isfinite(mu_now) and math.isfinite(f1_max)):
                 return breakdown("interior point diverged to non-finite iterates", it)
-            mu = 0.2 * mu_now
             if not _all(_isfinite(np.divide(y, x, out=weights))):
                 return breakdown("interior point barrier weights overflowed", it)
             hess = (ineq_matrix * w_col).T @ ineq_matrix
@@ -338,8 +417,9 @@ def _interior_point(
             pair_curvature = curvature[pair_flow]
             flat[pair_flat] += pair_curvature
             flat[:: n_vars + 1] += diag_bar
-            np.subtract(np.divide(mu, x, out=centering), y, out=centering)
-            rhs = -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
+            # Predictor: the affine direction, centering target 0.
+            np.negative(y, out=centering)
+            rhs = newton_rhs()
             step = None
             if _all(_isfinite(rhs)) and _all(_isfinite(flat)):
                 matrix, jitter = hess, 0.0
@@ -354,11 +434,22 @@ def _interior_point(
                         break
             if step is None:
                 return breakdown("interior-point Newton system not positive definite", it)
-            dv[:] = step
-            # ds = -(f2 + A dv), so dlam = mu / s - lam + w_cap * (f2 + A dv)
-            # and dz = mu / v - z - diag_bar * dv are both centering - weights * dx.
-            np.subtract(-f2, ineq_matrix @ dv, out=ds)
-            np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
+            take_direction(step)
+            alpha_p, alpha_d = step_lengths(1.0)
+            np.add(np.multiply(dx, alpha_p, out=trial_x), x, out=trial_x)
+            np.add(np.multiply(dy, alpha_d, out=trial_y), y, out=trial_y)
+            mu_aff = (trial_lam @ trial_s + trial_z @ trial_v) / n
+            sigma = max(0.01, (mu_aff / mu_now) ** 3)
+            target = max(sigma * mu_now, 0.1 * mu_floor if passed else mu_floor)
+            # Corrector: the same factor, with the affine step's second-order
+            # term, weighted by its step lengths, off the centering target.
+            np.multiply(np.multiply(dx, dy, out=cross), alpha_p * alpha_d, out=cross)
+            np.subtract(target, cross, out=centering)
+            np.subtract(np.divide(centering, x, out=centering), y, out=centering)
+            rhs = newton_rhs()
+            if not _all(_isfinite(rhs)):
+                return breakdown("interior-point Newton system not positive definite", it)
+            take_direction(_potrs(factor, rhs, lower=1)[0])
             if mu_now <= refine_mu:
                 # One refinement step: solve hess corr = -r1 for the residual
                 # r1 of the unreduced stationarity equation, on the kept factor
@@ -367,19 +458,10 @@ def _interior_point(
                 np.add(f1, h_obj @ dv, out=r1)
                 np.add(r1, ineq_t @ dlam, out=r1)
                 np.subtract(r1, dz, out=r1)
-                dv -= _potrs(factor, r1, lower=1)[0]
+                take_direction(dv - _potrs(factor, r1, lower=1)[0])
                 refinements += 1
-                np.subtract(-f2, ineq_matrix @ dv, out=ds)
-                np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
 
-            # Largest steps in (0, 1] that keep x and y positive, backed off
-            # to 0.995 of the boundary: -0.995 * max(val / step) over the
-            # negative steps.  A NaN step counts as not negative.
-            np.divide(xy, dxy, out=ratio)
-            ratio[~(dxy < 0.0)] = -np.inf
-            ratio_p, ratio_d = _segment_max(ratio, halves)
-            alpha_p = min(1.0, -0.995 * float(ratio_p))
-            alpha_d = min(1.0, -0.995 * float(ratio_d))
+            alpha_p, alpha_d = step_lengths(0.995)
             x += alpha_p * dx
             y += alpha_d * dy
 
@@ -507,11 +589,7 @@ def _solve_joint(
         if np.any(dead):
             _starved_link_prices(problem, dead, prices, utility.gradient(rates))
         if not (math.isfinite(value) and _all(_isfinite(prices))):
-            k = int(np.argmin(rates))  # the largest marginal utility
-            raise NetOptError(
-                f"flow {k}'s marginal utility ({float(rates[k])!r} + {utility.epsilon!r}) ** -{utility.alpha!r}"
-                f" = {float(utility.gradient(rates[k]))!r} overflows: the utility or a capacity price is not finite"
-            )
+            raise NetOptError(_overflow_message(rates, utility))
     comp = complementarity / max(1.0, abs(value))
     if not (kkt <= FLOW_TOL and comp <= FLOW_TOL):
         raise NetOptError(

@@ -205,13 +205,13 @@ def grid_search_time_sharing(
     return best
 
 
-def step_length(val: np.ndarray, step: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps ``val + alpha * step`` positive,
-    backed off to 0.995 of the boundary."""
+def step_length(val: np.ndarray, step: np.ndarray, fraction: float = 0.995) -> float:
+    """Largest step in (0, 1] that keeps ``val + alpha * step`` nonnegative,
+    times ``fraction`` of the way to the boundary."""
     neg = step < 0
     if not neg.any():
         return 1.0
-    return min(1.0, 0.995 * float((-val[neg] / step[neg]).min()))
+    return min(1.0, fraction * float((-val[neg] / step[neg]).min()))
 
 
 def unstacked_interior_point(
@@ -224,15 +224,23 @@ def unstacked_interior_point(
 ):
     """``netopt._interior_point`` with one array per variable block.
 
-    The same Newton iteration, written with ``v``, ``s``, ``lam`` and ``z`` as
-    separate arrays, concatenated step lengths, a dense flow Hessian
-    ``(F * c).T @ F`` and a fresh ``np.errstate`` per iteration.  Once
-    ``mu_now <= 100 * mu_floor`` each Newton direction takes one refinement
-    step, ``hess corr = -r1`` with ``r1 = f1 + H_obj dv + A^T dlam - dz``,
-    solved on the same Cholesky factor.  The program's iteration must return
-    the same result from the same inputs, bit for bit.
+    The same predictor-corrector iteration, written with ``v``, ``s``,
+    ``lam`` and ``z`` as separate arrays, concatenated step lengths, a dense
+    flow Hessian ``(F * c).T @ F`` and no ``np.errstate`` of its own, so
+    every floating-point warning reaches the caller.  Each step solves the
+    affine direction (centering target 0) with a new Cholesky factor, takes
+    its full step lengths to the boundary and ``sigma = max(0.01, (mu_aff /
+    mu) ** 3)``, and solves the corrector on the same factor.  Its centering
+    is ``max(sigma * mu, floor)`` less the affine cross terms ``alpha_p *
+    alpha_d * ds * dlam`` and ``alpha_p * alpha_d * dv * dz``; ``floor`` is
+    ``mu_floor``, or ``0.1 * mu_floor`` at an iterate that passes the
+    residual test.  Once ``mu_now <= 100 * mu_floor`` the corrector takes one
+    refinement step, ``hess corr = -r1`` with ``r1 = f1 + H_obj dv + A^T dlam
+    - dz``, on the same factor too.  The program's iteration must return the
+    same result from the same inputs, bit for bit.
     """
     n_rows, n_vars = ineq_matrix.shape
+    n = n_rows + n_vars
     neg_flow_t = -flow_matrix.T
     ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
@@ -250,34 +258,43 @@ def unstacked_interior_point(
             raise netopt.NetOptError(reason)
         return netopt._InteriorPointResult(*banked, iters, True, refinements)
 
+    def direction(dv, center_s, center_v, w_cap, diag_bar, f2):
+        ineq_dv = ineq_matrix @ dv
+        ds = -f2 - ineq_dv
+        dlam = center_s + w_cap * (f2 + ineq_dv)
+        dz = center_v - diag_bar * dv
+        return ds, dlam, dz
+
     for it in range(max_iters):
         d = flow_matrix @ v
         grad_obj = neg_flow_t @ utility.gradient(d)
         f1 = grad_obj + ineq_t @ lam - z
         f2 = ineq_matrix @ v + s - ineq_rhs
-        mu_now = (lam @ s + z @ v) / (n_rows + n_vars)
-        stat_scale = 1.0 + float(np.abs(grad_obj).max())
+        mu_now = (lam @ s + z @ v) / n
+        grad_max = np.abs(grad_obj).max()
+        stat_scale = 1.0 + float(grad_max)
         f1_max = np.abs(f1).max()
         f2_max = np.abs(f2).max()
-        if f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale:
+        passed = np.isfinite(stat_scale) and f1_max <= 1e-9 * stat_scale and f2_max <= 1e-9 * feas_scale
+        if passed:
             banked = (v, lam, mu_now, max(f1_max / stat_scale, f2_max / feas_scale))
             if mu_now <= mu_floor:
                 return netopt._InteriorPointResult(*banked, it, False, refinements)
 
+        if grad_max == np.inf:
+            return breakdown(netopt._overflow_message(d, utility), it)
         if not (np.isfinite(mu_now) and np.isfinite(f1_max)):
             return breakdown("interior point diverged to non-finite iterates", it)
-        mu = 0.2 * mu_now
-        with np.errstate(over="ignore", divide="ignore"):
-            w_cap = lam / s
-            diag_bar = z / v
+        w_cap = lam / s
+        diag_bar = z / v
         if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
             return breakdown("interior point barrier weights overflowed", it)
         h_obj = (flow_matrix * utility.derivatives(d)[1][:, None]).T @ flow_matrix
         hess = h_obj + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
         hess.ravel()[:: n_vars + 1] += diag_bar
-        mu_s = mu / s
-        mu_v = mu / v
-        rhs = -f1 - ineq_t @ (mu_s - lam + w_cap * f2) + (mu_v - z)
+
+        # Predictor: target 0, so the centering is -lam and -z.
+        rhs = -f1 - ineq_t @ (-lam + w_cap * f2) + -z
         dv = None
         if np.isfinite(rhs).all() and np.isfinite(hess).all():
             matrix, jitter = hess, 0.0
@@ -292,18 +309,26 @@ def unstacked_interior_point(
                     break
         if dv is None:
             return breakdown("interior-point Newton system not positive definite", it)
-        ineq_dv = ineq_matrix @ dv
-        ds = -f2 - ineq_dv
-        dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
-        dz = mu_v - z - diag_bar * dv
+        ds, dlam, dz = direction(dv, -lam, -z, w_cap, diag_bar, f2)
+        alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)), 1.0)
+        alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)), 1.0)
+        mu_aff = ((lam + alpha_d * dlam) @ (s + alpha_p * ds) + (z + alpha_d * dz) @ (v + alpha_p * dv)) / n
+        sigma = max(0.01, (mu_aff / mu_now) ** 3)
+        target = max(sigma * mu_now, 0.1 * mu_floor if passed else mu_floor)
+
+        # Corrector, on the same factor.
+        center_s = (target - ds * dlam * (alpha_p * alpha_d)) / s - lam
+        center_v = (target - dv * dz * (alpha_p * alpha_d)) / v - z
+        rhs = -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
+        if not np.isfinite(rhs).all():
+            return breakdown("interior-point Newton system not positive definite", it)
+        dv = _potrs(factor, rhs, lower=1)[0]
+        ds, dlam, dz = direction(dv, center_s, center_v, w_cap, diag_bar, f2)
         if mu_now <= 100.0 * mu_floor:
             r1 = f1 + h_obj @ dv + ineq_t @ dlam - dz
             dv = dv + _potrs(factor, -r1, lower=1)[0]
             refinements += 1
-            ineq_dv = ineq_matrix @ dv
-            ds = -f2 - ineq_dv
-            dlam = mu_s - lam + w_cap * (f2 + ineq_dv)
-            dz = mu_v - z - diag_bar * dv
+            ds, dlam, dz = direction(dv, center_s, center_v, w_cap, diag_bar, f2)
 
         alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
         alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))

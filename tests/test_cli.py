@@ -207,6 +207,18 @@ def test_validate_reports_counts(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: 3 nodes, 2 links, 2 flows, 4 subbands\n"
 
 
+def test_validate_enumerates_paths_on_the_network_the_mode_runs_on(tmp_path, monkeypatch):
+    # two_hop_demo's pico has no backhaul, so fbc runs on a network with
+    # one more (wired) link.
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    seen = []
+    monkeypatch.setattr(cli, "check_path_sets", seen.append)
+    for mode in ("proposed", "fbc"):
+        src = scenario_file(tmp_path, demo.replace("mode = proposed", f"mode = {mode}"), f"{mode}.scenario")
+        assert main(["validate", "--scenario", src]) == EXIT_OK
+    assert [graph.num_links for graph in seen] == [seen[0].num_links, seen[0].num_links + 1]
+
+
 def test_missing_file_exits_config(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.scenario")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
@@ -488,10 +500,12 @@ def test_path_explosion_exits_solver(tmp_path, capsys):
          "[radio]", "deterministic = true", "[run]", "seed = 0", ""]
     )
     src = scenario_file(tmp_path, text, "mesh.scenario")
-    assert main(["run", "--scenario", src]) == EXIT_SOLVER
-    captured = capsys.readouterr()
-    assert captured.err == f"error: flow 0->{stations} exceeds 4000 simple paths; refusing to enumerate\n"
-    assert captured.out == ""
+    # validate enumerates the paths as run's first solve does
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err == f"error: flow 0->{stations} exceeds 4000 simple paths; refusing to enumerate\n"
+        assert captured.out == ""
 
 
 def test_flow_solver_failure_exits_solver(tmp_path, capsys, monkeypatch):

@@ -142,9 +142,10 @@ def test_complementary_slackness(multicell):
 
 def test_solution_reports_newton_iterations(monkeypatch, multicell):
     # Factor and solve are one posv call, so a solve without a jitter retry
-    # makes exactly one factorization per Newton step.  A refinement step
-    # near the floor solves on the factor its Newton step just made, with
-    # one potrs call and no factorization of its own.
+    # makes exactly one factorization per Newton step, for its predictor.
+    # The corrector, and a refinement step near the floor, each solve on
+    # the factor that step just made, with one potrs call and no
+    # factorization of their own.
     posv, potrs = netopt._posv, netopt._potrs
     infos, factors, refined = [], [], []
 
@@ -166,7 +167,7 @@ def test_solution_reports_newton_iterations(monkeypatch, multicell):
     assert sol.banked is False
     assert infos == [0] * sol.newton_iters
     assert 0 < sol.refinements < sol.newton_iters
-    assert refined == [True] * sol.refinements
+    assert refined == [True] * (sol.newton_iters + sol.refinements)
 
 
 def test_capacity_validation():
@@ -381,8 +382,9 @@ def test_a_nan_kkt_measure_raises(monkeypatch, field):
 
 
 def test_overflowing_marginal_utility_raises_naming_it():
-    # (0.5 + eps) ** -1e300 overflows: the utility is -inf and the interior
-    # point banks a NaN residual; neither may pass as a solve, nor warn.
+    # (0.5 + eps) ** -1e300 overflows at the interior point's start, so it
+    # has no accurate iterate to bank and names the overflow as the solve
+    # does; nothing warns.
     g = diamond_graph()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -525,6 +527,16 @@ def test_interior_point_retries_failed_factorization_with_jitter(monkeypatch):
     assert ip.multipliers == pytest.approx(reference.multipliers, abs=1e-6)
 
 
+def test_interior_point_refuses_an_infinite_objective_gradient():
+    # An infinite gradient must not pass the residual test as inf <= inf.
+    problem = netopt._path_problem(diamond_graph())
+    steep = UtilitySpec(alpha=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetOptError, match="marginal utility .* overflows"):
+            netopt._interior_point(problem.flow_matrix, problem.link_matrix, np.ones(4), steep, 1e-10)
+
+
 def test_interior_point_not_finite_capacity_row_raises_without_bank():
     flow_matrix, link_matrix, caps = _relay_grid_program()
     bad_caps = caps.copy()
@@ -630,10 +642,11 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     fig7 = with_param(parse_scenario(text, path="fig7_like.scenario"), "p_pico_dbm", 33.0)
     run_experiment(fig7, "fbc", fig7.seed)
     n_runs = len(calls)
-    # The oracle's share programs over every vertex row; on random_instance(158)
-    # and (1748) they stall after their last accurate iterate and return it banked.
+    # The oracle's share programs over every vertex row.  Without a floor
+    # they run on past their last accurate iterate and return it banked.
     for seed in (158, 1748, 1006):
         oracle_solve(det_model(random_instance(seed)), LOG)
+    calls += [(*args[:4], 0.0) for args in calls[n_runs:]]
     n_oracle = len(calls)
     # Zero capacities kill links, whose paths leave the program, so these
     # programs have fewer rows than their graph has links.
@@ -658,7 +671,8 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
         with np.errstate(all="ignore"):
             outcomes.append(_outcome(unstacked_interior_point, args))
         assert _outcome(netopt._interior_point, args) == outcomes[-1]
-    banked = [not isinstance(o, str) and o[-1] for o in outcomes]
+    banked_field = netopt._InteriorPointResult._fields.index("banked")
+    banked = [not isinstance(o, str) and o[banked_field] for o in outcomes]
     assert sum(banked) >= 3 and sum(banked[n_runs:n_oracle]) >= 2
     # Out of iterations: the reference takes its cap as an argument.
     args = (flow_matrix, link_matrix, caps, LOG, 1e-12)
@@ -670,18 +684,27 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1748, 2060])
 def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkeypatch, seed):
-    # The oracle's share program on these instances overflows in the Newton
-    # matrix after its last accurate iterate, so the matrix is neither
-    # factored nor retried.
+    # These instances' share programs, the oracle's and the adaptive run's,
+    # converge at their own floors.  Without a floor they run on past their
+    # last accurate iterate until the barrier weights or the Newton matrix
+    # overflow, or to MAX_NEWTON_ITERS; either way they return that iterate
+    # banked, and no warning escapes.
     calls = _record_interior_point(monkeypatch)
+    model = det_model(random_instance(seed))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        exact = oracle_solve(det_model(random_instance(seed)), LOG)
-    assert exact.flow.banked
-    assert exact.flow.kkt_residual <= 1e-6
+        oracle_solve(model, LOG)
+        run_to_convergence(model, RrmConfig(subframes_per_superframe=40, max_superframes=40, utility=LOG))
+        monkeypatch.undo()
+        programs = [(*args[:4], 0.0) for args in calls if np.any(args[0].sum(axis=0) == 0.0)]
+        results = [netopt._interior_point(*args) for args in programs]
+    assert len(programs) >= 2
+    assert all(ip.banked for ip in results)
+    assert all(ip.residual <= 1e-6 for ip in results)
+    assert any(ip.newton_iters < netopt.MAX_NEWTON_ITERS for ip in results)  # a breakdown
     # the unstacked iteration, which scopes no warnings, shows the overflow
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for args in calls:
+        for args in programs:
             unstacked_interior_point(*args)
     assert any("overflow" in str(w.message) for w in caught)

@@ -141,3 +141,13 @@ def test_adaptive_scheme_reaches_oracle_utility():
         result = run_to_convergence(model, config)
         assert result.converged
         assert abs(result.utility - sol.utility) <= 1e-4
+
+
+# Instances whose oracle share program banked or ran to the iteration cap
+# under a fixed centering step.
+_ONCE_BANKED = (158, 300, 422, 482, 496, 1053, 1079, 1748, 2060)
+
+
+def test_oracle_share_programs_converge_without_banking():
+    for seed in (*range(1000), *_ONCE_BANKED):
+        assert not oracle_solve(det_model(random_instance(seed)), LOG).flow.banked, seed

@@ -11,13 +11,13 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "output_digest.py"
 
-ECHO_FREE_TOTAL = "b2e4e7b02cdb6dde75deb28e9c0f8d7381b0b8c1f44a9e9a44448dc390ee8775"
+ECHO_FREE_TOTAL = "4c041673717844b3d61884968eec2d205eeb9edabc1699e5ff4a7d8f6aa8b5b1"
 
 INTERIOR_POINT_LINES = [
-    "fig7_sweep interior point: 111 calls, 2131 Newton iterations, 320 refinement steps, 0 banked, largest 20",
-    "oracle_battery interior point: 340 calls, 6563 Newton iterations, 1379 refinement steps, 4 banked, largest 300",
-    "flow_prices interior point: 160 calls, 2911 Newton iterations, 466 refinement steps, 0 banked, largest 20",
-    "two_hop_demo interior point: 11 calls, 193 Newton iterations, 33 refinement steps, 0 banked, largest 19",
+    "fig7_sweep interior point: 111 calls, 1184 Newton iterations, 138 refinement steps, 0 banked, largest 21",
+    "oracle_battery interior point: 347 calls, 3157 Newton iterations, 564 refinement steps, 0 banked, largest 198",
+    "flow_prices interior point: 160 calls, 1414 Newton iterations, 160 refinement steps, 0 banked, largest 10",
+    "two_hop_demo interior point: 11 calls, 88 Newton iterations, 11 refinement steps, 0 banked, largest 8",
 ]
 
 
