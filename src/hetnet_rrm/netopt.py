@@ -16,17 +16,26 @@ the time-sharing certificate and pattern discovery upstream.
 Links no share can lift above a tiny capacity floor are starved: the paths
 through them leave the program, and their prices are patched in afterwards as
 the marginal value of giving them capacity.
+
+The interior point's Cholesky solves are LAPACK's ``dposv`` and ``dpotrs``
+from scipy's compiled extension ``scipy.linalg._flapack``, the very objects
+``scipy.linalg.lapack`` exports.  The extension is loaded from its file,
+because importing the ``scipy.linalg`` package costs about half the start-up
+time of every process and this module needs nothing else from it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .topology import TopologyGraph
 
@@ -35,9 +44,35 @@ MAX_PATHS_PER_FLOW = 4000
 FLOW_TOL = 1e-6  # KKT residual a flow solve must reach
 MAX_NEWTON_ITERS = 300  # Newton steps an interior point takes before it banks or fails
 
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without importing ``scipy`` or
+    ``scipy.linalg``; the one already loaded if there is one.  It is
+    registered under its own name, so a later ``import scipy.linalg`` reuses
+    it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed", name=name)
+    folders = [os.path.join(root, "linalg") for root in spec.submodule_search_locations]
+    for folder in folders:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_flapack" + suffix)
+            if os.path.isfile(path):
+                module_spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(module_spec)
+                sys.modules[name] = module
+                module_spec.loader.exec_module(module)
+                return module
+    raise ImportError(f"no {name} extension in {os.pathsep.join(folders)}", name=name)
+
+
 # LAPACK Cholesky factor-and-solve, and solve with a kept factor, in double
 # precision (see _interior_point).
-_posv, _potrs = scipy.linalg.get_lapack_funcs(("posv", "potrs"), dtype=np.float64)
+_flapack = _load_flapack()
+_posv, _potrs = _flapack.dposv, _flapack.dpotrs
 # Reductions called as ufunc methods, without the ndarray method wrappers.
 _all = np.logical_and.reduce
 _isfinite = np.isfinite
@@ -276,11 +311,12 @@ def _interior_point(
 
     The predictor's system is factored and solved by one LAPACK ``posv``
     call, which runs ``potrf`` and then ``potrs``: the routines
-    ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, with the same
-    arguments, so the iterates are the wrappers' bit for bit.  The wrappers'
-    finiteness check is kept: a non-finite matrix or right-hand side counts
-    as a failed factorization and is not retried with jitter, and a
-    non-finite corrector right-hand side is a breakdown too.  The corrector
+    ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, from the same
+    extension module and with the same arguments, so the iterates are the
+    wrappers' bit for bit.  The wrappers' finiteness check is kept: a
+    non-finite matrix or right-hand side counts as a failed factorization
+    and is not retried with jitter, and a non-finite corrector right-hand
+    side is a breakdown too.  The corrector
     is one ``potrs`` call on the factor ``posv`` returned.
 
     Near the floor the reduced Newton system is solved too coarsely: the

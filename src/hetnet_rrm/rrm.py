@@ -392,10 +392,15 @@ def run_superframe(
 
 @dataclass(frozen=True)
 class RrmResult:
+    """A finished run.  ``wall_ms`` is the whole run's wall time, the initial
+    state and the final pass included, which no record's ``wall_ms``
+    covers."""
+
     state: RrmState
     records: list[SuperframeRecord]
     converged: bool
     certificate: CertificateReport
+    wall_ms: float
 
     @property
     def utility(self) -> float:
@@ -439,6 +444,7 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     while the pattern set is mid-discovery.  The returned certificate is read
     off the pass after the last executed superframe.
     """
+    started = time.perf_counter()
     state = initial_state(model, config.fixed_pattern_durations)
     records: list[SuperframeRecord] = []
     while True:
@@ -449,7 +455,8 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
             report = certificate(state, block)
             converged = plateau and report.gap <= report.tolerance + _gap_slack(report, config)
             if converged or budget_spent:
-                return RrmResult(state, records, converged, report)
+                wall_ms = (time.perf_counter() - started) * 1e3
+                return RrmResult(state, records, converged, report, wall_ms)
         previous = state.flow
         state, record = run_superframe(model, state, config, block)
         records.append(record)

@@ -4,10 +4,12 @@ writes them (:func:`format_trace`); only the tests read them back (``tests/trace
 A trace (header ``hetnet-trace v1``) carries a verbatim echo of the scenario
 that produced it (every config line prefixed with ``> `` so the echo cannot
 collide with trace sections), one ``[iterations]`` row per superframe and a
-``[summary]`` block with the convergence verdict and optimality certificate.
-Rates are written in bits per subframe; the utility column is the objective
-value itself.  In deterministic mode wall-clock columns are forced to zero so
-reruns of the same scenario and seed are byte-identical.
+``[summary]`` block with the convergence verdict, the optimality certificate
+and the whole run's ``wall_ms``, which also counts the initial state and the
+final pass that no row's ``wall_ms`` covers.  Rates are written in bits per
+subframe; the utility column is the objective value itself.  In
+deterministic mode the wall-clock column and ``wall_ms`` are forced to zero
+so reruns of the same scenario and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def format_trace(scenario: Scenario, mode: str, seed: int, result: RrmResult) ->
         f"utility = {_fmt(result.utility)}",
         f"certificate_gap = {_fmt(cert.gap)}",
         f"certificate_tolerance = {_fmt(cert.tolerance)}",
+        f"wall_ms = {_fmt(0.0 if zero_wall else result.wall_ms)}",
         "",
     ]
     return "\n".join(out)

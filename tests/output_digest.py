@@ -12,7 +12,8 @@ traces line by line.  ``RrmState`` and ``CertificateReport`` are hashed
 through a projection that does not depend on how they store patterns and
 members: the admissible patterns, the member patterns and the best pattern
 as int8 arrays, and the members' weights as one (N, L) array.  Wall-clock
-fields (``wall_ms`` and the traces' ``wall_ms`` column) are left out.  It
+fields (``wall_ms``, and the traces' ``wall_ms`` column and summary line)
+are left out.  It
 prints one digest per operation and a total over all of them; two checkouts
 that print the same total produced the same outputs.  It also prints an
 ``echo-free total``, taken the same way with each trace's ``[config]`` echo
@@ -55,14 +56,17 @@ MODES = ("proposed", "fbc", "fddsa", "ttrsc")
 
 
 def _strip_trace(text: str, echo: bool) -> str:
-    """A trace without the last (``wall_ms``) column of its iteration rows,
-    and without its ``[config]`` echo unless ``echo``."""
+    """A trace without the last (``wall_ms``) column of its iteration rows
+    and its summary's ``wall_ms`` line, and without its ``[config]`` echo
+    unless ``echo``."""
     lines, section = [], None
     for line in text.splitlines():
         if line.startswith("["):
             section = line
         elif section == "[iterations]" and line and not line.startswith("#"):
             line = line.rsplit(" ", 1)[0]
+        elif section == "[summary]" and line.startswith("wall_ms = "):
+            continue
         elif section == "[config]" and not echo:
             continue
         lines.append(line)

@@ -1,8 +1,16 @@
 import gc
+import importlib.machinery
+import importlib.util
 import itertools
+import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,3 +716,52 @@ def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkey
         for args in programs:
             unstacked_interior_point(*args)
     assert any("overflow" in str(w.message) for w in caught)
+
+
+def _fresh_python(code: str):
+    """Run ``code`` in a fresh interpreter that finds the package; return
+    what it printed last, read as JSON."""
+    src = str(Path(netopt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_run_loads_scipys_lapack_extension_and_nothing_else_of_scipy_linalg(tmp_path):
+    """Importing every module and solving loads ``scipy.linalg._flapack``
+    alone, not the ``scipy.linalg`` package, whose import costs about half
+    the start-up time of every process."""
+    scenario = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario")
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "from hetnet_rrm import cli\n"
+        f"assert cli.main(['run', '--scenario', {str(scenario)!r}, '--out', {str(tmp_path / 'run.trace')!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))\n"
+    )
+    assert loaded == ["scipy.linalg._flapack"]
+    assert (tmp_path / "run.trace").read_text().startswith("hetnet-trace v1")
+
+
+@pytest.mark.parametrize("first", ["hetnet_rrm.netopt", "scipy.linalg"])
+def test_lapack_routines_are_scipys_own_in_either_import_order(first):
+    """``_posv`` and ``_potrs`` are the objects ``scipy.linalg.lapack``
+    exports, so every iterate is what scipy's wrappers compute, whichever of
+    the two modules a process imports first."""
+    same = _fresh_python(
+        "import importlib, json\n"
+        f"importlib.import_module({first!r})\n"
+        "from hetnet_rrm import netopt\n"
+        "from scipy.linalg import lapack\n"
+        "print(json.dumps([netopt._posv is lapack.dposv, netopt._potrs is lapack.dpotrs]))\n"
+    )
+    assert same == [True, True]
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_the_folder(monkeypatch, tmp_path):
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        netopt._load_flapack()

@@ -247,6 +247,22 @@ def test_wall_ms_counts_the_block_pass(monkeypatch):
     assert all(record.wall_ms >= 1e3 * delay_s for record in result.records)
 
 
+def test_run_wall_ms_counts_what_no_record_does(monkeypatch):
+    """The run's wall_ms spans the initial state and the final block pass as
+    well as every superframe, so a slow initial state shows in it and in no
+    record."""
+    delay_s, slow = 0.02, rrm.initial_state
+
+    def slowed(*args, **kwargs):
+        time.sleep(delay_s)
+        return slow(*args, **kwargs)
+
+    monkeypatch.setattr(rrm, "initial_state", slowed)
+    result = run_to_convergence(det_model(diamond_graph()), fast_config())
+    assert len(result.records) >= 2
+    assert result.wall_ms >= sum(record.wall_ms for record in result.records) + 1e3 * delay_s
+
+
 def test_budget_exhaustion_reports_not_converged():
     model = det_model(diamond_graph())
     config = fast_config(max_superframes=2)

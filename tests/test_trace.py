@@ -89,7 +89,9 @@ def test_deterministic_traces_zero_wall_clock_and_rerun_identically():
     _, rerun = _run()
     trace_b = format_trace(scenario, "proposed", scenario.seed, rerun)
     assert trace_a == trace_b  # byte identical, wall clock included
-    assert all(row.wall_ms == 0.0 for row in parse_trace(trace_a).iterations)
+    data = parse_trace(trace_a)
+    assert all(row.wall_ms == 0.0 for row in data.iterations)
+    assert data.summary["wall_ms"] == "0.0" and result.wall_ms > 0.0
 
 
 def test_stochastic_traces_keep_wall_clock():
@@ -98,6 +100,9 @@ def test_stochastic_traces_keep_wall_clock():
     data = parse_trace(format_trace(scenario, "proposed", scenario.seed, result))
     assert data.meta["deterministic"] == "false"
     assert any(row.wall_ms > 0.0 for row in data.iterations)
+    # the run's total covers every row and what no row does
+    assert float(data.summary["wall_ms"]) == result.wall_ms
+    assert result.wall_ms >= sum(rec.wall_ms for rec in result.records) > 0.0
 
 
 def test_config_echo_reproduces_the_scenario():
