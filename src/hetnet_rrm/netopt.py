@@ -148,12 +148,72 @@ class FlowSolution:
     refinements: int = 0
 
 
+class _FlowPairs(NamedTuple):
+    """The variable pairs ``(rows[i], cols[i])`` that carry the same flow,
+    ``flow[i]``: where the flow Hessian ``F^T diag(c) F`` is nonzero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    flow: np.ndarray
+
+
+def _flow_pairs(flow_matrix: np.ndarray) -> _FlowPairs:
+    """The same-flow pairs of ``flow_matrix``'s columns, each of which must
+    hold a single 1 (a path's flow) or no nonzero (a share); anything else
+    raises ValueError."""
+    not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
+    if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
+        raise ValueError("each flow_matrix column must hold a single 1 or no nonzero")
+    rows, cols = np.nonzero(flow_matrix.T @ flow_matrix)
+    flow_of = np.zeros(flow_matrix.shape[1], dtype=int)
+    flow, column = np.nonzero(flow_matrix)
+    flow_of[column] = flow
+    return _FlowPairs(rows, cols, flow_of[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The flow program's shape once the links a dead-link mask marks are
+    priced out: the other links are ``live`` (L,) and the paths through no
+    dead link ``alive`` (P,); ``path_flows`` (K, P') and ``link_matrix``
+    (L', P') are the flow and live-link membership of the alive paths, and
+    ``pairs`` their same-flow pairs.  The arrays are read-only."""
+
+    live: np.ndarray
+    alive: np.ndarray
+    path_flows: np.ndarray
+    link_matrix: np.ndarray
+    pairs: _FlowPairs
+
+
 @dataclass(frozen=True, eq=False)
 class _PathProblem:
     paths: list[tuple[int, ...]]
     flow_of_path: np.ndarray
     link_matrix: np.ndarray  # (L, P) 0/1, link membership per path
     flow_matrix: np.ndarray  # (K, P) 0/1, flow membership per path
+    # A _Layout per dead-link set, keyed by the (L,) bool mask's bytes.
+    layouts: dict[bytes, _Layout] = field(default_factory=dict, repr=False)
+
+    def layout(self, dead: np.ndarray) -> _Layout:
+        """The layout for the (L,) bool dead-link mask ``dead``, built once
+        per mask."""
+        key = dead.tobytes()
+        layout = self.layouts.get(key)
+        if layout is None:
+            alive = self.link_matrix[dead].sum(axis=0) == 0
+            path_flows = self.flow_matrix[:, alive]
+            layout = _Layout(
+                live=~dead,
+                alive=alive,
+                path_flows=path_flows,
+                link_matrix=self.link_matrix[np.ix_(~dead, alive)],
+                pairs=_flow_pairs(path_flows),
+            )
+            for array in (layout.live, layout.alive, path_flows, layout.link_matrix, *layout.pairs):
+                array.setflags(write=False)
+            self.layouts[key] = layout
+        return layout
 
 
 def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> list[tuple[int, ...]]:
@@ -250,6 +310,7 @@ def _interior_point(
     ineq_rhs: np.ndarray,
     utility: UtilitySpec,
     mu_floor: float,
+    pairs: _FlowPairs,
 ) -> _InteriorPointResult:
     """Minimize ``-sum U(flow_matrix @ v)`` s.t. ``ineq_matrix @ v <= rhs, v >= 0``.
 
@@ -266,9 +327,12 @@ def _interior_point(
     of magnitude off the central path.
 
     Every column of ``flow_matrix`` holds a single 1 (a path's flow) or no
-    nonzero (a share); anything else raises ValueError.  The flow part of the
-    Hessian, ``F^T diag(c) F``, is therefore ``c[k]`` wherever two columns
-    carry the same flow k and zero elsewhere, and is added as such.
+    nonzero (a share).  The flow part of the Hessian, ``F^T diag(c) F``, is
+    therefore ``c[k]`` wherever two columns carry the same flow k and zero
+    elsewhere, and is added as such at ``pairs``, :func:`_flow_pairs` of
+    ``flow_matrix``: the caller builds them, and checks the columns, once per
+    layout (:meth:`_PathProblem.layout`), not once per solve.  The share
+    columns carry no flow, so a program's pairs are those of its paths alone.
 
     Each step factors its Newton matrix once and solves two directions on
     the factor.  The predictor is the affine direction, centering target 0.
@@ -342,9 +406,6 @@ def _interior_point(
     product is still formed in the same order as a plain transcription of
     the iteration (``tests/reference.py``), which it matches bit for bit.
     """
-    not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
-    if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
-        raise ValueError("each flow_matrix column must hold a single 1 or no nonzero")
     n_rows, n_vars = ineq_matrix.shape
     # The segmented maxima below need non-empty segments.  Callers always
     # satisfy this: a live path is a variable and crosses a live link's row.
@@ -352,9 +413,8 @@ def _interior_point(
         raise ValueError("need at least one variable and one inequality row")
     n = n_rows + n_vars
     # The column pairs that carry the same flow, as flat Hessian indices.
-    pair_p, pair_q = np.nonzero(flow_matrix.T @ flow_matrix)
-    pair_flat = pair_p * n_vars + pair_q
-    pair_flow = flow_matrix.argmax(axis=0)[pair_p]
+    pair_flat = pairs.rows * n_vars + pairs.cols
+    pair_flow = pairs.flow
     neg_flow_t = -flow_matrix.T
     ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
@@ -372,6 +432,7 @@ def _interior_point(
     trial_s, trial_v = trial_x[:n_rows], trial_x[n_rows:]
     trial_lam, trial_z = trial_y[:n_rows], trial_y[n_rows:]
     ratio = np.empty(2 * n)
+    negative = np.empty(2 * n, dtype=bool)
     halves = np.array([0, n])
     # The objective gradient and both residuals share one buffer too, so one
     # abs and one segmented max give all three max-norms.
@@ -385,6 +446,10 @@ def _interior_point(
     centering = np.empty(n)  # [(target - cross_s) / s - lam; (target - cross_v) / v - z]
     center_s, center_v = centering[:n_rows], centering[n_rows:]
     cross = np.empty(n)  # the affine step's second-order term [ds * dlam; dv * dz]
+    # newton_rhs's buffers: the capacity rows' term, its image and the sum.
+    rhs_rows = np.empty(n_rows)
+    rhs_image = np.empty(n_vars)
+    rhs_sum = np.empty(n_vars)
     # The refinement residual's buffers: the objective Hessian F^T diag(c) F
     # as a matrix (nonzero only at the same-flow pairs) and the residual.
     h_obj = np.zeros((n_vars, n_vars))
@@ -405,7 +470,11 @@ def _interior_point(
         return _InteriorPointResult(*banked, iters, True, refinements)
 
     def newton_rhs() -> np.ndarray:
-        return -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
+        # -f1 - ineq_t @ (center_s + w_cap * f2) + center_v, in that order.
+        np.add(center_s, np.multiply(w_cap, f2, out=rhs_rows), out=rhs_rows)
+        np.matmul(ineq_t, rhs_rows, out=rhs_image)
+        np.subtract(np.negative(f1, out=rhs_sum), rhs_image, out=rhs_sum)
+        return np.add(rhs_sum, center_v, out=rhs_sum)
 
     def take_direction(step: np.ndarray) -> None:
         # ds = -(f2 + A dv), so dlam = center_s + w_cap * (f2 + A dv) and
@@ -418,8 +487,8 @@ def _interior_point(
         # Largest steps in (0, 1] that keep x and y nonnegative, times
         # ``fraction`` of the way to the boundary: -fraction * max(val /
         # step) over the negative steps.  A NaN step counts as not negative.
-        np.divide(xy, dxy, out=ratio)
-        ratio[~(dxy < 0.0)] = -np.inf
+        ratio.fill(-np.inf)
+        np.divide(xy, dxy, out=ratio, where=np.less(dxy, 0.0, out=negative))
         ratio_p, ratio_d = _segment_max(ratio, halves)
         return min(1.0, -fraction * float(ratio_p)), min(1.0, -fraction * float(ratio_d))
 
@@ -575,7 +644,8 @@ def _solve_joint(
     group_best = np.array([rate_rows[idx].max(axis=0) for idx in groups])
     best_caps = np.maximum(base_capacity + totals @ group_best, CAPACITY_FLOOR)
     dead = best_caps <= CAPACITY_FLOOR
-    alive = problem.link_matrix[dead].sum(axis=0) == 0
+    layout = problem.layout(dead)
+    live = layout.live
 
     shares = np.zeros(rate_rows.shape[0])
     for idx in groups:
@@ -584,11 +654,10 @@ def _solve_joint(
     link_flows = np.zeros((graph.num_flows, graph.num_links))
     prices = np.zeros(graph.num_links)
     kkt, complementarity, newton_iters, banked, refinements = 0.0, 0.0, 0, False, 0
-    if np.any(alive):
-        path_flows = problem.flow_matrix[:, alive]
-        link_matrix = problem.link_matrix[np.ix_(~dead, alive)]
+    if layout.alive.any():
+        path_flows, link_matrix = layout.path_flows, layout.link_matrix
         n_caps, n_paths = link_matrix.shape
-        rhs = np.maximum(base_capacity[~dead] + (totals @ rate_rows[lasts])[~dead], CAPACITY_FLOOR)
+        rhs = np.maximum(base_capacity[live] + (totals @ rate_rows[lasts])[live], CAPACITY_FLOOR)
         if free.size == 0:
             ineq, flow_matrix = link_matrix, path_flows
         else:
@@ -599,7 +668,7 @@ def _solve_joint(
             ineq = np.zeros((n_caps + sized.size, n_paths + free.size))
             ineq[:n_caps, :n_paths] = link_matrix
             last_of = np.repeat(lasts, n_free)
-            ineq[:n_caps, n_paths:] = -(rate_rows[free] - rate_rows[last_of])[:, ~dead].T
+            ineq[:n_caps, n_paths:] = -(rate_rows[free] - rate_rows[last_of])[:, live].T
             ends = n_paths + np.cumsum(n_free)
             for h, g in enumerate(sized):
                 ineq[n_caps + h, ends[g] - n_free[g] : ends[g]] = 1.0
@@ -608,15 +677,15 @@ def _solve_joint(
             flow_matrix[:, :n_paths] = path_flows
 
         mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), np.inf if free.size else FLOW_TOL * 1e-4)
-        ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
+        ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor, layout.pairs)
         if free.size:
             shares[free] = ip.v[n_paths:]
             for idx in groups:
                 shares[idx[-1]] = max(0.0, total - shares[idx[:-1]].sum())
                 shares[idx] = total * shares[idx] / shares[idx].sum()
         rates = flow_matrix @ ip.v
-        link_flows[:, ~dead] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
-        prices[~dead] = ip.multipliers[:n_caps]
+        link_flows[:, live] = (path_flows * ip.v[:n_paths]) @ link_matrix.T
+        prices[live] = ip.multipliers[:n_caps]
         kkt, complementarity = ip.residual, ip.complementarity
         newton_iters, banked, refinements = ip.newton_iters, ip.banked, ip.refinements
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .netopt import FlowSolution, UtilitySpec, optimize_time_sharing
-from .phy import enumerate_feasible_patterns
+from .phy import admissible_patterns
 from .topology import TopologyGraph
 
 MAX_ORACLE_BS = 6
@@ -64,7 +64,7 @@ def vertex_rate_rows(model: ChannelModel) -> np.ndarray:
     if not model.deterministic:
         raise ValueError("the exhaustive oracle only supports deterministic channels")
     graph = model.graph
-    patterns = enumerate_feasible_patterns(graph.interference)
+    patterns = admissible_patterns(graph)
     check_oracle_scale(graph, patterns)
     link_rates = model.rate_block(0, 1)[0].sum(axis=1)  # (L,) nats over subbands
 

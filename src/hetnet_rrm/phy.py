@@ -73,6 +73,19 @@ def enumerate_feasible_patterns(interference: np.ndarray) -> np.ndarray:
     return patterns
 
 
+# Admissible patterns per graph object, dropped with the graph (graphs hash by identity).
+_pattern_tables: weakref.WeakKeyDictionary[TopologyGraph, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def admissible_patterns(graph: TopologyGraph) -> np.ndarray:
+    """:func:`enumerate_feasible_patterns` of ``graph``'s interference matrix,
+    enumerated once per graph: every call returns the same read-only array."""
+    patterns = _pattern_tables.get(graph)
+    if patterns is None:
+        patterns = _pattern_tables[graph] = enumerate_feasible_patterns(graph.interference)
+    return patterns
+
+
 def schedule_links(
     graph: TopologyGraph,
     pattern: np.ndarray,
@@ -227,12 +240,14 @@ def schedule_block(
     winners: np.ndarray,
     winner_rates: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Schedule a block of subframes, subframe ``s`` under pattern ``active[s]``.
+    """Schedule a block of S subframes, subframe ``s`` under pattern ``active[s]``.
 
-    ``winners`` is :func:`block_winners`' row for ``weights``.  Returns the
-    mean rate (L,) each link is served over the block.  Every subframe's
-    schedule passes :func:`assert_block_feasible`, and subframe 0 is
-    re-scheduled by the reference :func:`schedule_links`, which must agree.
+    ``winners`` is :func:`block_winners`' row for ``weights`` on
+    ``rate_block``, which holds S subframes or one that every subframe
+    repeats (a deterministic channel's one draw).  Returns the mean rate (L,)
+    each link is served over the S subframes.  Every subframe's schedule
+    passes :func:`assert_block_feasible`, and subframe 0 is re-scheduled by
+    the reference :func:`schedule_links`, which must agree.
     """
     rho = winners & active[:, graph.link_station, None]
     assert_block_feasible(graph, active, rho)
@@ -246,7 +261,7 @@ def schedule_block(
     per_link = (rate_block * rho).sum(axis=2)  # (S, L); exact for finite non-negative rates
     # A plain sum over a single link's column switches to pairwise summation;
     # accumulating adds the subframes strictly in order, for every link count.
-    return np.add.accumulate(per_link, axis=0)[-1] / rate_block.shape[0]
+    return np.add.accumulate(per_link, axis=0)[-1] / active.shape[0]
 
 
 def contribution_stats(graph: TopologyGraph, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,10 @@ other row the weights some member was discovered under.
 Each superframe makes one kernel call (:func:`block_pass`) for that stack:
 row 0 is what the short timescale schedules with and pattern discovery ranks
 patterns under (on a deterministic channel after the first superframe it is
-the only row stacked).  The pass yields each row's (L,) link means, and a
+the only row stacked).  A deterministic block is its one draw: the kernel
+scores that single subframe, every row it yields is exact with a standard
+error of exactly zero, and the short timescale samples and schedules all S
+subframes on it.  The pass yields each row's (L,) link means, and a
 member's rate row is its stack row kept on the links of its pattern's active
 stations.  The loop evaluates that pass, decides (once the utility plateaus,
 the stopping certificate reduces the pass), and only then advances, so the
@@ -28,10 +31,11 @@ certificate and the superframe it may let run read one pass.
 Each fading superframe re-estimates every member's conditional rate row
 under its own stored weights on fresh draws, so a member's row is a
 stationary target rather than drifting with the current weights.  On a
-deterministic channel it is exactly stationary: a block repeats one
-subframe, so the row a member was measured with is kept.  The share program then anneals over these rows.  Keeping the discovery weights
-pinned is what makes the ascent monotone: re-scheduling old patterns under
-new weights can lower their achieved rows and cycle.  A superframe whose
+deterministic channel it is exactly stationary: a deterministic block is its
+one draw, so the row a member was measured with is kept.  The share program
+then anneals over these rows.  Keeping the discovery weights pinned is what
+makes the ascent monotone: re-scheduling old patterns under new weights can
+lower their achieved rows and cycle.  A superframe whose
 share program (member patterns, rows, duration groups and utility) equals
 the one the state's flow solved, as when no member joined or was pruned on a
 deterministic channel, reuses that solve.
@@ -65,7 +69,7 @@ import numpy as np
 from .channel import ChannelModel
 from .netopt import FlowSolution, UtilitySpec, duration_groups, optimize_time_sharing
 from .phy import (
-    enumerate_feasible_patterns,
+    admissible_patterns,
     rate_table_for_patterns,
     schedule_block,
     station_contributions,
@@ -184,7 +188,7 @@ def initial_state(model: ChannelModel, fixed_pattern_durations: bool = False) ->
     lexicographically last admissible pattern (all-on when admissible), or
     every pattern under fixed durations."""
     graph = model.graph
-    patterns = enumerate_feasible_patterns(graph.interference)
+    patterns = admissible_patterns(graph)
     starts = np.arange(len(patterns)) if fixed_pattern_durations else np.array([len(patterns) - 1])
     return RrmState(
         patterns=patterns,
@@ -209,8 +213,9 @@ class BlockPass:
     the certificate and pattern discovery read off the pass.
 
     ``started`` is the ``time.perf_counter()`` reading the pass began at,
-    which the superframe run on it is timed from.  ``winners`` (S, L, M) is
-    row 0's, under the current weights.
+    which the superframe run on it is timed from.  ``rate_block`` holds the
+    S subframes, or a deterministic channel's one draw, and ``winners``
+    (S or 1, L, M) is row 0's on it, under the current weights.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
     weighted rate under row 0 and ``pattern_sem`` its weighted standard
@@ -240,13 +245,16 @@ def block_pass(
     ``state``'s superframe) and make its one kernel pass under the state's
     weight stack.
 
+    A fading block holds the superframe's S subframes; a deterministic block
+    is its one draw, ``model.rate_block(t0, 1)``, which every subframe
+    repeats, so its rows are exact and their standard errors exactly zero.
     Row 0 of the stack, the current weights, is the pass the short timescale
     schedules with; member ``n`` reads row ``member_row[n]``, and every
     member's rate row is masked from its stack row's link means at once.  On
     a deterministic channel the rows ``state`` carries after its first
-    superframe are kept instead and only row 0 is stacked: the block repeats
-    one subframe and a member's weights are pinned, so re-stacking a member
-    would give the same bits.  Each duration group's best pattern is the
+    superframe are kept instead and only row 0 is stacked: the draw never
+    changes and a member's weights are pinned, so re-stacking a member would
+    give the same bits.  Each duration group's best pattern is the
     argmax over all patterns, or under fixed durations each pattern itself.
     """
     started = time.perf_counter()
@@ -254,7 +262,7 @@ def block_pass(
         t0 = state.superframe * config.subframes_per_superframe
     graph = model.graph
     stationary = model.deterministic and state.superframe > 0
-    rate_block = model.rate_block(t0, config.subframes_per_superframe)
+    rate_block = model.rate_block(t0, 1 if model.deterministic else config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
     stack = state.weight_stack[:1] if stationary else state.weight_stack
     winners, mean, stderr = station_contributions(graph, stack, rate_block, winner_rates)
@@ -312,7 +320,8 @@ def run_superframe(
     # the current weights, for the whole block at once: row 0's winners,
     # masked by each subframe's sampled pattern.  The feasibility assertions
     # run on every subframe in every mode, and subframe 0 is re-scheduled by
-    # the reference schedule_links as a live cross-check.
+    # the reference schedule_links as a live cross-check.  A deterministic
+    # pass's one draw and its (1, L, M) winners stand for every subframe.
     draws = model.pattern_draws(t0, config.subframes_per_superframe)
     index = state.member_index
     active = state.patterns[index[_sample_member_indices(state.shares, draws)]]

@@ -11,11 +11,11 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "output_digest.py"
 
-ECHO_FREE_TOTAL = "4c041673717844b3d61884968eec2d205eeb9edabc1699e5ff4a7d8f6aa8b5b1"
+ECHO_FREE_TOTAL = "66f14e048491e393fea16878dbd62606898dfd61f4f3a08030f664c684341337"
 
 INTERIOR_POINT_LINES = [
     "fig7_sweep interior point: 111 calls, 1184 Newton iterations, 138 refinement steps, 0 banked, largest 21",
-    "oracle_battery interior point: 347 calls, 3157 Newton iterations, 564 refinement steps, 0 banked, largest 198",
+    "oracle_battery interior point: 346 calls, 3148 Newton iterations, 563 refinement steps, 0 banked, largest 198",
     "flow_prices interior point: 160 calls, 1414 Newton iterations, 160 refinement steps, 0 banked, largest 10",
     "two_hop_demo interior point: 11 calls, 88 Newton iterations, 11 refinement steps, 0 banked, largest 8",
 ]

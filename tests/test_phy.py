@@ -1,5 +1,7 @@
+import gc
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -69,6 +71,37 @@ def test_pattern_enumeration_matches_brute_force():
 def test_pattern_enumeration_cap():
     with pytest.raises(PatternEnumerationError):
         enumerate_feasible_patterns(np.zeros((25, 25), dtype=bool))
+
+
+def test_admissible_patterns_are_enumerated_once_per_graph_and_dropped_with_it(monkeypatch):
+    gc.collect()  # graphs earlier tests dropped leave with their cycles
+    enumerated = []
+    enumerate_once = phy.enumerate_feasible_patterns
+
+    def counted(interference):
+        enumerated.append(None)
+        return enumerate_once(interference)
+
+    monkeypatch.setattr(phy, "enumerate_feasible_patterns", counted)
+    graph = multicell_graph()
+    patterns = phy.admissible_patterns(graph)
+    assert np.array_equal(patterns, enumerate_once(graph.interference))
+    assert not patterns.flags.writeable
+    model = ChannelModel(graph, 2, 40.0, 33.0, seed=4)
+    assert initial_state(model).patterns is patterns
+    assert initial_state(model, fixed_pattern_durations=True).patterns is patterns
+    assert phy.admissible_patterns(graph) is patterns
+    assert len(enumerated) == 1
+    alive = weakref.ref(graph)
+    cached = len(phy._pattern_tables)
+    # The last reference must free the graph, without the cyclic collector.
+    gc.disable()
+    try:
+        del graph, model
+        assert alive() is None
+        assert len(phy._pattern_tables) == cached - 1
+    finally:
+        gc.enable()
 
 
 def test_is_feasible_pattern():

@@ -353,6 +353,40 @@ def test_one_kernel_pass_per_superframe_read_by_the_certificate(monkeypatch):
     assert failed >= 2  # random_instance(1) fails two certificates before converging
 
 
+def test_a_deterministic_block_pass_scores_its_one_draw():
+    """A deterministic pass scores the channel's one draw, a (1, L, M) block:
+    every row it yields is exact, with a standard error of exactly zero.  The
+    short timescale still samples and schedules all S subframes, and serves
+    the bits the S-fold repeated block serves."""
+    model = det_model(multicell_graph())
+    config = fast_config()
+    n_samples = config.subframes_per_superframe
+    state = initial_state(model)
+    for _ in range(4):
+        block = block_pass(model, state, config)
+        assert block.rate_block.shape == block.winners.shape == (1, model.num_links, model.num_subbands)
+        for sem in (block.member_stderr, block.pattern_sem, block.best_stderr):
+            assert not np.any(sem)
+        repeated = model.rate_block(block.t0, n_samples)
+        assert np.array_equal(repeated, np.repeat(block.rate_block, n_samples, axis=0))
+        draws = model.pattern_draws(block.t0, n_samples)
+        active = state.patterns[state.member_index[_sample_member_indices(state.shares, draws)]]
+        winners, _, _ = phy.station_contributions(model.graph, state.weight_stack[:1], repeated)
+        served = phy.schedule_block(model.graph, active, state.weights, repeated, winners)
+        state, record = run_superframe(model, state, config, block)
+        assert record.served_rates.tobytes() == served.tobytes()
+
+
+def test_a_deterministic_certificate_tolerance_is_its_floor_alone():
+    """With exact rows the certificate widens its check by no standard error:
+    its tolerance is the 1e-9 floor, in every mode."""
+    text = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    demo = parse_scenario(text, path="two_hop_demo.scenario")
+    for mode in MODES:
+        result, _ = run_experiment(demo, mode, demo.seed)
+        assert result.certificate.tolerance == 1e-9, mode
+
+
 def test_a_block_pass_from_another_block_is_refused():
     model = det_model(diamond_graph())
     config = fast_config()
@@ -374,24 +408,20 @@ def test_a_block_pass_from_another_block_is_refused():
 )
 def test_member_rows_equal_a_full_restack(monkeypatch, setup):
     """Every superframe's block pass gives each member the row a pass that
-    stacks every member's weights gives, bit for bit.  A deterministic pass
-    reads the rows the state carries in place of re-stacking them; a fading
-    one re-measures them on its fresh draws.  After every superframe each
-    stack row but row 0 is read by some member."""
+    stacks every member's weights on the same block gives, bit for bit.  A
+    deterministic pass reads the rows the state carries in place of
+    re-stacking them; a fading one re-measures them on its fresh draws.
+    After every superframe each stack row but row 0 is read by some member."""
     step = rrm.run_superframe
     pinned_elsewhere = []
 
     def checked_step(model, state, config, block):
         state, record = step(model, state, config, block)
-        t0 = state.superframe * config.subframes_per_superframe
+        block = block_pass(model, state, config)
         stack = np.vstack([state.weights, state.weight_stack[state.member_row]])
-        winner_rates = model.statistical_rates() if config.statistical_scheduling else None
-        _, mean, stderr = phy.station_contributions(
-            model.graph, stack, model.rate_block(t0, config.subframes_per_superframe), winner_rates
-        )
+        _, mean, stderr = phy.station_contributions(model.graph, stack, block.rate_block, block.winner_rates)
         patterns = state.patterns[state.member_index]
         rows, row_stderr = phy.rate_table_for_patterns(model.graph, patterns, mean[1:], stderr[1:])
-        block = block_pass(model, state, config)
         assert rows.tobytes() == block.member_rates.tobytes()
         assert row_stderr.tobytes() == block.member_stderr.tobytes()
         if model.deterministic:
