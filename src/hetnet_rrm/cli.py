@@ -90,7 +90,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:  # under the parser's rule, so the trace's config echo re-parses
-        scenario = with_param(scenario, "seed", args.seed)
+        scenario = with_param(scenario, "seed", args.seed, flag="--seed")
     scenario = replace(scenario, mode=args.mode or scenario.mode)
     mode, seed = scenario.mode, scenario.seed
     _refuse_early(scenario, (mode,), args.out)

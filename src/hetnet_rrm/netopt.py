@@ -31,13 +31,12 @@ import importlib.util
 import math
 import os
 import sys
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .topology import TopologyGraph
+from .topology import TopologyGraph, per_graph
 
 CAPACITY_FLOOR = 1e-9
 MAX_PATHS_PER_FLOW = 4000
@@ -250,14 +249,9 @@ def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> lis
     return found
 
 
-# Path sets per graph object, dropped with the graph (graphs hash by identity).
-_path_problems: weakref.WeakKeyDictionary[TopologyGraph, _PathProblem] = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _path_problem(graph: TopologyGraph) -> _PathProblem:
-    problem = _path_problems.get(graph)
-    if problem is not None:
-        return problem
+    """Every flow's simple paths on ``graph``, enumerated once per graph."""
     paths: list[tuple[int, ...]] = []
     flow_of_path: list[int] = []
     for flow in graph.flows:
@@ -271,10 +265,7 @@ def _path_problem(graph: TopologyGraph) -> _PathProblem:
         link_matrix[list(path), p] = 1.0
     flow_matrix = np.zeros((graph.num_flows, len(paths)))
     flow_matrix[flow_of_path, np.arange(len(paths))] = 1.0
-    problem = _path_problems[graph] = _PathProblem(
-        paths, np.array(flow_of_path), link_matrix, flow_matrix
-    )
-    return problem
+    return _PathProblem(paths, np.array(flow_of_path), link_matrix, flow_matrix)
 
 
 def check_path_sets(graph: TopologyGraph) -> None:

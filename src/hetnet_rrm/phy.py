@@ -23,11 +23,9 @@ row yields the per-link rates the long timescale's rate rows are built from.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from .topology import TopologyGraph
+from .topology import TopologyGraph, per_graph
 
 MAX_PATTERN_BS = 20
 
@@ -73,17 +71,11 @@ def enumerate_feasible_patterns(interference: np.ndarray) -> np.ndarray:
     return patterns
 
 
-# Admissible patterns per graph object, dropped with the graph (graphs hash by identity).
-_pattern_tables: weakref.WeakKeyDictionary[TopologyGraph, np.ndarray] = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def admissible_patterns(graph: TopologyGraph) -> np.ndarray:
     """:func:`enumerate_feasible_patterns` of ``graph``'s interference matrix,
     enumerated once per graph: every call returns the same read-only array."""
-    patterns = _pattern_tables.get(graph)
-    if patterns is None:
-        patterns = _pattern_tables[graph] = enumerate_feasible_patterns(graph.interference)
-    return patterns
+    return enumerate_feasible_patterns(graph.interference)
 
 
 def schedule_links(
@@ -137,12 +129,7 @@ def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndar
 ROWS_PER_CHUNK = 2
 
 
-# Candidate layouts per graph object, dropped with the graph (graphs hash by identity).
-_candidate_tables: weakref.WeakKeyDictionary[
-    TopologyGraph, tuple[np.ndarray, np.ndarray, np.ndarray]
-] = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stations' wireless links as the block kernel reads them, built once
     per graph (read-only arrays).
@@ -152,9 +139,6 @@ def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the first ``count[b]`` of row ``b`` its own and the rest copies of its
     first one.
     """
-    cached = _candidate_tables.get(graph)
-    if cached is not None:
-        return cached
     width = max((cand.size for cand in graph.station_links), default=0)
     single = [cand[0] for cand in graph.station_links if cand.size == 1]
     multi = [cand for cand in graph.station_links if cand.size > 1]
@@ -166,7 +150,6 @@ def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
     for array in arrays:
         array.setflags(write=False)
-    _candidate_tables[graph] = arrays
     return arrays
 
 
@@ -259,35 +242,10 @@ def schedule_block(
             f"block schedule of subframe 0 disagrees with schedule_links under {active[0].astype(int)}"
         )
     per_link = (rate_block * rho).sum(axis=2)  # (S, L); exact for finite non-negative rates
-    # A plain sum over a single link's column switches to pairwise summation;
-    # accumulating adds the subframes strictly in order, for every link count.
+    # A one-draw block broadcast against the schedule gives a per_link that is
+    # not C-contiguous, over which a plain mean sums the subframes in another
+    # order than over the S-fold repeated block; accumulating adds them in order.
     return np.add.accumulate(per_link, axis=0)[-1] / active.shape[0]
-
-
-def contribution_stats(graph: TopologyGraph, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block mean and standard error (K, L) of :func:`block_winners`' rates.
-
-    The summation order over the subframes is that of a per-station
-    reduction of a contiguous (S, C) copy: numpy sums a lone column pairwise
-    but adds the rows of a wider block one after another, so one-link
-    stations reduce pairwise and the others in order, and every bit of the
-    mean follows.
-    """
-    n_rows, n_samples, n_links = rates.shape
-    single, table, count = _candidates(graph)
-    multi = table[np.arange(table.shape[1]) < count[:, None]]  # each station's own, in order
-    mean = np.zeros((n_rows, n_links))
-    stderr = np.zeros((n_rows, n_links))
-    # (K, Ls, S) for pairwise sums over S, (K, S, Lm) for sums in order.
-    for links, axis in ((single, 2), (multi, 1)):
-        if links.size == 0:
-            continue
-        per_sample = np.take(rates, links, axis=2)
-        per_sample = np.ascontiguousarray(per_sample.transpose(0, 2, 1) if axis == 2 else per_sample)
-        mean[:, links] = per_sample.mean(axis=axis)
-        if n_samples > 1:
-            stderr[:, links] = per_sample.std(axis=axis, ddof=1) / np.sqrt(n_samples)
-    return mean, stderr
 
 
 def station_contributions(
@@ -302,14 +260,19 @@ def station_contributions(
     Returns ``(winners, mean, stderr)``: ``winners`` is :func:`block_winners`'
     schedule under row 0, and ``mean[k, l]`` (K, L) the average over the
     block's subframes of the rate link ``l`` gets under row ``k`` when its
-    station is active, with its standard error ``stderr``.  Because each link
-    has one station and admissible patterns are interference-free, a
-    pattern's rate row keeps the links of its active stations
-    (:func:`rate_table_for_patterns`).  ``winner_rates`` is as in
+    station is active, with its standard error ``stderr``: the subframes'
+    sample standard deviation over √S, exactly zero for a one-subframe block.
+    Because each link has one station and admissible patterns are
+    interference-free, a pattern's rate row keeps the links of its active
+    stations (:func:`rate_table_for_patterns`).  ``winner_rates`` is as in
     :func:`block_winners`.
     """
     winners, rates = block_winners(graph, weights, rate_block, winner_rates)
-    return (winners, *contribution_stats(graph, rates))
+    n_samples = rates.shape[1]
+    mean = rates.mean(axis=1)
+    if n_samples == 1:
+        return winners, mean, np.zeros_like(mean)
+    return winners, mean, rates.std(axis=1, ddof=1) / np.sqrt(n_samples)
 
 
 def rate_table_for_patterns(

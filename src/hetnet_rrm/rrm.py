@@ -58,11 +58,11 @@ much.
 
 from __future__ import annotations
 
+import functools
 import logging
-import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -254,8 +254,10 @@ def block_pass(
     a deterministic channel the rows ``state`` carries after its first
     superframe are kept instead and only row 0 is stacked: the draw never
     changes and a member's weights are pinned, so re-stacking a member would
-    give the same bits.  Each duration group's best pattern is the
-    argmax over all patterns, or under fixed durations each pattern itself.
+    give the same bits.  Every pattern's rate row under row 0 comes from one
+    table, and its value is that row times the current weights.  Each
+    duration group's best pattern is the argmax over all patterns, or under
+    fixed durations each pattern itself.
     """
     started = time.perf_counter()
     if t0 is None:
@@ -274,13 +276,9 @@ def block_pass(
         member_rates, member_stderr = rate_table_for_patterns(
             graph, patterns[state.member_index], mean[row], stderr[row]
         )
-    # Each station's weighted sum over its links as a (B, L) block product:
-    # a per-station reduction would sum in another order, to other bits.
-    station = np.zeros((2, graph.num_bs, graph.num_links))
-    station[:, graph.link_station, np.arange(graph.num_links)] = mean[0], stderr[0]
-    values, value_sem = (patterns @ (rows @ state.weights) for rows in station)
+    rates, sems = rate_table_for_patterns(graph, patterns, mean[0], stderr[0])
+    values, value_sem = rates @ state.weights, sems @ state.weights
     best = np.arange(len(values)) if config.fixed_pattern_durations else np.argmax(values, keepdims=True)
-    best_rates, best_stderr = rate_table_for_patterns(graph, patterns[best], mean[0], stderr[0])
     return BlockPass(
         started=started,
         t0=t0,
@@ -292,8 +290,8 @@ def block_pass(
         pattern_values=values,
         pattern_sem=value_sem,
         group_best=best,
-        best_rates=best_rates,
-        best_stderr=best_stderr,
+        best_rates=rates[best],
+        best_stderr=sems[best],
     )
 
 
@@ -458,14 +456,11 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
     records: list[SuperframeRecord] = []
     while True:
         block = block_pass(model, state, config)
-        budget_spent = len(records) == config.max_superframes
-        plateau = _utility_step(records) < config.epsilon_converge
-        if plateau or budget_spent:
-            report = certificate(state, block)
-            converged = plateau and report.gap <= report.tolerance + _gap_slack(report, config)
-            if converged or budget_spent:
-                wall_ms = (time.perf_counter() - started) * 1e3
-                return RrmResult(state, records, converged, report, wall_ms)
+        report = functools.cache(functools.partial(certificate, state, block))
+        failed = _failed_test(records, report, config)
+        if not failed or len(records) == config.max_superframes:
+            wall_ms = (time.perf_counter() - started) * 1e3
+            return RrmResult(state, records, not failed, report(), wall_ms)
         previous = state.flow
         state, record = run_superframe(model, state, config, block)
         records.append(record)
@@ -479,16 +474,30 @@ def run_to_convergence(model: ChannelModel, config: RrmConfig) -> RrmResult:
         )
 
 
-def _utility_step(records: list[SuperframeRecord]) -> float:
-    """How far the utility moved over the last two superframes (inf before two)."""
+def _failed_test(
+    records: list[SuperframeRecord], report: Callable[[], CertificateReport], config: RrmConfig
+) -> str:
+    """The convergence rule: ``""`` when a run with ``records`` has converged,
+    else the test it fails and by how much.  The utility must have moved less
+    than ``epsilon_converge`` over the last two superframes; only then is
+    ``report()``, the certificate of the current pass, read, and its gap must
+    be within its tolerance plus the ``gap_converge_rel`` slack."""
     if len(records) < 2:
-        return math.inf
-    return abs(records[-1].utility - records[-2].utility)
-
-
-def _gap_slack(report: CertificateReport, config: RrmConfig) -> float:
-    """The certificate gap convergence allows beyond ``report.tolerance``."""
-    return config.gap_converge_rel * max(1.0, abs(report.policy_value))
+        return f"{len(records)} superframe(s) ran; the utility step test needs two"
+    step = abs(records[-1].utility - records[-2].utility)
+    if not step < config.epsilon_converge:
+        return (
+            f"utility step {step:.3g} >= epsilon_converge {config.epsilon_converge:.3g} "
+            f"(by {step - config.epsilon_converge:.3g})"
+        )
+    cert = report()
+    slack = config.gap_converge_rel * max(1.0, abs(cert.policy_value))
+    if cert.gap <= cert.tolerance + slack:
+        return ""
+    return (
+        f"certificate gap {cert.gap:.3g} > tolerance {cert.tolerance:.3g} "
+        f"+ gap_converge_rel slack {slack:.3g} (by {cert.gap - cert.tolerance - slack:.3g})"
+    )
 
 
 def stop_reason(result: RrmResult, config: RrmConfig) -> str:
@@ -496,17 +505,4 @@ def stop_reason(result: RrmResult, config: RrmConfig) -> str:
     last, and by how much: the utility step against ``epsilon_converge``, or
     the certificate gap against its tolerance plus the ``gap_converge_rel``
     slack."""
-    if len(result.records) < 2:
-        return f"{len(result.records)} superframe(s) ran; the utility step test needs two"
-    step = _utility_step(result.records)
-    if step >= config.epsilon_converge:
-        return (
-            f"utility step {step:.3g} >= epsilon_converge {config.epsilon_converge:.3g} "
-            f"(by {step - config.epsilon_converge:.3g})"
-        )
-    report = result.certificate
-    slack = _gap_slack(report, config)
-    return (
-        f"certificate gap {report.gap:.3g} > tolerance {report.tolerance:.3g} "
-        f"+ gap_converge_rel slack {slack:.3g} (by {report.gap - report.tolerance - slack:.3g})"
-    )
+    return _failed_test(result.records, lambda: result.certificate, config)

@@ -510,7 +510,7 @@ def sweep_value(name: str, text: str) -> int | float:
     return float(text)
 
 
-def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
+def with_param(scenario: Scenario, name: str, value: float, flag: str | None = None) -> Scenario:
     """Return a copy with one swept parameter replaced.
 
     Only :data:`SWEEPABLE_PARAMS` are accepted; anything else needs a real
@@ -519,7 +519,8 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
     then reads, so a swept value obeys exactly the parser's rules.  An
     integral value of an integer setting is written as an integer: a seed of
     ``9.0`` is 9, and an ``int`` keeps every digit.  Errors keep the parser's
-    wording, prefixed ``--param <name>:``.
+    wording, prefixed with the command-line ``flag`` that set the value
+    (``--param <name>`` by default) and a colon.
     """
     if name not in SWEEPABLE_PARAMS:
         raise ScenarioError(
@@ -536,9 +537,8 @@ def with_param(scenario: Scenario, name: str, value: float) -> Scenario:
         swept = parse_scenario("\n".join(lines))
     except ScenarioError as exc:
         # Drop the "<scenario>:<line>:" location of text the user never saw.
-        raise ScenarioError(
-            [f"--param {name}: {error.split(': ', 1)[1]}" for error in exc.errors]
-        ) from None
+        flag = flag or f"--param {name}"
+        raise ScenarioError([f"{flag}: {error.split(': ', 1)[1]}" for error in exc.errors]) from None
     # No sweepable parameter touches the topology; keeping the graph object
     # keeps the caches keyed on it (the flow solver's path sets) warm.
     return replace(swept, graph=scenario.graph)

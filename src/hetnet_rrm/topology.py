@@ -8,11 +8,15 @@ possibly relayed over several wireless hops.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
+from typing import Callable, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 
 class NodeKind(str, Enum):
@@ -150,6 +154,20 @@ class TopologyGraph:
             if l.is_wired:
                 base[l.index] = l.wired_capacity
         return base
+
+
+def per_graph(build: Callable[[TopologyGraph], _T]) -> Callable[[TopologyGraph], _T]:
+    """``build(graph)`` built once per graph object and dropped with the graph
+    (graphs hash by identity); a build that raises keeps nothing."""
+    built: weakref.WeakKeyDictionary[TopologyGraph, _T] = weakref.WeakKeyDictionary()
+
+    @wraps(build)
+    def cached(graph: TopologyGraph) -> _T:
+        if graph not in built:
+            built[graph] = build(graph)
+        return built[graph]
+
+    return cached
 
 
 def interference_from_positions(

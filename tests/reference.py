@@ -106,24 +106,6 @@ def vector_block_winners(
     return winners, per_station
 
 
-def vector_contribution_stats(
-    graph: TopologyGraph, per_station: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block mean and standard error (L,) of :func:`vector_block_winners`'
-    per-station rates, one contiguous (S, C) copy per station."""
-    n_samples, _, n_links = per_station.shape
-    mean = np.zeros(n_links)
-    stderr = np.zeros(n_links)
-    for slot, cand in enumerate(graph.station_links):
-        if cand.size == 0:
-            continue
-        per_sample = np.ascontiguousarray(per_station[:, slot, cand])
-        mean[cand] = per_sample.mean(axis=0)
-        if n_samples > 1:
-            stderr[cand] = per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, stderr
-
-
 def finite_diff_gradient(
     graph: TopologyGraph,
     capacities: np.ndarray,

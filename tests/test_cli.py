@@ -160,7 +160,7 @@ def test_run_seed_obeys_the_parser(tmp_path, capsys):
     out = tmp_path / "neg.trace"
     assert main(["run", "--scenario", src, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == "error: --param seed: 'seed' must be >= 0, got -1\n"
+    assert captured.err == "error: --seed: 'seed' must be >= 0, got -1\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -171,7 +171,7 @@ def test_run_seed_past_one_philox_key_word_exits_config(tmp_path, capsys, monkey
     src = scenario_file(tmp_path)
     assert main(["run", "--scenario", src, "--seed", str(2**64)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == f"error: --param seed: 'seed' must be <= {2**64 - 1}, got {2**64}\n"
+    assert captured.err == f"error: --seed: 'seed' must be <= {2**64 - 1}, got {2**64}\n"
     assert captured.out == ""
     src = scenario_file(tmp_path, TWO_USER_DET.replace("seed = 5", f"seed = {2**64}"))
     assert main(["validate", "--scenario", src]) == EXIT_CONFIG

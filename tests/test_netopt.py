@@ -472,16 +472,15 @@ def test_path_sets_are_dropped_with_their_graph():
     gc.collect()  # graphs earlier tests dropped leave with their cycles
     graph = relay_grid_graph()
     solve_p1(graph, np.ones(graph.num_links), LOG)
-    assert graph in netopt._path_problems
-    (layout,) = netopt._path_problems[graph].layouts.values()
-    alive, layout = weakref.ref(graph), weakref.ref(layout)
-    cached = len(netopt._path_problems)
-    # The last reference must free the graph, without the cyclic collector.
+    problem = netopt._path_problem(graph)
+    (layout,) = problem.layouts.values()
+    alive, problem, layout = weakref.ref(graph), weakref.ref(problem), weakref.ref(layout)
+    # The last reference must free the graph, its path sets and its layout,
+    # without the cyclic collector.
     gc.disable()
     try:
         del graph
-        assert alive() is None and layout() is None
-        assert len(netopt._path_problems) == cached - 1
+        assert alive() is None and problem() is None and layout() is None
     finally:
         gc.enable()
 

@@ -11,10 +11,10 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "output_digest.py"
 
-ECHO_FREE_TOTAL = "66f14e048491e393fea16878dbd62606898dfd61f4f3a08030f664c684341337"
+ECHO_FREE_TOTAL = "9856bd352ca6bf0f5a5a7eead40df67cad89bcfd7d651dd6769d5ff5ac1e5859"
 
 INTERIOR_POINT_LINES = [
-    "fig7_sweep interior point: 111 calls, 1184 Newton iterations, 138 refinement steps, 0 banked, largest 21",
+    "fig7_sweep interior point: 111 calls, 1181 Newton iterations, 136 refinement steps, 0 banked, largest 22",
     "oracle_battery interior point: 346 calls, 3148 Newton iterations, 563 refinement steps, 0 banked, largest 198",
     "flow_prices interior point: 160 calls, 1414 Newton iterations, 160 refinement steps, 0 banked, largest 10",
     "two_hop_demo interior point: 11 calls, 88 Newton iterations, 11 refinement steps, 0 banked, largest 8",

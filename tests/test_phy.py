@@ -21,13 +21,8 @@ from hetnet_rrm.phy import (
 )
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
-from conftest import build_graph, multicell_graph, random_instance
-from reference import (
-    conditional_rate,
-    is_feasible_pattern,
-    vector_block_winners,
-    vector_contribution_stats,
-)
+from conftest import build_graph, multicell_graph, random_instance, single_link_graph
+from reference import conditional_rate, is_feasible_pattern, vector_block_winners
 from hetnet_rrm import phy
 from hetnet_rrm.rrm import RrmConfig, block_pass, initial_state, run_superframe
 
@@ -92,14 +87,13 @@ def test_admissible_patterns_are_enumerated_once_per_graph_and_dropped_with_it(m
     assert initial_state(model, fixed_pattern_durations=True).patterns is patterns
     assert phy.admissible_patterns(graph) is patterns
     assert len(enumerated) == 1
-    alive = weakref.ref(graph)
-    cached = len(phy._pattern_tables)
-    # The last reference must free the graph, without the cyclic collector.
+    alive, table = weakref.ref(graph), weakref.ref(patterns)
+    # The last reference must free the graph and its patterns, without the
+    # cyclic collector.
     gc.disable()
     try:
-        del graph, model
-        assert alive() is None
-        assert len(phy._pattern_tables) == cached - 1
+        del graph, model, patterns
+        assert alive() is None and table() is None
     finally:
         gc.enable()
 
@@ -287,9 +281,17 @@ def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
     n_rows=st.integers(1, 6),
     n_samples=st.sampled_from([1, 2, 40]),
     kind=st.sampled_from(["fading", "ties", "statistical"]),
+    shape=st.sampled_from(["random", "one-link station", "one link"]),
 )
-def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n_samples, kind):
-    g = random_instance(seed % 500)
+def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n_samples, kind, shape):
+    """Winners and per-row rates equal the per-station reference bit for bit;
+    the block means and standard errors are numpy's mean and
+    ``std(ddof=1) / sqrt(S)`` over the reference's (S, L) per-subframe rates."""
+    g = {
+        "random": lambda: random_instance(seed % 500),
+        "one-link station": _two_station_graph,
+        "one link": single_link_graph,
+    }[shape]()
     rng = np.random.default_rng(seed)
     model = ChannelModel(g, int(rng.integers(1, 12)), 40.0, 33.0, seed=seed % 1000)
     block = model.rate_block(int(rng.integers(0, 10_000)), n_samples)
@@ -301,18 +303,19 @@ def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n
         weights = np.round(weights * 2.0) / 2.0  # equal weights: equal scores
     weights[rng.integers(n_rows)] = weights[0]  # a repeated row
     winners, rates = block_winners(g, weights, block, winner_rates)
-    mean, stderr = phy.contribution_stats(g, rates)
+    _, mean, stderr = station_contributions(g, weights, block, winner_rates)
     assert rates.shape == (n_rows, n_samples, g.num_links)
     for k in range(n_rows):
         ref_winners, per_station = vector_block_winners(g, weights[k], block, winner_rates)
-        ref_mean, ref_stderr = vector_contribution_stats(g, per_station)
+        per_sample = per_station.sum(axis=1)  # (S, L)
         if k == 0:
             assert np.array_equal(winners, ref_winners)
-        assert np.array_equal(rates[k], per_station.sum(axis=1))
-        assert np.array_equal(mean[k], ref_mean)
-        assert np.array_equal(stderr[k], ref_stderr)
+        assert np.array_equal(rates[k], per_sample)
+        assert np.array_equal(mean[k], per_sample.mean(axis=0))
         if n_samples == 1:
             assert np.all(stderr[k] == 0.0)
+        else:
+            assert np.array_equal(stderr[k], per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

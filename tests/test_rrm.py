@@ -9,6 +9,7 @@ import pytest
 
 from hetnet_rrm import netopt, phy, rrm
 from hetnet_rrm.baselines import run_fddsa
+from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.cli import run_experiment
 from hetnet_rrm.netopt import UtilitySpec, optimize_time_sharing, solve_p1
 from hetnet_rrm.rrm import (
@@ -375,6 +376,26 @@ def test_a_deterministic_block_pass_scores_its_one_draw():
         served = phy.schedule_block(model.graph, active, state.weights, repeated, winners)
         state, record = run_superframe(model, state, config, block)
         assert record.served_rates.tobytes() == served.tobytes()
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["one group", "fixed durations"])
+@pytest.mark.parametrize("deterministic", [False, True], ids=["fading", "deterministic"])
+def test_pattern_values_are_one_pattern_table_times_the_weights(fixed, deterministic):
+    """A pass's pattern values and their weighted standard errors are the rows
+    of one ``rate_table_for_patterns`` table under row 0 times the current
+    weights, and the group bests' rate rows are that table's rows."""
+    model = ChannelModel(multicell_graph(), 3, 40.0, 33.0, seed=4, deterministic=deterministic)
+    config = fast_config(fixed_pattern_durations=fixed)
+    state = initial_state(model, fixed)
+    for _ in range(3):
+        block = block_pass(model, state, config)
+        _, mean, stderr = phy.station_contributions(model.graph, state.weight_stack[:1], block.rate_block)
+        rows, sems = phy.rate_table_for_patterns(model.graph, state.patterns, mean[0], stderr[0])
+        assert np.array_equal(block.pattern_values, rows @ state.weights)
+        assert np.array_equal(block.pattern_sem, sems @ state.weights)
+        assert np.array_equal(block.best_rates, rows[block.group_best])
+        assert np.array_equal(block.best_stderr, sems[block.group_best])
+        state, _ = run_superframe(model, state, config, block)
 
 
 def test_a_deterministic_certificate_tolerance_is_its_floor_alone():

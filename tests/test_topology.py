@@ -9,6 +9,7 @@ from hetnet_rrm.topology import (
     NodeKind,
     TopologyGraph,
     interference_from_positions,
+    per_graph,
     validate,
 )
 
@@ -155,3 +156,18 @@ def test_validate_flags_interference_matrix():
     asym = np.zeros((1, 1), dtype=bool)
     g = TopologyGraph(nodes, (Link(0, 0, 1),), (Flow(0, 0, 1),), frozenset({0}), asym)
     assert validate(g) == []
+
+
+def test_per_graph_keeps_nothing_from_a_build_that_raises():
+    calls = []
+
+    @per_graph
+    def refused(graph):
+        calls.append(None)
+        raise ValueError("no")
+
+    graph = single_link_graph()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            refused(graph)
+    assert len(calls) == 2
