@@ -16,8 +16,11 @@ a pattern's row masks one (L,) row of link means.
 
 One block kernel, :func:`block_winners`, takes that argmax for every station
 on every subframe of a (S, L, M) rate block, under a whole (K, L) stack of
-weight vectors, in one call: row 0 schedules the short timescale, and every
-row yields the per-link rates the long timescale's rate rows are built from.
+weight vectors, in one call: row 0's winners and per-subframe link rates are
+what the short timescale serves, and every row yields the per-link rates the
+long timescale's rate rows are built from.  The pass works on a
+subframe-contiguous copy of the block, so its subband sums and its
+reductions over the subframes run along whole rows.
 :func:`schedule_links` is its single-subframe reference.
 """
 
@@ -125,10 +128,6 @@ def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndar
             raise AssertionError(f"wired link {l} appeared in a radio schedule")
 
 
-#: Weight rows scored at once; bounds the kernel's (rows, Bm, S, M) working set.
-ROWS_PER_CHUNK = 2
-
-
 @per_graph
 def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stations' wireless links as the block kernel reads them, built once
@@ -166,9 +165,11 @@ def block_winners(
     ``weights`` is a (K, L) stack.  Returns ``(winners, rates)``: ``winners``
     (S, L, M) marks, per subframe and subband, each station's argmax link
     under row 0 of the stack (ties to the lowest link index), and
-    ``rates[k, s, l]`` (K, S, L) is the rate link ``l`` is served on subframe
-    ``s`` under row ``k``, summed over subbands.  A pattern's schedule on
-    subframe ``s`` is ``winners[s]`` on its active stations' links.
+    ``rates[k, l, s]`` (K, L, S) is the rate link ``l`` is served on subframe
+    ``s`` under row ``k``, summed over subbands in subband order (a
+    one-subframe block's (M,) rows are contiguous runs, which numpy adds
+    pairwise from eight subbands on).  A pattern's schedule on subframe
+    ``s`` is ``winners[s]`` on its active stations' links.
 
     A one-link station serves its link whatever the weights, so its rates are
     computed once for every row.  The other stations take a running maximum
@@ -184,21 +185,22 @@ def block_winners(
     if not np.all(np.isfinite(weights)):
         raise ValueError("weight stack holds a non-finite entry")
     single, table, count = _candidates(graph)
+    # Subframe-contiguous (L, M, S) copy: a weight scales whole subframe rows,
+    # and a subband sum adds them, in subband order.
+    by_link = np.ascontiguousarray(rate_block.transpose(1, 2, 0))
     winners = np.zeros(rate_block.shape, dtype=bool)
-    rates = np.zeros((weights.shape[0], n_samples, n_links))
+    rates = np.zeros((weights.shape[0], n_links, n_samples))
     winners[:, single, :] = True
-    rates[:, :, single] = rate_block[:, single, :].sum(axis=2)
+    rates[:, single] = by_link[single].sum(axis=1)
     if table.size == 0:
         return winners, rates
-    # Station-major (Bm, S, M) copies: a weight then scales a contiguous run.
-    payload = [np.ascontiguousarray(rate_block[:, column, :].transpose(1, 0, 2)) for column in table.T]
-    scored = payload if winner_rates is None else [winner_rates[column, None, :] for column in table.T]
-    for lo in range(0, weights.shape[0], ROWS_PER_CHUNK):
-        chunk = weights[lo : lo + ROWS_PER_CHUNK, table]  # (k, Bm, C)
-        best = chunk[:, :, 0, None, None] * scored[0]  # (k, Bm, S or 1, M)
+    payload = [by_link[column] for column in table.T]  # station-major (Bm, M, S)
+    scored = payload if winner_rates is None else [winner_rates[column, :, None] for column in table.T]
+    for k, row in enumerate(weights[:, table]):  # (Bm, C) each
+        best = row[:, 0, None, None] * scored[0]  # (Bm, M, S or 1)
         pick = np.zeros(best.shape, dtype=np.int8)
         for c in range(1, table.shape[1]):
-            score = chunk[:, :, c, None, None] * scored[c]
+            score = row[:, c, None, None] * scored[c]
             # c only grows, so the latest strictly better candidate is the max.
             np.maximum(pick, (score > best) * np.int8(c), out=pick)
             np.maximum(best, score, out=best)
@@ -206,12 +208,11 @@ def block_winners(
             chosen = pick == c
             own = count > c  # padding copies are never strictly better
             links = table[own, c]
-            if lo == 0:
-                winners[:, links, :] = chosen[0, own].transpose(1, 0, 2)
+            if k == 0:
+                winners[:, links, :] = chosen[own].transpose(2, 0, 1)
             # Rates are finite and non-negative, so masking by a product is
-            # exact; the subband sum stays a contiguous reduction over M.
-            served = (payload[c] * chosen).sum(axis=3)  # (k, Bm, S)
-            rates[lo : lo + ROWS_PER_CHUNK, :, links] = served[:, own].transpose(0, 2, 1)
+            # exact; the subband sum adds (Bm, S) rows in subband order.
+            rates[k, links] = (payload[c] * chosen).sum(axis=1)[own]
     return winners, rates
 
 
@@ -221,18 +222,23 @@ def schedule_block(
     weights: np.ndarray,
     rate_block: np.ndarray,
     winners: np.ndarray,
+    served: np.ndarray,
     winner_rates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Schedule a block of S subframes, subframe ``s`` under pattern ``active[s]``.
 
-    ``winners`` is :func:`block_winners`' row for ``weights`` on
-    ``rate_block``, which holds S subframes or one that every subframe
-    repeats (a deterministic channel's one draw).  Returns the mean rate (L,)
-    each link is served over the S subframes.  Every subframe's schedule
-    passes :func:`assert_block_feasible`, and subframe 0 is re-scheduled by
-    the reference :func:`schedule_links`, which must agree.
+    ``winners`` and ``served`` are :func:`station_contributions`' row for
+    ``weights`` on ``rate_block``, which holds S subframes or one that every
+    subframe repeats (a deterministic channel's one draw): ``served`` (L, S
+    or 1) is each link's rate on each subframe with every station active.
+    Returns the mean rate (L,) each link is served over the S subframes,
+    ``served`` kept on each subframe's active stations' links.  Every
+    subframe's schedule passes :func:`assert_block_feasible`, and subframe 0
+    is re-scheduled by the reference :func:`schedule_links`, which must
+    agree.
     """
-    rho = winners & active[:, graph.link_station, None]
+    on = active[:, graph.link_station]  # (S, L)
+    rho = winners & on[:, :, None]
     assert_block_feasible(graph, active, rho)
     reference = schedule_links(
         graph, active[0], weights, rate_block[0] if winner_rates is None else winner_rates
@@ -241,11 +247,10 @@ def schedule_block(
         raise AssertionError(
             f"block schedule of subframe 0 disagrees with schedule_links under {active[0].astype(int)}"
         )
-    per_link = (rate_block * rho).sum(axis=2)  # (S, L); exact for finite non-negative rates
-    # A one-draw block broadcast against the schedule gives a per_link that is
-    # not C-contiguous, over which a plain mean sums the subframes in another
-    # order than over the S-fold repeated block; accumulating adds them in order.
-    return np.add.accumulate(per_link, axis=0)[-1] / active.shape[0]
+    # Exact for finite non-negative rates.  The (S, L) product takes the
+    # layout of ``served``, over which a plain mean would not add the
+    # subframes in order; accumulating does, as for the S-fold repeated block.
+    return np.add.accumulate(served.T * on, axis=0)[-1] / active.shape[0]
 
 
 def station_contributions(
@@ -253,26 +258,31 @@ def station_contributions(
     weights: np.ndarray,
     rate_block: np.ndarray,
     winner_rates: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean link rates under max-weight scheduling with every station active,
     for a (K, L) stack of weight vectors from one kernel pass.
 
-    Returns ``(winners, mean, stderr)``: ``winners`` is :func:`block_winners`'
-    schedule under row 0, and ``mean[k, l]`` (K, L) the average over the
-    block's subframes of the rate link ``l`` gets under row ``k`` when its
-    station is active, with its standard error ``stderr``: the subframes'
-    sample standard deviation over √S, exactly zero for a one-subframe block.
-    Because each link has one station and admissible patterns are
-    interference-free, a pattern's rate row keeps the links of its active
-    stations (:func:`rate_table_for_patterns`).  ``winner_rates`` is as in
-    :func:`block_winners`.
+    Returns ``(winners, served, mean, stderr)``: ``winners`` and ``served``
+    are row 0's :func:`block_winners` schedule and its (L, S) per-subframe
+    rates, the short timescale's input, and ``mean[k, l]`` (K, L) the
+    average over the block's subframes of the rate link ``l`` gets under row
+    ``k`` when its station is active, with its standard error ``stderr``:
+    the subframes' sample standard deviation about that mean over √S,
+    exactly zero for a one-subframe block.  Both are reductions over the
+    contiguous subframe axis.  Because each link has one station and
+    admissible patterns are interference-free, a pattern's rate row keeps
+    the links of its active stations (:func:`rate_table_for_patterns`).
+    ``winner_rates`` is as in :func:`block_winners`.
     """
     winners, rates = block_winners(graph, weights, rate_block, winner_rates)
-    n_samples = rates.shape[1]
-    mean = rates.mean(axis=1)
+    served = rates[0].copy()  # a view would keep every row alive with the pass
+    n_samples = rates.shape[2]
+    mean = rates.mean(axis=2)
     if n_samples == 1:
-        return winners, mean, np.zeros_like(mean)
-    return winners, mean, rates.std(axis=1, ddof=1) / np.sqrt(n_samples)
+        return winners, served, mean, np.zeros_like(mean)
+    spread = np.subtract(rates, mean[:, :, None], out=rates)
+    variance = np.square(spread, out=spread).sum(axis=2) / (n_samples - 1)
+    return winners, served, mean, np.sqrt(variance) / np.sqrt(n_samples)
 
 
 def rate_table_for_patterns(

@@ -5,10 +5,10 @@ re-optimize their time shares jointly with flow control and routing, and
 refresh link weights from capacity prices.  Short timescale (every subframe):
 sample a pattern from the current shares and schedule links per subband by the
 max-weight rule.  A superframe's subframes are scheduled together: one block
-kernel (``phy.block_winners``) finds every station's winners on all of them,
-each subframe keeps its sampled pattern's active stations, the feasibility
-assertions run on every subframe, and subframe 0 is cross-checked against the
-single-subframe reference ``phy.schedule_links``.
+kernel (``phy.block_winners``) finds every station's winners and served rates
+on all of them, each subframe keeps its sampled pattern's active stations,
+the feasibility assertions run on every subframe, and subframe 0 is
+cross-checked against the single-subframe reference ``phy.schedule_links``.
 
 The optimization state holds the admissible patterns as one (J, B) bool
 array and its member set as arrays: member ``n`` is pattern
@@ -215,7 +215,9 @@ class BlockPass:
     ``started`` is the ``time.perf_counter()`` reading the pass began at,
     which the superframe run on it is timed from.  ``rate_block`` holds the
     S subframes, or a deterministic channel's one draw, and ``winners``
-    (S or 1, L, M) is row 0's on it, under the current weights.
+    (S or 1, L, M) and ``served`` (L, S or 1) are row 0's schedule and
+    per-subframe link rates on it with every station active, under the
+    current weights: what the short timescale serves from.
     ``member_rates``/``member_stderr`` (N, L) are each member's rate row under
     its own weights, ``pattern_values`` (J,) every admissible pattern's
     weighted rate under row 0 and ``pattern_sem`` its weighted standard
@@ -229,6 +231,7 @@ class BlockPass:
     rate_block: np.ndarray
     winner_rates: np.ndarray | None
     winners: np.ndarray
+    served: np.ndarray
     member_rates: np.ndarray
     member_stderr: np.ndarray
     pattern_values: np.ndarray
@@ -267,7 +270,7 @@ def block_pass(
     rate_block = model.rate_block(t0, 1 if model.deterministic else config.subframes_per_superframe)
     winner_rates = model.statistical_rates() if config.statistical_scheduling else None
     stack = state.weight_stack[:1] if stationary else state.weight_stack
-    winners, mean, stderr = station_contributions(graph, stack, rate_block, winner_rates)
+    winners, served, mean, stderr = station_contributions(graph, stack, rate_block, winner_rates)
 
     patterns, row = state.patterns, state.member_row
     if stationary:
@@ -285,6 +288,7 @@ def block_pass(
         rate_block=rate_block,
         winner_rates=winner_rates,
         winners=winners,
+        served=served,
         member_rates=member_rates,
         member_stderr=member_stderr,
         pattern_values=values,
@@ -315,16 +319,17 @@ def run_superframe(
         raise ValueError(f"block pass starts at subframe {block.t0}, superframe at {t0}")
 
     # Short timescale: per-subframe pattern sampling and link scheduling under
-    # the current weights, for the whole block at once: row 0's winners,
-    # masked by each subframe's sampled pattern.  The feasibility assertions
-    # run on every subframe in every mode, and subframe 0 is re-scheduled by
-    # the reference schedule_links as a live cross-check.  A deterministic
-    # pass's one draw and its (1, L, M) winners stand for every subframe.
+    # the current weights, for the whole block at once: row 0's winners and
+    # served rates, masked by each subframe's sampled pattern.  The
+    # feasibility assertions run on every subframe in every mode, and
+    # subframe 0 is re-scheduled by the reference schedule_links as a live
+    # cross-check.  A deterministic pass's one draw, its (1, L, M) winners
+    # and (L, 1) rates stand for every subframe.
     draws = model.pattern_draws(t0, config.subframes_per_superframe)
     index = state.member_index
     active = state.patterns[index[_sample_member_indices(state.shares, draws)]]
     served = schedule_block(
-        graph, active, state.weights, block.rate_block, block.winners, block.winner_rates
+        graph, active, state.weights, block.rate_block, block.winners, block.served, block.winner_rates
     )
 
     # Pattern discovery: each duration group's best pattern under the current

@@ -14,8 +14,10 @@ members: the admissible patterns, the member patterns and the best pattern
 as int8 arrays, and the members' weights as one (N, L) array.  Wall-clock
 fields (``wall_ms``, and the traces' ``wall_ms`` column and summary line)
 are left out.  It
-prints one digest per operation and a total over all of them; two checkouts
-that print the same total produced the same outputs.  It also prints an
+prints one digest per operation, a subtotal over each workload's operations
+and one over the demo runs, and a total over all of them; two checkouts that
+print the same total produced the same outputs, and two that print the same
+subtotal the same outputs of that group.  It also prints an
 ``echo-free total``, taken the same way with each trace's ``[config]`` echo
 left out: a change that only edits the settings a scenario echoes (a deleted
 key, a changed default) shows bit-identical numbers as an unchanged
@@ -142,7 +144,8 @@ def digest(value, echo: bool = True) -> str:
 
 
 def two_hop_traces() -> list[tuple[str, str]]:
-    """``hetnet-rrm run --seed 1`` on the bundled two-hop demo, every mode."""
+    """``hetnet-rrm run --seed 1`` on the bundled two-hop demo: each mode
+    with its trace."""
     path = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario")
     traces = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,7 +155,7 @@ def two_hop_traces() -> list[tuple[str, str]]:
             code = cli.main(argv)
             if code != cli.EXIT_OK:
                 raise SystemExit(f"two_hop_demo {mode}: exit code {code}")
-            traces.append((f"two_hop_demo/{mode}", Path(out).read_text()))
+            traces.append((mode, Path(out).read_text()))
     return traces
 
 
@@ -181,29 +184,34 @@ def solver_line(name: str, results: list) -> str:
 def main() -> int:
     total, echo_free = hashlib.sha256(), hashlib.sha256()
     count = 0
+    subtotal_lines, solver_lines = [], []
 
-    def add(label: str, output) -> None:
+    def group(name: str, outputs) -> None:
+        """Digest each ``(label, output)`` of ``outputs`` as one group."""
         nonlocal count
-        line = f"{label} {digest(output)}"
-        print(line)
-        total.update(line.encode() + b"\n")
-        echo_free.update(f"{label} {digest(output, echo=False)}\n".encode())
-        count += 1
+        subtotal = hashlib.sha256()
+        size = 0
+        for label, output in outputs:
+            line = f"{name}/{label} {digest(output)}"
+            print(line)
+            total.update(line.encode() + b"\n")
+            subtotal.update(line.encode() + b"\n")
+            echo_free.update(f"{name}/{label} {digest(output, echo=False)}\n".encode())
+            size += 1
+        count += size
+        subtotal_lines.append(f"{name} subtotal {subtotal.hexdigest()} over {size} outputs")
 
     results: list = []
     counted_interior_point(results)
-    solver_lines = []
     for name, workload in WORKLOADS.items():
         operations = workload(SEED).operations()
         results.clear()  # set-up solves are not part of the round
-        for label, operation in operations:
-            add(f"{name}/{label}", operation())
+        group(name, ((label, operation()) for label, operation in operations))
         solver_lines.append(solver_line(name, results))
     results.clear()
-    for label, text in two_hop_traces():
-        add(label, text)
+    group("two_hop_demo", two_hop_traces())
     solver_lines.append(solver_line("two_hop_demo", results))
-    print("\n".join(solver_lines))
+    print("\n".join(subtotal_lines + solver_lines))
     print(f"echo-free total {echo_free.hexdigest()} over {count} outputs")
     print(f"total {total.hexdigest()} over {count} outputs")
     return 0

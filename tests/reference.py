@@ -49,7 +49,7 @@ def conditional_rate(
         raise ValueError("n_samples must be >= 1")
     block = channel.rate_block(t_start, n_samples)
     winner = channel.statistical_rates() if statistical_winners else None
-    _, mean, stderr = station_contributions(graph, weights[None], block, winner)
+    _, _, mean, stderr = station_contributions(graph, weights[None], block, winner)
     rates, _ = rate_table_for_patterns(graph, pattern[None], mean[0], stderr[0])
     return rates[0]
 
@@ -83,8 +83,9 @@ def vector_block_winners(
     Returns ``(winners, per_station)``: ``winners`` (S, L, M) as
     ``phy.block_winners`` gives for its row, and ``per_station[s, n]``
     (S, B, L) the rate station ``n``'s links are served on subframe ``s``,
-    summed over subbands.  Each station takes ``np.argmax`` over its
-    candidates, so ties go to the lowest link index.
+    summed over subbands by :func:`subband_sum`.  Each station takes
+    ``np.argmax`` over its candidates, so ties go to the lowest link
+    index.
     """
     n_samples, n_links, n_subbands = rate_block.shape
     winners = np.zeros(rate_block.shape, dtype=bool)
@@ -102,8 +103,21 @@ def vector_block_winners(
         winner = np.argmax(scores, axis=1)  # (S, M)
         chosen = winner[:, None, :] == np.arange(cand.size)[None, :, None]
         winners[:, cand, :] = chosen
-        per_station[:, slot, cand] = np.where(chosen, payload, 0.0).sum(axis=2)
+        per_station[:, slot, cand] = subband_sum(np.where(chosen, payload, 0.0))
     return winners, per_station
+
+
+def subband_sum(rates: np.ndarray) -> np.ndarray:
+    """``rates`` (S, ..., M) summed over its last (subband) axis as the block
+    kernel sums it: one subband at a time, in subband order.  On a
+    one-subframe block each (M,) row is one contiguous run, which numpy adds
+    pairwise from eight subbands on, and so does the kernel."""
+    if rates.shape[0] == 1:
+        return rates.sum(axis=-1)
+    total = np.zeros(rates.shape[:-1])
+    for m in range(rates.shape[-1]):
+        total += rates[..., m]
+    return total
 
 
 def finite_diff_gradient(

@@ -167,7 +167,7 @@ def test_certified_pattern_dominates_all_feasible_patterns(
             continue
         state = result.state
         block = model.rate_block(10_000, config.subframes_per_superframe)
-        _, mean, stderr = station_contributions(graph, state.weights[None], block)
+        _, _, mean, stderr = station_contributions(graph, state.weights[None], block)
         rates, row_stderr = rate_table_for_patterns(graph, state.patterns, mean[0], stderr[0])
         values = rates @ state.weights
         sems = row_stderr @ state.weights

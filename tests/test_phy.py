@@ -22,7 +22,7 @@ from hetnet_rrm.phy import (
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, multicell_graph, random_instance, single_link_graph
-from reference import conditional_rate, is_feasible_pattern, vector_block_winners
+from reference import conditional_rate, is_feasible_pattern, subband_sum, vector_block_winners
 from hetnet_rrm import phy
 from hetnet_rrm.rrm import RrmConfig, block_pass, initial_state, run_superframe
 
@@ -176,16 +176,20 @@ def test_assert_schedule_feasible_rejects_violations():
 
 def _loop_reference(graph, active, weights, block, winner_rates):
     """Per-subframe schedules and mean served rates from schedule_links."""
-    schedules, served = [], np.zeros(graph.num_links)
-    for t in range(block.shape[0]):
-        scores = block[t] if winner_rates is None else winner_rates
-        rho = schedule_links(graph, active[t], weights, scores)
-        schedules.append(rho)
-        served += (rho * block[t]).sum(axis=1)
-    return np.array(schedules), served / block.shape[0]
+    schedules = np.array([
+        schedule_links(graph, active[t], weights, block[t] if winner_rates is None else winner_rates)
+        for t in range(block.shape[0])
+    ])
+    served = np.zeros(graph.num_links)
+    for rates in subband_sum(schedules * block):
+        served += rates
+    return schedules, served / block.shape[0]
 
 
 def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
+    """Three subbands, which numpy sums in order anyway, and ten, from which
+    on (eight or more) its own sum adds them pairwise: the kernel adds them
+    in subband order, as the loop reference does."""
     rng = np.random.default_rng(31)
     cases = 0
     for seed in range(8):
@@ -193,6 +197,7 @@ def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
         patterns = enumerate_feasible_patterns(g.interference)
         owner = [g.bs_slot[link.head] for link in g.links]
         model = ChannelModel(g, 3, 40.0, 33.0, seed=seed)
+        wide = ChannelModel(g, 10, 40.0, 33.0, seed=seed)
         n_sub = 24
         fading = model.rate_block(5, n_sub)
         ties = np.full(fading.shape, 0.75)  # every link equal: lowest index must win
@@ -200,21 +205,23 @@ def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
             (fading, rng.uniform(0.2, 2.0, g.num_links), None),
             (fading, rng.uniform(0.2, 2.0, g.num_links), model.statistical_rates()),
             (ties, np.ones(g.num_links), None),
+            (wide.rate_block(5, n_sub), rng.uniform(0.2, 2.0, g.num_links), None),
+            (wide.rate_block(5, n_sub), rng.uniform(0.2, 2.0, g.num_links), wide.statistical_rates()),
         ]:
             active = patterns[rng.integers(len(patterns), size=n_sub)]
             active[rng.random(n_sub) < 0.2] = False  # some all-silent subframes
             winners, rates = block_winners(g, weights[None], block, winner_rates)
-            served = schedule_block(g, active, weights, block, winners, winner_rates)
+            served = schedule_block(g, active, weights, block, winners, rates[0], winner_rates)
             schedules, ref_served = _loop_reference(g, active, weights, block, winner_rates)
             assert np.array_equal(winners & active[:, owner, None], schedules)
             assert np.array_equal(served, ref_served)
-            full = schedule_block(g, np.ones_like(active), weights, block, winners, winner_rates)
-            assert np.array_equal(full, np.add.accumulate(rates[0], axis=0)[-1] / n_sub)
+            full = schedule_block(g, np.ones_like(active), weights, block, winners, rates[0], winner_rates)
+            assert np.array_equal(full, np.add.accumulate(rates[0], axis=1)[:, -1] / n_sub)
             all_on, _ = _loop_reference(g, np.ones_like(active), weights, block, winner_rates)
             assert np.array_equal(winners, all_on)
-            assert np.array_equal(rates[0], (all_on * block).sum(axis=2))
+            assert np.array_equal(rates[0], subband_sum(all_on * block).T)
             cases += 1
-    assert cases == 24
+    assert cases == 40
 
 
 def _wired_graph():
@@ -265,9 +272,9 @@ def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
         return winners, rates
 
     monkeypatch.setattr(phy, "block_winners", swapped)
-    winners, _, _ = phy.station_contributions(g, np.ones((1, 3)), block)
+    winners, served, _, _ = phy.station_contributions(g, np.ones((1, 3)), block)
     with pytest.raises(AssertionError, match="disagrees with schedule_links"):
-        schedule_block(g, active, np.ones(3), block, winners)
+        schedule_block(g, active, np.ones(3), block, winners, served)
     # the superframe loop feeds the same pass to the same cross-check
     model = ChannelModel(g, 2, 40.0, 33.0, seed=4)
     state, config = initial_state(model), RrmConfig(subframes_per_superframe=5)
@@ -286,7 +293,8 @@ def test_schedule_block_cross_checks_subframe_zero(monkeypatch):
 def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n_samples, kind, shape):
     """Winners and per-row rates equal the per-station reference bit for bit;
     the block means and standard errors are numpy's mean and
-    ``std(ddof=1) / sqrt(S)`` over the reference's (S, L) per-subframe rates."""
+    ``std(ddof=1) / sqrt(S)`` over a subframe-contiguous (L, S) copy of the
+    reference's per-subframe rates."""
     g = {
         "random": lambda: random_instance(seed % 500),
         "one-link station": _two_station_graph,
@@ -303,19 +311,20 @@ def test_stacked_kernel_matches_per_vector_reference_bit_for_bit(seed, n_rows, n
         weights = np.round(weights * 2.0) / 2.0  # equal weights: equal scores
     weights[rng.integers(n_rows)] = weights[0]  # a repeated row
     winners, rates = block_winners(g, weights, block, winner_rates)
-    _, mean, stderr = station_contributions(g, weights, block, winner_rates)
-    assert rates.shape == (n_rows, n_samples, g.num_links)
+    _, served, mean, stderr = station_contributions(g, weights, block, winner_rates)
+    assert rates.shape == (n_rows, g.num_links, n_samples)
+    assert np.array_equal(served, rates[0])
     for k in range(n_rows):
         ref_winners, per_station = vector_block_winners(g, weights[k], block, winner_rates)
-        per_sample = per_station.sum(axis=1)  # (S, L)
+        per_link = np.ascontiguousarray(per_station.sum(axis=1).T)  # (L, S); one station per link
         if k == 0:
             assert np.array_equal(winners, ref_winners)
-        assert np.array_equal(rates[k], per_sample)
-        assert np.array_equal(mean[k], per_sample.mean(axis=0))
+        assert np.array_equal(rates[k], per_link)
+        assert np.array_equal(mean[k], per_link.mean(axis=1))
         if n_samples == 1:
             assert np.all(stderr[k] == 0.0)
         else:
-            assert np.array_equal(stderr[k], per_sample.std(axis=0, ddof=1) / np.sqrt(n_samples))
+            assert np.array_equal(stderr[k], per_link.std(axis=1, ddof=1) / np.sqrt(n_samples))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -340,7 +349,7 @@ def test_station_contributions_hand_case():
             [[1.0, 2.0], [3.0, 1.0], [6.0, 2.0]],
         ]
     )
-    _, mean, stderr = station_contributions(g, np.ones((1, 3)), block)
+    _, _, mean, stderr = station_contributions(g, np.ones((1, 3)), block)
     mean, stderr = mean[0], stderr[0]
     # station 0: subframe 0 serves link0@2.0 + link1@3.0; subframe 1 link1@3.0 + link0@2.0
     assert np.allclose(mean[:2], [2.0, 3.0])
@@ -349,7 +358,7 @@ def test_station_contributions_hand_case():
     assert np.allclose(stderr, [0.0, 0.0, 0.0])
     # statistical winners pin the argmax while payload stays realized
     stat = np.array([[9.0, 9.0], [1.0, 1.0], [1.0, 1.0]])
-    _, mean2, _ = station_contributions(g, np.ones((1, 3)), block, winner_rates=stat)
+    _, _, mean2, _ = station_contributions(g, np.ones((1, 3)), block, winner_rates=stat)
     assert np.allclose(mean2[0, :2], [3.0, 0.0])  # link0 payload (2+1, 1+2)/2 per subband summed
 
 
@@ -359,7 +368,7 @@ def test_rate_table_rows_are_sums_of_station_rows():
     block = m.rate_block(0, 40)
     weights = np.linspace(0.5, 1.5, g.num_links)
     patterns = enumerate_feasible_patterns(g.interference)
-    _, mean, stderr = station_contributions(g, weights[None], block)
+    _, _, mean, stderr = station_contributions(g, weights[None], block)
     rates, _ = rate_table_for_patterns(g, patterns, mean[0], stderr[0])
     mean = mean[0]
     for j, p in enumerate(patterns):

@@ -34,6 +34,7 @@ from conftest import (
     relay_grid_graph,
     single_link_graph,
 )
+from reference import subband_sum
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -358,7 +359,10 @@ def test_a_deterministic_block_pass_scores_its_one_draw():
     """A deterministic pass scores the channel's one draw, a (1, L, M) block:
     every row it yields is exact, with a standard error of exactly zero.  The
     short timescale still samples and schedules all S subframes, and serves
-    the bits the S-fold repeated block serves."""
+    the bits the S-fold repeated block serves.  That holds below eight
+    subbands, as here: from eight on numpy adds the one draw's contiguous
+    subband rows pairwise but the repeated block's subframe rows in order,
+    so the last bits can differ."""
     model = det_model(multicell_graph())
     config = fast_config()
     n_samples = config.subframes_per_superframe
@@ -372,10 +376,28 @@ def test_a_deterministic_block_pass_scores_its_one_draw():
         assert np.array_equal(repeated, np.repeat(block.rate_block, n_samples, axis=0))
         draws = model.pattern_draws(block.t0, n_samples)
         active = state.patterns[state.member_index[_sample_member_indices(state.shares, draws)]]
-        winners, _, _ = phy.station_contributions(model.graph, state.weight_stack[:1], repeated)
-        served = phy.schedule_block(model.graph, active, state.weights, repeated, winners)
+        winners, rates, _, _ = phy.station_contributions(model.graph, state.weight_stack[:1], repeated)
+        served = phy.schedule_block(model.graph, active, state.weights, repeated, winners, rates)
         state, record = run_superframe(model, state, config, block)
         assert record.served_rates.tobytes() == served.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["fading", "statistical", "deterministic"])
+def test_a_block_pass_serves_row_zeros_masked_products(kind):
+    """A pass's ``served[l, s]`` is row 0's winners times the block's rates,
+    summed over the subbands, bit for bit, on ``fig7_like``'s ten subbands:
+    in subband order on a fading block, as a contiguous row on a
+    deterministic one-draw block."""
+    fig7 = replace(_fig7_like(), deterministic=kind == "deterministic")
+    model = fig7.channel_model(seed=1)
+    config = replace(fig7.rrm, statistical_scheduling=kind == "statistical")
+    state = initial_state(model)
+    for _ in range(3):
+        block = block_pass(model, state, config)
+        assert block.served.shape == (model.num_links, block.rate_block.shape[0])
+        product = subband_sum(block.rate_block * block.winners).T
+        assert block.served.tobytes() == product.tobytes()
+        state, _ = run_superframe(model, state, config, block)
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["one group", "fixed durations"])
@@ -389,7 +411,7 @@ def test_pattern_values_are_one_pattern_table_times_the_weights(fixed, determini
     state = initial_state(model, fixed)
     for _ in range(3):
         block = block_pass(model, state, config)
-        _, mean, stderr = phy.station_contributions(model.graph, state.weight_stack[:1], block.rate_block)
+        _, _, mean, stderr = phy.station_contributions(model.graph, state.weight_stack[:1], block.rate_block)
         rows, sems = phy.rate_table_for_patterns(model.graph, state.patterns, mean[0], stderr[0])
         assert np.array_equal(block.pattern_values, rows @ state.weights)
         assert np.array_equal(block.pattern_sem, sems @ state.weights)
@@ -440,7 +462,7 @@ def test_member_rows_equal_a_full_restack(monkeypatch, setup):
         state, record = step(model, state, config, block)
         block = block_pass(model, state, config)
         stack = np.vstack([state.weights, state.weight_stack[state.member_row]])
-        _, mean, stderr = phy.station_contributions(model.graph, stack, block.rate_block, block.winner_rates)
+        _, _, mean, stderr = phy.station_contributions(model.graph, stack, block.rate_block, block.winner_rates)
         patterns = state.patterns[state.member_index]
         rows, row_stderr = phy.rate_table_for_patterns(model.graph, patterns, mean[1:], stderr[1:])
         assert rows.tobytes() == block.member_rates.tobytes()
