@@ -13,15 +13,18 @@ with mean 1).  In deterministic mode ``h_small`` is pinned to 1.
 
 Because the draws are pure in their coordinates, the two keyed draws are
 module-level functions memoized per block: :func:`fading_draws` (the
-small-scale ``|h_small|^2`` of a block) and :func:`pattern_uniforms` (its
-pattern-sampling uniforms).  Every model with the same seed, wireless link
-count and subband count shares them, so a sweep over powers, noise or the
-superframe budget (and fbc's augmented graph, which keeps the wireless links)
-draws each block once per process.  Entries are kept in one least-recently-
-used store of at most :data:`DRAW_MEMO_BYTES`; a block larger than that is
-returned uncached.  Stored arrays are read-only, and :meth:`ChannelModel.
-draw_block` scales them into a fresh array, so no caller can write into the
-store.
+small-scale ``|h_small|^2`` of a block, held subframe-contiguous as
+(L_wireless, M, S)) and :func:`pattern_uniforms` (its pattern-sampling
+uniforms).  Every model with the same seed, wireless link count and subband
+count shares them, so a sweep over powers, noise or the superframe budget
+(and fbc's augmented graph, which keeps the wireless links) draws each block
+once per process.  Entries are kept in one least-recently-used store of at
+most :data:`DRAW_MEMO_BYTES`; a block larger than that is returned uncached.
+Stored arrays are read-only, and :meth:`ChannelModel.draw_block` scales them
+into a fresh (L, M, S) buffer, which :meth:`ChannelModel.rate_block`
+finishes in place, so no caller can write into the store.  Both return
+their buffer's (S, L, M) view: the block kernel reads it subframe-contiguous
+without a copy.
 
 Note on conventions: the configured path-loss ``exponent`` applies to the
 amplitude-like ``h_large`` directly (received power therefore decays at twice
@@ -152,15 +155,16 @@ def fading_draws(
     seed: int, n_wireless: int, n_subbands: int, t_start: int, n_subframes: int
 ) -> np.ndarray:
     """Small-scale ``|h_small|^2`` of subframes ``t_start .. t_start + n - 1``
-    on the wireless links: (S, L_wireless, M), read-only and memoized.
-    A subframe outside ``[0, 2**64)`` raises ``OverflowError``."""
+    on the wireless links: (L_wireless, M, S), subframe-contiguous,
+    read-only and memoized.  A subframe outside ``[0, 2**64)`` raises
+    ``OverflowError``."""
 
     def draw() -> np.ndarray:
         stream = _KeyedStream(seed, STREAM_FADING)
         small = np.empty((n_subframes, n_wireless, n_subbands))
         for s in range(n_subframes):
             stream.at(t_start + s).standard_exponential(out=small[s])
-        return small
+        return np.ascontiguousarray(small.transpose(1, 2, 0))
 
     return _memo.get((STREAM_FADING, seed, n_wireless, n_subbands, t_start, n_subframes), draw)
 
@@ -250,21 +254,25 @@ class ChannelModel:
 
     def draw_block(self, t_start: int, n_subframes: int) -> np.ndarray:
         """Squared magnitudes ``|h|^2`` for subframes ``t_start .. t_start + n - 1``:
-        (S, L, M).  Wired links carry zeros; they never enter the radio scheduler."""
-        out = np.zeros((n_subframes, self.num_links, self.num_subbands))
+        (S, L, M), the view of a fresh subframe-contiguous (L, M, S) buffer.
+        Wired links carry zeros; they never enter the radio scheduler."""
+        out = np.zeros((self.num_links, self.num_subbands, n_subframes))
         large_sq = self.large_gains[self._wireless] ** 2
         if self.deterministic:
-            out[:, self._wireless, :] = large_sq[None, :, None]
-            return out
-        small = fading_draws(
-            self.seed, len(self._wireless), self.num_subbands, t_start, n_subframes
-        )
-        out[:, self._wireless, :] = small * large_sq[None, :, None]
-        return out
+            out[self._wireless] = large_sq[:, None, None]
+        else:
+            small = fading_draws(
+                self.seed, len(self._wireless), self.num_subbands, t_start, n_subframes
+            )
+            out[self._wireless] = small * large_sq[:, None, None]
+        return out.transpose(2, 0, 1)
 
     def rate_block(self, t_start: int, n_subframes: int) -> np.ndarray:
-        """Per-subband achievable rates (nats) for a run of subframes: (S, L, M)."""
-        return snr_term(self.draw_block(t_start, n_subframes), self.tx_powers[None, :, None])
+        """Per-subband achievable rates (nats) for a run of subframes: (S, L, M),
+        :func:`snr_term` of :meth:`draw_block` computed in its buffer."""
+        h_squared = self.draw_block(t_start, n_subframes)
+        np.multiply(h_squared, self.tx_powers[None, :, None], out=h_squared)
+        return np.log1p(h_squared, out=h_squared)
 
     def statistical_rates(self) -> np.ndarray:
         """Rates with ``h_small`` replaced by its unit mean: (L, M), constant in t."""

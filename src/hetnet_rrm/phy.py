@@ -18,9 +18,11 @@ One block kernel, :func:`block_winners`, takes that argmax for every station
 on every subframe of a (S, L, M) rate block, under a whole (K, L) stack of
 weight vectors, in one call: row 0's winners and per-subframe link rates are
 what the short timescale serves, and every row yields the per-link rates the
-long timescale's rate rows are built from.  The pass works on a
-subframe-contiguous copy of the block, so its subband sums and its
-reductions over the subframes run along whole rows.
+long timescale's rate rows are built from.  The pass reads the block
+subframe-contiguous, as (L, M, S), which is how the channel lays its blocks
+out, so it copies none: a weight scales whole subframe rows, the subband
+sums add them in subband order, and the reductions over the subframes and
+the feasibility check on every subframe run along whole rows.
 :func:`schedule_links` is its single-subframe reference.
 """
 
@@ -111,42 +113,71 @@ def assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndar
     one link per subband.
 
     ``active`` (S, B) holds each subframe's DTX pattern and ``rho`` (S, L, M)
-    its schedule.
+    its schedule.  Each station's scheduled links are counted at once from
+    :func:`_station_table`; a failure names the first (subframe, station,
+    subband) over its limit, and otherwise the first wired link scheduled.
     """
-    used = np.zeros((rho.shape[0], graph.num_bs, rho.shape[2]), dtype=int)
-    for slot, cand in enumerate(graph.station_links):
-        used[:, slot, :] = rho[:, cand, :].sum(axis=1)
-    over = used > active[:, :, None]
+    table, padding, slots, wired = _station_table(graph)
+    by_link = rho.transpose(1, 2, 0)  # (L, M, S): a kernel schedule's own layout
+    scheduled = by_link[table]  # (N, C, M, S)
+    scheduled[padding] = False
+    # A count never exceeds the table width, so the narrowest type that holds it does.
+    used = scheduled.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(table.shape[1]))
+    over = used > active.T[slots, None, :]
     if np.any(over):
-        s, slot, m = np.argwhere(over)[0]
+        s, n, m = np.argwhere(over.transpose(2, 0, 1))[0]
         raise AssertionError(
-            f"subframe {s}: station {graph.bs_nodes[slot]} scheduled {used[s, slot, m]} links "
-            f"on subband {m} (limit {int(active[s, slot])})"
+            f"subframe {s}: station {graph.bs_nodes[slots[n]]} scheduled {used[n, m, s]} links "
+            f"on subband {m} (limit {int(active[s, slots[n]])})"
         )
-    for l in graph.wired_links:
-        if np.any(rho[:, l]):
-            raise AssertionError(f"wired link {l} appeared in a radio schedule")
+    on_wire = by_link[wired].any(axis=(1, 2))
+    if np.any(on_wire):
+        raise AssertionError(f"wired link {wired[np.argmax(on_wire)]} appeared in a radio schedule")
 
 
 @per_graph
-def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _station_table(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`assert_block_feasible` counts with, built once per graph
+    (read-only arrays).
+
+    Returns ``(table, padding, slots, wired)``: row ``n`` of ``table`` (N, C)
+    lists the wireless links of station ``slots[n]``, the n-th station that
+    has any, padded with copies of its first link, which ``padding`` (N, C)
+    marks; ``wired`` lists the wired links.
+    """
+    slots = [slot for slot, cand in enumerate(graph.station_links) if cand.size]
+    runs = [graph.station_links[slot] for slot in slots]
+    width = max((cand.size for cand in runs), default=1)
+    arrays = (
+        np.array([list(cand) + [cand[0]] * (width - cand.size) for cand in runs], dtype=int).reshape(-1, width),
+        np.arange(width) >= np.array([cand.size for cand in runs], dtype=int)[:, None],
+        np.array(slots, dtype=int),
+        np.array(graph.wired_links, dtype=int),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@per_graph
+def _candidates(graph: TopologyGraph) -> tuple[np.ndarray, np.ndarray]:
     """The stations' wireless links as the block kernel reads them, built once
     per graph (read-only arrays).
 
-    Returns ``(single, table, count)``: ``single`` holds the links of one-link
-    stations, and ``table`` (Bm, C) the candidates of every other station,
-    the first ``count[b]`` of row ``b`` its own and the rest copies of its
-    first one.
+    Returns ``(single, table)``: ``single`` holds the links of one-link
+    stations, and ``table`` (Bm, C) the candidates of every other station, in
+    link order, padded with copies of the station's first link.  Where only
+    one station is of its kind, its entry is listed twice: the kernel's
+    subband sums then always run along a second axis, which numpy adds in
+    subband order, where it would add a lone (M,) run pairwise from eight
+    subbands on.
     """
     width = max((cand.size for cand in graph.station_links), default=0)
     single = [cand[0] for cand in graph.station_links if cand.size == 1]
     multi = [cand for cand in graph.station_links if cand.size > 1]
     table = [list(cand) + [cand[0]] * (width - cand.size) for cand in multi]
-    arrays = (
-        np.array(single, dtype=int),
-        np.array(table, dtype=int).reshape(len(multi), width),
-        np.array([cand.size for cand in multi], dtype=int),
-    )
+    single, table = (2 * rows if len(rows) == 1 else rows for rows in (single, table))
+    arrays = (np.array(single, dtype=int), np.array(table, dtype=int).reshape(len(table), width))
     for array in arrays:
         array.setflags(write=False)
     return arrays
@@ -163,20 +194,21 @@ def block_winners(
 
     The block form of :func:`schedule_links` with every station active.
     ``weights`` is a (K, L) stack.  Returns ``(winners, rates)``: ``winners``
-    (S, L, M) marks, per subframe and subband, each station's argmax link
-    under row 0 of the stack (ties to the lowest link index), and
-    ``rates[k, l, s]`` (K, L, S) is the rate link ``l`` is served on subframe
-    ``s`` under row ``k``, summed over subbands in subband order (a
-    one-subframe block's (M,) rows are contiguous runs, which numpy adds
-    pairwise from eight subbands on).  A pattern's schedule on subframe
-    ``s`` is ``winners[s]`` on its active stations' links.
+    (S, L, M), the view of a subframe-contiguous (L, M, S) array, marks, per
+    subframe and subband, each station's argmax link under row 0 of the
+    stack (ties to the lowest link index), and ``rates[k, l, s]`` (K, L, S)
+    is the rate link ``l`` is served on subframe ``s`` under row ``k``,
+    summed over subbands in subband order, for any S.  A pattern's schedule
+    on subframe ``s`` is ``winners[s]`` on its active stations' links.
 
-    A one-link station serves its link whatever the weights, so its rates are
-    computed once for every row.  The other stations take a running maximum
-    over their candidates with strict ``>``: argmax's first-max rule, which is
-    why a non-finite weight is refused.  ``winner_rates`` optionally supplies
-    a separate (L, M) table used only for the argmax (statistical
-    scheduling); payload rates still come from ``rate_block``.
+    The pass reads the block as (L, M, S): a channel block is laid out so,
+    any other block is copied once.  A one-link station serves its link
+    whatever the weights, so its rates are computed once for every row.  The
+    other stations take a running maximum over their candidates with strict
+    ``>``: argmax's first-max rule, which is why a non-finite weight is
+    refused.  ``winner_rates`` optionally supplies a separate (L, M) table
+    used only for the argmax (statistical scheduling); payload rates still
+    come from ``rate_block``.
     """
     weights = np.asarray(weights, dtype=float)
     n_samples, n_links, n_subbands = rate_block.shape
@@ -184,36 +216,43 @@ def block_winners(
         raise ValueError(f"weights must be a (K, {n_links}) stack, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weight stack holds a non-finite entry")
-    single, table, count = _candidates(graph)
-    # Subframe-contiguous (L, M, S) copy: a weight scales whole subframe rows,
-    # and a subband sum adds them, in subband order.
+    single, table = _candidates(graph)
     by_link = np.ascontiguousarray(rate_block.transpose(1, 2, 0))
-    winners = np.zeros(rate_block.shape, dtype=bool)
+    winners = np.zeros(by_link.shape, dtype=bool)
     rates = np.zeros((weights.shape[0], n_links, n_samples))
-    winners[:, single, :] = True
-    rates[:, single] = by_link[single].sum(axis=1)
+    winners[single] = True
+    rates[:, single] = _subband_major(by_link, single).sum(axis=0)
     if table.size == 0:
-        return winners, rates
-    payload = [by_link[column] for column in table.T]  # station-major (Bm, M, S)
-    scored = payload if winner_rates is None else [winner_rates[column, :, None] for column in table.T]
+        return winners.transpose(2, 0, 1), rates
+    payload = [_subband_major(by_link, column) for column in table.T]  # (M, Bm, S) each
+    scored = payload if winner_rates is None else [winner_rates.T[:, column, None] for column in table.T]
+    product = np.empty(payload[0].shape)
+    last = table.shape[1] - 1
     for k, row in enumerate(weights[:, table]):  # (Bm, C) each
-        best = row[:, 0, None, None] * scored[0]  # (Bm, M, S or 1)
+        best = row[:, 0, None] * scored[0]  # (M, Bm, S or 1)
         pick = np.zeros(best.shape, dtype=np.int8)
-        for c in range(1, table.shape[1]):
-            score = row[:, c, None, None] * scored[c]
+        for c in range(1, last + 1):
+            score = row[:, c, None] * scored[c]
             # c only grows, so the latest strictly better candidate is the max.
             np.maximum(pick, (score > best) * np.int8(c), out=pick)
-            np.maximum(best, score, out=best)
-        for c in range(table.shape[1]):
+            if c < last:
+                np.maximum(best, score, out=best)
+        # Column 0 goes last: it overwrites what a padding copy of a
+        # station's first link wrote (padding is never strictly better).
+        for c in range(last, -1, -1):
             chosen = pick == c
-            own = count > c  # padding copies are never strictly better
-            links = table[own, c]
             if k == 0:
-                winners[:, links, :] = chosen[own].transpose(2, 0, 1)
-            # Rates are finite and non-negative, so masking by a product is
-            # exact; the subband sum adds (Bm, S) rows in subband order.
-            rates[k, links] = (payload[c] * chosen).sum(axis=1)[own]
-    return winners, rates
+                winners[table[:, c]] = chosen.transpose(1, 0, 2)
+            # Rates are finite and non-negative, so masking by a product is exact.
+            rates[k, table[:, c]] = np.multiply(payload[c], chosen, out=product).sum(axis=0)
+    return winners.transpose(2, 0, 1), rates
+
+
+def _subband_major(by_link: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """The rows ``links`` of an (L, M, S) block as a C-contiguous (M, N, S)
+    array: a weight scales whole subframe rows, and a sum over its first
+    axis adds (N, S) slabs in subband order."""
+    return np.ascontiguousarray(by_link[links].transpose(1, 0, 2))
 
 
 def schedule_block(
@@ -238,7 +277,7 @@ def schedule_block(
     agree.
     """
     on = active[:, graph.link_station]  # (S, L)
-    rho = winners & on[:, :, None]
+    rho = (winners.transpose(1, 2, 0) & on.T[:, None, :]).transpose(2, 0, 1)  # subframe-contiguous
     assert_block_feasible(graph, active, rho)
     reference = schedule_links(
         graph, active[0], weights, rate_block[0] if winner_rates is None else winner_rates

@@ -107,13 +107,28 @@ def vector_block_winners(
     return winners, per_station
 
 
+def loop_assert_block_feasible(graph: TopologyGraph, active: np.ndarray, rho: np.ndarray) -> None:
+    """``phy.assert_block_feasible`` one station at a time: each station's
+    scheduled links per subframe and subband against its activity, then each
+    wired link, raising the same messages."""
+    used = np.zeros((rho.shape[0], graph.num_bs, rho.shape[2]), dtype=int)
+    for slot, cand in enumerate(graph.station_links):
+        used[:, slot, :] = rho[:, cand, :].sum(axis=1)
+    over = used > active[:, :, None]
+    if np.any(over):
+        s, slot, m = np.argwhere(over)[0]
+        raise AssertionError(
+            f"subframe {s}: station {graph.bs_nodes[slot]} scheduled {used[s, slot, m]} links "
+            f"on subband {m} (limit {int(active[s, slot])})"
+        )
+    for l in graph.wired_links:
+        if np.any(rho[:, l]):
+            raise AssertionError(f"wired link {l} appeared in a radio schedule")
+
+
 def subband_sum(rates: np.ndarray) -> np.ndarray:
     """``rates`` (S, ..., M) summed over its last (subband) axis as the block
-    kernel sums it: one subband at a time, in subband order.  On a
-    one-subframe block each (M,) row is one contiguous run, which numpy adds
-    pairwise from eight subbands on, and so does the kernel."""
-    if rates.shape[0] == 1:
-        return rates.sum(axis=-1)
+    kernel sums it: one subband at a time, in subband order, for any S."""
     total = np.zeros(rates.shape[:-1])
     for m in range(rates.shape[-1]):
         total += rates[..., m]

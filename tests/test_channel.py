@@ -1,11 +1,13 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from hetnet_rrm import channel
-from hetnet_rrm.baselines import augment_with_wired_backhaul
+from hetnet_rrm import channel, phy
+from hetnet_rrm.baselines import augment_with_wired_backhaul, fbc_graph
 from hetnet_rrm.channel import (
     STREAM_FADING,
     STREAM_PATTERN,
@@ -18,6 +20,7 @@ from hetnet_rrm.channel import (
     snr_term,
 )
 from hetnet_rrm.cli import EXIT_OK, main
+from hetnet_rrm.scenario import parse_scenario
 from hetnet_rrm.topology import Flow, Link, Node, NodeKind
 
 from conftest import build_graph, det_model, random_instance, single_link_graph
@@ -248,6 +251,39 @@ def test_memoized_draws_of_one_seed_match_the_reference_across_powers_and_fbc(fr
                 assert getattr(m, name)(t, 4).tobytes() == want.tobytes(), (name, t)
     # one fading and one pattern entry per block, shared by all three models
     assert len(fresh_memo.entries) == 4
+
+
+def test_a_rate_block_is_laid_out_for_the_kernel_to_read_in_place():
+    """``rate_block`` is :func:`snr_term` of ``draw_block`` bit for bit,
+    finished in the draw's own buffer: its (L, M, S) transpose is
+    C-contiguous, so ``block_winners`` reads it without a copy, while a
+    C-contiguous (S, L, M) block costs the pass one more block of memory.
+    Checked on ``fig7_like`` and on its fbc network, whose wired links carry
+    zero rates."""
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    fig7 = parse_scenario(text, path="fig7_like.scenario")
+    base = fig7.channel_model(seed=1)
+    fbc = replace(fig7, graph=fbc_graph(base)).channel_model(seed=1)
+    assert fbc.graph.wired_links and not base.graph.wired_links
+    n_samples = fig7.rrm.subframes_per_superframe
+    for model in (base, fbc):
+        rates = model.rate_block(400, n_samples)
+        expected = snr_term(model.draw_block(400, n_samples), model.tx_powers[None, :, None])
+        assert rates.shape == (n_samples, model.num_links, model.num_subbands)
+        assert rates.tobytes() == expected.tobytes()
+        assert rates.transpose(1, 2, 0).flags.c_contiguous
+        assert not np.any(rates[:, list(model.graph.wired_links)])
+        weights = np.ones((1, model.num_links))
+        phy.block_winners(model.graph, weights, rates)  # builds the per-graph tables
+        peaks = []
+        for block in (rates, np.ascontiguousarray(rates)):
+            tracemalloc.start()
+            try:
+                phy.block_winners(model.graph, weights, block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] > 0.99 * rates.nbytes  # less a few array headers
 
 
 def test_writes_into_draw_results_leave_the_memo_intact(fresh_memo):

@@ -2,12 +2,14 @@ import gc
 import itertools
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from hetnet_rrm.baselines import augment_with_wired_backhaul
 from hetnet_rrm.channel import ChannelModel
 from hetnet_rrm.phy import (
     PatternEnumerationError,
@@ -19,10 +21,16 @@ from hetnet_rrm.phy import (
     schedule_links,
     station_contributions,
 )
-from hetnet_rrm.topology import Flow, Link, Node, NodeKind
+from hetnet_rrm.topology import Flow, Link, Node, NodeKind, TopologyGraph
 
 from conftest import build_graph, multicell_graph, random_instance, single_link_graph
-from reference import conditional_rate, is_feasible_pattern, subband_sum, vector_block_winners
+from reference import (
+    conditional_rate,
+    is_feasible_pattern,
+    loop_assert_block_feasible,
+    subband_sum,
+    vector_block_winners,
+)
 from hetnet_rrm import phy
 from hetnet_rrm.rrm import RrmConfig, block_pass, initial_state, run_superframe
 
@@ -257,6 +265,61 @@ def test_assert_block_feasible_rejects_violations():
     bad[0, 3, 0] = True                 # the wired link is never radio-scheduled
     with pytest.raises(AssertionError, match="wired link 3"):
         assert_block_feasible(g, active, bad)
+
+
+def _feasibility_graph(seed: int, rng: np.random.Generator) -> TopologyGraph:
+    """``random_instance(seed)`` with a wired link into every unbackhauled
+    pico and each station keeping its first 0-3 wireless links; only the
+    feasibility check reads it, so it is not validated."""
+    g = augment_with_wired_backhaul(random_instance(seed), wired_capacity=1.0)
+    keep = [l for cand in g.station_links for l in cand[: rng.integers(0, 4)]]
+    kept = sorted(keep + list(g.wired_links))
+    links = tuple(replace(g.links[l], index=i) for i, l in enumerate(kept))
+    return TopologyGraph(g.nodes, links, (), g.backhaul, g.interference)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_samples=st.sampled_from([1, 2, 40]),
+    n_subbands=st.integers(1, 4),
+    silent=st.booleans(),
+    doubled=st.booleans(),
+    wired=st.booleans(),
+)
+def test_block_feasibility_check_matches_the_per_station_loop(seed, n_samples, n_subbands, silent, doubled, wired):
+    """The array-op check raises exactly where the per-station reference
+    raises, with its message, and passes everywhere else, on a C-contiguous
+    schedule and on a subframe-contiguous one as the kernel lays it out.
+    Faults: a silent station serving, a station serving two links on one
+    subband, a wired link scheduled."""
+    rng = np.random.default_rng(seed)
+    g = _feasibility_graph(seed % 200, rng)
+    active = rng.random((n_samples, g.num_bs)) < 0.7
+    rho = np.zeros((n_samples, g.num_links, n_subbands), dtype=bool)
+    for slot, cand in enumerate(g.station_links):
+        if cand.size == 0:
+            continue
+        choice = rng.integers(-1, cand.size, size=(n_samples, n_subbands))  # -1: serve none
+        serve = (choice >= 0) & (active[:, slot, None] | silent)
+        s, m = np.nonzero(serve)
+        rho[s, cand[choice[serve]], m] = True
+        if doubled and cand.size > 1:
+            rho[rng.integers(n_samples), cand[:2], rng.integers(n_subbands)] = True
+    if wired and g.wired_links:
+        rho[rng.integers(n_samples), rng.choice(g.wired_links), rng.integers(n_subbands)] = True
+    try:
+        loop_assert_block_feasible(g, active, rho)
+        expected = None
+    except AssertionError as error:
+        expected = str(error)
+    for layout in (rho, np.ascontiguousarray(rho.transpose(1, 2, 0)).transpose(2, 0, 1)):
+        if expected is None:
+            assert_block_feasible(g, active, layout)
+        else:
+            with pytest.raises(AssertionError) as raised:
+                assert_block_feasible(g, active, layout)
+            assert str(raised.value) == expected
 
 
 def test_schedule_block_cross_checks_subframe_zero(monkeypatch):

@@ -359,35 +359,36 @@ def test_a_deterministic_block_pass_scores_its_one_draw():
     """A deterministic pass scores the channel's one draw, a (1, L, M) block:
     every row it yields is exact, with a standard error of exactly zero.  The
     short timescale still samples and schedules all S subframes, and serves
-    the bits the S-fold repeated block serves.  That holds below eight
-    subbands, as here: from eight on numpy adds the one draw's contiguous
-    subband rows pairwise but the repeated block's subframe rows in order,
-    so the last bits can differ."""
-    model = det_model(multicell_graph())
-    config = fast_config()
-    n_samples = config.subframes_per_superframe
-    state = initial_state(model)
-    for _ in range(4):
-        block = block_pass(model, state, config)
-        assert block.rate_block.shape == block.winners.shape == (1, model.num_links, model.num_subbands)
-        for sem in (block.member_stderr, block.pattern_sem, block.best_stderr):
-            assert not np.any(sem)
-        repeated = model.rate_block(block.t0, n_samples)
-        assert np.array_equal(repeated, np.repeat(block.rate_block, n_samples, axis=0))
-        draws = model.pattern_draws(block.t0, n_samples)
-        active = state.patterns[state.member_index[_sample_member_indices(state.shares, draws)]]
-        winners, rates, _, _ = phy.station_contributions(model.graph, state.weight_stack[:1], repeated)
-        served = phy.schedule_block(model.graph, active, state.weights, repeated, winners, rates)
-        state, record = run_superframe(model, state, config, block)
-        assert record.served_rates.tobytes() == served.tobytes()
+    the bits the S-fold repeated block serves, at 4 subbands and at 10: the
+    kernel adds the subbands in subband order on a one-subframe block too,
+    where numpy's own sum of a contiguous (M,) run goes pairwise from eight
+    subbands on."""
+    for n_subbands in (4, 10):
+        model = det_model(multicell_graph(), num_subbands=n_subbands)
+        config = fast_config()
+        n_samples = config.subframes_per_superframe
+        state = initial_state(model)
+        for _ in range(4):
+            block = block_pass(model, state, config)
+            assert block.rate_block.shape == block.winners.shape == (1, model.num_links, n_subbands)
+            for sem in (block.member_stderr, block.pattern_sem, block.best_stderr):
+                assert not np.any(sem)
+            repeated = model.rate_block(block.t0, n_samples)
+            assert np.array_equal(repeated, np.repeat(block.rate_block, n_samples, axis=0))
+            draws = model.pattern_draws(block.t0, n_samples)
+            active = state.patterns[state.member_index[_sample_member_indices(state.shares, draws)]]
+            winners, rates, _, _ = phy.station_contributions(model.graph, state.weight_stack[:1], repeated)
+            served = phy.schedule_block(model.graph, active, state.weights, repeated, winners, rates)
+            state, record = run_superframe(model, state, config, block)
+            assert record.served_rates.tobytes() == served.tobytes(), n_subbands
 
 
 @pytest.mark.parametrize("kind", ["fading", "statistical", "deterministic"])
 def test_a_block_pass_serves_row_zeros_masked_products(kind):
     """A pass's ``served[l, s]`` is row 0's winners times the block's rates,
-    summed over the subbands, bit for bit, on ``fig7_like``'s ten subbands:
-    in subband order on a fading block, as a contiguous row on a
-    deterministic one-draw block."""
+    summed over the subbands in subband order, bit for bit, on
+    ``fig7_like``'s ten subbands: on a fading block and on a deterministic
+    one-draw block alike."""
     fig7 = replace(_fig7_like(), deterministic=kind == "deterministic")
     model = fig7.channel_model(seed=1)
     config = replace(fig7.rrm, statistical_scheduling=kind == "statistical")
@@ -594,3 +595,29 @@ def test_fig7_like_fbc_share_solves_end_near_the_floor_without_a_stall(monkeypat
         assert len(results) - n_before == len(result.records)
     assert all(not r.banked and r.newton_iters <= 25 for r in results)
     assert any(r.refinements for r in results)
+
+
+def _reuse_layout():
+    """``fig7_like`` with reuse conflicts: 150 m macro and 100 m pico radii.
+    ``with_param`` refuses the radii, so the scenario text is edited."""
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    for key, value in (("macro_radius_m", "150.0"), ("pico_radius_m", "100.0")):
+        assert f"{key} = 40.0" in text
+        text = text.replace(f"{key} = 40.0", f"{key} = {value}")
+    return parse_scenario(text, path="reuse.scenario")
+
+
+@pytest.mark.xfail(strict=True, raises=netopt.NetOptError, reason="known share-solve failure on degenerate programs")
+@pytest.mark.parametrize(
+    "power, seed, mode",
+    [(33.0, 3, "fddsa"), (27.0, 2, "ttrsc")],
+    ids=["33dBm seed 3 fddsa, superframe 2", "27dBm seed 2 ttrsc, superframe 15"],
+)
+def test_reuse_layout_runs_end_without_a_solver_error(power, seed, mode):
+    """Two shipped-settings runs on the reuse layout whose share solves end in
+    "interior point did not converge in 300 iterations": (a) at superframe
+    2 and (b) at superframe 15.  Both programs are degenerate, and member
+    order decides whether the interior point passes them."""
+    swept = with_param(_reuse_layout(), "p_pico_dbm", power)
+    result, _ = run_experiment(swept, mode, seed)
+    assert len(result.records) >= 1
