@@ -9,9 +9,11 @@ destination path), which makes conservation structural; with the shares as
 extra variables the program stays concave with only inequality constraints.
 Every program takes one path, :func:`_solve_joint` and its primal-dual
 interior point: jointly over shares and flows (:func:`optimize_time_sharing`)
-and for fixed capacities (:func:`solve_p1`).  Its capacity multipliers are the
-gradient of the achieved utility with respect to capacities and drive both
-the time-sharing certificate and pattern discovery upstream.
+and for fixed capacities (:func:`solve_p1`).  Path sets come from the graph's
+``out_links``, and the program's one flow matrix F gives both the delivered
+rates and the objective Hessian ``F^T diag(c) F``.  Its capacity multipliers
+are the gradient of the achieved utility with respect to capacities and drive
+both the time-sharing certificate and pattern discovery upstream.
 
 Links no share can lift above a tiny capacity floor are starved: the paths
 through them leave the program, and their prices are patched in afterwards as
@@ -147,42 +149,18 @@ class FlowSolution:
     refinements: int = 0
 
 
-class _FlowPairs(NamedTuple):
-    """The variable pairs ``(rows[i], cols[i])`` that carry the same flow,
-    ``flow[i]``: where the flow Hessian ``F^T diag(c) F`` is nonzero."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    flow: np.ndarray
-
-
-def _flow_pairs(flow_matrix: np.ndarray) -> _FlowPairs:
-    """The same-flow pairs of ``flow_matrix``'s columns, each of which must
-    hold a single 1 (a path's flow) or no nonzero (a share); anything else
-    raises ValueError."""
-    not_binary = (flow_matrix != 0.0) & (flow_matrix != 1.0)
-    if np.any(not_binary) or np.any(flow_matrix.sum(axis=0) > 1.0):
-        raise ValueError("each flow_matrix column must hold a single 1 or no nonzero")
-    rows, cols = np.nonzero(flow_matrix.T @ flow_matrix)
-    flow_of = np.zeros(flow_matrix.shape[1], dtype=int)
-    flow, column = np.nonzero(flow_matrix)
-    flow_of[column] = flow
-    return _FlowPairs(rows, cols, flow_of[rows])
-
-
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """The flow program's shape once the links a dead-link mask marks are
     priced out: the other links are ``live`` (L,) and the paths through no
     dead link ``alive`` (P,); ``path_flows`` (K, P') and ``link_matrix``
-    (L', P') are the flow and live-link membership of the alive paths, and
-    ``pairs`` their same-flow pairs.  The arrays are read-only."""
+    (L', P') are the flow and live-link membership of the alive paths.  The
+    arrays are read-only."""
 
     live: np.ndarray
     alive: np.ndarray
     path_flows: np.ndarray
     link_matrix: np.ndarray
-    pairs: _FlowPairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,24 +185,20 @@ class _PathProblem:
                 alive=alive,
                 path_flows=path_flows,
                 link_matrix=self.link_matrix[np.ix_(~dead, alive)],
-                pairs=_flow_pairs(path_flows),
             )
-            for array in (layout.live, layout.alive, path_flows, layout.link_matrix, *layout.pairs):
+            for array in (layout.live, layout.alive, path_flows, layout.link_matrix):
                 array.setflags(write=False)
             self.layouts[key] = layout
         return layout
 
 
 def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> list[tuple[int, ...]]:
-    out: dict[int, list[int]] = {n.index: [] for n in graph.nodes}
-    for l in graph.links:
-        out[l.head].append(l.index)
     # Depth first over an explicit stack of link iterators, one per node on
     # the path: a recursive closure would hold the graph in a reference cycle.
     found: list[tuple[int, ...]] = []
     acc: list[int] = []
     visited = {source}
-    stack = [iter(out[source])]
+    stack = [iter(graph.out_links[source])]
     while stack:
         l = next(stack[-1], None)
         if l is None:
@@ -244,7 +218,7 @@ def _simple_paths(graph: TopologyGraph, source: int, dest: int, cap: int) -> lis
             continue
         visited.add(nxt)
         acc.append(l)
-        stack.append(iter(out[nxt]))
+        stack.append(iter(graph.out_links[nxt]))
     found.sort()
     return found
 
@@ -301,7 +275,6 @@ def _interior_point(
     ineq_rhs: np.ndarray,
     utility: UtilitySpec,
     mu_floor: float,
-    pairs: _FlowPairs,
 ) -> _InteriorPointResult:
     """Minimize ``-sum U(flow_matrix @ v)`` s.t. ``ineq_matrix @ v <= rhs, v >= 0``.
 
@@ -316,14 +289,6 @@ def _interior_point(
     stay accurate even when slacks shrink to ~1e-12.  The start is centered
     (``lam = mu0/s``, ``z = mu0/v``) so no complementarity pair begins orders
     of magnitude off the central path.
-
-    Every column of ``flow_matrix`` holds a single 1 (a path's flow) or no
-    nonzero (a share).  The flow part of the Hessian, ``F^T diag(c) F``, is
-    therefore ``c[k]`` wherever two columns carry the same flow k and zero
-    elsewhere, and is added as such at ``pairs``, :func:`_flow_pairs` of
-    ``flow_matrix``: the caller builds them, and checks the columns, once per
-    layout (:meth:`_PathProblem.layout`), not once per solve.  The share
-    columns carry no flow, so a program's pairs are those of its paths alone.
 
     Each step factors its Newton matrix once and solves two directions on
     the factor.  The predictor is the affine direction, centering target 0.
@@ -380,22 +345,25 @@ def _interior_point(
     stalls until it banks.  Once ``mu_now <= 100 * mu_floor`` the corrector
     therefore takes one step of iterative refinement (Wright, 1997): the
     residual of the unreduced stationarity equation, ``r1 = f1 + H_obj dv +
-    A^T dlam - dz`` with the objective Hessian ``H_obj = F^T diag(c) F`` as a
-    matrix, is solved as ``hess corr = -r1`` by one more ``potrs`` call on
-    the same factor; ``dv += corr``, and ``ds``, ``dlam`` and ``dz`` follow
-    from the corrected ``dv``.  The result counts these steps.  The step is
-    sensitive to rounding: forming ``H_obj dv`` as ``F^T (c * (F dv))``, or
-    skipping the step when the residual test already passes, is equal in
-    exact arithmetic but left a ``fig7_like`` share solve to run to
-    :data:`MAX_NEWTON_ITERS` under the fixed-sigma step.
+    A^T dlam - dz`` with the objective Hessian ``H_obj = F^T diag(c) F``, the
+    matrix the Newton step adds to ``A^T diag(lam/s) A``, is solved as
+    ``hess corr = -r1`` by one more ``potrs`` call on the same factor;
+    ``dv += corr``, and ``ds``, ``dlam`` and ``dz`` follow from the corrected
+    ``dv``.  The result counts these steps.  The step is sensitive to
+    rounding: forming ``H_obj dv`` as ``F^T (c * (F dv))``, or skipping the
+    step when the residual test already passes, is equal in exact arithmetic
+    but left a ``fig7_like`` share solve to run to :data:`MAX_NEWTON_ITERS`
+    under the fixed-sigma step.
 
     The iteration is bound by per-call overhead, not arithmetic, so each
     step works in preallocated buffers, the corrector's and the
     refinement's included: the objective gradient and both residuals are
     views of one stacked vector whose three max-norms come from one
     segmented reduction, and so are the two step lengths.  Each sum and
-    product is still formed in the same order as a plain transcription of
-    the iteration (``tests/reference.py``), which it matches bit for bit.
+    product is still formed as in a plain transcription of the iteration
+    (``tests/reference.py``), which it matches bit for bit; the reference
+    adds the two Hessian terms the other way round, and a sum of two
+    doubles does not depend on their order.
     """
     n_rows, n_vars = ineq_matrix.shape
     # The segmented maxima below need non-empty segments.  Callers always
@@ -403,9 +371,6 @@ def _interior_point(
     if n_rows == 0 or n_vars == 0:
         raise ValueError("need at least one variable and one inequality row")
     n = n_rows + n_vars
-    # The column pairs that carry the same flow, as flat Hessian indices.
-    pair_flat = pairs.rows * n_vars + pairs.cols
-    pair_flow = pairs.flow
     neg_flow_t = -flow_matrix.T
     ineq_t = ineq_matrix.T
     scale = max(1.0, float(np.max(ineq_rhs)))
@@ -441,11 +406,7 @@ def _interior_point(
     rhs_rows = np.empty(n_rows)
     rhs_image = np.empty(n_vars)
     rhs_sum = np.empty(n_vars)
-    # The refinement residual's buffers: the objective Hessian F^T diag(c) F
-    # as a matrix (nonzero only at the same-flow pairs) and the residual.
-    h_obj = np.zeros((n_vars, n_vars))
-    h_obj_flat = h_obj.ravel()
-    r1 = np.empty(n_vars)
+    r1 = np.empty(n_vars)  # the refinement residual
     refine_mu = 100.0 * mu_floor
     refinements = 0
     v[:] = 0.25 * scale
@@ -508,10 +469,10 @@ def _interior_point(
                 return breakdown("interior point diverged to non-finite iterates", it)
             if not _all(_isfinite(np.divide(y, x, out=weights))):
                 return breakdown("interior point barrier weights overflowed", it)
+            h_obj = (flow_matrix * curvature[:, None]).T @ flow_matrix
             hess = (ineq_matrix * w_col).T @ ineq_matrix
+            hess += h_obj
             flat = hess.ravel()
-            pair_curvature = curvature[pair_flow]
-            flat[pair_flat] += pair_curvature
             flat[:: n_vars + 1] += diag_bar
             # Predictor: the affine direction, centering target 0.
             np.negative(y, out=centering)
@@ -550,7 +511,6 @@ def _interior_point(
                 # One refinement step: solve hess corr = -r1 for the residual
                 # r1 of the unreduced stationarity equation, on the kept factor
                 # (negation is exact, so dv - solve(r1) is dv + solve(-r1)).
-                h_obj_flat[pair_flat] = pair_curvature
                 np.add(f1, h_obj @ dv, out=r1)
                 np.add(r1, ineq_t @ dlam, out=r1)
                 np.subtract(r1, dz, out=r1)
@@ -668,7 +628,7 @@ def _solve_joint(
             flow_matrix[:, :n_paths] = path_flows
 
         mu_floor = min(1e-12 * max(1.0, float(np.max(rhs))), np.inf if free.size else FLOW_TOL * 1e-4)
-        ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor, layout.pairs)
+        ip = _interior_point(flow_matrix, ineq, rhs, utility, mu_floor)
         if free.size:
             shares[free] = ip.v[n_paths:]
             for idx in groups:

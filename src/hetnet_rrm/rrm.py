@@ -418,10 +418,6 @@ class RrmResult:
     def utility(self) -> float:
         return self.state.utility
 
-    @property
-    def utilities(self) -> np.ndarray:
-        return np.array([r.utility for r in self.records])
-
 
 def certificate(state: RrmState, block: BlockPass) -> CertificateReport:
     """Evaluate the stopping certificate of ``state`` on ``block``, a

@@ -21,7 +21,7 @@ Each ``[radio]``, ``[pathloss]`` and ``[run]`` key is declared once, in
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .channel import ChannelModel, LinkClassParams, PathlossParams
@@ -106,6 +106,9 @@ class Scenario:
 _DBM = (-300.0, 300.0, "lie in [-300, 300] dBm")
 _POSITIVE = (math.ulp(0.0), math.inf, "be > 0")  # the least float above zero
 _NON_NEGATIVE = (0.0, math.inf, "be >= 0")
+# A [pathloss] triple's exponent, ref_gain_db and shadow_sigma_db.  With the
+# powers in range these keep every received power finite (README).
+_PATHLOSS = (_NON_NEGATIVE, (-300.0, 300.0, "lie in [-300, 300] dB"), (0.0, 50.0, "lie in [0, 50] dB"))
 MAX_BLOCK_ENTRIES = 2**24  # float64 subframes x links x subbands of a superframe block, 128 MiB
 
 
@@ -113,8 +116,8 @@ class _Setting(NamedTuple):
     """One ``[radio]``, ``[pathloss]`` or ``[run]`` key.  Its value sets
     field ``field`` (the key when empty) of ``owner``; a file that leaves the
     key out keeps the field's dataclass default.  ``limit`` is an ``int``'s
-    closed range, a ``float``'s range or the words a ``bool`` or ``str`` allows;
-    a ``LinkClassParams`` is three finite numbers and has none."""
+    closed range, a ``float``'s range, a ``LinkClassParams``' three ranges or
+    the words a ``bool`` or ``str`` allows."""
 
     key: str
     section: str
@@ -136,9 +139,9 @@ _SETTINGS = {
         _Setting("deterministic", "radio", Scenario, bool, ("true", "false")),
         _Setting("macro_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
         _Setting("pico_radius_m", "radio", Scenario, float, _NON_NEGATIVE),
-        _Setting("macro_macro", "pathloss", PathlossParams, LinkClassParams, None),
-        _Setting("bs_bs", "pathloss", PathlossParams, LinkClassParams, None),
-        _Setting("bs_user", "pathloss", PathlossParams, LinkClassParams, None),
+        _Setting("macro_macro", "pathloss", PathlossParams, LinkClassParams, _PATHLOSS),
+        _Setting("bs_bs", "pathloss", PathlossParams, LinkClassParams, _PATHLOSS),
+        _Setting("bs_user", "pathloss", PathlossParams, LinkClassParams, _PATHLOSS),
         _Setting("seed", "run", Scenario, int, (0, 2**64 - 1)),  # one Philox key word
         _Setting("mode", "run", Scenario, str, MODES),
         _Setting("subframes_per_superframe", "run", RrmConfig, int, (1, math.inf)),
@@ -258,8 +261,13 @@ def _setting(cur: _Cursor, key: str, lineno: int, raw: str):
     if row.kind is LinkClassParams:
         parts = raw.split()
         if len(parts) == 3:
-            values = _finite(cur, lineno, parts, f"'{key}' needs three finite numbers")
-            return None if values is None else LinkClassParams(*values)
+            if _finite(cur, lineno, parts, f"'{key}' needs three finite numbers") is None:
+                return None
+            values = [
+                _bounded(cur, lineno, part, limit, f"'{key}' {f.name}")
+                for part, limit, f in zip(parts, row.limit, fields(LinkClassParams))
+            ]
+            return None if None in values else LinkClassParams(*values)
         cur.error(lineno, f"'{key}' needs three numbers 'exponent ref_gain_db shadow_sigma_db', got '{raw}'")
         return None
     if row.kind is int:

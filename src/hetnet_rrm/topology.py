@@ -98,11 +98,6 @@ class TopologyGraph:
         return len(self.bs_nodes)
 
     @cached_property
-    def bs_slot(self) -> dict[int, int]:
-        """Map node index -> position in ``bs_nodes``."""
-        return {n: i for i, n in enumerate(self.bs_nodes)}
-
-    @cached_property
     def wireless_links(self) -> tuple[int, ...]:
         return tuple(l.index for l in self.links if not l.is_wired)
 
@@ -111,23 +106,13 @@ class TopologyGraph:
         return tuple(l.index for l in self.links if l.is_wired)
 
     @cached_property
-    def _outgoing(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {n.index: [] for n in self.nodes}
+    def out_links(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the links each node transmits, by node index, ascending
+        as the links are stored; a user node transmits none."""
+        out: list[list[int]] = [[] for _ in self.nodes]
         for l in self.links:
             out[l.head].append(l.index)
-        return {n: tuple(sorted(v)) for n, v in out.items()}
-
-    def outgoing_links(self, node: int) -> tuple[int, ...]:
-        """Link indices transmitted by ``node``, ascending.
-
-        Only base stations transmit; asking for a user node is a bug.
-        """
-        if not self.nodes[node].kind.is_base_station:
-            raise ValueError(f"node {node} is a user node and has no transmit links")
-        return self._outgoing[node]
-
-    def outgoing_wireless(self, node: int) -> tuple[int, ...]:
-        return tuple(l for l in self.outgoing_links(node) if not self.links[l].is_wired)
+        return tuple(map(tuple, out))
 
     @cached_property
     def station_links(self) -> tuple[np.ndarray, ...]:
@@ -135,7 +120,7 @@ class TopologyGraph:
         order (read-only arrays; the schedulers index with them)."""
         out = []
         for node in self.bs_nodes:
-            links = np.array(self.outgoing_wireless(node), dtype=int)
+            links = np.array([l for l in self.out_links[node] if not self.links[l].is_wired], dtype=int)
             links.setflags(write=False)
             out.append(links)
         return tuple(out)
@@ -143,7 +128,8 @@ class TopologyGraph:
     @cached_property
     def link_station(self) -> np.ndarray:
         """Slot in ``bs_nodes`` of each link's transmitting station (read-only)."""
-        owner = np.array([self.bs_slot[link.head] for link in self.links], dtype=int)
+        slot = {n: i for i, n in enumerate(self.bs_nodes)}
+        owner = np.array([slot[link.head] for link in self.links], dtype=int)
         owner.setflags(write=False)
         return owner
 

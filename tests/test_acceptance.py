@@ -119,12 +119,12 @@ def test_utility_ascends_monotonically(oracle_battery, stochastic_runs):
     mode, within three standard errors of the policy rate under fading."""
     worst_det = np.inf
     for _, _, _, _, result, _, _ in oracle_battery:
-        steps = np.diff(result.utilities)
+        steps = np.diff([r.utility for r in result.records])
         if steps.size:
             worst_det = min(worst_det, float(steps.min()))
     worst_margin = np.inf
     for _, _, _, _, result in stochastic_runs:
-        steps = np.diff(result.utilities)
+        steps = np.diff([r.utility for r in result.records])
         state = result.state
         sem = float(state.shares @ (state.row_stderr @ state.weights))
         worst_margin = min(worst_margin, float(steps.min()) + 3.0 * sem)
@@ -253,7 +253,7 @@ def test_convergence_within_fifteen_superframes(heterogeneous_sweep):
     results, _ = heterogeneous_sweep
     worst = 0
     for power in PICO_POWERS:
-        utilities = results[(power, "proposed")].utilities
+        utilities = np.array([r.utility for r in results[(power, "proposed")].records])
         final = utilities[-1]
         close = np.nonzero(np.abs(utilities - final) <= 0.01 * abs(final))[0]
         worst = max(worst, int(close[0]) + 1)

@@ -147,7 +147,7 @@ def test_ttrsc_identical_to_proposed_when_deterministic():
         prop = run_to_convergence(det_model(g), config)
         ttrsc = run_ttrsc(det_model(g), config)
         assert ttrsc.converged == prop.converged
-        assert ttrsc.utilities == pytest.approx(prop.utilities, abs=1e-12)
+        assert [r.utility for r in ttrsc.records] == pytest.approx([r.utility for r in prop.records], abs=1e-12)
         assert ttrsc.state.shares == pytest.approx(prop.state.shares, abs=1e-12)
         assert ttrsc.utility == pytest.approx(prop.utility, abs=1e-12)
 
@@ -206,7 +206,7 @@ def test_fddsa_uses_uniform_shares_over_all_patterns():
     assert np.all(np.abs(totals - 1.0 / n_patterns) <= 1e-12)
     # members keep their discovery weights, so the utility never falls back
     assert result.converged
-    assert np.all(np.diff(result.utilities) >= -1e-9)
+    assert np.all(np.diff([r.utility for r in result.records]) >= -1e-9)
 
 
 def test_fddsa_converges_when_winners_cannot_flip():

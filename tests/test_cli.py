@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -366,6 +367,47 @@ def test_non_finite_pathloss_exits_config(tmp_path, capsys, raw):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {src}:{line}: 'bs_user' needs three finite numbers, got '{raw}'\n"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("1.9 5000.0 4.0", "ref_gain_db must lie in [-300, 300] dB, got '5000.0'"),
+        ("-1e308 -16.0 4.0", "exponent must be >= 0, got '-1e308'"),
+        ("1.9 -16.0 1e308", "shadow_sigma_db must lie in [0, 50] dB, got '1e308'"),
+    ],
+    ids=["ref_gain_db", "exponent", "shadow_sigma_db"],
+)
+def test_out_of_range_pathloss_exits_config(tmp_path, capsys, raw, message):
+    """A finite triple outside a range is refused at its line by both
+    commands; unrefused, these end ``run`` in a traceback or run it on gains
+    of 0 or inf."""
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    src = scenario_file(tmp_path, demo + f"\n[pathloss]\nbs_user = {raw}\n", "pl.scenario")
+    line = len(demo.splitlines()) + 3
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", src]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}:{line}: 'bs_user' {message}\n"
+
+
+def test_pathloss_range_edges_run_on_finite_gains(tmp_path, capsys):
+    """At the edges of the [pathloss] ranges and of the power ranges, every
+    gain times power over noise stays finite: a run warns nothing."""
+    demo = resources.files("hetnet_rrm").joinpath("scenarios/two_hop_demo.scenario").read_text()
+    for old, new in [("p_macro_dbm = 40.0", "p_macro_dbm = 300"), ("p_pico_dbm = 33.0", "p_pico_dbm = 300"),
+                     ("noise_dbm = -100.0", "noise_dbm = -300")]:
+        assert old in demo
+        demo = demo.replace(old, new)
+    for raw in ("0 300 50", "0 -300 50", "1e300 300 50"):
+        triples = "".join(f"{key} = {raw}\n" for key in ("macro_macro", "bs_bs", "bs_user"))
+        text = demo + f"\n[pathloss]\n{triples}"
+        src = scenario_file(tmp_path, text, "edge.scenario")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", src]) in (EXIT_OK, EXIT_MAX_ITERS)
+        assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import warnings
 import weakref
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -487,15 +486,14 @@ def test_path_sets_are_dropped_with_their_graph():
 
 def test_each_dead_link_set_builds_one_layout(monkeypatch):
     """A graph's flow programs share one layout per set of dead links: its
-    alive paths, sliced matrices and same-flow pairs are built, and its flow
-    columns checked, once."""
-    built, build = [], netopt._flow_pairs
+    alive paths and sliced matrices are built once."""
+    built, build = [], netopt._Layout
 
-    def counted(flow_matrix):
+    def counted(**fields):
         built.append(None)
-        return build(flow_matrix)
+        return build(**fields)
 
-    monkeypatch.setattr(netopt, "_flow_pairs", counted)
+    monkeypatch.setattr(netopt, "_Layout", counted)
     graph = relay_grid_graph()
     problem = netopt._path_problem(graph)
     caps = np.array([1.0, 0.8, 0.45, 0.7])
@@ -509,33 +507,28 @@ def test_each_dead_link_set_builds_one_layout(monkeypatch):
     assert np.array_equal(layout.link_matrix, problem.link_matrix[np.ix_(layout.live, layout.alive)])
     assert np.array_equal(layout.path_flows, problem.flow_matrix[:, layout.alive])
     assert all(not a.flags.writeable for a in (layout.live, layout.alive, layout.path_flows, layout.link_matrix))
-    # the pairs are the nonzeros of the flow Hessian F^T F, with their flow
-    rows, cols = np.nonzero(layout.path_flows.T @ layout.path_flows)
-    assert np.array_equal(layout.pairs.rows, rows) and np.array_equal(layout.pairs.cols, cols)
-    assert np.array_equal(layout.pairs.flow, layout.path_flows.argmax(axis=0)[rows])
 
 
 def _relay_grid_program():
-    """The relay-grid flow problem as ``_interior_point`` takes it, with the
-    same-flow pairs its caller builds."""
+    """The relay-grid flow problem as ``_interior_point`` takes it."""
     problem = netopt._path_problem(relay_grid_graph())
     caps = np.array([1.0, 0.8, 0.45, 0.7])
-    return problem.flow_matrix, problem.link_matrix, caps, netopt._flow_pairs(problem.flow_matrix)
+    return problem.flow_matrix, problem.link_matrix, caps
 
 
 def test_interior_point_raises_when_out_of_iterations(monkeypatch):
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(NetOptError, match="did not converge in 1 iterations"):
-        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
 
 
 def test_interior_point_returns_banked_iterate_below_reachable_floor(monkeypatch):
     # mu never reaches 0, so the run ends in breakdown or at MAX_NEWTON_ITERS;
     # both must hand back the last iterate that passed the residual tests.
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 120)
-    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 0.0, pairs)
+    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 0.0)
     assert ip.banked
     assert 0 < ip.newton_iters <= 120
     assert ip.residual <= 1e-9
@@ -544,8 +537,8 @@ def test_interior_point_returns_banked_iterate_below_reachable_floor(monkeypatch
 
 
 def test_interior_point_retries_failed_factorization_with_jitter(monkeypatch):
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
-    reference = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, pairs)
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    reference = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
     posv = netopt._posv
     calls = []
 
@@ -555,7 +548,7 @@ def test_interior_point_retries_failed_factorization_with_jitter(monkeypatch):
         return factor, solution, (1 if len(calls) == 1 else info)
 
     monkeypatch.setattr(netopt, "_posv", fail_once)
-    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, pairs)
+    ip = netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
     # the retry factors the same matrix with a larger diagonal
     off_diagonal = ~np.eye(len(calls[0]), dtype=bool)
     assert np.array_equal(calls[1][off_diagonal], calls[0][off_diagonal])
@@ -575,21 +568,20 @@ def test_interior_point_refuses_an_infinite_objective_gradient():
         warnings.simplefilter("error")
         with pytest.raises(NetOptError, match="marginal utility .* overflows"):
             netopt._interior_point(
-                problem.flow_matrix, problem.link_matrix, np.ones(4), steep, 1e-10,
-                netopt._flow_pairs(problem.flow_matrix),
+                problem.flow_matrix, problem.link_matrix, np.ones(4), steep, 1e-10
             )
 
 
 def test_interior_point_not_finite_capacity_row_raises_without_bank():
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     bad_caps = caps.copy()
     bad_caps[2] = np.nan
     with pytest.raises(NetOptError):
-        netopt._interior_point(flow_matrix, link_matrix, bad_caps, LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix, link_matrix, bad_caps, LOG, 1e-12)
     bad_row = link_matrix.copy()
     bad_row[2, bad_row[2] > 0] = np.inf
     with pytest.raises(NetOptError):
-        netopt._interior_point(flow_matrix, bad_row, caps, LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix, bad_row, caps, LOG, 1e-12)
 
 
 def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monkeypatch):
@@ -597,7 +589,7 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
     # while the gradient stays finite, so only the Newton matrix is non-finite.
     # No jitter can make such a matrix finite, so it is neither factored nor
     # retried with a jitter taken from its trace.
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     steep = UtilitySpec(alpha=510.0, epsilon=1e-3)
     posv, trace = netopt._posv, np.trace
     calls = []
@@ -613,14 +605,14 @@ def test_interior_point_non_finite_newton_matrix_is_a_failed_factorization(monke
     monkeypatch.setattr(netopt.np, "trace", record(trace))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NetOptError, match="not positive definite"):
-            netopt._interior_point(flow_matrix, link_matrix, caps, steep, 1e-12, pairs)
+            netopt._interior_point(flow_matrix, link_matrix, caps, steep, 1e-12)
     assert calls == []
 
 
 def test_interior_point_jitter_that_overflows_is_a_failed_factorization(monkeypatch):
     # A trace that overflows sizes a jitter that makes the jittered matrix
     # non-finite; it is not factored, and the failure is a breakdown.
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     posv = netopt._posv
     calls = []
 
@@ -632,30 +624,16 @@ def test_interior_point_jitter_that_overflows_is_a_failed_factorization(monkeypa
     monkeypatch.setattr(netopt, "_posv", fail)
     monkeypatch.setattr(netopt.np, "trace", lambda matrix: np.inf)
     with pytest.raises(NetOptError, match="not positive definite"):
-        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix, link_matrix, caps, LOG, 1e-12)
     assert len(calls) == 1
 
 
-def test_interior_point_rejects_flow_columns_other_than_a_single_one():
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
-    shared = flow_matrix.copy()
-    shared[:, 0] = 1.0  # one path carrying every flow
-    split = flow_matrix.copy()
-    split[:2, 0] = 0.5  # sums to 1 over two flows
-    # The columns are checked where the pairs are built: once per layout.
-    problem = netopt._path_problem(relay_grid_graph())
-    for bad in (shared, split, 2.0 * flow_matrix, -flow_matrix):
-        with pytest.raises(ValueError, match="single 1"):
-            netopt._flow_pairs(bad)
-        bad_problem = replace(problem, flow_matrix=bad, layouts={})
-        with pytest.raises(ValueError, match="single 1"):
-            bad_problem.layout(np.zeros(len(caps), dtype=bool))
-        assert bad_problem.layouts == {}
-    # a program needs a variable and an inequality row
+def test_interior_point_needs_a_variable_and_an_inequality_row():
+    flow_matrix, link_matrix, caps = _relay_grid_program()
     with pytest.raises(ValueError, match="at least one"):
-        netopt._interior_point(flow_matrix, link_matrix[:0], caps[:0], LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix, link_matrix[:0], caps[:0], LOG, 1e-12)
     with pytest.raises(ValueError, match="at least one"):
-        netopt._interior_point(flow_matrix[:, :0], link_matrix[:, :0], caps, LOG, 1e-12, pairs)
+        netopt._interior_point(flow_matrix[:, :0], link_matrix[:, :0], caps, LOG, 1e-12)
 
 
 def _record_interior_point(monkeypatch):
@@ -695,7 +673,7 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     # they run on past their last accurate iterate and return it banked.
     for seed in (158, 1748, 1006):
         oracle_solve(det_model(random_instance(seed)), LOG)
-    calls += [(*args[:4], 0.0, args[5]) for args in calls[n_runs:]]
+    calls += [(*args[:4], 0.0) for args in calls[n_runs:]]
     n_oracle = len(calls)
     # Zero capacities kill links, whose paths leave the program, so these
     # programs have fewer rows than their graph has links.
@@ -713,12 +691,12 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     assert joint and len(joint) < n_runs  # share programs and plain flow solves
     assert all(np.any(args[0].sum(axis=0) == 0.0) for args in calls[n_runs:n_oracle])
     assert len(calls) >= n_oracle + 6
-    flow_matrix, link_matrix, caps, pairs = _relay_grid_program()
-    calls.append((flow_matrix, link_matrix, caps, LOG, 0.0, pairs))  # banked
+    flow_matrix, link_matrix, caps = _relay_grid_program()
+    calls.append((flow_matrix, link_matrix, caps, LOG, 0.0))  # banked
     outcomes = []
     for args in calls:
         with np.errstate(all="ignore"):
-            outcomes.append(_outcome(unstacked_interior_point, args[:5]))
+            outcomes.append(_outcome(unstacked_interior_point, args))
         assert _outcome(netopt._interior_point, args) == outcomes[-1]
     banked_field = netopt._InteriorPointResult._fields.index("banked")
     banked = [not isinstance(o, str) and o[banked_field] for o in outcomes]
@@ -728,7 +706,7 @@ def test_interior_point_matches_unstacked_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(netopt, "MAX_NEWTON_ITERS", 1)
     out_of_iters = _outcome(unstacked_interior_point, (*args, 1))
     assert out_of_iters == "interior point did not converge in 1 iterations"
-    assert _outcome(netopt._interior_point, (*args, pairs)) == out_of_iters
+    assert _outcome(netopt._interior_point, args) == out_of_iters
 
 
 @pytest.mark.parametrize("seed", [1748, 21])
@@ -747,7 +725,7 @@ def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkey
         oracle_solve(model, LOG)
         run_to_convergence(model, RrmConfig(subframes_per_superframe=40, max_superframes=40, utility=LOG))
         monkeypatch.undo()
-        programs = [(*args[:4], 0.0, args[5]) for args in calls if np.any(args[0].sum(axis=0) == 0.0)]
+        programs = [(*args[:4], 0.0) for args in calls if np.any(args[0].sum(axis=0) == 0.0)]
         results = [netopt._interior_point(*args) for args in programs]
     assert len(programs) >= 2
     assert all(ip.banked for ip in results)
@@ -757,7 +735,7 @@ def test_overflowing_joint_solve_warns_nothing_and_returns_banked_iterate(monkey
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for args in programs:
-            unstacked_interior_point(*args[:5])
+            unstacked_interior_point(*args)
     assert any("overflow" in str(w.message) for w in caught)
 
 

@@ -167,8 +167,7 @@ def test_schedule_links_weight_scale_invariance():
 
 
 def test_assert_schedule_feasible_rejects_violations():
-    """A one-subframe schedule, checked as schedule_links checks it: as a
-    block of one subframe."""
+    """A one-subframe schedule, checked as a block of one subframe."""
     g = _two_station_graph()
     bad = np.zeros((3, 2), dtype=bool)
     bad[0, 0] = bad[1, 0] = True        # station 0 serves two links on subband 0
@@ -203,7 +202,7 @@ def test_block_kernel_matches_schedule_links_loop_bit_for_bit():
     for seed in range(8):
         g = random_instance(seed)
         patterns = enumerate_feasible_patterns(g.interference)
-        owner = [g.bs_slot[link.head] for link in g.links]
+        owner = [g.bs_nodes.index(link.head) for link in g.links]
         model = ChannelModel(g, 3, 40.0, 33.0, seed=seed)
         wide = ChannelModel(g, 10, 40.0, 33.0, seed=seed)
         n_sub = 24

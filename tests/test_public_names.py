@@ -4,7 +4,10 @@ Code only the tests use belongs in ``tests/``.  The guard walks the
 module-level functions, classes and assigned names of ``src/hetnet_rrm/*.py``
 whose names do not start with ``_``, and fails on any name that nothing
 mentions outside its own definition: not ``src/``, ``perfbench/*.py`` nor
-``README.md``.  Methods and fields are not covered.
+``README.md``.  It walks the public methods and properties of those classes
+too, and fails on any that nothing there uses as an attribute, ``.name``: a
+plain word match would count common words such as ``utilities``.  Dataclass
+fields are not covered.
 """
 
 import ast
@@ -29,9 +32,13 @@ def _public_definitions(tree: ast.Module):
         yield from ((name, node) for name in names if not name.startswith("_"))
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _texts() -> dict[Path, str]:
     paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
-    texts = {path: path.read_text(encoding="utf-8") for path in paths}
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    texts = _texts()
     uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = texts[path].splitlines(keepends=True)
@@ -41,4 +48,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             mentions = sum(len(word.findall(text)) for text in texts.values())
             if mentions == len(word.findall(own)):
                 uncalled.append(f"{path.name}: {name}")
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    texts = _texts()
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, node in _public_definitions(ast.parse(texts[path])):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                use = re.compile(rf"\.{re.escape(member.name)}\b")
+                if not any(use.search(text) for text in texts.values()):
+                    uncalled.append(f"{path.name}: {cls}.{member.name}")
     assert uncalled == []

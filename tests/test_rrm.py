@@ -136,7 +136,7 @@ def test_deterministic_ascent_is_monotone():
     for graph in (relay_grid_graph(), diamond_graph(), random_instance(31)):
         model = det_model(graph)
         result = run_to_convergence(model, fast_config())
-        steps = np.diff(result.utilities)
+        steps = np.diff([r.utility for r in result.records])
         assert np.all(steps >= -1e-9)
         assert result.converged
 
@@ -154,7 +154,7 @@ def test_multi_hop_discovery_climbs_a_staircase():
     result = run_to_convergence(model, fast_config())
     assert result.converged
     assert len(result.records) >= 3
-    assert result.utilities[-1] > result.utilities[0] + 1.0
+    assert result.records[-1].utility > result.records[0].utility + 1.0
     # every flow ends with usable rate despite the all-starved start
     assert np.all(result.state.flow.rates > 0.01)
 
@@ -220,7 +220,7 @@ def test_max_members_caps_each_duration_group(monkeypatch):
     result = run_fddsa(model, config)
     assert len(result.state.patterns) == 3
     assert result.converged
-    assert np.all(np.diff(result.utilities) >= -1e-9)
+    assert np.all(np.diff([r.utility for r in result.records]) >= -1e-9)
     for record in result.records:
         assert 3 <= record.n_members <= 6
     # Q_PRUNE is a fraction of the group total; pruning every member of a

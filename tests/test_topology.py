@@ -33,24 +33,17 @@ def test_counts_and_partitions(multicell):
     g = multicell
     assert g.num_nodes == 22 and g.num_links == 18 and g.num_flows == 17
     assert g.bs_nodes == (0, 1, 2, 3, 4)
-    assert g.bs_slot == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
     assert g.wireless_links == tuple(range(18)) and g.wired_links == ()
-    assert g.outgoing_links(0) == (0, 1, 3, 4, 6)
-    assert g.outgoing_links(1) == (11, 12, 13, 15)
-    assert g.outgoing_links(2) == (2, 7, 17)
-    assert g.outgoing_links(3) == (5, 8, 9, 10)
-    assert g.outgoing_links(4) == (14, 16)
+    assert g.out_links[:5] == ((0, 1, 3, 4, 6), (11, 12, 13, 15), (2, 7, 17), (5, 8, 9, 10), (14, 16))
+    assert g.out_links[5:] == ((),) * 17  # user nodes transmit nothing
+    assert g.out_links is g.out_links
     # every link belongs to exactly one station's outgoing set
-    seen = sorted(l for n in g.bs_nodes for l in g.outgoing_links(n))
+    seen = sorted(l for n in g.bs_nodes for l in g.out_links[n])
     assert seen == list(range(18))
-    for n in g.bs_nodes:
-        assert np.all(g.link_station[list(g.outgoing_links(n))] == g.bs_slot[n])
+    for slot, n in enumerate(g.bs_nodes):
+        assert np.all(g.link_station[list(g.out_links[n])] == slot)
+        assert np.array_equal(g.station_links[slot], g.out_links[n])
     assert g.link_station is g.link_station and not g.link_station.flags.writeable
-
-
-def test_outgoing_rejects_user_nodes(multicell):
-    with pytest.raises(ValueError):
-        multicell.outgoing_links(5)
 
 
 def test_wired_base_capacity():
@@ -60,6 +53,9 @@ def test_wired_base_capacity():
     g = build_graph(nodes, links, [Flow(0, 0, 2)], {0, 1})
     assert np.allclose(g.wired_base_capacity(), [7.5, 0.0])
     assert g.wireless_links == (1,) and g.wired_links == (0,)
+    # a station's scheduled links are its outgoing links less the wired ones
+    assert g.out_links == ((0,), (1,), ())
+    assert [cand.tolist() for cand in g.station_links] == [[], [1]]
 
 
 def test_incidence_rows_sum_to_zero(multicell):
