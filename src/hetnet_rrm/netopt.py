@@ -10,10 +10,12 @@ extra variables the program stays concave with only inequality constraints.
 Every program takes one path, :func:`_solve_joint` and its primal-dual
 interior point: jointly over shares and flows (:func:`optimize_time_sharing`)
 and for fixed capacities (:func:`solve_p1`).  Path sets come from the graph's
-``out_links``, and the program's one flow matrix F gives both the delivered
-rates and the objective Hessian ``F^T diag(c) F``.  Its capacity multipliers
-are the gradient of the achieved utility with respect to capacities and drive
-both the time-sharing certificate and pattern discovery upstream.
+``out_links``.  The interior point stacks the program's inequality matrix A
+over its one flow matrix F, so one product gives both the constraint loads
+and the delivered rates, and one more the Newton matrix with its objective
+Hessian ``F^T diag(c) F``.  The program's capacity multipliers are the
+gradient of the achieved utility with respect to capacities and drive both
+the time-sharing certificate and pattern discovery upstream.
 
 Links no share can lift above a tiny capacity floor are starved: the paths
 through them leave the program, and their prices are patched in afterwards as
@@ -76,8 +78,10 @@ _flapack = _load_flapack()
 _posv, _potrs = _flapack.dposv, _flapack.dpotrs
 # Reductions called as ufunc methods, without the ndarray method wrappers.
 _all = np.logical_and.reduce
+_dot = np.dot
 _isfinite = np.isfinite
 _segment_max = np.maximum.reduceat
+_segment_fmin = np.fmin.reduceat
 
 
 class NetOptError(RuntimeError):
@@ -114,12 +118,6 @@ class UtilitySpec:
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
         return (np.asarray(d, dtype=float) + self.epsilon) ** (-self.alpha)
-
-    def derivatives(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient ``(d + eps)^(-alpha)`` and negative second derivative
-        ``alpha * (d + eps)^(-alpha - 1)``, from one shifted rate."""
-        shifted = np.asarray(d, dtype=float) + self.epsilon
-        return shifted ** (-self.alpha), self.alpha * shifted ** (-self.alpha - 1.0)
 
     def total(self, d: np.ndarray) -> float:
         return float(np.sum(self.value(d)))
@@ -269,6 +267,22 @@ class _InteriorPointResult(NamedTuple):
     refinements: int
 
 
+def _step_lengths(
+    xy: np.ndarray, dxy: np.ndarray, ratio: np.ndarray, halves: np.ndarray, fraction: float
+) -> tuple[float, float]:
+    """The largest steps in (0, 1] along each half of ``dxy`` (the halves
+    begin at ``halves``) that keep ``xy`` nonnegative, times ``fraction`` of
+    the way to the boundary: ``-fraction / min(dxy / xy)`` over the negative
+    steps of the half, or 1 when it has none.  ``xy`` is positive, and
+    ``ratio`` is the buffer for ``dxy / xy``.  ``fmin`` skips NaN, so a NaN
+    step counts as not negative."""
+    least_p, least_d = _segment_fmin(np.divide(dxy, xy, out=ratio), halves).tolist()
+    return (
+        min(1.0, -fraction / least_p) if least_p < 0.0 else 1.0,
+        min(1.0, -fraction / least_d) if least_d < 0.0 else 1.0,
+    )
+
+
 def _interior_point(
     flow_matrix: np.ndarray,
     ineq_matrix: np.ndarray,
@@ -329,83 +343,113 @@ def _interior_point(
     breakdown that names the flow.  Overflow and invalid values are tested
     for explicitly, so floating-point warnings are silenced.
 
+    Each step works on two operators stacked once per call from the
+    inequality matrix ``A`` and the flow matrix ``F``: ``K = [A; F]`` and
+    ``M^T = [A^T, -F^T]``.  One product ``K v`` gives both ``A v`` and the
+    rates ``F v``, hence ``g = (F v + eps)^-alpha`` and the curvature ``c =
+    alpha * (F v + eps)^(-alpha - 1)``.  The Newton matrix ``A^T diag(lam/s) A + F^T
+    diag(c) F + diag(z/v)`` is ``(K * [lam/s; c])^T K + diag(z/v)``, one
+    product, and the stationarity residual ``f1 = A^T lam - F^T g - z`` is
+    ``M^T [lam; g] - z``.  With ``w = lam/s``, the predictor's right-hand
+    side is ``-M^T [w * f2; g]``, because its ``-y`` centering cancels the
+    ``lam`` and ``z`` terms exactly, and the corrector's is ``-M^T [tau_s + w
+    * f2; g] + tau_v``, with ``tau = (target - alpha_p * alpha_d * dx * dy)
+    / x``.
+
     The predictor's system is factored and solved by one LAPACK ``posv``
     call, which runs ``potrf`` and then ``potrs``: the routines
     ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, from the same
-    extension module and with the same arguments, so the iterates are the
-    wrappers' bit for bit.  The wrappers' finiteness check is kept: a
-    non-finite matrix or right-hand side counts as a failed factorization
-    and is not retried with jitter, and a non-finite corrector right-hand
-    side is a breakdown too.  The corrector
-    is one ``potrs`` call on the factor ``posv`` returned.
+    extension module.  It factors the Newton matrix in place, through the
+    F-ordered view of its transpose, and writes the direction over its
+    right-hand side in ``dv``; the corrector is one ``potrs`` call on that
+    factor, in place too.  A failed factorization leaves the right-hand side
+    alone but has overwritten the matrix, so a jitter retry rebuilds it.  The
+    wrappers' finiteness check is kept: a non-finite matrix or right-hand
+    side counts as a failed factorization and is not retried with jitter,
+    and a non-finite corrector right-hand side is a breakdown too.
 
     Near the floor the reduced Newton system is solved too coarsely: the
     scaled stationarity residual can rise just as complementarity reaches
     ``mu_floor``, so no later iterate passes the residual test and the solve
     stalls until it banks.  Once ``mu_now <= 100 * mu_floor`` the corrector
     therefore takes one step of iterative refinement (Wright, 1997): the
-    residual of the unreduced stationarity equation, ``r1 = f1 + H_obj dv +
-    A^T dlam - dz`` with the objective Hessian ``H_obj = F^T diag(c) F``, the
-    matrix the Newton step adds to ``A^T diag(lam/s) A``, is solved as
-    ``hess corr = -r1`` by one more ``potrs`` call on the same factor;
-    ``dv += corr``, and ``ds``, ``dlam`` and ``dz`` follow from the corrected
-    ``dv``.  The result counts these steps.  The step is sensitive to
-    rounding: forming ``H_obj dv`` as ``F^T (c * (F dv))``, or skipping the
-    step when the residual test already passes, is equal in exact arithmetic
-    but left a ``fig7_like`` share solve to run to :data:`MAX_NEWTON_ITERS`
-    under the fixed-sigma step.
+    residual of the unreduced stationarity equation, ``r1 = f1 + F^T diag(c)
+    F dv + A^T dlam - dz = f1 + M^T [dlam; -c * F dv] - dz``, with ``F dv``
+    from the direction's ``K dv``, is solved as ``hess corr = -r1`` by one
+    more ``potrs`` call on the same factor; ``dv += corr``, and ``ds``,
+    ``dlam`` and ``dz`` follow from the corrected ``dv``.  The result counts
+    these steps.
 
     The iteration is bound by per-call overhead, not arithmetic, so each
-    step works in preallocated buffers, the corrector's and the
-    refinement's included: the objective gradient and both residuals are
-    views of one stacked vector whose three max-norms come from one
-    segmented reduction, and so are the two step lengths.  Each sum and
-    product is still formed as in a plain transcription of the iteration
-    (``tests/reference.py``), which it matches bit for bit; the reference
-    adds the two Hessian terms the other way round, and a sum of two
-    doubles does not depend on their order.
+    step works in preallocated buffers, laid out so that one call serves
+    several blocks.  ``x = [v; s]`` and ``y = [z; lam]`` share one buffer, so
+    one division and one segmented ``fmin`` give both step lengths
+    (:func:`_step_lengths`), and one dot product each gives ``mu`` and
+    ``mu_aff``.  ``y / x`` is followed by ``c``, so the Newton matrix's row
+    weights ``[lam/s; c]`` are one slice.  The objective gradient and both
+    residuals are views of one vector whose three max-norms come from one
+    segmented reduction.  A plain transcription of the iteration
+    (``tests/reference.py``) forms the same products with one array per
+    block, and the iteration matches it bit for bit.
     """
     n_rows, n_vars = ineq_matrix.shape
-    # The segmented maxima below need non-empty segments.  Callers always
+    # The segmented reductions below need non-empty segments.  Callers always
     # satisfy this: a live path is a variable and crosses a live link's row.
     if n_rows == 0 or n_vars == 0:
         raise ValueError("need at least one variable and one inequality row")
+    n_flows = flow_matrix.shape[0]
     n = n_rows + n_vars
-    neg_flow_t = -flow_matrix.T
-    ineq_t = ineq_matrix.T
+    alpha, epsilon = utility.alpha, utility.epsilon
+    # The two stacked operators: K = [A; F] maps v to [A v; F v], and
+    # M^T = [A^T, -F^T] maps [lam; g] to the stationarity terms.
+    stacked = np.concatenate((ineq_matrix, flow_matrix))
+    m_t = np.concatenate((ineq_matrix.T, -flow_matrix.T), axis=1)
+    neg_flow_t = m_t[:, n_rows:]
     scale = max(1.0, float(np.max(ineq_rhs)))
-    # Primal x = [s; v] and dual y = [lam; z] share one buffer, and so do
-    # their Newton directions, so one division gives both step lengths; the
-    # predictor's trial point is laid out the same way.
+    # Primal x = [v; s] and dual y = [z; lam] share one buffer, and so do
+    # their Newton directions, so complementary pairs line up: one division
+    # gives both step lengths and one dot product each mu and mu_aff.  The
+    # predictor's trial point and both updates are laid out the same way.
     xy = np.empty(2 * n)
     x, y = xy[:n], xy[n:]
-    s, v, lam, z = x[:n_rows], x[n_rows:], y[:n_rows], y[n_rows:]
+    v, s, z, lam = x[:n_vars], x[n_vars:], y[:n_vars], y[n_vars:]
     dxy = np.empty(2 * n)
     dx, dy = dxy[:n], dxy[n:]
-    ds, dv, dlam, dz = dx[:n_rows], dx[n_rows:], dy[:n_rows], dy[n_rows:]
+    dv, ds, dz, dlam = dx[:n_vars], dx[n_vars:], dy[:n_vars], dy[n_vars:]
     trial = np.empty(2 * n)
     trial_x, trial_y = trial[:n], trial[n:]
-    trial_s, trial_v = trial_x[:n_rows], trial_x[n_rows:]
-    trial_lam, trial_z = trial_y[:n_rows], trial_y[n_rows:]
     ratio = np.empty(2 * n)
-    negative = np.empty(2 * n, dtype=bool)
     halves = np.array([0, n])
+    kv = np.empty(n_rows + n_flows)  # K v = [A v; F v]
+    ineq_v, d = kv[:n_rows], kv[n_rows:]
+    kdv = np.empty(n_rows + n_flows)  # K dv
+    ineq_dv, flow_dv = kdv[:n_rows], kdv[n_rows:]
+    shifted = np.empty(n_flows)  # F v + eps
+    # What M^T maps: [lam; g], [w_cap * f2; g], [tau_s + w_cap * f2; g] and
+    # [dlam; -c * F dv].  The gradient g goes straight into its tail.
+    stack = np.empty(n_rows + n_flows)
+    stack_top, stack_tail = stack[:n_rows], stack[n_rows:]
+    # y / x = [z / v; lam / s], followed by the curvature c, so that the
+    # Newton matrix's row weights [lam / s; c] are one contiguous column.
+    weights_c = np.empty(n + n_flows)
+    weights, curvature = weights_c[:n], weights_c[n:]
+    diag_bar, w_cap = weights[:n_vars], weights[n_vars:]
+    row_weights = weights_c[n_vars:, None]
     # The objective gradient and both residuals share one buffer too, so one
     # abs and one segmented max give all three max-norms.
     resid = np.empty(2 * n_vars + n_rows)
     grad_obj, f1, f2 = resid[:n_vars], resid[n_vars : 2 * n_vars], resid[2 * n_vars :]
     abs_resid = np.empty_like(resid)
     resid_starts = np.array([0, n_vars, 2 * n_vars])
-    weights = np.empty(n)  # [lam / s; z / v]
-    w_cap, diag_bar = weights[:n_rows], weights[n_rows:]
-    w_col = w_cap[:, None]
-    centering = np.empty(n)  # [(target - cross_s) / s - lam; (target - cross_v) / v - z]
-    center_s, center_v = centering[:n_rows], centering[n_rows:]
-    cross = np.empty(n)  # the affine step's second-order term [ds * dlam; dv * dz]
-    # newton_rhs's buffers: the capacity rows' term, its image and the sum.
-    rhs_rows = np.empty(n_rows)
-    rhs_image = np.empty(n_vars)
-    rhs_sum = np.empty(n_vars)
+    tau = np.empty(n)  # (target - alpha_p * alpha_d * dx * dy) / x
+    tau_v, tau_s = tau[:n_vars], tau[n_vars:]
+    centering = np.empty(n)  # tau - y
+    scaled = np.empty_like(stacked)  # K * [lam / s; c]
+    # The Newton matrix is symmetric, so its transpose is the F-ordered array
+    # LAPACK factors in place.
+    hess = np.empty((n_vars, n_vars))
+    hess_f, hess_flat = hess.T, hess.reshape(-1)
+    diagonal = hess_flat[:: n_vars + 1]
     r1 = np.empty(n_vars)  # the refinement residual
     refine_mu = 100.0 * mu_floor
     refinements = 0
@@ -421,37 +465,29 @@ def _interior_point(
             raise NetOptError(reason)
         return _InteriorPointResult(*banked, iters, True, refinements)
 
-    def newton_rhs() -> np.ndarray:
-        # -f1 - ineq_t @ (center_s + w_cap * f2) + center_v, in that order.
-        np.add(center_s, np.multiply(w_cap, f2, out=rhs_rows), out=rhs_rows)
-        np.matmul(ineq_t, rhs_rows, out=rhs_image)
-        np.subtract(np.negative(f1, out=rhs_sum), rhs_image, out=rhs_sum)
-        return np.add(rhs_sum, center_v, out=rhs_sum)
+    def newton_matrix() -> None:
+        # (K * [lam / s; c])^T K + diag(z / v), into hess.
+        np.matmul(np.multiply(stacked, row_weights, out=scaled).T, stacked, out=hess)
+        np.add(diagonal, diag_bar, out=diagonal)
 
-    def take_direction(step: np.ndarray) -> None:
+    def take_direction() -> None:
         # ds = -(f2 + A dv), so dlam = center_s + w_cap * (f2 + A dv) and
         # dz = center_v - diag_bar * dv are both centering - weights * dx.
-        dv[:] = step
-        np.subtract(-f2, ineq_matrix @ dv, out=ds)
+        np.matmul(stacked, dv, out=kdv)
+        np.negative(np.add(f2, ineq_dv, out=ds), out=ds)
         np.subtract(centering, np.multiply(weights, dx, out=dy), out=dy)
-
-    def step_lengths(fraction: float) -> tuple[float, float]:
-        # Largest steps in (0, 1] that keep x and y nonnegative, times
-        # ``fraction`` of the way to the boundary: -fraction * max(val /
-        # step) over the negative steps.  A NaN step counts as not negative.
-        ratio.fill(-np.inf)
-        np.divide(xy, dxy, out=ratio, where=np.less(dxy, 0.0, out=negative))
-        ratio_p, ratio_d = _segment_max(ratio, halves)
-        return min(1.0, -fraction * float(ratio_p)), min(1.0, -fraction * float(ratio_d))
 
     with np.errstate(all="ignore"):
         for it in range(MAX_NEWTON_ITERS):
-            d = flow_matrix @ v
-            gradient, curvature = utility.derivatives(d)
-            np.matmul(neg_flow_t, gradient, out=grad_obj)
-            np.subtract(np.add(grad_obj, ineq_t @ lam, out=f1), z, out=f1)
-            np.subtract(np.add(ineq_matrix @ v, s, out=f2), ineq_rhs, out=f2)
-            mu_now = (lam @ s + z @ v) / n
+            np.matmul(stacked, v, out=kv)
+            np.subtract(np.add(ineq_v, s, out=f2), ineq_rhs, out=f2)
+            # g = (F v + eps)^-alpha and c = alpha * (F v + eps)^(-alpha - 1).
+            np.power(np.add(d, epsilon, out=shifted), -alpha, out=stack_tail)
+            np.multiply(np.power(shifted, -alpha - 1.0, out=curvature), alpha, out=curvature)
+            stack_top[:] = lam
+            np.subtract(np.matmul(m_t, stack, out=f1), z, out=f1)
+            np.matmul(neg_flow_t, stack_tail, out=grad_obj)
+            mu_now = _dot(x, y) / n
             grad_max, f1_max, f2_max = _segment_max(np.abs(resid, out=abs_resid), resid_starts)
             stat_scale = 1.0 + float(grad_max)
             passed = (
@@ -469,57 +505,67 @@ def _interior_point(
                 return breakdown("interior point diverged to non-finite iterates", it)
             if not _all(_isfinite(np.divide(y, x, out=weights))):
                 return breakdown("interior point barrier weights overflowed", it)
-            h_obj = (flow_matrix * curvature[:, None]).T @ flow_matrix
-            hess = (ineq_matrix * w_col).T @ ineq_matrix
-            hess += h_obj
-            flat = hess.ravel()
-            flat[:: n_vars + 1] += diag_bar
-            # Predictor: the affine direction, centering target 0.
+            newton_matrix()
+            # Predictor: the affine direction, centering target 0.  Its -y
+            # centering cancels the lam and z terms, so the right-hand side
+            # is -M^T [w_cap * f2; g].
             np.negative(y, out=centering)
-            rhs = newton_rhs()
-            step = None
-            if _all(_isfinite(rhs)) and _all(_isfinite(flat)):
-                matrix, jitter = hess, 0.0
+            np.multiply(w_cap, f2, out=stack_top)
+            np.negative(np.matmul(m_t, stack, out=dv), out=dv)
+            solved = False
+            if _all(_isfinite(dv)) and _all(_isfinite(hess_flat)):
+                jitter = 0.0
                 for _ in range(8):
-                    factor, solution, info = _posv(matrix, rhs, lower=1)
+                    # A factorization that fails leaves the right-hand side
+                    # alone but overwrites the matrix.
+                    factor, _, info = _posv(hess_f, dv, lower=1, overwrite_a=1, overwrite_b=1)
                     if info == 0:
-                        step = solution
+                        solved = True
                         break
+                    newton_matrix()
                     jitter = max(jitter * 10.0, 1e-10 * float(np.trace(hess)) / n_vars)
-                    matrix = hess + jitter * np.eye(n_vars)
-                    if not np.isfinite(matrix).all():
+                    diagonal += jitter
+                    if not _all(_isfinite(hess_flat)):
                         break
-            if step is None:
+            if not solved:
                 return breakdown("interior-point Newton system not positive definite", it)
-            take_direction(step)
-            alpha_p, alpha_d = step_lengths(1.0)
-            np.add(np.multiply(dx, alpha_p, out=trial_x), x, out=trial_x)
-            np.add(np.multiply(dy, alpha_d, out=trial_y), y, out=trial_y)
-            mu_aff = (trial_lam @ trial_s + trial_z @ trial_v) / n
+            take_direction()
+            alpha_p, alpha_d = _step_lengths(xy, dxy, ratio, halves, 1.0)
+            np.multiply(dx, alpha_p, out=trial_x)
+            np.multiply(dy, alpha_d, out=trial_y)
+            np.add(xy, trial, out=trial)
+            mu_aff = _dot(trial_x, trial_y) / n
             sigma = max(0.01, (mu_aff / mu_now) ** 3)
             target = max(sigma * mu_now, 0.1 * mu_floor if passed else mu_floor)
             # Corrector: the same factor, with the affine step's second-order
-            # term, weighted by its step lengths, off the centering target.
-            np.multiply(np.multiply(dx, dy, out=cross), alpha_p * alpha_d, out=cross)
-            np.subtract(target, cross, out=centering)
-            np.subtract(np.divide(centering, x, out=centering), y, out=centering)
-            rhs = newton_rhs()
-            if not _all(_isfinite(rhs)):
+            # term, weighted by its step lengths, off the centering target:
+            # the right-hand side is -M^T [tau_s + w_cap * f2; g] + tau_v.
+            np.multiply(np.multiply(dx, dy, out=tau), alpha_p * alpha_d, out=tau)
+            np.divide(np.subtract(target, tau, out=tau), x, out=tau)
+            np.subtract(tau, y, out=centering)
+            np.add(tau_s, stack_top, out=stack_top)
+            np.subtract(tau_v, np.matmul(m_t, stack, out=dv), out=dv)
+            if not _all(_isfinite(dv)):
                 return breakdown("interior-point Newton system not positive definite", it)
-            take_direction(_potrs(factor, rhs, lower=1)[0])
+            _potrs(factor, dv, lower=1, overwrite_b=1)
+            take_direction()
             if mu_now <= refine_mu:
                 # One refinement step: solve hess corr = -r1 for the residual
-                # r1 of the unreduced stationarity equation, on the kept factor
-                # (negation is exact, so dv - solve(r1) is dv + solve(-r1)).
-                np.add(f1, h_obj @ dv, out=r1)
-                np.add(r1, ineq_t @ dlam, out=r1)
-                np.subtract(r1, dz, out=r1)
-                take_direction(dv - _potrs(factor, r1, lower=1)[0])
+                # r1 = f1 + M^T [dlam; -c * F dv] - dz of the unreduced
+                # stationarity equation, on the kept factor (negation is
+                # exact, so dv - solve(r1) is dv + solve(-r1)).
+                stack_top[:] = dlam
+                np.negative(np.multiply(curvature, flow_dv, out=stack_tail), out=stack_tail)
+                np.subtract(np.add(f1, np.matmul(m_t, stack, out=r1), out=r1), dz, out=r1)
+                _potrs(factor, r1, lower=1, overwrite_b=1)
+                np.subtract(dv, r1, out=dv)
+                take_direction()
                 refinements += 1
 
-            alpha_p, alpha_d = step_lengths(0.995)
-            x += alpha_p * dx
-            y += alpha_d * dy
+            alpha_p, alpha_d = _step_lengths(xy, dxy, ratio, halves, 0.995)
+            np.multiply(dx, alpha_p, out=trial_x)
+            np.multiply(dy, alpha_d, out=trial_y)
+            np.add(xy, trial, out=xy)
 
     return breakdown(f"interior point did not converge in {MAX_NEWTON_ITERS} iterations", MAX_NEWTON_ITERS)
 

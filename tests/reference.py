@@ -225,6 +225,14 @@ def step_length(val: np.ndarray, step: np.ndarray, fraction: float = 0.995) -> f
     return min(1.0, fraction * float((-val[neg] / step[neg]).min()))
 
 
+def fmin_step_length(val: np.ndarray, step: np.ndarray, fraction: float) -> float:
+    """:func:`step_length` as the interior point takes it: ``-fraction /
+    min(step / val)`` over the negative steps, with ``np.fmin`` skipping a
+    NaN step, and 1 when no step is negative."""
+    least = np.fmin.reduce(step / val)
+    return min(1.0, -fraction / least) if least < 0.0 else 1.0
+
+
 def unstacked_interior_point(
     flow_matrix: np.ndarray,
     ineq_matrix: np.ndarray,
@@ -236,24 +244,28 @@ def unstacked_interior_point(
     """``netopt._interior_point`` with one array per variable block.
 
     The same predictor-corrector iteration, written with ``v``, ``s``,
-    ``lam`` and ``z`` as separate arrays, concatenated step lengths, a dense
-    flow Hessian ``(F * c).T @ F`` and no ``np.errstate`` of its own, so
-    every floating-point warning reaches the caller.  Each step solves the
-    affine direction (centering target 0) with a new Cholesky factor, takes
-    its full step lengths to the boundary and ``sigma = max(0.01, (mu_aff /
-    mu) ** 3)``, and solves the corrector on the same factor.  Its centering
-    is ``max(sigma * mu, floor)`` less the affine cross terms ``alpha_p *
-    alpha_d * ds * dlam`` and ``alpha_p * alpha_d * dv * dz``; ``floor`` is
-    ``mu_floor``, or ``0.1 * mu_floor`` at an iterate that passes the
-    residual test.  Once ``mu_now <= 100 * mu_floor`` the corrector takes one
-    refinement step, ``hess corr = -r1`` with ``r1 = f1 + H_obj dv + A^T dlam
-    - dz``, on the same factor too.  The program's iteration must return the
-    same result from the same inputs, bit for bit.
+    ``lam`` and ``z`` as separate arrays and no ``np.errstate`` of its own,
+    so every floating-point warning reaches the caller.  It forms the same
+    stacked products on ``K = [A; F]`` and ``M^T = [A^T, -F^T]``: ``K v``
+    gives ``A v`` and ``F v``, the Newton matrix is ``(K * [lam / s;
+    c])^T K + diag(z / v)``, the stationarity residual ``M^T [lam; g] - z``.
+    Each step solves the affine direction (centering target 0, right-hand
+    side ``-M^T [w f2; g]``) with a new Cholesky factor, takes its full step
+    lengths to the boundary and ``sigma = max(0.01, (mu_aff / mu) ** 3)``,
+    and solves the corrector (right-hand side ``-M^T [tau_s + w f2; g] +
+    tau_v``) on the same factor.  Its ``tau`` is ``(max(sigma * mu, floor) -
+    alpha_p * alpha_d * dx * dy) / x``; ``floor`` is ``mu_floor``, or ``0.1 *
+    mu_floor`` at an iterate that passes the residual test.  Once ``mu_now <=
+    100 * mu_floor`` the corrector takes one refinement step, ``hess corr =
+    -r1`` with ``r1 = f1 + M^T [dlam; -c F dv] - dz``, on the same factor
+    too.  LAPACK gets the Newton matrix transposed, the F-ordered view the
+    program factors in place.  The program's iteration must return the same
+    result from the same inputs, bit for bit.
     """
     n_rows, n_vars = ineq_matrix.shape
     n = n_rows + n_vars
-    neg_flow_t = -flow_matrix.T
-    ineq_t = ineq_matrix.T
+    stacked = np.concatenate((ineq_matrix, flow_matrix))
+    m_t = np.concatenate((ineq_matrix.T, -flow_matrix.T), axis=1)
     scale = max(1.0, float(np.max(ineq_rhs)))
     v = np.full(n_vars, 0.25 * scale)
     s = np.maximum(ineq_rhs - ineq_matrix @ v, 0.25 * scale)
@@ -270,18 +282,26 @@ def unstacked_interior_point(
         return netopt._InteriorPointResult(*banked, iters, True, refinements)
 
     def direction(dv, center_s, center_v, w_cap, diag_bar, f2):
-        ineq_dv = ineq_matrix @ dv
-        ds = -f2 - ineq_dv
-        dlam = center_s + w_cap * (f2 + ineq_dv)
+        k_dv = stacked @ dv
+        ds = -(f2 + k_dv[:n_rows])
+        dlam = center_s - w_cap * ds
         dz = center_v - diag_bar * dv
-        return ds, dlam, dz
+        return ds, dlam, dz, k_dv[n_rows:]
+
+    def step_lengths(dv, ds, dlam, dz, fraction):
+        alpha_p = fmin_step_length(np.concatenate((v, s)), np.concatenate((dv, ds)), fraction)
+        alpha_d = fmin_step_length(np.concatenate((z, lam)), np.concatenate((dz, dlam)), fraction)
+        return alpha_p, alpha_d
 
     for it in range(max_iters):
-        d = flow_matrix @ v
-        grad_obj = neg_flow_t @ utility.gradient(d)
-        f1 = grad_obj + ineq_t @ lam - z
-        f2 = ineq_matrix @ v + s - ineq_rhs
-        mu_now = (lam @ s + z @ v) / n
+        k_v = stacked @ v
+        d = k_v[n_rows:]
+        f2 = k_v[:n_rows] + s - ineq_rhs
+        g = utility.gradient(d)
+        c = utility.alpha * (d + utility.epsilon) ** (-utility.alpha - 1.0)
+        f1 = m_t @ np.concatenate((lam, g)) - z
+        grad_obj = m_t[:, n_rows:] @ g
+        mu_now = np.dot(np.concatenate((v, s)), np.concatenate((z, lam))) / n
         grad_max = np.abs(grad_obj).max()
         stat_scale = 1.0 + float(grad_max)
         f1_max = np.abs(f1).max()
@@ -300,17 +320,16 @@ def unstacked_interior_point(
         diag_bar = z / v
         if not (np.isfinite(w_cap).all() and np.isfinite(diag_bar).all()):
             return breakdown("interior point barrier weights overflowed", it)
-        h_obj = (flow_matrix * utility.derivatives(d)[1][:, None]).T @ flow_matrix
-        hess = h_obj + (ineq_matrix * w_cap[:, None]).T @ ineq_matrix
+        hess = (stacked * np.concatenate((w_cap, c))[:, None]).T @ stacked
         hess.ravel()[:: n_vars + 1] += diag_bar
 
         # Predictor: target 0, so the centering is -lam and -z.
-        rhs = -f1 - ineq_t @ (-lam + w_cap * f2) + -z
+        rhs = -(m_t @ np.concatenate((w_cap * f2, g)))
         dv = None
         if np.isfinite(rhs).all() and np.isfinite(hess).all():
             matrix, jitter = hess, 0.0
             for _ in range(8):
-                factor, info = _potrf(matrix, lower=1, clean=0)
+                factor, info = _potrf(matrix.T, lower=1, clean=0)
                 if info == 0:
                     dv = _potrs(factor, rhs, lower=1)[0]
                     break
@@ -320,29 +339,29 @@ def unstacked_interior_point(
                     break
         if dv is None:
             return breakdown("interior-point Newton system not positive definite", it)
-        ds, dlam, dz = direction(dv, -lam, -z, w_cap, diag_bar, f2)
-        alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)), 1.0)
-        alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)), 1.0)
-        mu_aff = ((lam + alpha_d * dlam) @ (s + alpha_p * ds) + (z + alpha_d * dz) @ (v + alpha_p * dv)) / n
+        ds, dlam, dz, _ = direction(dv, -lam, -z, w_cap, diag_bar, f2)
+        alpha_p, alpha_d = step_lengths(dv, ds, dlam, dz, 1.0)
+        trial_x = np.concatenate((v, s)) + alpha_p * np.concatenate((dv, ds))
+        trial_y = np.concatenate((z, lam)) + alpha_d * np.concatenate((dz, dlam))
+        mu_aff = np.dot(trial_x, trial_y) / n
         sigma = max(0.01, (mu_aff / mu_now) ** 3)
         target = max(sigma * mu_now, 0.1 * mu_floor if passed else mu_floor)
 
         # Corrector, on the same factor.
-        center_s = (target - ds * dlam * (alpha_p * alpha_d)) / s - lam
-        center_v = (target - dv * dz * (alpha_p * alpha_d)) / v - z
-        rhs = -f1 - ineq_t @ (center_s + w_cap * f2) + center_v
+        tau_s = (target - ds * dlam * (alpha_p * alpha_d)) / s
+        tau_v = (target - dv * dz * (alpha_p * alpha_d)) / v
+        rhs = tau_v - m_t @ np.concatenate((tau_s + w_cap * f2, g))
         if not np.isfinite(rhs).all():
             return breakdown("interior-point Newton system not positive definite", it)
         dv = _potrs(factor, rhs, lower=1)[0]
-        ds, dlam, dz = direction(dv, center_s, center_v, w_cap, diag_bar, f2)
+        ds, dlam, dz, flow_dv = direction(dv, tau_s - lam, tau_v - z, w_cap, diag_bar, f2)
         if mu_now <= 100.0 * mu_floor:
-            r1 = f1 + h_obj @ dv + ineq_t @ dlam - dz
-            dv = dv + _potrs(factor, -r1, lower=1)[0]
+            r1 = f1 + m_t @ np.concatenate((dlam, -(c * flow_dv))) - dz
+            dv = dv - _potrs(factor, r1, lower=1)[0]
             refinements += 1
-            ds, dlam, dz = direction(dv, center_s, center_v, w_cap, diag_bar, f2)
+            ds, dlam, dz, _ = direction(dv, tau_s - lam, tau_v - z, w_cap, diag_bar, f2)
 
-        alpha_p = step_length(np.concatenate((v, s)), np.concatenate((dv, ds)))
-        alpha_d = step_length(np.concatenate((lam, z)), np.concatenate((dlam, dz)))
+        alpha_p, alpha_d = step_lengths(dv, ds, dlam, dz, 0.995)
         v = v + alpha_p * dv
         s = s + alpha_p * ds
         lam = lam + alpha_d * dlam

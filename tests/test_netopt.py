@@ -39,7 +39,7 @@ from conftest import (
     relay_grid_graph,
     single_link_graph,
 )
-from reference import build_incidence, finite_diff_gradient, unstacked_interior_point
+from reference import build_incidence, finite_diff_gradient, step_length, unstacked_interior_point
 
 LOG = UtilitySpec(alpha=1.0, epsilon=1e-3)
 
@@ -54,10 +54,10 @@ def test_utility_spec_forms_and_derivatives():
         h = 1e-6
         num_grad = (u.value(d + h) - u.value(d - h)) / (2 * h)
         assert np.allclose(u.gradient(d), num_grad, rtol=1e-5)
+        # the interior point's curvature c = alpha * (d + eps)^(-alpha - 1),
+        # the negative second derivative
         num_curv = -(u.gradient(d + h) - u.gradient(d - h)) / (2 * h)
-        gradient, curvature = u.derivatives(d)
-        assert np.array_equal(gradient, u.gradient(d))
-        assert np.allclose(curvature, num_curv, rtol=1e-5)
+        assert np.allclose(u.alpha * (d + u.epsilon) ** (-u.alpha - 1.0), num_curv, rtol=1e-5)
         assert u.total(d) == pytest.approx(u.value(d).sum())
     with pytest.raises(ValueError):
         UtilitySpec(alpha=0.0)
@@ -634,6 +634,40 @@ def test_interior_point_needs_a_variable_and_an_inequality_row():
         netopt._interior_point(flow_matrix, link_matrix[:0], caps[:0], LOG, 1e-12)
     with pytest.raises(ValueError, match="at least one"):
         netopt._interior_point(flow_matrix[:, :0], link_matrix[:, :0], caps, LOG, 1e-12)
+
+
+# A step entry: finite, a signed zero or NaN.
+_STEP = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, float("nan")]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), fraction=st.sampled_from([1.0, 0.995]), nonnegative=st.sampled_from([None, 0, 1]))
+def test_step_lengths_match_the_reference_rule(data, fraction, nonnegative):
+    # The interior point's rule, -fraction / min(dxy / xy) over the negative
+    # steps of each half, against the reference's -val / step form: the two
+    # round differently, so they agree to within 4 ulp.  NaN is no negative
+    # step, and a half without one (all NaN, zero or positive) steps 1.
+    n = data.draw(st.integers(1, 6))
+    xy = np.array(data.draw(st.lists(st.floats(1e-6, 1e6), min_size=2 * n, max_size=2 * n)))
+    dxy = np.array(data.draw(st.lists(_STEP, min_size=2 * n, max_size=2 * n)))
+    if nonnegative is not None:
+        half = dxy[nonnegative * n : (nonnegative + 1) * n]
+        half[half < 0] *= -1.0
+    lengths = netopt._step_lengths(xy, dxy, np.empty(2 * n), np.array([0, n]), fraction)
+    for alpha, val, step in zip(lengths, np.split(xy, 2), np.split(dxy, 2)):
+        with np.errstate(over="ignore"):  # -val / step of a subnormal step
+            expected = step_length(val, step, fraction)
+        assert abs(alpha - expected) <= 4 * np.spacing(expected)
+        if not np.any(step < 0):
+            assert alpha == 1.0
+
+
+def test_a_nan_step_hides_no_negative_step():
+    # Under np.minimum the first half's minimum would be the NaN, which is not
+    # negative, so the half would step 1 across its -4 step; np.fmin skips it.
+    nan = float("nan")
+    xy = np.array([1.0, 2.0, 1.0, 1.0])
+    assert netopt._step_lengths(xy, np.array([nan, -4.0, nan, nan]), np.empty(4), np.array([0, 2]), 1.0) == (0.5, 1.0)
 
 
 def _record_interior_point(monkeypatch):

@@ -12,18 +12,18 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "output_digest.py"
 
-ECHO_FREE_TOTAL = "1424b4f02b1fce04e7e25793e342fbdeca4b5c09418645305efcc5c572d82d1e"
+ECHO_FREE_TOTAL = "331f4413d23f0c8a632d2f71300b8d0dc198c018eea5e0e8de7cc12d8538557c"
 
 # The deterministic groups: the fading fig7_sweep subtotal is left free.
 SUBTOTAL_LINES = [
-    "oracle_battery subtotal df8b584443de610029e572f67429fb8789921d35a6418d11d3423cd8f2f5f226 over 60 outputs",
-    "flow_prices subtotal 635a936530c221270ec151236042abac3ed10fa0a7a3b936a9b719ad4029bd45 over 160 outputs",
-    "two_hop_demo subtotal 99e3b559052271f1a87e92aa3c92149f117a63cba7da3706b0d77268c175bda4 over 4 outputs",
+    "oracle_battery subtotal 3016a8623346e81b77919ee14b2e6c63e7c33e0c79f77aede3885e2b26bc8c63 over 60 outputs",
+    "flow_prices subtotal e6752760bd9fa49911417293d43af7c4e81bfca0786ff1f85fc85dce8db67d19 over 160 outputs",
+    "two_hop_demo subtotal 6b6df133ac9ccab289e1aa2ef3d636335b17588cb192438e27b448f84fa068b3 over 4 outputs",
 ]
 
 INTERIOR_POINT_LINES = [
-    "fig7_sweep interior point: 111 calls, 1183 Newton iterations, 137 refinement steps, 0 banked, largest 22",
-    "oracle_battery interior point: 346 calls, 3148 Newton iterations, 563 refinement steps, 0 banked, largest 198",
+    "fig7_sweep interior point: 111 calls, 1184 Newton iterations, 137 refinement steps, 0 banked, largest 21",
+    "oracle_battery interior point: 346 calls, 3046 Newton iterations, 461 refinement steps, 0 banked, largest 88",
     "flow_prices interior point: 160 calls, 1414 Newton iterations, 160 refinement steps, 0 banked, largest 10",
     "two_hop_demo interior point: 11 calls, 88 Newton iterations, 11 refinement steps, 0 banked, largest 8",
 ]

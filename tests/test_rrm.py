@@ -621,3 +621,22 @@ def test_reuse_layout_runs_end_without_a_solver_error(power, seed, mode):
     swept = with_param(_reuse_layout(), "p_pico_dbm", power)
     result, _ = run_experiment(swept, mode, seed)
     assert len(result.records) >= 1
+
+
+@pytest.mark.xfail(strict=True, raises=netopt.NetOptError, reason="known share-solve failure on degenerate programs")
+def test_forced_fig7_like_run_ends_without_a_solver_error():
+    """A run of the bundled layout held to 60 superframes (``max_superframes =
+    60``, ``epsilon_converge = 1e-9``) at 31 dBm, seed 2, ttrsc: its share
+    solve in superframe 18 ends in "interior point did not converge in 300
+    iterations".  Before the subframe-contiguous kernel pass, which moved
+    fading numbers by rounding only, it ran all 60 superframes to U =
+    30.03278757459155.  Like the reuse layout's programs above, the failing
+    one has capacity rows at ``CAPACITY_FLOOR`` and stalls once
+    complementarity reaches its floor."""
+    text = resources.files("hetnet_rrm").joinpath("scenarios/fig7_like.scenario").read_text()
+    for key, shipped, forced in (("max_superframes", "25", "60"), ("epsilon_converge", "0.02", "1e-9")):
+        assert f"{key} = {shipped}" in text
+        text = text.replace(f"{key} = {shipped}", f"{key} = {forced}")
+    swept = with_param(parse_scenario(text, path="fig7_like.scenario"), "p_pico_dbm", 31.0)
+    result, _ = run_experiment(swept, "ttrsc", 2)
+    assert len(result.records) == 60
